@@ -190,6 +190,50 @@ BM_MemorySystemAccess(benchmark::State &state)
 }
 BENCHMARK(BM_MemorySystemAccess);
 
+/**
+ * MemorySystem::access on the full 64-core machine with mixed
+ * traffic: 70% loads, 20% stores and 10% atomics from every core
+ * over a shared pool of 2^16 lines (4 MiB), so L1/L2 hits, L3 hits,
+ * DRAM misses, sharer invalidations and dirty interventions all
+ * occur. Unlike BM_MemorySystemAccess (8 cores, whose arrays fit in
+ * a host L2), the 64 cores' cache arrays and the directory here are
+ * the size the galois/engine workloads touch.
+ */
+void
+BM_MemorySystemAccess64(benchmark::State &state)
+{
+    MachineConfig cfg = scaledMachine();
+    cfg.numCores = 64;
+    mem::MemorySystem ms(cfg);
+    // Pre-drawn request stream: the loop times access(), not the RNG.
+    constexpr std::size_t kReqs = 1 << 16;
+    std::vector<mem::MemAccess> reqs(kReqs);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (std::size_t i = 0; i < kReqs; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        std::uint64_t r = x >> 16;
+        mem::MemAccess &req = reqs[i];
+        req.addr = 0x10000000 + (r & 0xFFFF) * 64;
+        req.core = CoreId((r >> 16) & 63);
+        std::uint64_t kind = (r >> 22) % 10;
+        req.type = kind < 7   ? mem::AccessType::Load
+                   : kind < 9 ? mem::AccessType::Store
+                              : mem::AccessType::Atomic;
+    }
+    std::size_t i = 0;
+    Cycle t = 0;
+    for (auto _ : state) {
+        mem::MemAccess req = reqs[i];
+        req.when = t;
+        auto r = ms.access(req);
+        benchmark::DoNotOptimize(r);
+        i = (i + 1) & (kReqs - 1);
+        t += 1;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemorySystemAccess64);
+
 void
 BM_OooCoreLoad(benchmark::State &state)
 {

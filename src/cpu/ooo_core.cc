@@ -22,7 +22,8 @@ constexpr Cycle kAluLatency = 1;
 
 OooCore::OooCore(CoreId id, const CoreParams &params,
                  mem::MemorySystem *memory, std::uint64_t seed)
-    : id_(id), params_(params), memory_(memory),
+    : id_(id), params_(params), width_(params.dispatchWidth),
+      memory_(memory),
       rng_(seed ^ (0xabcdef1234567890ull + id))
 {
 }
@@ -70,8 +71,7 @@ OooCore::registerStats(StatsGroup &g)
 Cycle
 OooCore::frontier() const
 {
-    Cycle fe = Cycle(dispatchSlots_ / params_.dispatchWidth);
-    return std::max(fe, minIssue_);
+    return std::max(feCycle_, minIssue_);
 }
 
 Cycle
@@ -84,9 +84,10 @@ void
 OooCore::idleUntil(Cycle t)
 {
     Cycle before = frontier();
-    std::uint64_t slots = t * params_.dispatchWidth;
-    if (slots > dispatchSlots_)
-        dispatchSlots_ = slots;
+    if (t > feCycle_) {
+        feCycle_ = t;
+        feSlot_ = 0;
+    }
     if (t > minIssue_)
         minIssue_ = t;
     accrue(before, 0);
@@ -154,12 +155,16 @@ OooCore::dispatch(std::uint32_t n, Cycle dep)
         structural = std::max(structural, t);
     }
 
-    Cycle feCycle = Cycle(dispatchSlots_ / params_.dispatchWidth);
-    Cycle dispatchCycle = std::max({feCycle, minIssue_, structural});
-    std::uint64_t base = dispatchCycle * params_.dispatchWidth;
-    if (base > dispatchSlots_)
-        dispatchSlots_ = base;
-    dispatchSlots_ += n;
+    Cycle dispatchCycle = std::max({feCycle_, minIssue_, structural});
+    if (dispatchCycle > feCycle_) {
+        feCycle_ = dispatchCycle;
+        feSlot_ = 0;
+    }
+    // Advance n slots, carrying whole cycles into feCycle_.
+    std::uint32_t slots = feSlot_ + n;
+    std::uint32_t cycles = width_.div(slots);
+    feCycle_ += cycles;
+    feSlot_ = slots - cycles * params_.dispatchWidth;
     uopIndex_ += n;
     stats_.uops += n;
 

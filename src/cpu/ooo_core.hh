@@ -32,9 +32,10 @@
 #define MINNOW_CPU_OOO_CORE_HH
 
 #include <cstdint>
-#include <deque>
 
+#include "base/bits.hh"
 #include "base/ckpt.hh"
+#include "base/ring_queue.hh"
 #include "base/rng.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -102,7 +103,9 @@ struct CoreStats
  * in-order-allocated structure (ROB, RS, LQ, SQ). Entries are pushed
  * in index order as (count, time) segments; timeAt() queries are
  * monotonically nondecreasing in index, so lookups pop from the
- * front and the whole structure is O(1) amortized.
+ * front and the whole structure is O(1) amortized. Segments live in
+ * a RingQueue, which stops allocating once it reaches the window's
+ * high-water mark.
  */
 class SegmentedWindow
 {
@@ -139,11 +142,25 @@ class SegmentedWindow
 
     std::uint64_t tail() const { return tail_; }
 
-    /** Serialize segments and cursors; symmetric (Segment is POD). */
+    /** Segments held (tests). */
+    std::size_t segments() const { return segs_.size(); }
+
+    /** Serialize segments (count, then each) and cursors; symmetric. */
     void
     checkpoint(ckpt::Ckpt &ck)
     {
-        ck.io(segs_);
+        std::uint64_t n = segs_.size();
+        ck.io(n);
+        if (ck.loading())
+            segs_.clear();
+        for (std::uint64_t i = 0; i < n && ck.ok(); ++i) {
+            Segment seg = ck.saving() ? segs_.at(std::size_t(i))
+                                      : Segment{};
+            ck.io(seg.end);
+            ck.io(seg.time);
+            if (ck.loading() && ck.ok())
+                segs_.push_back(seg);
+        }
         ck.io(head_);
         ck.io(tail_);
     }
@@ -155,7 +172,7 @@ class SegmentedWindow
         Cycle time;
     };
 
-    std::deque<Segment> segs_;
+    RingQueue<Segment> segs_;
     std::uint64_t head_ = 0;
     std::uint64_t tail_ = 0;
 };
@@ -282,7 +299,8 @@ class OooCore
     checkpoint(ckpt::Ckpt &ck)
     {
         rng_.checkpoint(ck);
-        ck.io(dispatchSlots_);
+        ck.io(feCycle_);
+        ck.io(feSlot_);
         ck.io(minIssue_);
         ck.io(maxMemComplete_);
         ck.io(retireCursor_);
@@ -297,7 +315,7 @@ class OooCore
         ck.io(stats_);
         ck.io(tlPhaseStart_);
         ck.io(specSlot_);
-        ck.transient("id_ params_ memory_ tl_ tlTrack_");
+        ck.transient("id_ params_ width_ memory_ tl_ tlTrack_");
     }
 
   private:
@@ -319,11 +337,16 @@ class OooCore
 
     CoreId id_;
     CoreParams params_;
+    Divisor width_; //!< dispatch width, divided by multiplication.
     mem::MemorySystem *memory_;
     Rng rng_;
 
-    /** Frontend position in uop slots (width slots per cycle). */
-    std::uint64_t dispatchSlots_ = 0;
+    /**
+     * Frontend position: the next uop dispatches in slot feSlot_
+     * (< dispatch width) of cycle feCycle_.
+     */
+    Cycle feCycle_ = 0;
+    std::uint32_t feSlot_ = 0;
     Cycle minIssue_ = 0;        //!< serialization floor.
     Cycle maxMemComplete_ = 0;  //!< latest load/store completion.
     Cycle retireCursor_ = 0;    //!< in-order retirement clock.

@@ -24,7 +24,7 @@ Attribution::Window::insert(const Key &k, Cycle c, Cycle window)
 {
     expire(c, window);
     at.put(k, c);
-    fifo.emplace_back(c, k);
+    fifo.push_back({c, k});
 }
 
 void
@@ -53,40 +53,7 @@ Attribution::Window::take(const Key &k, Cycle c, Cycle window)
 void
 Attribution::Window::checkpoint(ckpt::Ckpt &ck)
 {
-    std::uint64_t n = at.size();
-    ck.io(n);
-    if (ck.saving()) {
-        // Canonical bytes: the flat table's layout order is an
-        // implementation detail, so serialize sorted by key.
-        std::vector<std::pair<Key, Cycle>> entries;
-        entries.reserve(at.size());
-        at.forEach([&](const Key &k, Cycle c) {
-            entries.emplace_back(k, c);
-        });
-        std::sort(entries.begin(), entries.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        for (auto &[k, c] : entries) {
-            std::uint32_t core = k.first;
-            Addr lnum = k.second;
-            Cycle cyc = c;
-            ck.io(core);
-            ck.io(lnum);
-            ck.io(cyc);
-        }
-    } else {
-        at.clear();
-        for (std::uint64_t i = 0; i < n && ck.ok(); ++i) {
-            std::uint32_t core = 0;
-            Addr lnum = 0;
-            Cycle cyc = 0;
-            ck.io(core);
-            ck.io(lnum);
-            ck.io(cyc);
-            at.put(Key{core, lnum}, cyc);
-        }
-    }
+    at.checkpoint(ck);
     std::uint64_t m = fifo.size();
     ck.io(m);
     if (ck.loading())
@@ -96,15 +63,15 @@ Attribution::Window::checkpoint(ckpt::Ckpt &ck)
         std::uint32_t core = 0;
         Addr lnum = 0;
         if (ck.saving()) {
-            cyc = fifo[std::size_t(i)].first;
-            core = fifo[std::size_t(i)].second.first;
-            lnum = fifo[std::size_t(i)].second.second;
+            cyc = fifo.at(std::size_t(i)).first;
+            core = fifo.at(std::size_t(i)).second.first;
+            lnum = fifo.at(std::size_t(i)).second.second;
         }
         ck.io(cyc);
         ck.io(core);
         ck.io(lnum);
         if (ck.loading())
-            fifo.emplace_back(cyc, Key{core, lnum});
+            fifo.push_back({cyc, Key{core, lnum}});
     }
 }
 
@@ -413,70 +380,10 @@ Attribution::registerStats(StatsRegistry &reg)
 void
 Attribution::checkpoint(ckpt::Ckpt &ck)
 {
-    std::uint64_t n = tracked_.size();
-    ck.io(n);
-    if (ck.saving()) {
-        // Sorted-by-key serialization keeps the section bytes
-        // canonical regardless of the flat table's layout.
-        std::vector<std::pair<Key, Tracked>> entries;
-        entries.reserve(tracked_.size());
-        tracked_.forEach([&](const Key &k, const Tracked &t) {
-            entries.emplace_back(k, t);
-        });
-        std::sort(entries.begin(), entries.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        for (auto &[k, t] : entries) {
-            std::uint32_t core = k.first;
-            Addr lnum = k.second;
-            ck.io(core);
-            ck.io(lnum);
-            t.checkpoint(ck);
-        }
-    } else {
-        tracked_.clear();
-        for (std::uint64_t i = 0; i < n && ck.ok(); ++i) {
-            std::uint32_t core = 0;
-            Addr lnum = 0;
-            ck.io(core);
-            ck.io(lnum);
-            Tracked t;
-            t.checkpoint(ck);
-            tracked_.put(Key{core, lnum}, t);
-        }
-    }
+    tracked_.checkpoint(ck);
     victims_.checkpoint(ck);
     evicted_.checkpoint(ck);
-
-    std::uint64_t m = lineage_.size();
-    ck.io(m);
-    if (ck.saving()) {
-        std::vector<std::pair<std::uint64_t, LineageEntry>> live;
-        live.reserve(lineage_.size());
-        lineage_.forEach(
-            [&](std::uint64_t id, const LineageEntry &e) {
-                live.emplace_back(id, e);
-            });
-        std::sort(live.begin(), live.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        for (auto &[id, e] : live) {
-            std::uint64_t key = id;
-            ck.io(key);
-            e.checkpoint(ck);
-        }
-    } else {
-        lineage_.clear();
-        for (std::uint64_t i = 0; i < m && ck.ok(); ++i) {
-            std::uint64_t key = 0;
-            ck.io(key);
-            LineageEntry e;
-            e.checkpoint(ck);
-            lineage_.put(key, e);
-        }
-    }
+    lineage_.checkpoint(ck);
     ck.io(cur_);
     ck.io(nextId_);
     total_.checkpoint(ck);

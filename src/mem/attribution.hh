@@ -30,10 +30,10 @@
  * Determinism: ids are assigned in simulated push/classify order and
  * every counter derives from simulated state only — byte-identical
  * per seed and shard-invariant. The hot-path line/lineage maps are
- * open-addressed flat tables (no per-insert node allocation at
- * ~100k fills per run); their layout never leaks into results, and
- * the checkpoint code sorts entries by key before serializing so the
- * "attribution" section bytes stay canonical (base/ckpt.hh).
+ * base/flat_table.hh tables (no per-insert node allocation at ~100k
+ * fills per run); their layout never leaks into results, and they
+ * serialize sorted by key so the "attribution" section bytes stay
+ * canonical.
  */
 
 #ifndef MINNOW_MEM_ATTRIBUTION_HH
@@ -41,11 +41,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
 #include "base/ckpt.hh"
+#include "base/flat_table.hh"
+#include "base/ring_queue.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "sim/timeline.hh"
@@ -72,158 +73,6 @@ struct AttrClassCounts
         ck.io(polluting);
     }
 };
-
-namespace detail
-{
-
-/** splitmix64 finalizer: the flat tables' 64->64 bit mixer. */
-constexpr std::uint64_t
-mix64(std::uint64_t x)
-{
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-}
-
-constexpr std::uint64_t
-hashKey(std::uint64_t k)
-{
-    return mix64(k);
-}
-
-constexpr std::uint64_t
-hashKey(const std::pair<std::uint32_t, Addr> &k)
-{
-    return mix64(k.second * 0x9e3779b97f4a7c15ULL + k.first);
-}
-
-/**
- * Open-addressed hash map (linear probing, backward-shift erase,
- * power-of-two capacity, grown at 3/4 load). The attribution hot
- * path inserts and erases an entry per prefetch fill and per pushed
- * task — ~100k+ of each per run — and node-based maps spent more
- * host time in the allocator than the overhead contract allows.
- * Layout depends only on the insert/erase sequence (keys, never
- * pointers, are hashed), so behavior is deterministic; nothing
- * result-bearing iterates the table, and checkpoint code sorts
- * entries by key before serializing.
- */
-template <typename K, typename V>
-struct FlatTable
-{
-    struct Slot
-    {
-        K key{};
-        V val{};
-        std::uint8_t used = 0;
-    };
-
-    std::vector<Slot> slots;
-    std::size_t count = 0;
-
-    std::size_t size() const { return count; }
-
-    std::size_t mask() const { return slots.size() - 1; }
-
-    V *
-    find(const K &k)
-    {
-        if (count == 0)
-            return nullptr;
-        std::size_t i = hashKey(k) & mask();
-        while (slots[i].used) {
-            if (slots[i].key == k)
-                return &slots[i].val;
-            i = (i + 1) & mask();
-        }
-        return nullptr;
-    }
-
-    void
-    put(const K &k, const V &v)
-    {
-        if (slots.empty() || (count + 1) * 4 > slots.size() * 3)
-            grow();
-        std::size_t i = hashKey(k) & mask();
-        while (slots[i].used) {
-            if (slots[i].key == k) {
-                slots[i].val = v;
-                return;
-            }
-            i = (i + 1) & mask();
-        }
-        slots[i].key = k;
-        slots[i].val = v;
-        slots[i].used = 1;
-        ++count;
-    }
-
-    bool
-    erase(const K &k)
-    {
-        if (count == 0)
-            return false;
-        std::size_t i = hashKey(k) & mask();
-        while (slots[i].used && !(slots[i].key == k))
-            i = (i + 1) & mask();
-        if (!slots[i].used)
-            return false;
-        // Backward-shift deletion: pull displaced entries into the
-        // hole so probe chains stay intact without tombstones.
-        std::size_t j = i;
-        for (;;) {
-            j = (j + 1) & mask();
-            if (!slots[j].used)
-                break;
-            std::size_t h = hashKey(slots[j].key) & mask();
-            // An entry whose home slot lies cyclically in (i, j]
-            // must stay put; anything else fills the hole.
-            bool anchored =
-                i <= j ? (i < h && h <= j) : (i < h || h <= j);
-            if (!anchored) {
-                slots[i] = std::move(slots[j]);
-                i = j;
-            }
-        }
-        slots[i] = Slot{};
-        --count;
-        return true;
-    }
-
-    void
-    clear()
-    {
-        slots.clear();
-        count = 0;
-    }
-
-    /** Visit every live entry (layout order — sort before use). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        for (const Slot &s : slots)
-            if (s.used)
-                fn(s.key, s.val);
-    }
-
-  private:
-    void
-    grow()
-    {
-        std::vector<Slot> old = std::move(slots);
-        slots.assign(old.empty() ? 1024 : old.size() * 2, Slot{});
-        count = 0;
-        for (Slot &s : old)
-            if (s.used)
-                put(s.key, s.val);
-    }
-};
-
-} // namespace detail
 
 /** The causal-attribution tracker (owned by the Machine). */
 class Attribution
@@ -388,8 +237,8 @@ class Attribution
     /** A keyed cycle map + FIFO implementing a sliding window. */
     struct Window
     {
-        detail::FlatTable<Key, Cycle> at;
-        std::deque<std::pair<Cycle, Key>> fifo;
+        FlatTable<Key, Cycle> at;
+        RingQueue<std::pair<Cycle, Key>> fifo;
 
         void insert(const Key &k, Cycle c, Cycle window);
         /** Expire entries older than @p window before @p c. */
@@ -411,11 +260,11 @@ class Attribution
     std::uint32_t numCores_;
     std::uint32_t window_;
 
-    detail::FlatTable<Key, Tracked> tracked_;
+    FlatTable<Key, Tracked> tracked_;
     Window victims_; //!< lines displaced by prefetch fills.
     Window evicted_; //!< early-evicted prefetched lines.
 
-    detail::FlatTable<std::uint64_t, LineageEntry> lineage_;
+    FlatTable<std::uint64_t, LineageEntry> lineage_;
     std::vector<CurTask> cur_;
     std::uint64_t nextId_ = 0;
 

@@ -32,7 +32,8 @@ class Dram
   public:
     explicit Dram(const DramParams &params)
         : params_(params),
-          serviceCycles_((params.serviceFp128 + 127) / 128)
+          serviceCycles_((params.serviceFp128 + 127) / 128),
+          channelMod_(params.channels)
     {
         // Transfers per 128-cycle window at this channel rate.
         std::uint32_t perWindow = std::uint32_t(
@@ -46,7 +47,7 @@ class Dram
     std::uint32_t
     channelOf(Addr lnum) const
     {
-        return std::uint32_t(hashMix(lnum) % params_.channels);
+        return std::uint32_t(channelMod_.mod(hashMix(lnum)));
     }
 
     /**
@@ -76,8 +77,8 @@ class Dram
 
     /**
      * Serialize counters and per-channel meter occupancy in bulk.
-     * params_/serviceCycles_ are construction-time config, covered by
-     * the machine-level config fingerprint.
+     * params_/serviceCycles_/channelMod_ are construction-time config,
+     * covered by the machine-level config fingerprint.
      */
     void
     checkpoint(ckpt::Ckpt &ck)
@@ -85,7 +86,7 @@ class Dram
         ck.io(accesses_);
         ck.io(queueCycles_);
         ck.io(channels_);
-        ck.transient("params_ serviceCycles_");
+        ck.transient("params_ serviceCycles_ channelMod_");
     }
 
   private:
@@ -93,6 +94,7 @@ class Dram
 
     DramParams params_;
     Cycle serviceCycles_;
+    Divisor channelMod_; //!< % channels without a divide.
     std::vector<Meter> channels_;
 
     std::uint64_t accesses_ = 0;

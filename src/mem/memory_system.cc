@@ -22,6 +22,7 @@ constexpr Cycle kAtomicOpLatency = 15;
 
 MemorySystem::MemorySystem(const MachineConfig &cfg)
     : cfg_(cfg),
+      bankMod_(cfg.numCores),
       noc_(cfg.noc),
       dram_(cfg.dram),
       stats_(cfg.numCores)
@@ -61,30 +62,30 @@ MemorySystem::setValueOracle(ValueOracle oracle)
 std::uint32_t
 MemorySystem::bankOf(Addr lnum) const
 {
-    return std::uint32_t(hashMix(lnum) % cfg_.numCores);
+    return std::uint32_t(bankMod_.mod(hashMix(lnum)));
 }
 
 void
 MemorySystem::invalidatePrivate(CoreId core, Addr lnum)
 {
-    CacheLine *line = l2_[core].lookup(lnum);
-    if (line) {
-        if (line->prefetch) {
+    CacheArray &l2 = l2_[core];
+    if (Frame line = l2.lookup(lnum)) {
+        if (l2.prefetch(line)) {
             stats_[core].prefetchInvalidated += 1;
             if (attr_)
                 attr_->prefetchEvicted(core, lnum);
-            if (!line->prefetchHw) {
+            if (!l2.prefetchHw(line)) {
                 if (pfLinesTracked_)
                     --pfLinesTracked_;
                 if (creditHook_)
                     creditHook_(core, false);
             }
         }
-        if (line->dirty)
+        if (l2.dirty(line))
             stats_[core].writebacks += 1;
         // The lookup above already found the frame; invalidate in
         // place instead of paying a second set walk.
-        line->valid = false;
+        l2.invalidate(line);
     }
     l1_[core].invalidate(lnum);
     stats_[core].invalidationsTaken += 1;
@@ -108,37 +109,36 @@ MemorySystem::handleL2Eviction(CoreId core, const Eviction &ev)
                 creditHook_(core, false);
         }
     }
-    auto it = directory_.find(ev.lineNum);
-    if (it != directory_.end()) {
-        it->second.sharers &= ~(std::uint64_t(1) << core);
-        if (it->second.owner == std::int32_t(core))
-            it->second.owner = -1;
-        if (it->second.sharers == 0 && it->second.owner < 0)
-            directory_.erase(it); // snoop filter entry retires.
+    if (DirEntry *dir = directory_.find(ev.lineNum)) {
+        dir->sharers &= ~(std::uint64_t(1) << core);
+        if (dir->owner == std::int32_t(core))
+            dir->owner = -1;
+        if (dir->sharers == 0 && dir->owner < 0)
+            directory_.erase(ev.lineNum); // snoop filter entry retires.
     }
     if (ev.dirty) {
         stats_[core].writebacks += 1;
         // Victim-fill the (non-inclusive) L3 with the dirty line.
-        std::uint32_t bank = bankOf(ev.lineNum);
-        CacheLine *l3line = l3_[bank].lookup(ev.lineNum);
+        CacheArray &l3 = l3_[bankOf(ev.lineNum)];
+        Frame l3line = l3.lookup(ev.lineNum);
         if (!l3line) {
             Eviction l3ev;
-            l3line = l3_[bank].fill(ev.lineNum, false, l3ev);
+            l3line = l3.fill(ev.lineNum, false, l3ev);
             if (l3ev.valid && l3ev.dirty)
                 dram_.access(l3ev.lineNum, 0); // writeback traffic.
         }
-        l3line->dirty = true;
+        l3.setDirty(l3line, true);
     }
 }
 
-CacheLine *
+Frame
 MemorySystem::fillL3(std::uint32_t bank, Addr lnum)
 {
     // Non-inclusive (Skylake-like) L3: victims do not back-
     // invalidate private copies; the directory is a standalone
     // snoop filter.
     Eviction ev;
-    CacheLine *line = l3_[bank].fill(lnum, false, ev);
+    Frame line = l3_[bank].fill(lnum, false, ev);
     if (ev.valid && ev.dirty)
         dram_.access(ev.lineNum, 0); // book writeback bandwidth.
     return line;
@@ -173,21 +173,24 @@ MemorySystem::access(const MemAccess &req)
     auto serializeAtomic = [&](Cycle done) {
         if (req.type != AccessType::Atomic)
             return done;
-        Cycle &busy = atomicBusy_[lnum];
+        Cycle &busy = atomicBusy_.findOrInsert(lnum);
         Cycle start = std::max(done - extra, busy);
         done = start + extra;
         busy = done;
         return done;
     };
 
+    CacheArray &l1 = l1_[req.core];
+    CacheArray &l2 = l2_[req.core];
+
     // ---- L1 (cores only; engines attach at L2) ----
     if (!req.engine) {
-        CacheLine *line = l1_[req.core].lookup(lnum);
-        if (line && (!isWrite || line->exclusive)) {
+        Frame line = l1.lookup(lnum);
+        if (line && (!isWrite || l1.exclusive(line))) {
             if (isWrite) {
-                line->dirty = true;
-                if (CacheLine *l2line = l2_[req.core].lookup(lnum))
-                    l2line->dirty = true;
+                l1.setDirty(line, true);
+                if (Frame l2line = l2.lookup(lnum))
+                    l2.setDirty(l2line, true);
             }
             st.l1Hits += 1;
             res.done = serializeAtomic(t + cfg_.l1d.latency + extra);
@@ -200,22 +203,23 @@ MemorySystem::access(const MemAccess &req)
     }
 
     // ---- L2 ----
-    CacheLine *l2line = l2_[req.core].lookup(lnum);
-    if (l2line && (!isWrite || l2line->exclusive)) {
+    Frame l2line = l2.lookup(lnum);
+    if (l2line && (!isWrite || l2.exclusive(l2line))) {
         Cycle done = t + cfg_.l2.latency;
         const Cycle demandAt = done;
-        const bool underFill = l2line->readyAt > done;
+        const Cycle readyAt = l2.readyAt(l2line);
+        const bool underFill = readyAt > done;
+        const bool wasPrefetch = l2.prefetch(l2line);
         if (underFill) {
             // Fill still in flight (late prefetch): wait for it.
-            done = l2line->readyAt;
+            done = readyAt;
             st.l2HitsUnderFill += 1;
-            if (l2line->prefetch && !req.prefetch)
+            if (wasPrefetch && !req.prefetch)
                 st.prefetchUsedLate += 1;
         }
-        if (l2line->prefetch && !req.prefetch) {
-            bool hw = l2line->prefetchHw;
-            l2line->prefetch = false;
-            l2line->prefetchHw = false;
+        if (wasPrefetch && !req.prefetch) {
+            bool hw = l2.prefetchHw(l2line);
+            l2.clearPrefetch(l2line);
             st.prefetchUsed += 1;
             res.hitPrefetched = true;
             if (attr_) {
@@ -229,27 +233,27 @@ MemorySystem::access(const MemAccess &req)
                     creditHook_(req.core, true);
             }
         } else if (req.prefetch) {
-            if (l2line->prefetch)
+            if (wasPrefetch)
                 st.prefetchRedundant += 1;
             if (attr_)
                 attr_->prefetchRedundant(req.core);
         }
         if (isWrite)
-            l2line->dirty = true;
+            l2.setDirty(l2line, true);
         if (!req.engine && !req.prefetch) {
             // Refill L1 under inclusion. A single walk serves both
             // the refill check and the write-dirty update (hoisted
             // from a probe + a second lookup): nothing between the
             // two steps can displace the line.
-            CacheLine *f = l1_[req.core].lookup(lnum);
+            Frame f = l1.lookup(lnum);
             if (!f) {
                 Eviction ev;
-                f = l1_[req.core].fill(lnum, false, ev);
-                f->exclusive = l2line->exclusive;
+                f = l1.fill(lnum, false, ev);
+                l1.setExclusive(f, l2.exclusive(l2line));
                 // L1 victims stay in L2 (dirty already propagated).
             }
             if (isWrite)
-                f->dirty = true;
+                l1.setDirty(f, true);
         }
         st.l2Hits += 1;
         res.done = serializeAtomic(done + extra);
@@ -280,9 +284,10 @@ MemorySystem::access(const MemAccess &req)
     // Directory (snoop filter) and L3 are consulted together; a
     // dirty remote copy is forwarded cache-to-cache even when the
     // non-inclusive L3 no longer holds the line.
-    CacheLine *l3line = l3_[bank].lookup(lnum);
-    auto [dirIt, dirInserted] = directory_.try_emplace(lnum);
-    DirEntry *dir = &dirIt->second;
+    CacheArray &l3 = l3_[bank];
+    Frame l3line = l3.lookup(lnum);
+    // Stable until handleL2Eviction() below may erase an entry.
+    DirEntry *dir = &directory_.findOrInsert(lnum);
     bool remoteDirty = dir->owner >= 0 &&
                        dir->owner != std::int32_t(req.core);
     if (l3line || remoteDirty) {
@@ -326,7 +331,7 @@ MemorySystem::access(const MemAccess &req)
         }
         if (dir->owner >= 0 && dir->owner != std::int32_t(req.core)
             && l3line) {
-            l3line->dirty = true; // dirty data was pulled back.
+            l3.setDirty(l3line, true); // dirty data was pulled back.
         }
         dir->sharers = self;
         dir->owner = std::int32_t(req.core);
@@ -335,21 +340,18 @@ MemorySystem::access(const MemAccess &req)
             // Dirty intervention: fetch from the owning core.
             CoreId owner = CoreId(dir->owner);
             t += 2 * noc_.idleLatency(tileOf(bank), tileOf(owner));
-            if (CacheLine *oline = l2_[owner].lookup(lnum)) {
-                oline->dirty = false;
-                oline->exclusive = false;
-            }
-            if (CacheLine *o1 = l1_[owner].lookup(lnum)) {
-                o1->dirty = false;
-                o1->exclusive = false;
+            for (CacheArray *c : {&l2_[owner], &l1_[owner]}) {
+                if (Frame o = c->lookup(lnum)) {
+                    c->setDirty(o, false);
+                    c->setExclusive(o, false);
+                }
             }
             if (l3line) {
-                l3line->dirty = true;
+                l3.setDirty(l3line, true);
             } else {
                 // Fold the forwarded dirty data into the L3.
                 Eviction l3ev;
-                CacheLine *nl = l3_[bank].fill(lnum, false, l3ev);
-                nl->dirty = true;
+                l3.setDirty(l3.fill(lnum, false, l3ev), true);
                 if (l3ev.valid && l3ev.dirty)
                     dram_.access(l3ev.lineNum, 0);
             }
@@ -366,14 +368,19 @@ MemorySystem::access(const MemAccess &req)
         t += faults_->nocExtraDelay();
     Cycle done = t;
 
+    // The line may still be resident here (a write to a shared,
+    // non-exclusive copy takes this miss path): fill() then installs
+    // a second frame for it. A known model quirk, kept for
+    // byte-identical results (ROADMAP).
     Eviction ev;
-    CacheLine *fill2 = l2_[req.core].fill(lnum, req.prefetch, ev);
+    Frame fill2 = l2.fill(lnum, req.prefetch, ev);
     handleL2Eviction(req.core, ev);
-    fill2->exclusive = isWrite || sole;
-    fill2->dirty = isWrite;
+    const bool exclusive = isWrite || sole;
+    l2.setExclusive(fill2, exclusive);
+    l2.setDirty(fill2, isWrite);
     if (req.prefetch) {
-        fill2->readyAt = done;
-        fill2->prefetchHw = req.hwPrefetch;
+        l2.setReadyAt(fill2, done);
+        l2.setPrefetchHw(fill2, req.hwPrefetch);
         st.prefetchFills += 1;
         res.prefetchFilled = true;
         if (!req.hwPrefetch)
@@ -386,9 +393,9 @@ MemorySystem::access(const MemAccess &req)
         }
     } else if (!req.engine) {
         Eviction ev1;
-        CacheLine *fill1 = l1_[req.core].fill(lnum, false, ev1);
-        fill1->exclusive = fill2->exclusive;
-        fill1->dirty = isWrite;
+        Frame fill1 = l1.fill(lnum, false, ev1);
+        l1.setExclusive(fill1, exclusive);
+        l1.setDirty(fill1, isWrite);
         // L1 victim remains in L2; dirty state was kept in sync.
     }
 
@@ -674,59 +681,34 @@ MemorySystem::checkpoint(ckpt::Ckpt &ck)
     ioArrays(l2_);
     ioArrays(l3_);
 
-    auto ioAddrMap = [&ck](auto &m) {
-        using Mapped = typename std::decay_t<decltype(m)>::mapped_type;
-        std::uint64_t n = m.size();
-        ck.io(n);
-        if (ck.saving()) {
-            std::vector<Addr> keys;
-            keys.reserve(m.size());
-            for (const auto &[k, v] : m)
-                keys.push_back(k);
-            std::sort(keys.begin(), keys.end());
-            for (Addr k : keys) {
-                ck.io(k);
-                ck.io(m.at(k));
-            }
-        } else {
-            m.clear();
-            for (std::uint64_t i = 0; i < n && ck.ok(); ++i) {
-                Addr k = 0;
-                ck.io(k);
-                Mapped v{};
-                ck.io(v);
-                m.emplace(k, v);
-            }
-        }
-    };
-    ioAddrMap(directory_);
-    ioAddrMap(atomicBusy_);
+    directory_.checkpoint(ck);
+    atomicBusy_.checkpoint(ck);
 
     noc_.checkpoint(ck);
     dram_.checkpoint(ck);
     ck.io(stats_);
     ck.io(pfLinesTracked_);
-    ck.transient("cfg_ creditHook_ attr_ faults_ hwPrefetchers_"
+    ck.transient("cfg_ bankMod_ creditHook_ attr_ faults_ hwPrefetchers_"
                  " oracle_ pfScratch_ inPrefetchIssue_ statsReg_");
 }
 
 bool
 MemorySystem::inL1(CoreId core, Addr addr) const
 {
-    return l1_[core].probe(lineNum(addr)) != nullptr;
+    return bool(l1_[core].probe(lineNum(addr)));
 }
 
 bool
 MemorySystem::inL2(CoreId core, Addr addr) const
 {
-    return l2_[core].probe(lineNum(addr)) != nullptr;
+    return bool(l2_[core].probe(lineNum(addr)));
 }
 
 bool
 MemorySystem::inL3(Addr addr) const
 {
     Addr lnum = lineNum(addr);
-    return l3_[bankOf(lnum)].probe(lnum) != nullptr;
+    return bool(l3_[bankOf(lnum)].probe(lnum));
 }
 
 } // namespace minnow::mem

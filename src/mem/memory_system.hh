@@ -26,9 +26,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "base/bits.hh"
+#include "base/flat_table.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 #include "mem/cache.hh"
@@ -261,16 +262,17 @@ class MemorySystem
      * Fill L3 bank for a line fetched from memory; returns the
      * installed frame (saves the caller a re-lookup).
      */
-    CacheLine *fillL3(std::uint32_t bank, Addr lnum);
+    Frame fillL3(std::uint32_t bank, Addr lnum);
 
     /** Run the baseline hardware prefetcher for one demand load. */
     void runHwPrefetcher(const MemAccess &req, Cycle when);
 
     MachineConfig cfg_;
+    Divisor bankMod_; //!< % numCores without a divide.
     std::vector<CacheArray> l1_;
     std::vector<CacheArray> l2_;
     std::vector<CacheArray> l3_;
-    std::unordered_map<Addr, DirEntry> directory_;
+    FlatTable<Addr, DirEntry> directory_;
     /**
      * Per-line serialization point for locked RMWs: concurrent
      * atomics to one line execute back to back (the CAS-retry /
@@ -279,7 +281,7 @@ class MemorySystem
      * within the sync quantum (callers sync before shared-state
      * RMWs).
      */
-    std::unordered_map<Addr, Cycle> atomicBusy_;
+    FlatTable<Addr, Cycle> atomicBusy_;
     Noc noc_;
     Dram dram_;
     std::vector<MemStats> stats_;

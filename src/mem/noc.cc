@@ -1,6 +1,6 @@
 #include "mem/noc.hh"
 
-#include <cstdlib>
+#include <cstddef>
 
 namespace minnow::mem
 {
@@ -16,22 +16,36 @@ enum Direction
     kSouth = 3,
 };
 
+/** |a - b| for unsigned coordinates. */
+std::uint32_t
+absDiff(std::uint32_t a, std::uint32_t b)
+{
+    return a < b ? b - a : a - b;
+}
+
 } // anonymous namespace
 
 Noc::Noc(const NocParams &params)
     : params_(params),
       width_(params.meshWidth),
-      links_(std::size_t(params.meshWidth) * params.meshWidth * 4,
+      tileX_(std::size_t(params.meshWidth) * params.meshWidth),
+      tileY_(tileX_.size()),
+      links_(tileX_.size() * 4,
              LinkMeter(std::uint32_t(LinkMeter::kWindow)))
 {
+    for (std::uint32_t y = 0, tile = 0; y < width_; ++y) {
+        for (std::uint32_t x = 0; x < width_; ++x, ++tile) {
+            tileX_[tile] = x;
+            tileY_[tile] = y;
+        }
+    }
 }
 
 std::uint32_t
 Noc::hops(std::uint32_t src, std::uint32_t dst) const
 {
-    int sx = int(src % width_), sy = int(src / width_);
-    int dx = int(dst % width_), dy = int(dst / width_);
-    return std::uint32_t(std::abs(sx - dx) + std::abs(sy - dy));
+    return absDiff(tileX_[src], tileX_[dst]) +
+           absDiff(tileY_[src], tileY_[dst]);
 }
 
 Cycle
@@ -47,36 +61,32 @@ Noc::traverse(std::uint32_t src, std::uint32_t dst, Cycle start)
     if (src == dst)
         return start;
 
-    std::uint32_t x = src % width_, y = src / width_;
-    std::uint32_t dx = dst % width_, dy = dst / width_;
-    Cycle t = start;
-    Cycle ideal = start;
-
-    auto hop = [&](int dir, std::uint32_t nx, std::uint32_t ny) {
-        std::size_t link = linkIndex(x, y, dir);
-        Cycle depart = t;
-        if (params_.modelContention)
-            depart = links_[link].reserve(t);
-        t = depart + params_.cyclesPerHop;
-        ideal += params_.cyclesPerHop;
-        x = nx;
-        y = ny;
-        ++totalHops_;
-    };
+    const std::uint32_t sx = tileX_[src], sy = tileY_[src];
+    const std::uint32_t dx = tileX_[dst], dy = tileY_[dst];
+    const std::uint32_t xHops = absDiff(sx, dx);
+    const std::uint32_t yHops = absDiff(sy, dy);
+    const Cycle perHop = params_.cyclesPerHop;
+    const Cycle ideal = start + Cycle(xHops + yHops) * perHop;
+    totalHops_ += xHops + yHops;
+    if (!params_.modelContention)
+        return ideal;
 
     // X first, then Y (dimension-ordered routing avoids deadlock).
-    while (x != dx) {
-        if (x < dx)
-            hop(kEast, x + 1, y);
-        else
-            hop(kWest, x - 1, y);
-    }
-    while (y != dy) {
-        if (y < dy)
-            hop(kSouth, x, y + 1);
-        else
-            hop(kNorth, x, y - 1);
-    }
+    // Each hop books the link leaving its tile: one tile east or
+    // west moves the link index by 4, one row by 4 * width (indices
+    // are unsigned, so a westward step wraps harmlessly past 0).
+    Cycle t = start;
+    std::size_t link = std::size_t(src) * 4 + (sx < dx ? kEast : kWest);
+    std::size_t step = sx < dx ? 4 : std::size_t(-4);
+    for (std::uint32_t i = 0; i < xHops; ++i, link += step)
+        t = links_[link].reserve(t) + perHop;
+
+    const std::size_t turn = std::size_t(sy) * width_ + dx;
+    link = turn * 4 + (sy < dy ? kSouth : kNorth);
+    step = sy < dy ? std::size_t(4) * width_
+                   : std::size_t(0) - std::size_t(4) * width_;
+    for (std::uint32_t i = 0; i < yHops; ++i, link += step)
+        t = links_[link].reserve(t) + perHop;
 
     if (t > ideal)
         contention_ += t - ideal;

@@ -55,8 +55,8 @@ class Noc
     /**
      * Serialize counters and per-link meter occupancy (BandwidthMeter
      * is trivially copyable, so the link vector transfers in bulk).
-     * params_/width_ are construction-time config, covered by the
-     * machine-level config fingerprint.
+     * params_/width_ and the tile tables are construction-time
+     * config, covered by the machine-level config fingerprint.
      */
     void
     checkpoint(ckpt::Ckpt &ck)
@@ -65,22 +65,19 @@ class Noc
         ck.io(totalHops_);
         ck.io(contention_);
         ck.io(links_);
-        ck.transient("params_ width_");
+        ck.transient("params_ width_ tileX_ tileY_");
     }
 
   private:
-    /** Links: width*width tiles x 4 directions (E, W, N, S). */
-    std::size_t
-    linkIndex(std::uint32_t x, std::uint32_t y, int dir) const
-    {
-        return (std::size_t(y) * width_ + x) * 4 + std::size_t(dir);
-    }
-
     /** One flit per cycle per link -> window-width flits/window. */
     using LinkMeter = BandwidthMeter<5, 16>;
 
     NocParams params_;
     std::uint32_t width_;
+    /** Tile id -> mesh column / row (no divide on the hot path). */
+    std::vector<std::uint32_t> tileX_;
+    std::vector<std::uint32_t> tileY_;
+    /** Links: tile * 4 + direction (E, W, N, S). */
     std::vector<LinkMeter> links_;
 
     std::uint64_t messages_ = 0;

@@ -1,10 +1,10 @@
 /**
  * @file
- * Checkpoint container format "minnow-ckpt-1".
+ * Checkpoint container format "minnow-ckpt-2".
  *
  * A checkpoint is a single binary file:
  *
- *     magic        "minnow-ckpt-1\n"        (14 bytes)
+ *     magic        "minnow-ckpt-2\n"        (14 bytes)
  *     u32          section count
  *     per section:
  *       u32        name length, then name bytes
@@ -14,8 +14,9 @@
  *
  * All integers are little-endian host order (checkpoints are a
  * same-host warm-start mechanism, not an interchange format; the
- * magic pins the version so a layout change bumps "-1" and old
- * files are rejected, never misread).
+ * magic pins the version so a layout change bumps the digit and old
+ * files are rejected, never misread). Version 2 changed the cache
+ * array, memory directory and core frontend payloads (DESIGN.md 5m).
  *
  * Integrity: the trailing file CRC is verified over the whole
  * buffer BEFORE any length field is trusted, so a corrupted section
@@ -46,7 +47,7 @@ namespace minnow::ckpt
 {
 
 /** The format magic; the trailing digit is the version. */
-inline constexpr char kMagic[] = "minnow-ckpt-1\n";
+inline constexpr char kMagic[] = "minnow-ckpt-2\n";
 inline constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
 
 /** CRC-32 (IEEE 802.3, reflected 0xEDB88320), seedable for chains. */

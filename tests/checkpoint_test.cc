@@ -145,15 +145,16 @@ TEST(CkptContainer, PayloadFlipNamesTheSection)
 TEST(CkptContainer, VersionBumpIsDiagnosed)
 {
     std::vector<std::uint8_t> buf = sampleImage();
-    // "minnow-ckpt-1\n" -> "minnow-ckpt-2\n": a future format must
+    // "minnow-ckpt-2\n" -> "minnow-ckpt-3\n": a future format must
     // be named as a version problem, not a CRC failure.
-    buf[ckpt::kMagicLen - 2] = '2';
+    ASSERT_EQ(buf[ckpt::kMagicLen - 2], '2');
+    buf[ckpt::kMagicLen - 2] = '3';
     refreshFileCrc(buf);
     ckpt::Reader r;
     std::string err = r.decode(buf);
     EXPECT_NE(err.find("bad magic/version"), std::string::npos)
         << err;
-    EXPECT_NE(err.find("minnow-ckpt-2"), std::string::npos) << err;
+    EXPECT_NE(err.find("minnow-ckpt-3"), std::string::npos) << err;
 }
 
 TEST(CkptContainer, SectionLengthOverrunIsBoundsChecked)
@@ -322,6 +323,40 @@ TEST(CkptMachine, DifferentConfigIsRejected)
     EXPECT_NE(err.find("different machine configuration"),
               std::string::npos)
         << err;
+    std::remove(path.c_str());
+}
+
+TEST(CkptMachine, VersionOneFileIsRejectedAndColdStarts)
+{
+    // Version 1 laid out cache frames, the directory and the core
+    // frontend differently; such a file must be refused by name.
+    MachineConfig mc = scaledMachine();
+    mc.numCores = 2;
+    runtime::Machine m(mc);
+    ckpt::Writer w;
+    m.checkpointSections(w);
+    std::vector<std::uint8_t> buf = w.encode();
+    buf[ckpt::kMagicLen - 2] = '1';
+    refreshFileCrc(buf);
+    std::string path = tmpPath("version1.ckpt");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
+    std::fclose(f);
+
+    ckpt::Reader r;
+    std::string err = m.restore(path, r);
+    EXPECT_NE(err.find("bad magic/version 'minnow-ckpt-1"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("want 'minnow-ckpt-2'"), std::string::npos)
+        << err;
+
+    // The harness warns and builds the workload cold.
+    harness::Workload wl =
+        harness::makeWorkloadWarm("sssp", 0.1, 2, path);
+    EXPECT_FALSE(wl.warmLoaded);
+    ASSERT_NE(wl.app, nullptr);
     std::remove(path.c_str());
 }
 

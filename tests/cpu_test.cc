@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "base/ckpt.hh"
+#include "base/rng.hh"
 #include "cpu/ooo_core.hh"
 #include "mem/memory_system.hh"
 #include "sim/config.hh"
@@ -55,6 +59,57 @@ TEST(SegmentedWindow, MergesEqualTimes)
     EXPECT_EQ(w.timeAt(4), 5u);
 }
 
+TEST(SegmentedWindow, WrapsAndGrowsLikeAReferenceList)
+{
+    // Segments flow through the ring: the head moves forward as
+    // queries consume it while pushes grow the buffer past its
+    // initial capacity, so both wrap-around and growth with a
+    // wrapped head are exercised. A plain list is the reference.
+    SegmentedWindow w;
+    std::vector<std::pair<std::uint64_t, Cycle>> ref; // (end, time)
+    Rng rng(11);
+    std::uint64_t tail = 0, query = 0;
+    std::size_t maxSegs = 0;
+    for (int step = 0; step < 20000; ++step) {
+        // Bursts of pushes, sometimes longer than the ring, so it
+        // grows while its head sits mid-buffer.
+        int pushes = int(rng.below(step % 1000 < 20 ? 40 : 3));
+        for (int i = 0; i < pushes; ++i) {
+            std::uint64_t n = 1 + rng.below(3);
+            Cycle t = Cycle(step) * 4 + Cycle(i);
+            w.push(n, t);
+            tail += n;
+            ref.push_back({tail, t});
+        }
+        maxSegs = std::max(maxSegs, w.segments());
+        if (query < tail && rng.chance(0.7))
+            query += rng.below(std::min<std::uint64_t>(tail - query, 6));
+        Cycle want = 0;
+        for (const auto &[end, t] : ref) {
+            if (query < end) {
+                want = t;
+                break;
+            }
+        }
+        ASSERT_EQ(w.timeAt(query), want) << "step " << step;
+    }
+    EXPECT_EQ(w.tail(), tail);
+    EXPECT_GT(maxSegs, 8u); // grew past the first ring buffer.
+
+    // A checkpoint of a wrapped window restores the same answers.
+    std::vector<std::uint8_t> buf;
+    ckpt::Ckpt sv = ckpt::Ckpt::saver(&buf);
+    w.checkpoint(sv);
+    SegmentedWindow r;
+    ckpt::Ckpt ld = ckpt::Ckpt::loader(buf.data(), buf.size());
+    r.checkpoint(ld);
+    ASSERT_TRUE(ld.ok());
+    EXPECT_EQ(r.segments(), w.segments());
+    EXPECT_EQ(r.tail(), w.tail());
+    for (std::uint64_t q = query; q < tail; q += 1 + q % 3)
+        ASSERT_EQ(r.timeAt(q), w.timeAt(q));
+}
+
 TEST(SegmentedWindow, BeyondTailIsZero)
 {
     SegmentedWindow w;
@@ -72,6 +127,35 @@ TEST(OooCore, DispatchWidthBoundsComputeRate)
     EXPECT_GE(f.core->frontier(), 100u);
     EXPECT_LE(f.core->frontier(), 110u);
     EXPECT_EQ(f.core->stats().uops, 400u);
+}
+
+TEST(OooCore, FrontendCursorMatchesSlotArithmetic)
+{
+    // The frontend is kept as (cycle, slot) rather than a slot count
+    // divided by the width; for any width the frontier must equal
+    // floor(slots / width) of the slot count it replaces.
+    for (std::uint32_t width : {1u, 2u, 3u, 4u, 5u, 7u}) {
+        CoreParams p;
+        p.dispatchWidth = width;
+        p.robEntries = 4096; // no structural stalls in this test.
+        p.rsEntries = 4096;
+        CoreFixture f(p);
+        Rng rng(width);
+        std::uint64_t slots = 0;
+        for (int i = 0; i < 200; ++i) {
+            if (rng.chance(0.1)) {
+                Cycle t = f.core->frontier() + rng.below(5);
+                f.core->idleUntil(t);
+                slots = std::max<std::uint64_t>(slots, t * width);
+            } else {
+                std::uint32_t n = 1 + std::uint32_t(rng.below(9));
+                f.core->compute(n, 0);
+                slots += n;
+            }
+            ASSERT_EQ(f.core->frontier(), slots / width)
+                << "width " << width << " step " << i;
+        }
+    }
 }
 
 TEST(OooCore, IndependentLoadsOverlap)
