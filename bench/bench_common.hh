@@ -90,9 +90,11 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/options.hh"
 #include "base/trace.hh"
@@ -156,24 +158,37 @@ class StatsJsonLog
         const std::string &statsJson)
     {
         char buf[64];
-        std::string e = "{\"workload\":\"" + workload + "\"";
-        e += ",\"config\":\"" + config + "\"";
-        e += ",\"threads\":" + std::to_string(threads);
+        std::string e;
+        e.reserve(statsJson.size() + workload.size() + config.size() +
+                  256);
+        e += "{\"workload\":\"";
+        e += workload;
+        e += "\",\"config\":\"";
+        e += config;
+        e += "\",\"threads\":";
+        json::appendU64(e, threads);
         std::snprintf(buf, sizeof buf, "%.6g", scale);
-        e += std::string(",\"scale\":") + buf;
-        e += ",\"seed\":" + std::to_string(seed);
-        e += ",\"credits\":" + std::to_string(credits);
-        e += std::string(",\"timedOut\":") +
-             (timedOut ? "true" : "false");
-        e += std::string(",\"verified\":") +
-             (verified ? "true" : "false");
-        e += ",\"cycles\":" + std::to_string(cycles);
-        e += ",\"instructions\":" + std::to_string(instructions);
+        e += ",\"scale\":";
+        e += buf;
+        e += ",\"seed\":";
+        json::appendU64(e, seed);
+        e += ",\"credits\":";
+        json::appendU64(e, credits);
+        e += ",\"timedOut\":";
+        e += timedOut ? "true" : "false";
+        e += ",\"verified\":";
+        e += verified ? "true" : "false";
+        e += ",\"cycles\":";
+        json::appendU64(e, cycles);
+        e += ",\"instructions\":";
+        json::appendU64(e, instructions);
         std::snprintf(buf, sizeof buf, "%.6g", l2Mpki);
-        e += std::string(",\"l2Mpki\":") + buf;
-        e += ",\"stats\":" +
-             (statsJson.empty() ? std::string("{}") : statsJson);
-        e += "}";
+        e += ",\"l2Mpki\":";
+        e += buf;
+        e += ",\"stats\":";
+        e += statsJson.empty() ? std::string_view("{}")
+                               : std::string_view(statsJson);
+        e += '}';
         entries_.push_back(std::move(e));
         dirty_ = true;
     }
@@ -191,13 +206,15 @@ class StatsJsonLog
                          path_.c_str());
             return;
         }
-        std::fprintf(f, "{\"schema\":\"minnow-bench-stats-1\","
-                        "\"runs\":[");
+        std::fputs("{\"schema\":\"minnow-bench-stats-1\","
+                   "\"runs\":[",
+                   f);
         for (std::size_t i = 0; i < entries_.size(); ++i) {
-            std::fprintf(f, "%s%s", i ? "," : "",
-                         entries_[i].c_str());
+            if (i)
+                std::fputc(',', f);
+            std::fwrite(entries_[i].data(), 1, entries_[i].size(), f);
         }
-        std::fprintf(f, "]}\n");
+        std::fputs("]}\n", f);
         std::fclose(f);
         dirty_ = false;
     }

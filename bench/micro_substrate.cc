@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the simulation substrate
  * itself: event queue throughput, cache lookup/fill, NoC traversal,
- * DRAM booking, and the OOO core per-op cost. These bound the
- * simulator's host-side performance (how many simulated memory ops
- * per wall-second the experiment harness can drive).
+ * DRAM booking, the OOO core per-op cost, and the stats sampler and
+ * JSON export. These bound the simulator's host-side performance (how
+ * many simulated memory ops per wall-second the experiment harness
+ * can drive).
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include "cpu/ooo_core.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
+#include "runtime/machine.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 
@@ -249,6 +251,47 @@ BM_OooCoreLoad(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_OooCoreLoad);
+
+/**
+ * One interval sample (StatsRegistry::recordSample) over the registry
+ * of a 64-core machine: every core, cache and memory stat, formulas
+ * included. Samples accumulate, so the iteration count is fixed to
+ * bound the memory they hold.
+ */
+void
+BM_StatsSample64(benchmark::State &state)
+{
+    MachineConfig cfg = scaledMachine();
+    cfg.numCores = 64;
+    runtime::Machine m(cfg);
+    Cycle now = 0;
+    for (auto _ : state)
+        m.stats.recordSample(now += 2000);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StatsSample64)->Iterations(2000);
+
+/**
+ * StatsRegistry::toJson on a 64-core machine's registry holding 200
+ * interval samples, the shape of a --stats-interval run's export.
+ */
+void
+BM_StatsJsonExport(benchmark::State &state)
+{
+    MachineConfig cfg = scaledMachine();
+    cfg.numCores = 64;
+    runtime::Machine m(cfg);
+    for (Cycle c = 1; c <= 200; ++c)
+        m.stats.recordSample(c * 2000);
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        std::string json = m.stats.toJson();
+        bytes = json.size();
+        benchmark::DoNotOptimize(json);
+    }
+    state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
+}
+BENCHMARK(BM_StatsJsonExport);
 
 } // anonymous namespace
 

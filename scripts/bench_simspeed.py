@@ -20,8 +20,8 @@ Two measurements, both from binaries built in this tree:
     amortization the batched-dequeue path exists for).
 
  4. a --shards=1,2,4,8 sweep of the same fig18 point with
-    stats-interval sampling on: events/sec per shard count plus the
-    pool's barrier-wait share land in the "shards" section. The
+    stats-interval sampling on: events/sec per shard count land in
+    the "shards" section (barrierWaitNs reads 0: no pool runs). The
     full run on hosts with >= 4 CPUs requires shards=4 to beat
     shards=1 events/sec; --smoke and smaller hosts record the sweep
     and the comparison only (sharding executes every event on the
@@ -206,11 +206,11 @@ def run_shards(fig, smoke):
     """Sweep --shards on one fig18 point and record events/sec.
 
     The sharded scheduler keeps event execution serial (that is the
-    byte-identity argument), so its host speedup comes from the
-    shard pool's fan-out of stats-interval sampling and, at the
-    bench layer, the --host-par point farm. Both need real host
-    cores: the shards=4-beats-shards=1 floor is only enforced by
-    the full run on a host with >= 4 CPUs. Otherwise the sweep and
+    byte-identity argument) and no host threads run beside it, so
+    host speedup comes only from the --host-par point farm at the
+    bench layer. The shards=4-beats-shards=1 floor is only enforced
+    by the full run on a host with >= 4 CPUs (ROADMAP item 1 removes
+    the weave and this sweep). Otherwise the sweep and
     the comparison are recorded with the gate marked skipped (a
     1-CPU CI box cannot express host parallelism, and the smoke
     run sits in tier-1, which must pass on any host).

@@ -5,7 +5,8 @@ Drives the point_runner bench through the full checkpoint matrix for
 sssp (minnow-pf) and pr (obim):
 
   1. cold baseline: one uninterrupted run with --stats-json (and,
-     for sssp, --timeline).
+     for sssp, --timeline and --stats-interval, so every compare
+     below also covers the interval samples).
   2. warm save: same run writing a warm-boundary checkpoint; saving
      must not perturb the stats (byte-compare vs baseline).
   3. warm restore: a fresh process starting from the checkpoint must
@@ -30,9 +31,9 @@ import sys
 import tempfile
 
 POINTS = [
-    # (workload, config, timeline?)
-    ("sssp", "minnow-pf", True),
-    ("pr", "obim", False),
+    # (workload, config, timeline?, flags for every run of the point)
+    ("sssp", "minnow-pf", True, ["--stats-interval=500"]),
+    ("pr", "obim", False, []),
 ]
 SCALE = "0.1"
 THREADS = "4"
@@ -78,7 +79,7 @@ def point_json(proc):
     return doc
 
 
-def check_point(runner, tmp, workload, config, with_timeline):
+def check_point(runner, tmp, workload, config, with_timeline, flags):
     tag = f"{workload}/{config}"
     d = os.path.join(tmp, workload)
     os.mkdir(d)
@@ -87,7 +88,7 @@ def check_point(runner, tmp, workload, config, with_timeline):
     ckpt = os.path.join(d, "warm.ckpt")
 
     # 1. Cold baseline.
-    extra = [f"--stats-json={stats_a}"]
+    extra = flags + [f"--stats-json={stats_a}"]
     if with_timeline:
         extra.append(f"--timeline={tl_a}")
     cold = point_json(run_point(runner, workload, config, extra))
@@ -96,12 +97,14 @@ def check_point(runner, tmp, workload, config, with_timeline):
     if not cold["verified"]:
         fail(f"{tag}: cold run failed verification")
     a = read(stats_a)
+    if flags and b'"intervals":[' not in a:
+        fail(f"{tag}: --stats-interval produced no interval samples")
 
     # 2. Warm save: writing the checkpoint must not perturb stats.
     # (--timeline adds a stats group, so timeline-enabled points
     # must record one in every run to stay comparable.)
     stats_s = os.path.join(d, "save.json")
-    extra = [f"--stats-json={stats_s}", f"--checkpoint-out={ckpt}"]
+    extra = flags + [f"--stats-json={stats_s}", f"--checkpoint-out={ckpt}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_s.json')}")
     run_point(runner, workload, config, extra)
@@ -113,7 +116,7 @@ def check_point(runner, tmp, workload, config, with_timeline):
     # 3. Warm restore in a fresh process: byte-identical outputs.
     stats_b = os.path.join(d, "b.json")
     tl_b = os.path.join(d, "tl_b.json")
-    extra = [f"--stats-json={stats_b}", f"--checkpoint-in={ckpt}"]
+    extra = flags + [f"--stats-json={stats_b}", f"--checkpoint-in={ckpt}"]
     if with_timeline:
         extra.append(f"--timeline={tl_b}")
     warm = point_json(run_point(runner, workload, config, extra))
@@ -127,7 +130,7 @@ def check_point(runner, tmp, workload, config, with_timeline):
     # 4. Rescue roundtrip at a mid-run anchor.
     anchor = max(1, int(cold["cycles"]) // 3)
     rescue = os.path.join(d, "rescue.ckpt")
-    extra = [f"--checkpoint-out={rescue}",
+    extra = flags + [f"--checkpoint-out={rescue}",
              f"--checkpoint-after={anchor}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_r.json')}")
@@ -135,7 +138,7 @@ def check_point(runner, tmp, workload, config, with_timeline):
     if not os.path.exists(rescue):
         fail(f"{tag}: no rescue checkpoint at cycle {anchor}")
     stats_c = os.path.join(d, "c.json")
-    extra = [f"--stats-json={stats_c}", f"--checkpoint-in={rescue}"]
+    extra = flags + [f"--stats-json={stats_c}", f"--checkpoint-in={rescue}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_c.json')}")
     proc = run_point(runner, workload, config, extra)
@@ -151,7 +154,7 @@ def check_point(runner, tmp, workload, config, with_timeline):
     with open(bad, "wb") as f:
         f.write(blob)
     stats_d = os.path.join(d, "d.json")
-    extra = [f"--stats-json={stats_d}", f"--checkpoint-in={bad}"]
+    extra = flags + [f"--stats-json={stats_d}", f"--checkpoint-in={bad}"]
     if with_timeline:
         extra.append(f"--timeline={os.path.join(d, 'tl_d.json')}")
     proc = run_point(runner, workload, config, extra)
@@ -177,9 +180,9 @@ def main():
         fail("usage: check_checkpoint_ab.py <point_runner-binary>")
     runner = sys.argv[1]
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, config, with_timeline in POINTS:
+        for workload, config, with_timeline, flags in POINTS:
             check_point(runner, tmp, workload, config,
-                        with_timeline)
+                        with_timeline, flags)
     print("check_checkpoint_ab: OK")
 
 

@@ -1,56 +1,15 @@
 #include "base/stats.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "sim/event_queue.hh"
-#include "sim/parallel/spsc_channel.hh"
 
 namespace minnow
 {
-
-/**
- * Sharded-host sample fan-out (setSampleExecutor): one SPSC channel
- * per pool lane carrying that lane's slice of an interval sample
- * back to the leader. Capacity 1 — exactly one chunk is in flight
- * per lane per sampling epoch, and the leader drains every channel
- * before the next sample fires. The chunks re-use their storage
- * across epochs via the scratch vectors (moved out, filled, moved
- * in), so steady-state sampling does not allocate channel traffic.
- */
-struct StatsRegistry::SampleFanout
-{
-    using Chunk = std::vector<std::pair<std::string, double>>;
-
-    std::vector<std::unique_ptr<parallel::SpscChannel<Chunk>>> ch;
-    std::vector<Chunk> scratch;
-
-    explicit SampleFanout(std::uint32_t lanes) : scratch(lanes)
-    {
-        ch.reserve(lanes);
-        for (std::uint32_t l = 0; l < lanes; ++l) {
-            ch.push_back(
-                std::make_unique<parallel::SpscChannel<Chunk>>(1));
-        }
-    }
-};
-
-StatsRegistry::StatsRegistry() = default;
-StatsRegistry::~StatsRegistry() = default;
-
-void
-StatsRegistry::setSampleExecutor(
-    std::uint32_t lanes,
-    std::function<void(const std::function<void(std::uint32_t)> &)>
-        runOnAll)
-{
-    fatal_if(lanes == 0, "sample executor needs at least one lane");
-    sampleLanes_ = lanes;
-    sampleRunOnAll_ = std::move(runOnAll);
-    fanout_ = lanes > 1 ? std::make_unique<SampleFanout>(lanes)
-                        : nullptr;
-}
 
 void
 StatsReport::dump(std::FILE *out) const
@@ -79,6 +38,8 @@ StatsGroup::adopt(std::unique_ptr<Stat> s)
     Stat &ref = *s;
     index_[s->name()] = s.get();
     stats_.push_back(std::move(s));
+    if (generation_)
+        ++*generation_;
     return ref;
 }
 
@@ -125,7 +86,7 @@ StatsGroup::checkpoint(ckpt::Ckpt &ck)
 {
     // name_ and index_ are identity, recreated at registration time;
     // only values travel, guarded by per-stat names.
-    ck.transient("name_ index_");
+    ck.transient("name_ index_ generation_");
     std::uint64_t n = stats_.size();
     ck.io(n);
     if (ck.loading() && n != stats_.size()) {
@@ -161,6 +122,8 @@ StatsRegistry::group(const std::string &name)
         it = groups_
                  .emplace(name, std::make_unique<StatsGroup>(name))
                  .first;
+        it->second->generation_ = &generation_;
+        ++generation_;
     }
     return *it->second;
 }
@@ -168,7 +131,7 @@ StatsRegistry::group(const std::string &name)
 StatsGroup &
 StatsRegistry::freshGroup(const std::string &name)
 {
-    groups_.erase(name);
+    removeGroup(name);
     return group(name);
 }
 
@@ -182,7 +145,8 @@ StatsRegistry::find(const std::string &name) const
 void
 StatsRegistry::removeGroup(const std::string &name)
 {
-    groups_.erase(name);
+    if (groups_.erase(name))
+        ++generation_;
 }
 
 std::vector<const StatsGroup *>
@@ -224,76 +188,29 @@ StatsRegistry::dumpText(std::FILE *out) const
 namespace
 {
 
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
-jsonNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v)) {
-        out += "0";
-        return;
-    }
-    // Counters dominate; print integers without an exponent so JSON
-    // consumers can diff them exactly.
-    if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        out += buf;
-    } else {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.12g", v);
-        out += buf;
-    }
-}
-
-void
-jsonKey(std::string &out, const std::string &key)
-{
-    out += '"';
-    jsonEscape(out, key);
-    out += "\":";
-}
+using json::appendNumber;
 
 void
 appendStatJson(std::string &out, const Stat &s)
 {
-    jsonKey(out, s.name());
+    json::appendKey(out, s.name());
     if (s.kind() == StatKind::Histogram) {
         const auto &h = static_cast<const HistogramStat &>(s);
         out += "{\"type\":\"histogram\",\"bucketWidth\":";
-        jsonNumber(out, double(h.bucketWidth()));
+        appendNumber(out, double(h.bucketWidth()));
         out += ",\"total\":";
-        jsonNumber(out, double(h.total()));
+        appendNumber(out, double(h.total()));
         out += ",\"mean\":";
-        jsonNumber(out, h.mean());
+        appendNumber(out, h.mean());
         out += ",\"counts\":[";
         for (std::uint32_t i = 0; i < h.numBuckets(); ++i) {
             if (i)
                 out += ',';
-            jsonNumber(out, double(h.bucketCount(i)));
+            appendNumber(out, double(h.bucketCount(i)));
         }
         out += "]}";
     } else {
-        jsonNumber(out, s.value());
+        appendNumber(out, s.value());
     }
 }
 
@@ -302,15 +219,23 @@ appendStatJson(std::string &out, const Stat &s)
 std::string
 StatsRegistry::toJson() const
 {
+    // Reserve once for the intervals, which dominate (tens of MB at
+    // 64 cores) and would otherwise be copied by every regrowth; the
+    // 16 bytes allowed per number leave room for the groups.
+    std::size_t estimate = std::size_t(1) << 16;
+    for (const IntervalSample &is : samples_) {
+        estimate +=
+            48 + is.layout->prefixBytes + 16 * is.values.size();
+    }
     std::string out;
-    out.reserve(4096);
+    out.reserve(estimate);
     out += "{\"schema\":\"minnow-stats-1\",\"groups\":{";
     bool firstGroup = true;
     for (const auto &[gname, g] : groups_) {
         if (!firstGroup)
             out += ',';
         firstGroup = false;
-        jsonKey(out, gname);
+        json::appendKey(out, gname);
         out += '{';
         bool firstStat = true;
         for (const auto &s : g->stats()) {
@@ -330,15 +255,15 @@ StatsRegistry::toJson() const
                 out += ',';
             firstSample = false;
             out += "{\"cycle\":";
-            jsonNumber(out, double(is.cycle));
+            appendNumber(out, double(is.cycle));
             out += ",\"values\":{";
-            bool firstVal = true;
-            for (const auto &[key, v] : is.values) {
-                if (!firstVal)
+            const std::vector<std::string> &prefixes =
+                is.layout->prefixes;
+            for (std::size_t i = 0; i < is.values.size(); ++i) {
+                if (i)
                     out += ',';
-                firstVal = false;
-                jsonKey(out, key);
-                jsonNumber(out, v);
+                out += prefixes[i];
+                appendNumber(out, is.values[i]);
             }
             out += "}}";
         }
@@ -392,17 +317,48 @@ StatsRegistry::sampleEvent(void *arg)
     }
 }
 
+namespace
+{
+
+/** A layout over @p keys (sorted, unique) without stat pointers. */
+std::shared_ptr<StatsRegistry::SampleLayout>
+makeLayout(std::vector<std::string> keys)
+{
+    auto l = std::make_shared<StatsRegistry::SampleLayout>();
+    l->prefixes.reserve(keys.size());
+    for (const std::string &k : keys) {
+        std::string p;
+        json::appendKey(p, k);
+        l->prefixBytes += p.size();
+        l->prefixes.push_back(std::move(p));
+    }
+    l->keys = std::move(keys);
+    return l;
+}
+
+} // anonymous namespace
+
+double
+StatsRegistry::IntervalSample::at(const std::string &key) const
+{
+    const std::vector<std::string> &keys = layout->keys;
+    auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    fatal_if(it == keys.end() || *it != key,
+             "interval sample at cycle %llu has no stat '%s'",
+             (unsigned long long)cycle, key.c_str());
+    return values[std::size_t(it - keys.begin())];
+}
+
 void
 StatsRegistry::checkpoint(ckpt::Ckpt &ck)
 {
     // The sampler is an event-queue daemon and is re-armed by the
-    // restored run itself; the sample-fanout executor is host-side
-    // machinery rebound by the restoring Machine's ctor.
-    ck.transient("sampler_ sampleLanes_ sampleRunOnAll_ fanout_");
+    // restored run itself; the layout is derived from the groups.
+    ck.transient("sampler_ generation_ layout_ layoutGeneration_");
     std::uint64_t n = 0;
     for (const auto &[gname, g] : groups_) {
         (void)g;
-        if (gname != "hostprof")
+        if (!isHostTimeGroup(gname))
             ++n;
     }
     std::uint64_t local = n;
@@ -414,7 +370,7 @@ StatsRegistry::checkpoint(ckpt::Ckpt &ck)
         return;
     }
     for (auto &[gname, g] : groups_) {
-        if (gname == "hostprof")
+        if (isHostTimeGroup(gname))
             continue;
         std::string name = gname;
         ck.io(name);
@@ -427,90 +383,90 @@ StatsRegistry::checkpoint(ckpt::Ckpt &ck)
         if (!ck.ok())
             return;
     }
+    // Samples travel as key/value pairs, independent of the layout;
+    // on load, consecutive samples with the same keys share one
+    // layout again.
     std::uint64_t ns = samples_.size();
     ck.io(ns);
     if (ck.loading())
         samples_.resize(std::size_t(ns));
-    for (IntervalSample &is : samples_) {
+    std::shared_ptr<const SampleLayout> prev;
+    for (std::size_t s = 0; s < samples_.size(); ++s) {
+        IntervalSample &is = samples_[s];
         ck.io(is.cycle);
         std::uint64_t nv = is.values.size();
         ck.io(nv);
         if (ck.saving()) {
-            for (auto &[key, v] : is.values) {
-                std::string k = key;
+            for (std::size_t i = 0; i < is.values.size(); ++i) {
+                std::string k = is.layout->keys[i];
                 ck.io(k);
-                ck.io(v);
+                ck.io(is.values[i]);
             }
-        } else {
-            is.values.clear();
-            for (std::uint64_t i = 0; i < nv && ck.ok(); ++i) {
-                std::string k;
-                double v = 0;
-                ck.io(k);
-                ck.io(v);
-                is.values.emplace(std::move(k), v);
-            }
+            continue;
         }
-        if (!ck.ok())
+        std::vector<std::string> keys;
+        is.values.clear();
+        for (std::uint64_t i = 0; i < nv && ck.ok(); ++i) {
+            std::string k;
+            double v = 0;
+            ck.io(k);
+            ck.io(v);
+            keys.push_back(std::move(k));
+            is.values.push_back(v);
+        }
+        if (!ck.ok()) {
+            samples_.resize(s); // keep only whole samples.
             return;
+        }
+        if (!prev || prev->keys != keys)
+            prev = makeLayout(std::move(keys));
+        is.layout = prev;
     }
+}
+
+const std::shared_ptr<const StatsRegistry::SampleLayout> &
+StatsRegistry::sampleLayout()
+{
+    if (layout_ && layoutGeneration_ == generation_)
+        return layout_;
+    // Keys are sorted, and when two stats join to the same key
+    // ("a.b" + "c" vs "a" + "b.c") the later one in group and
+    // registration order wins. Host time stays out of samples, as it
+    // does out of checkpoints, so samples are deterministic.
+    std::map<std::string, const Stat *> byKey;
+    for (const auto &[gname, g] : groups_) {
+        if (isHostTimeGroup(gname))
+            continue;
+        for (const auto &s : g->stats()) {
+            if (s->kind() != StatKind::Histogram)
+                byKey[gname + "." + s->name()] = s.get();
+        }
+    }
+    std::vector<std::string> keys;
+    std::vector<const Stat *> stats;
+    keys.reserve(byKey.size());
+    stats.reserve(byKey.size());
+    for (auto &[key, s] : byKey) {
+        keys.push_back(key);
+        stats.push_back(s);
+    }
+    std::shared_ptr<SampleLayout> l = makeLayout(std::move(keys));
+    l->stats = std::move(stats);
+    layout_ = std::move(l);
+    layoutGeneration_ = generation_;
+    return layout_;
 }
 
 void
 StatsRegistry::recordSample(Cycle now)
 {
+    const std::shared_ptr<const SampleLayout> &layout = sampleLayout();
     IntervalSample is;
     is.cycle = now;
-    if (fanout_ && sampleRunOnAll_) {
-        // Sharded-host path: lane L evaluates groups L, L+lanes,
-        // L+2*lanes, ... (a deterministic partition of the name-
-        // ordered group map) into its own channel; the leader then
-        // drains the channels in lane order. The merge target is a
-        // sorted map, so chunk arrival order cannot change the
-        // sample — byte-identical to the serial loop below by
-        // construction, which scripts/check_shard_ab.py enforces.
-        std::vector<std::pair<const std::string *,
-                              const StatsGroup *>>
-            gs;
-        gs.reserve(groups_.size());
-        for (const auto &[gname, g] : groups_)
-            gs.emplace_back(&gname, g.get());
-        const std::uint32_t lanes = sampleLanes_;
-        SampleFanout &fo = *fanout_;
-        sampleRunOnAll_([&](std::uint32_t lane) {
-            SampleFanout::Chunk chunk =
-                std::move(fo.scratch[lane]);
-            chunk.clear();
-            for (std::size_t i = lane; i < gs.size(); i += lanes) {
-                for (const auto &s : gs[i].second->stats()) {
-                    if (s->kind() == StatKind::Histogram)
-                        continue;
-                    chunk.emplace_back(
-                        *gs[i].first + "." + s->name(),
-                        s->value());
-                }
-            }
-            panic_if(!fo.ch[lane]->push(std::move(chunk)),
-                     "stats sample channel %u overflowed", lane);
-        });
-        for (std::uint32_t lane = 0; lane < lanes; ++lane) {
-            parallel::Stamped<SampleFanout::Chunk> msg;
-            panic_if(!fo.ch[lane]->pop(msg),
-                     "stats sample channel %u lost its chunk",
-                     lane);
-            for (auto &[key, v] : msg.value)
-                is.values.emplace(std::move(key), v);
-            fo.scratch[lane] = std::move(msg.value);
-        }
-    } else {
-        for (const auto &[gname, g] : groups_) {
-            for (const auto &s : g->stats()) {
-                if (s->kind() == StatKind::Histogram)
-                    continue;
-                is.values[gname + "." + s->name()] = s->value();
-            }
-        }
-    }
+    is.layout = layout;
+    is.values.reserve(layout->stats.size());
+    for (const Stat *s : layout->stats)
+        is.values.push_back(s->value());
     samples_.push_back(std::move(is));
 }
 

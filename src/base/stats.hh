@@ -40,6 +40,18 @@ namespace minnow
 
 class EventQueue;
 
+/**
+ * The stats group holding host time (sim/hostprof). Its values differ
+ * from run to run, so checkpoints and interval samples leave it out.
+ */
+inline constexpr const char *kHostTimeGroup = "hostprof";
+
+inline bool
+isHostTimeGroup(const std::string &name)
+{
+    return name == kHostTimeGroup;
+}
+
 /** Running mean/min/max over a stream of samples. */
 class StatAverage
 {
@@ -423,12 +435,18 @@ class StatsGroup
     void checkpoint(ckpt::Ckpt &ck);
 
   private:
+    friend class StatsRegistry;
+
     /** Register @p s; fatal() on a duplicate name. */
     Stat &adopt(std::unique_ptr<Stat> s);
 
     std::string name_;
     std::vector<std::unique_ptr<Stat>> stats_;
     std::map<std::string, Stat *> index_;
+
+    /** The owning registry's structure generation (bumped by
+     *  adopt()); null for a group outside any registry. */
+    std::uint64_t *generation_ = nullptr;
 };
 
 /**
@@ -443,15 +461,34 @@ class StatsGroup
 class StatsRegistry
 {
   public:
+    /**
+     * The key set of interval samples: every non-histogram stat
+     * outside "hostprof" as a sorted "group.stat" key, its escaped
+     * JSON object prefix, and (for layouts the sampler built) the
+     * stat behind it. Consecutive samples with an unchanged registry
+     * structure share one layout; stats[] is only read while the
+     * registry generation it was built at is current.
+     */
+    struct SampleLayout
+    {
+        std::vector<std::string> keys;
+        std::vector<std::string> prefixes; //!< "\"key\":" escaped.
+        std::vector<const Stat *> stats;   //!< empty when loaded.
+        std::size_t prefixBytes = 0;       //!< sum of prefix sizes.
+    };
+
     /** One flattened snapshot captured by the sampling hook. */
     struct IntervalSample
     {
         Cycle cycle = 0;
-        std::map<std::string, double> values;
+        std::shared_ptr<const SampleLayout> layout;
+        std::vector<double> values; //!< parallel to layout->keys.
+
+        /** Value of @p key; fatal() when the sample lacks it. */
+        double at(const std::string &key) const;
     };
 
-    StatsRegistry(); // out of line: members use pimpl'd types.
-    ~StatsRegistry();
+    StatsRegistry() = default;
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
@@ -495,23 +532,11 @@ class StatsRegistry
     void startSampling(EventQueue &eq, Cycle interval);
 
     /**
-     * Sharded-host mode (--shards=N): evaluate interval samples in
-     * parallel on the shard pool. @p runOnAll must invoke its
-     * argument once per lane in [0, @p lanes) — with lane 0 on the
-     * calling thread — and return after every lane finished (the
-     * machine passes ShardPool::runOnAll). Each lane evaluates a
-     * deterministic slice of the stats groups into its own SPSC
-     * channel; the leader drains the channels in lane order into
-     * the sample's sorted map, so the result is byte-identical to
-     * the serial path regardless of lane timing. Formulas must be
-     * pure reads of simulator state (they are: this runs between
-     * events, under the pool's fork/join happens-before edges).
+     * Take one interval sample at cycle @p now (the sampling
+     * event's body; public so tests and micro-benchmarks can drive
+     * it directly).
      */
-    void setSampleExecutor(
-        std::uint32_t lanes,
-        std::function<void(const std::function<void(std::uint32_t)>
-                               &)>
-            runOnAll);
+    void recordSample(Cycle now);
 
     const std::vector<IntervalSample> &samples() const
     {
@@ -535,19 +560,23 @@ class StatsRegistry
     };
 
     static void sampleEvent(void *arg);
-    void recordSample(Cycle now);
+
+    /** The sample layout of the current structure (rebuilt lazily). */
+    const std::shared_ptr<const SampleLayout> &sampleLayout();
 
     std::map<std::string, std::unique_ptr<StatsGroup>> groups_;
     std::unique_ptr<Sampler> sampler_;
     std::vector<IntervalSample> samples_;
 
-    /** Per-lane sample channels (pimpl; see stats.cc). Null on the
-     *  serial path. */
-    struct SampleFanout;
-    std::uint32_t sampleLanes_ = 1;
-    std::function<void(const std::function<void(std::uint32_t)> &)>
-        sampleRunOnAll_;
-    std::unique_ptr<SampleFanout> fanout_;
+    /**
+     * Structure generation: bumped whenever a group is created or
+     * removed or a stat registered into one of this registry's
+     * groups. A plain per-registry counter (each --host-par thread
+     * owns its own registry).
+     */
+    std::uint64_t generation_ = 0;
+    std::shared_ptr<const SampleLayout> layout_;
+    std::uint64_t layoutGeneration_ = 0;
 };
 
 } // namespace minnow

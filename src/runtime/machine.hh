@@ -32,7 +32,6 @@
 #include "sim/fault.hh"
 #include "sim/hostprof.hh"
 #include "sim/parallel/shard_map.hh"
-#include "sim/parallel/shard_pool.hh"
 #include "sim/parallel/sharded_scheduler.hh"
 #include "sim/timeline.hh"
 #include "sim/watchdog.hh"
@@ -51,14 +50,13 @@ class Machine
           monitor(&eq, config.numCores)
     {
         cfg.validate();
-        // Sharded-host mode (DESIGN.md 5j): build the extra wheels,
-        // the weave scheduler and the host-thread pool before any
-        // component schedules an event — the scheduler attaches the
-        // machine-global sequence counter to every wheel, which must
-        // happen while they are all empty. With one shard (or a
-        // partition that collapses to one — e.g. a single engine
-        // group) none of this exists and eq takes the exact legacy
-        // single-wheel path.
+        // Sharded-host mode (DESIGN.md 5j): build the extra wheels
+        // and the weave scheduler before any component schedules an
+        // event — the scheduler attaches the machine-global sequence
+        // counter to every wheel, which must happen while they are
+        // all empty. With one shard (or a partition that collapses
+        // to one — e.g. a single engine group) none of this exists
+        // and eq takes the exact legacy single-wheel path.
         if (cfg.shards > 1) {
             shardMap_ = std::make_unique<parallel::ShardMap>(
                 cfg.numCores, cfg.minnow.coresPerEngine, cfg.shards);
@@ -74,23 +72,9 @@ class Machine
                 sched_ =
                     std::make_unique<parallel::ShardedScheduler>(
                         std::move(wheels));
-                pool_ = std::make_unique<parallel::ShardPool>(
-                    shardMap_->numShards());
             } else {
                 shardMap_.reset();
             }
-        }
-        if (pool_) {
-            // Offload interval-sample evaluation (the dominant
-            // serial-phase cost at 64 cores: ~40 stats per core
-            // slice) onto the pool; the merge stays byte-identical
-            // (see StatsRegistry::setSampleExecutor).
-            stats.setSampleExecutor(
-                pool_->lanes(),
-                [this](
-                    const std::function<void(std::uint32_t)> &fn) {
-                    pool_->runOnAll(fn);
-                });
         }
         trace::setCycleSource(&eq.nowRef());
         if (!cfg.timelinePath.empty()) {
@@ -169,17 +153,8 @@ class Machine
             hostprof = std::make_unique<HostProfiler>();
             hostprof->registerStats(stats);
             eq.setHostProfiler(hostprof.get());
-            if (sched_) {
+            if (sched_)
                 sched_->setHostProfiler(hostprof.get());
-                pool_->setProfiler(hostprof.get());
-                hostprof->setBarrierWaitSource([this] {
-                    std::uint64_t ns = 0;
-                    for (std::uint32_t l = 0; l < pool_->lanes();
-                         ++l)
-                        ns += pool_->barrierWaitNs(l);
-                    return ns;
-                });
-            }
             hostprof->activate();
         }
         // A timed-out run leaves the same post-mortem as a hung one.
@@ -333,9 +308,6 @@ class Machine
     {
         return sched_ ? sched_->headTime() : eq.headTime();
     }
-
-    /** Host-thread pool (null at --shards=1). */
-    parallel::ShardPool *pool() { return pool_.get(); }
 
     // -----------------------------------------------------------
     // Checkpoint/restore (DESIGN.md section 5i).
@@ -557,14 +529,13 @@ class Machine
 
     /**
      * Sharded-host state (all null at --shards=1). Declaration
-     * order matters for destruction: the pool joins its threads
-     * first, then the scheduler detaches, then the extra wheels die
-     * (eq, a plain member, outlives all of them).
+     * order matters for destruction: the scheduler detaches first,
+     * then the extra wheels die (eq, a plain member, outlives all of
+     * them).
      */
     std::unique_ptr<parallel::ShardMap> shardMap_;
     std::vector<std::unique_ptr<EventQueue>> shardWheels_;
     std::unique_ptr<parallel::ShardedScheduler> sched_;
-    std::unique_ptr<parallel::ShardPool> pool_;
 
     /** Run-scoped checkpoint sections, in registration order. */
     std::vector<

@@ -88,7 +88,7 @@ void
 HostProfiler::registerStats(StatsRegistry &reg)
 {
     statsReg_ = &reg;
-    StatsGroup &g = reg.group("hostprof");
+    StatsGroup &g = reg.group(kHostTimeGroup);
     g.formula("events", "events executed by the event queue",
               [this] { return double(events_); });
     g.formula("runs", "EventQueue::run() invocations",
@@ -118,12 +118,9 @@ HostProfiler::registerStats(StatsRegistry &reg)
                   });
     }
     g.formula("barrierWaitNs",
-              "host ns pool lanes spent waiting at shard epoch"
-              " barriers (0 when --shards=1)",
-              [this] {
-                  return barrierWaitFn_ ? double(barrierWaitFn_())
-                                        : 0.0;
-              });
+              "host ns spent waiting at shard epoch barriers (always"
+              " 0: no shard pool runs work)",
+              [] { return 0.0; });
     g.formula("otherNs",
               "run() wall time not attributed to any component"
               " class (scheduler, coroutine glue)",

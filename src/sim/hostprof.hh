@@ -34,9 +34,8 @@
  * foreign Machine's scopes never cross-talk. Lane banks are
  * cache-line separated and merged only at report time, in lane
  * order, by the stats formulas (which run on the leader). The
- * barrierWaitNs stat — wired via setBarrierWaitSource() — exposes
- * the pool's epoch-barrier wait time so a shards sweep can tell
- * load imbalance from real speedup. When no profiler is active (the
+ * barrierWaitNs stat reads 0: no Machine hands work to a pool any
+ * more (ROADMAP item 1 removes it). When no profiler is active (the
  * default), HostProfScope costs one thread-local load and a
  * predictable branch.
  */
@@ -46,7 +45,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 #include "base/stats.hh"
 
@@ -78,7 +76,7 @@ class HostProfiler
         // The "hostprof" formulas capture `this`; drop them before
         // the profiler dies (the registry may outlive us).
         if (statsReg_)
-            statsReg_->removeGroup("hostprof");
+            statsReg_->removeGroup(kHostTimeGroup);
     }
     HostProfiler(const HostProfiler &) = delete;
     HostProfiler &operator=(const HostProfiler &) = delete;
@@ -119,17 +117,6 @@ class HostProfiler
      * nothing.
      */
     static void setThreadActive(HostProfiler *p) { active_ = p; }
-
-    /**
-     * Source for the epoch-barrier wait total (host ns pool lanes
-     * spent blocked at fork/join barriers); reported as
-     * hostprof.barrierWaitNs.
-     */
-    void
-    setBarrierWaitSource(std::function<std::uint64_t()> fn)
-    {
-        barrierWaitFn_ = std::move(fn);
-    }
 
     // ---- EventQueue side ----
 
@@ -215,9 +202,6 @@ class HostProfiler
     Lane lanes_[kMaxLanes];
 
     StatHistogram occupancy_;
-
-    /** Pool epoch-barrier wait total (null when not sharded). */
-    std::function<std::uint64_t()> barrierWaitFn_;
 
     /** Registry holding our "hostprof" group (for dtor removal). */
     StatsRegistry *statsReg_ = nullptr;

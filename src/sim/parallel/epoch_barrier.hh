@@ -11,10 +11,10 @@
  * without any per-field synchronization (the leader is parked at the
  * closing barrier and mutates nothing meanwhile).
  *
- * Waiting spins briefly (epochs are short — one sampling interval)
- * and then parks on the futex-backed std::atomic wait. Per-lane wait
- * time is accumulated so shard imbalance is visible in hostprof's
- * barrierWaitNs class.
+ * Waiting spins briefly (epochs are meant to be short) and then
+ * parks on the futex-backed std::atomic wait. Per-lane wait
+ * time is accumulated so a caller can tell lane imbalance from
+ * work.
  */
 
 #ifndef MINNOW_SIM_PARALLEL_EPOCH_BARRIER_HH
@@ -51,10 +51,9 @@ class EpochBarrier
 
     /**
      * Host nanoseconds @p lane has spent blocked at this barrier.
-     * Relaxed: the hostprof barrierWaitNs formula reads these from
-     * a sampling fan-out while other lanes may still be updating
-     * their own counters; a momentarily stale value is fine for a
-     * profile, a data race is not.
+     * Relaxed: a reader on another lane may run while lanes are
+     * still updating their own counters; a momentarily stale value
+     * is fine for a profile, a data race is not.
      */
     std::uint64_t
     waitNs(std::uint32_t lane) const

@@ -1,6 +1,8 @@
 /**
  * @file
- * Fixed pool of shard host threads (--shards=N).
+ * Fixed pool of shard host threads. No Machine builds one: nothing
+ * in the simulator hands it work, and ROADMAP item 1 removes it with
+ * the rest of the sharded weave.
  *
  * Lane 0 is the weave leader (the thread that owns the simulation
  * and calls runOnAll()); lanes 1..N-1 are pool workers parked at an
@@ -37,7 +39,7 @@ class HostProfiler;
 namespace minnow::parallel
 {
 
-/** The shard host-thread pool; one per sharded Machine. */
+/** The shard host-thread pool (exercised by parallel_test only). */
 class ShardPool
 {
   public:

@@ -18,11 +18,8 @@
  * (the simulator's semantics are defined by exact global event
  * order: handlers read shared functional state and the analytic
  * memory system mutates shared L3/directory/NoC state in call
- * order). The shard *host threads* earn their keep in the bound
- * phases between events — per-epoch stats-interval sampling fans
- * out over the ShardPool and returns through SPSC channels drained
- * in source-shard order (base/stats.cc) — and in the --host-par
- * point farm (task_farm.hh).
+ * order). No host threads run beside it; host parallelism comes
+ * from the --host-par point farm (task_farm.hh).
  *
  * The run()/stop-trigger/interrupt protocol mirrors EventQueue
  * exactly (same budget accounting, same every-1024-events interrupt

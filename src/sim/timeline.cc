@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "sim/event_queue.hh"
 
@@ -62,55 +63,9 @@ pidName(std::uint32_t pid)
     return "unknown";
 }
 
-// Same number/string grammar as base/stats.cc so trace files diff
-// byte-exactly across runs.
-void
-jsonEscape(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
-
-void
-jsonNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v)) {
-        out += "0";
-        return;
-    }
-    if (v == std::floor(v) && std::fabs(v) < 9.0e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.0f", v);
-        out += buf;
-    } else {
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.12g", v);
-        out += buf;
-    }
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    out += buf;
-}
+using json::appendEscaped;
+using json::appendNumber;
+using json::appendU64;
 
 } // anonymous namespace
 
@@ -599,7 +554,7 @@ Timeline::toJson() const
         out += "{\"ph\":\"M\",\"pid\":";
         appendU64(out, pid);
         out += ",\"name\":\"process_name\",\"args\":{\"name\":\"";
-        jsonEscape(out, pidName(pid));
+        appendEscaped(out, pidName(pid));
         out += "\"}}";
         sep();
         out += "{\"ph\":\"M\",\"pid\":";
@@ -616,7 +571,7 @@ Timeline::toJson() const
         out += ",\"tid\":";
         appendU64(out, tr.tid);
         out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-        jsonEscape(out, tr.name);
+        appendEscaped(out, tr.name);
         out += "\"}}";
         sep();
         out += "{\"ph\":\"M\",\"pid\":";
@@ -643,30 +598,30 @@ Timeline::toJson() const
         switch (e.ph) {
           case 'B':
             out += ",\"name\":\"";
-            jsonEscape(out, kNameStrings[e.name]);
+            appendEscaped(out, kNameStrings[e.name]);
             out += "\",\"cat\":\"";
             out += kCatNames[std::size_t(tr.cat)];
             out += '"';
             break;
           case 'i':
             out += ",\"name\":\"";
-            jsonEscape(out, kNameStrings[e.name]);
+            appendEscaped(out, kNameStrings[e.name]);
             out += "\",\"cat\":\"";
             out += kCatNames[std::size_t(tr.cat)];
             out += "\",\"s\":\"t\"";
             break;
           case 'C':
             out += ",\"name\":\"";
-            jsonEscape(out, tr.name);
+            appendEscaped(out, tr.name);
             out += "\",\"args\":{\"value\":";
-            jsonNumber(out, e.value);
+            appendNumber(out, e.value);
             out += '}';
             break;
           case 's':
           case 't':
           case 'f':
             out += ",\"name\":\"";
-            jsonEscape(out, kNameStrings[e.name]);
+            appendEscaped(out, kNameStrings[e.name]);
             out += "\",\"cat\":\"";
             out += kCatNames[std::size_t(tr.cat)];
             out += "\",\"id\":";

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "cpu/ooo_core.hh"
 #include "runtime/machine.hh"
@@ -12,36 +13,6 @@ namespace minnow
 
 namespace
 {
-
-/** Minimal JSON string escaping (stats.cc keeps its own copy). */
-void
-appendEscaped(std::string &out, const std::string &s)
-{
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-}
 
 const char *
 phaseName(cpu::Phase p)
@@ -64,7 +35,7 @@ diagnosticJson(runtime::Machine &machine, const std::string &reason)
 {
     runtime::Machine &m = machine;
     std::string out = "{\"schema\":\"minnow-diag-1\",\"reason\":\"";
-    appendEscaped(out, reason);
+    json::appendEscaped(out, reason);
     out += "\",\"cycle\":" + std::to_string(m.eq.now());
     out += ",\"eventQueue\":{\"pending\":" +
            std::to_string(m.pendingTotal()) +

@@ -51,6 +51,21 @@ tmpPath(const std::string &name)
     return testing::TempDir() + "minnow_ckpt_test_" + name;
 }
 
+std::vector<std::uint8_t>
+readBytes(const std::string &path)
+{
+    std::vector<std::uint8_t> out;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return out;
+    std::uint8_t buf[4096];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
+        out.insert(out.end(), buf, buf + n);
+    std::fclose(f);
+    return out;
+}
+
 } // anonymous namespace
 
 TEST(CkptContainer, EncodeDecodeRoundtrip)
@@ -456,4 +471,33 @@ TEST(CkptWorkload, WarmLoadMatchesColdGeneration)
     }
     EXPECT_EQ(a, b);
     std::remove(spec.checkpointOut.c_str());
+}
+
+TEST(CkptMachine, HostProfileLeavesMidRunCheckpointDeterministic)
+{
+    // Host nanoseconds differ between any two runs; with interval
+    // sampling on they must stay out of the samples a mid-run
+    // checkpoint carries, as they stay out of its stats groups.
+    auto saveOnce = [](const std::string &name) {
+        harness::Workload w = harness::makeWorkload("sssp", 0.05, 1);
+        harness::RunSpec spec;
+        spec.config = harness::Config::MinnowPf;
+        spec.threads = 4;
+        spec.machine.numCores = 4;
+        spec.machine.hostProfile = true;
+        spec.machine.statsSampleInterval = 200;
+        spec.checkpointOut = tmpPath(name);
+        spec.checkpointAfter = "3000";
+        harness::ExperimentResult r = harness::runExperiment(w, spec);
+        EXPECT_TRUE(r.run.verified);
+        EXPECT_NE(r.run.statsJson.find("\"hostprof\""),
+                  std::string::npos);
+        std::vector<std::uint8_t> bytes = readBytes(spec.checkpointOut);
+        std::remove(spec.checkpointOut.c_str());
+        return bytes;
+    };
+    std::vector<std::uint8_t> a = saveOnce("hostprof_a.ckpt");
+    std::vector<std::uint8_t> b = saveOnce("hostprof_b.ckpt");
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "checkpoints differ";
 }

@@ -2,7 +2,10 @@
  * @file
  * Unit tests for the hierarchical stats registry (base/stats.hh):
  * registration/lookup, formula evaluation, histogram bucketing,
- * JSON export round-trip, and EventQueue-driven interval sampling.
+ * JSON export round-trip, EventQueue-driven interval sampling (the
+ * columnar sample layout against the map-of-strings sampler it
+ * replaced), and the JSON writer (base/json.hh) against the printf
+ * formatter it replaced.
  *
  * The JSON checks parse the emitted document with a minimal
  * recursive-descent parser so a malformed dump (stray comma, bad
@@ -11,15 +14,26 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/sssp.hh"
+#include "base/json.hh"
+#include "base/rng.hh"
 #include "base/stats.hh"
+#include "galois/executor.hh"
+#include "graph/generators.hh"
+#include "runtime/machine.hh"
 #include "sim/event_queue.hh"
+#include "worklist/obim.hh"
 
 namespace minnow
 {
@@ -460,7 +474,7 @@ TEST(StatsRegistry, SamplingRecordsIntervalsAndLetsQueueDrain)
     ASSERT_GE(reg.samples().size(), 4u);
     EXPECT_EQ(reg.samples()[0].cycle, 100u);
     EXPECT_EQ(reg.samples()[1].cycle, 200u);
-    EXPECT_DOUBLE_EQ(reg.samples()[0].values.at("sim.work"), 42.0);
+    EXPECT_DOUBLE_EQ(reg.samples()[0].at("sim.work"), 42.0);
 
     // Interval samples ride along in the JSON document.
     JsonParser p(reg.toJson());
@@ -498,6 +512,393 @@ TEST(StatsRegistry, WriteJsonFileRoundTrips)
     ASSERT_TRUE(p.ok()) << text;
     EXPECT_DOUBLE_EQ(
         doc.at("groups").at("sim").at("cycles").num, 77.0);
+}
+
+//
+// base/json.hh against the printf formatter it replaced.
+//
+
+/** The old stats/timeline number grammar, kept as the reference. */
+std::string
+printfNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    char buf[40];
+    if (v == std::floor(v) && std::fabs(v) < 9.0e15)
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+    else
+        std::snprintf(buf, sizeof(buf), "%.12g", v);
+    return buf;
+}
+
+/** The old escaper, kept as the reference. */
+std::string
+printfEscape(const std::string &s)
+{
+    std::string out;
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
+std::string
+jsonNumber(double v)
+{
+    std::string out;
+    json::appendNumber(out, v);
+    return out;
+}
+
+TEST(Json, NumberMatchesPrintfOnEdgeCases)
+{
+    using lim = std::numeric_limits<double>;
+    const double edges[] = {
+        0.0, -0.0, 1.0, -1.0, 0.1, -0.1, 1e-5, 0.5, -0.5, 1.5,
+        2.5, 1.0 / 3.0, 2.0 / 3.0, 100.0 / 7.0, 12345678.9,
+        123456789012.0, 123456789012345.6, 999999999999.5,
+        9.0e15, -9.0e15, std::nextafter(9.0e15, 0.0),
+        std::nextafter(9.0e15, lim::infinity()),
+        std::nextafter(-9.0e15, 0.0), 8999999999999999.0,
+        9007199254740992.0, 1e16, 1e21, 1e22, 1e300, -1e300,
+        lim::max(), lim::lowest(), lim::min(), -lim::min(),
+        lim::denorm_min(), -lim::denorm_min(), 1e-310, -4.2e-320,
+        lim::epsilon(), lim::quiet_NaN(), -lim::quiet_NaN(),
+        lim::infinity(), -lim::infinity(), 1e12, 1e12 + 0.5,
+        0.000123456789012345, 99999999999.95, 0.99999999999995,
+    };
+    for (double v : edges)
+        EXPECT_EQ(jsonNumber(v), printfNumber(v)) << v;
+    EXPECT_EQ(jsonNumber(-0.0), "-0");
+    EXPECT_EQ(jsonNumber(lim::quiet_NaN()), "0");
+    EXPECT_EQ(jsonNumber(9.0e15), "9e+15");
+}
+
+TEST(Json, NumberMatchesPrintfOnRandomDoubles)
+{
+    Rng rng(2024);
+    for (int i = 0; i < 100'000; ++i) {
+        double v;
+        switch (i % 5) {
+          case 0: // any bit pattern: subnormals, NaNs, huge, tiny.
+            v = std::bit_cast<double>(rng.next());
+            break;
+          case 1: // integers of every magnitude up to 2^63.
+            v = double(rng.next() >> rng.below(64));
+            break;
+          case 2: // decimals with a few digits, as counters/ratios.
+            v = double(rng.below(10'000'000)) /
+                std::pow(10.0, double(rng.below(12)));
+            break;
+          case 3: // ratios of counters (MPKI, accuracy, means).
+            v = double(rng.below(1'000'000)) /
+                double(1 + rng.below(1'000'000));
+            break;
+          default: // signed values around the integer cut-off.
+            v = (rng.chance(0.5) ? -1.0 : 1.0) *
+                (9.0e15 + double(rng.range(0, 4096)) - 2048.0);
+            break;
+        }
+        ASSERT_EQ(jsonNumber(v), printfNumber(v))
+            << "bits " << std::bit_cast<std::uint64_t>(v);
+    }
+}
+
+TEST(Json, U64MatchesPrintf)
+{
+    Rng rng(7);
+    const std::uint64_t edges[] = {0, 1, 9, 10, 99, 100,
+                                   ~std::uint64_t(0)};
+    auto check = [](std::uint64_t v) {
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "%llu",
+                      static_cast<unsigned long long>(v));
+        std::string out;
+        json::appendU64(out, v);
+        EXPECT_EQ(out, buf);
+    };
+    for (std::uint64_t v : edges)
+        check(v);
+    for (int i = 0; i < 10'000; ++i)
+        check(rng.next() >> rng.below(64));
+}
+
+TEST(Json, EscapeMatchesReference)
+{
+    // Every byte on its own, then random strings over all bytes
+    // (biased towards the ones that need escaping).
+    for (int c = 0; c < 256; ++c) {
+        std::string s(1, char(c));
+        std::string out;
+        json::appendEscaped(out, s);
+        EXPECT_EQ(out, printfEscape(s)) << c;
+    }
+    Rng rng(11);
+    const char special[] = {'"', '\\', '\n', '\t', '\x01', '\x1f'};
+    for (int i = 0; i < 10'000; ++i) {
+        std::string s;
+        std::uint64_t len = rng.below(24);
+        for (std::uint64_t k = 0; k < len; ++k) {
+            s += rng.chance(0.3) ? special[rng.below(sizeof special)]
+                                 : char(rng.below(256));
+        }
+        std::string out = "prefix";
+        json::appendEscaped(out, s);
+        ASSERT_EQ(out, "prefix" + printfEscape(s));
+    }
+}
+
+//
+// Columnar interval samples.
+//
+
+/**
+ * The sampler the columnar layout replaced: every non-histogram stat
+ * outside "hostprof" into a fresh map of "group.stat" keys, so a
+ * later stat with the same joined key overwrites an earlier one.
+ */
+std::map<std::string, double>
+mapSample(const StatsRegistry &reg)
+{
+    std::map<std::string, double> values;
+    for (const StatsGroup *g : reg.groups()) {
+        if (g->name() == "hostprof")
+            continue;
+        for (const auto &s : g->stats()) {
+            if (s->kind() != StatKind::Histogram)
+                values[g->name() + "." + s->name()] = s->value();
+        }
+    }
+    return values;
+}
+
+/** The old "intervals" member text, rendered with printf. */
+std::string
+mapIntervalsJson(
+    const std::vector<std::pair<Cycle, std::map<std::string, double>>>
+        &samples)
+{
+    std::string out = ",\"intervals\":[";
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        if (i)
+            out += ',';
+        out += "{\"cycle\":" + printfNumber(double(samples[i].first)) +
+               ",\"values\":{";
+        bool first = true;
+        for (const auto &[key, v] : samples[i].second) {
+            if (!first)
+                out += ',';
+            first = false;
+            out += '"' + printfEscape(key) + "\":" + printfNumber(v);
+        }
+        out += "}}";
+    }
+    return out + ']';
+}
+
+/** The "intervals" member of @p json (empty when absent). */
+std::string
+intervalsOf(const std::string &json)
+{
+    std::size_t at = json.find(",\"intervals\":[");
+    if (at == std::string::npos)
+        return "";
+    return json.substr(at, json.size() - 1 - at);
+}
+
+/** Samples both ways at the same instants on a machine's queue. */
+struct DualSampler
+{
+    runtime::Machine *m = nullptr;
+    Cycle interval = 0;
+    std::vector<std::pair<Cycle, std::map<std::string, double>>> ref;
+
+    void
+    arm()
+    {
+        m->eq.daemonScheduled();
+        m->eq.schedule(m->eq.now() + interval, &DualSampler::fire,
+                       this);
+    }
+
+    static void
+    fire(void *arg)
+    {
+        auto *d = static_cast<DualSampler *>(arg);
+        EventQueue &eq = d->m->eq;
+        eq.daemonFired();
+        d->m->stats.recordSample(eq.now());
+        d->ref.emplace_back(eq.now(), mapSample(d->m->stats));
+        if (!eq.quiescent())
+            d->arm();
+    }
+};
+
+TEST(StatsSampling, MatchesMapSamplerOn64Cores)
+{
+    MachineConfig cfg = scaledMachine();
+    cfg.numCores = 64;
+    runtime::Machine m(cfg);
+    graph::CsrGraph g = graph::gridGraph(24, 24, 100, 1);
+    g.assignAddresses(m.alloc, 32);
+    apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
+    app.reset();
+    worklist::ObimWorklist wl(&m, 3, 8, 2);
+    DualSampler d;
+    d.m = &m;
+    d.interval = 500;
+    d.arm();
+    galois::RunConfig rc;
+    rc.threads = 64;
+    galois::RunResult r = galois::runParallel(m, app, wl, rc);
+    ASSERT_TRUE(r.verified);
+
+    ASSERT_GE(d.ref.size(), 4u);
+    ASSERT_EQ(m.stats.samples().size(), d.ref.size());
+    EXPECT_GT(d.ref.back().second.size(), 1000u);
+    std::string got = intervalsOf(m.stats.toJson());
+    std::string want = mapIntervalsJson(d.ref);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(got == want);
+    // An unchanged structure shares one layout across samples.
+    EXPECT_EQ(m.stats.samples().front().layout,
+              m.stats.samples().back().layout);
+}
+
+void
+freshGroupEvent(void *arg)
+{
+    auto *reg = static_cast<StatsRegistry *>(arg);
+    reg->freshGroup("b").counter("y") += 7; // same key, new Stat.
+}
+
+void
+removeGroupEvent(void *arg)
+{
+    static_cast<StatsRegistry *>(arg)->removeGroup("a");
+}
+
+void
+addStatEvent(void *arg)
+{
+    static_cast<StatsRegistry *>(arg)->group("b").counter("w") += 3;
+}
+
+TEST(StatsSampling, LayoutRebuiltAfterEachStructuralChange)
+{
+    EventQueue eq;
+    StatsRegistry reg;
+    reg.group("a").counter("x") += 1;
+    reg.group("b").counter("y") += 2;
+    reg.group("hostprof").counter("ns") += 99;
+
+    // Samples at 100..500; structure changes between them.
+    eq.schedule(150, freshGroupEvent, &reg);
+    eq.schedule(250, removeGroupEvent, &reg);
+    eq.schedule(350, addStatEvent, &reg);
+    for (Cycle t = 10; t <= 500; t += 10)
+        eq.schedule(t, nopEvent, &reg);
+    reg.startSampling(eq, 100);
+    eq.run();
+
+    const auto &s = reg.samples();
+    ASSERT_EQ(s.size(), 5u);
+    using Keys = std::vector<std::string>;
+    ASSERT_EQ(s[0].layout->keys, (Keys{"a.x", "b.y"}));
+    EXPECT_EQ(s[0].at("b.y"), 2.0);
+    // freshGroup: same keys, but the value comes from the new stat.
+    ASSERT_EQ(s[1].layout->keys, (Keys{"a.x", "b.y"}));
+    EXPECT_NE(s[1].layout, s[0].layout);
+    EXPECT_EQ(s[1].at("b.y"), 7.0);
+    // removeGroup.
+    ASSERT_EQ(s[2].layout->keys, (Keys{"b.y"}));
+    // A stat added to an existing group.
+    ASSERT_EQ(s[3].layout->keys, (Keys{"b.w", "b.y"}));
+    EXPECT_EQ(s[3].at("b.w"), 3.0);
+    // No change: the layout is shared.
+    EXPECT_EQ(s[4].layout, s[3].layout);
+}
+
+TEST(StatsSampling, DuplicateJoinedKeyKeepsLastWriter)
+{
+    StatsRegistry reg;
+    reg.group("a.b").counter("c") += 2; // "a.b" sorts after "a".
+    reg.group("a").counter("b.c") += 1;
+    reg.recordSample(10);
+    const auto &is = reg.samples().at(0);
+    ASSERT_EQ(is.values.size(), 1u);
+    EXPECT_EQ(is.layout->keys[0], "a.b.c");
+    EXPECT_EQ(is.at("a.b.c"), mapSample(reg).at("a.b.c"));
+    EXPECT_EQ(is.at("a.b.c"), 2.0);
+}
+
+/** A registry shaped like a small machine, with samples. */
+void
+buildSampled(StatsRegistry &reg, bool withSamples)
+{
+    CounterStat &uops = reg.group("core0").counter("uops");
+    reg.group("core0").scalar("ipc \"q\"") = 0.1;
+    reg.group("l2_0").formula("ratio", "",
+                              [&uops] { return uops.value() / 3.0; });
+    reg.group("worklist").histogram("lat", "", 4, 4).sample(9);
+    reg.group("late"); // an empty group, filled in below.
+    if (!withSamples)
+        return;
+    for (Cycle c = 100; c <= 400; c += 100) {
+        uops += 11;
+        if (c == 300)
+            reg.group("late").counter("n") += 5;
+        reg.recordSample(c);
+    }
+}
+
+TEST(StatsSampling, CheckpointRoundTripIsByteEqual)
+{
+    StatsRegistry a;
+    buildSampled(a, true);
+    std::vector<std::uint8_t> bytes;
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::saver(&bytes);
+        a.checkpoint(ck);
+        ASSERT_TRUE(ck.ok());
+    }
+
+    StatsRegistry b;
+    buildSampled(b, false);
+    b.group("late").counter("n");
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::loader(bytes.data(), bytes.size());
+        b.checkpoint(ck);
+        ASSERT_TRUE(ck.ok()) << ck.error();
+    }
+    EXPECT_EQ(b.toJson(), a.toJson());
+    // Consecutive samples with one key list share a layout again.
+    const auto &s = b.samples();
+    ASSERT_EQ(s.size(), 4u);
+    EXPECT_EQ(s[0].layout, s[1].layout);
+    EXPECT_NE(s[1].layout, s[2].layout);
+    EXPECT_EQ(s[2].layout, s[3].layout);
+
+    std::vector<std::uint8_t> again;
+    {
+        ckpt::Ckpt ck = ckpt::Ckpt::saver(&again);
+        b.checkpoint(ck);
+    }
+    EXPECT_EQ(again, bytes);
 }
 
 } // anonymous namespace
