@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure simulation speed and write BENCH_simspeed.json.
 
-Two measurements, both from binaries built in this tree:
+Five measurements, all from binaries built in this tree:
 
  1. micro_substrate's event-queue benchmarks: the timing-wheel
     EventQueue (BM_EventQueueScheduleRun) against the pre-wheel
@@ -19,15 +19,7 @@ Two measurements, both from binaries built in this tree:
     popWait P95 strictly below the k=1 value (the round-trip
     amortization the batched-dequeue path exists for).
 
- 4. a --shards=1,2,4,8 sweep of the same fig18 point with
-    stats-interval sampling on: events/sec per shard count land in
-    the "shards" section (barrierWaitNs reads 0: no pool runs). The
-    full run on hosts with >= 4 CPUs requires shards=4 to beat
-    shards=1 events/sec; --smoke and smaller hosts record the sweep
-    and the comparison only (sharding executes every event on the
-    leader, so it is slower at every shard count; see ROADMAP).
-
- 5. the checkpoint subsystem (DESIGN.md section 5i): host-time cost
+ 4. the checkpoint subsystem (DESIGN.md section 5i): host-time cost
     of saving and warm-restoring a fig18-scale point via
     point_runner, and warm-vs-cold time-to-first-figure-point for a
     crash-resumed sweep (scripts/sweep_orchestrator.py serving a
@@ -35,7 +27,7 @@ Two measurements, both from binaries built in this tree:
     resumed sweep must deliver its first figure point >= 2x faster
     than the cold run.
 
- 6. the causal-attribution layer (--attribution, DESIGN.md section
+ 5. the causal-attribution layer (--attribution, DESIGN.md section
     5k): wall time of the same point_runner point with attribution
     off (twice, to measure host noise) and on. With the knob off no
     tracker exists (every emit site is a null pointer check), so
@@ -202,80 +194,6 @@ def run_offload(offload, smoke):
             "points": doc.get("points", [])}
 
 
-def run_shards(fig, smoke):
-    """Sweep --shards on one fig18 point and record events/sec.
-
-    The sharded scheduler keeps event execution serial (that is the
-    byte-identity argument) and no host threads run beside it, so
-    host speedup comes only from the --host-par point farm at the
-    bench layer. The shards=4-beats-shards=1 floor is only enforced
-    by the full run on a host with >= 4 CPUs (ROADMAP item 1 removes
-    the weave and this sweep). Otherwise the sweep and
-    the comparison are recorded with the gate marked skipped (a
-    1-CPU CI box cannot express host parallelism, and the smoke
-    run sits in tier-1, which must pass on any host).
-    """
-    scale = "0.05" if smoke else "0.2"
-    cores = "16" if smoke else "64"
-    sweep = []
-    for shards in (1, 2, 4, 8):
-        with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "stats.json")
-            cmd = [
-                fig,
-                "--workloads=sssp",
-                f"--scale={scale}",
-                "--threads=8",
-                f"--cores={cores}",
-                "--credits-list=8",
-                "--seed=42",
-                "--host-profile",
-                "--stats-interval=2000",
-                f"--shards={shards}",
-                f"--stats-json={out}",
-            ]
-            wall, proc = timed_run(cmd)
-            if proc.returncode != 0:
-                fail(f"shards={shards} fig point exited"
-                     f" {proc.returncode}:\n{proc.stdout}\n"
-                     f"{proc.stderr}")
-            with open(out) as f:
-                doc = json.load(f)
-        runs = doc.get("runs") or []
-        if not runs:
-            fail(f"no runs in shards={shards} stats JSON")
-        hp = (runs[0].get("stats", {}).get("groups", {})
-              .get("hostprof"))
-        if not hp:
-            fail(f"no hostprof group at shards={shards}")
-        sweep.append({
-            "shards": shards,
-            "eventsPerSec": hp.get("eventsPerSec", 0.0),
-            "events": hp.get("events", 0.0),
-            "wallNs": hp.get("wallNs", 0.0),
-            "barrierWaitNs": hp.get("barrierWaitNs", 0.0),
-            "wallSeconds": wall,
-        })
-    by = {p["shards"]: p for p in sweep}
-    host_cpus = os.cpu_count() or 1
-    gate_enforced = host_cpus >= 4 and not smoke
-    shards4_beats_1 = by[4]["eventsPerSec"] > by[1]["eventsPerSec"]
-    if gate_enforced and not shards4_beats_1:
-        fail(f"sharded-host regression: shards=4"
-             f" {by[4]['eventsPerSec']:.3e} ev/s not above"
-             f" shards=1 {by[1]['eventsPerSec']:.3e} ev/s"
-             f" on a {host_cpus}-CPU host")
-    return {
-        "bench": os.path.basename(fig),
-        "point": f"sssp scale={scale} threads=8 cores={cores}"
-                 f" credits=8 stats-interval=2000",
-        "hostCpus": host_cpus,
-        "gateEnforced": gate_enforced,
-        "shards4BeatsShards1": shards4_beats_1,
-        "sweep": sweep,
-    }
-
-
 def timed_run(cmd, timeout=1800):
     """Run a subprocess; return (wall_seconds, proc)."""
     t0 = time.monotonic()
@@ -420,7 +338,6 @@ def main():
     micro_res = run_micro(micro)
     workload_res = run_workload(fig, args.smoke)
     offload_res = run_offload(offload, args.smoke)
-    shards_res = run_shards(fig, args.smoke)
     ckpt_res = run_checkpoint(runner)
     attr_res = run_attribution(runner, args.smoke)
 
@@ -438,7 +355,6 @@ def main():
         "micro": micro_res,
         "workload": workload_res,
         "offload": offload_res,
-        "shards": shards_res,
         "checkpoint": ckpt_res,
         "attribution": attr_res,
         "minSpeedup": bar,
@@ -450,7 +366,6 @@ def main():
     hp = workload_res["hostprof"]
     opts = {p["batch"]: p for p in offload_res["points"]
             if not p.get("specSlot")}
-    sh = {p["shards"]: p for p in shards_res["sweep"]}
     print(f"bench_simspeed: wheel {micro_res['wheelEventsPerSec']:.3e}"
           f" ev/s vs heap {micro_res['heapEventsPerSec']:.3e} ev/s"
           f" -> {micro_res['speedup']:.2f}x"
@@ -458,10 +373,6 @@ def main():
           f" ({int(hp.get('events', 0))} events)"
           f" | popWaitP95 k=1 {opts[1]['popWaitP95']:.0f}"
           f" -> k=4 {opts[4]['popWaitP95']:.0f}"
-          f" | shards 1->{sh[1]['eventsPerSec']:.2e}"
-          f" 4->{sh[4]['eventsPerSec']:.2e} ev/s"
-          f" (gate {'on' if shards_res['gateEnforced'] else 'off'},"
-          f" {shards_res['hostCpus']} host CPUs)"
           f" | ckpt cold {ckpt_res['coldSeconds']:.3f}s, resume "
           f"{ckpt_res['resumeSeconds']:.3f}s"
           f" ({ckpt_res['resumeSpeedup']:.1f}x)"

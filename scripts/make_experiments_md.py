@@ -456,11 +456,11 @@ numbers: inputs are deterministic scaled stand-ins and the machine
 is cache-scaled to match (DESIGN.md §2, §6).
 
 Regeneration goes faster on multi-core hosts without changing a
-byte of any figure: sweep benches take `--host-par=N` (independent
-figure points farmed over N host threads, logs replayed in point
-order) and every bench takes `--shards=N` (sharded host simulation,
-DESIGN.md §5j); both are byte-identical to serial runs
-(`check_shard_ab` in ctest proves it per commit).
+byte of any figure: the credit sweeps (fig18/19/20) take
+`--host-par=N`, which farms independent figure points over N host
+threads and replays their logs in point order (DESIGN.md §5j). The
+output is byte-identical to a serial run (`check_host_par_ab` in
+ctest proves it per commit).
 
 ## Summary of shape fidelity
 

@@ -236,7 +236,7 @@ runBsp(Machine &machine, apps::App &app, const BspConfig &cfg,
     for (auto &w : workers)
         w.start();
 
-    machine.runEvents(cfg.maxEvents);
+    machine.eq.run(cfg.maxEvents);
 
     bool timedOut = false;
     for (const auto &w : workers)

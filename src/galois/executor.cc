@@ -99,24 +99,21 @@ runEventLoop(runtime::Machine &machine, const RunConfig &cfg)
     if (cfg.warmBoundaryHook)
         cfg.warmBoundaryHook();
     if (cfg.stopAt)
-        machine.setStopTrigger(cfg.stopAtCycle, cfg.stopAtExec);
+        machine.eq.setStopTrigger(cfg.stopAtCycle, cfg.stopAtExec);
     std::uint64_t budget = cfg.maxEvents;
     for (;;) {
-        std::uint64_t before = machine.executedTotal();
-        machine.runEvents(budget);
-        if (budget) {
-            std::uint64_t used = machine.executedTotal() - before;
+        std::uint64_t used = machine.eq.run(budget);
+        if (budget)
             budget = used < budget ? budget - used : 1;
-        }
-        if (machine.stopTriggerFired()) {
-            machine.ackStopTrigger();
+        if (machine.eq.stopTriggerFired()) {
+            machine.eq.ackStopTrigger();
             if (cfg.midRunHook)
                 cfg.midRunHook();
             continue;
         }
         break;
     }
-    if (machine.interrupted()) {
+    if (machine.eq.interrupted()) {
         if (cfg.interruptHook)
             cfg.interruptHook();
         return true;

@@ -293,7 +293,7 @@ runExperiment(Workload &w, const RunSpec &spec)
 
     runtime::Machine machine(mc);
     if (spec.interruptFlag)
-        machine.setInterruptSource(spec.interruptFlag);
+        machine.eq.setInterruptSource(spec.interruptFlag);
     w.graph.assignAddresses(machine.alloc, w.nodeBytes);
     if (mc.prefetcher == PrefetcherKind::Imp)
         machine.memory.setValueOracle(w.graph.makeEdgeOracle());
@@ -315,7 +315,7 @@ runExperiment(Workload &w, const RunSpec &spec)
         CkptMeta m;
         m.kind = ckKind;
         m.cycle = machine.eq.now();
-        m.executed = machine.executedTotal();
+        m.executed = machine.eq.executed();
         m.workload = w.name;
         m.scale = w.scale;
         m.seed = w.seed;

@@ -29,7 +29,7 @@
  *
  * Determinism: ids are assigned in simulated push/classify order and
  * every counter derives from simulated state only — byte-identical
- * per seed and shard-invariant. The hot-path line/lineage maps are
+ * per seed. The hot-path line/lineage maps are
  * base/flat_table.hh tables (no per-insert node allocation at ~100k
  * fills per run); their layout never leaks into results, and they
  * serialize sorted by key so the "attribution" section bytes stay
@@ -178,7 +178,7 @@ class Attribution
 
     /**
      * Serialize all tracker state (ordered containers, so the bytes
-     * are deterministic and shard-invariant). Symmetric.
+     * are deterministic). Symmetric.
      */
     void checkpoint(ckpt::Ckpt &ck);
 

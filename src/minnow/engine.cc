@@ -110,7 +110,7 @@ MinnowEngine::MinnowEngine(runtime::Machine *machine, CoreId core,
                            MinnowGlobalQueue *globalQueue,
                            const PrefetchProgram &program)
     : machine_(machine),
-      eq_(machine->wheelFor(core)),
+      eq_(machine->eq),
       core_(core),
       global_(globalQueue),
       program_(program),

@@ -447,8 +447,7 @@ class MinnowEngine
                                                 std::uint64_t lineage);
 
     runtime::Machine *machine_;
-    /** This engine's shard timing wheel (the machine's single queue
-     *  at --shards=1); all wheels advance in lockstep. */
+    /** The machine's event queue. */
     EventQueue &eq_;
     CoreId core_;
     MinnowGlobalQueue *global_;

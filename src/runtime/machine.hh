@@ -31,8 +31,6 @@
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
 #include "sim/hostprof.hh"
-#include "sim/parallel/shard_map.hh"
-#include "sim/parallel/sharded_scheduler.hh"
 #include "sim/timeline.hh"
 #include "sim/watchdog.hh"
 
@@ -50,32 +48,6 @@ class Machine
           monitor(&eq, config.numCores)
     {
         cfg.validate();
-        // Sharded-host mode (DESIGN.md 5j): build the extra wheels
-        // and the weave scheduler before any component schedules an
-        // event — the scheduler attaches the machine-global sequence
-        // counter to every wheel, which must happen while they are
-        // all empty. With one shard (or a partition that collapses
-        // to one — e.g. a single engine group) none of this exists
-        // and eq takes the exact legacy single-wheel path.
-        if (cfg.shards > 1) {
-            shardMap_ = std::make_unique<parallel::ShardMap>(
-                cfg.numCores, cfg.minnow.coresPerEngine, cfg.shards);
-            if (shardMap_->numShards() > 1) {
-                std::vector<EventQueue *> wheels;
-                wheels.push_back(&eq);
-                for (std::uint32_t s = 1;
-                     s < shardMap_->numShards(); ++s) {
-                    shardWheels_.push_back(
-                        std::make_unique<EventQueue>());
-                    wheels.push_back(shardWheels_.back().get());
-                }
-                sched_ =
-                    std::make_unique<parallel::ShardedScheduler>(
-                        std::move(wheels));
-            } else {
-                shardMap_.reset();
-            }
-        }
         trace::setCycleSource(&eq.nowRef());
         if (!cfg.timelinePath.empty()) {
             timeline = std::make_unique<::minnow::timeline::Timeline>(
@@ -153,19 +125,12 @@ class Machine
             hostprof = std::make_unique<HostProfiler>();
             hostprof->registerStats(stats);
             eq.setHostProfiler(hostprof.get());
-            if (sched_)
-                sched_->setHostProfiler(hostprof.get());
             hostprof->activate();
         }
         // A timed-out run leaves the same post-mortem as a hung one.
         eq.setDiagnosticHook([this](const char *reason) {
             dumpDiagnostic(*this, reason);
         });
-        if (sched_) {
-            sched_->setDiagnosticHook([this](const char *reason) {
-                dumpDiagnostic(*this, reason);
-            });
-        }
         panicHookId_ = addPanicHook(&Machine::panicHook, this);
     }
 
@@ -199,114 +164,6 @@ class Machine
         for (const auto &c : cores)
             n += c->stats().uops;
         return n;
-    }
-
-    // -----------------------------------------------------------
-    // Run control: one surface over the legacy single wheel and
-    // the sharded weave, so drivers (galois executor, BSP engine,
-    // harness) never branch on the shard count themselves.
-    // -----------------------------------------------------------
-
-    /** True when the machine runs as a sharded weave (--shards>1). */
-    bool sharded() const { return sched_ != nullptr; }
-
-    /** Host shard count actually in effect (after clamping). */
-    std::uint32_t
-    shardCount() const
-    {
-        return shardMap_ ? shardMap_->numShards() : 1;
-    }
-
-    /**
-     * The timing wheel owning @p core's events: its shard's wheel in
-     * sharded mode, else the single global queue. Components cache
-     * this at attach time (SimContext, MinnowEngine); all wheels
-     * advance in lockstep, so now() agrees everywhere.
-     */
-    EventQueue &
-    wheelFor(CoreId core)
-    {
-        if (!shardMap_)
-            return eq;
-        std::uint32_t s = shardMap_->shardOf(core);
-        return s == 0 ? eq : *shardWheels_[s - 1];
-    }
-
-    /** Run up to @p maxEvents events (0 = unlimited); see
-     *  EventQueue::run / ShardedScheduler::run. */
-    std::uint64_t
-    runEvents(std::uint64_t maxEvents = 0)
-    {
-        return sched_ ? sched_->run(maxEvents) : eq.run(maxEvents);
-    }
-
-    void
-    setStopTrigger(Cycle when, std::uint64_t execCount)
-    {
-        if (sched_)
-            sched_->setStopTrigger(when, execCount);
-        else
-            eq.setStopTrigger(when, execCount);
-    }
-
-    bool
-    stopTriggerFired() const
-    {
-        return sched_ ? sched_->stopTriggerFired()
-                      : eq.stopTriggerFired();
-    }
-
-    void
-    ackStopTrigger()
-    {
-        if (sched_)
-            sched_->ackStopTrigger();
-        else
-            eq.ackStopTrigger();
-    }
-
-    void
-    setInterruptSource(const volatile std::sig_atomic_t *src)
-    {
-        if (sched_)
-            sched_->setInterruptSource(src);
-        else
-            eq.setInterruptSource(src);
-    }
-
-    bool
-    interrupted() const
-    {
-        return sched_ ? sched_->interrupted() : eq.interrupted();
-    }
-
-    /** Events executed, whole machine (all wheels). */
-    std::uint64_t
-    executedTotal() const
-    {
-        return sched_ ? sched_->executed() : eq.executed();
-    }
-
-    /** Events pending, whole machine (all wheels). */
-    std::size_t
-    pendingTotal() const
-    {
-        return sched_ ? sched_->pending() : eq.pending();
-    }
-
-    /** Pending daemon events, whole machine. */
-    std::size_t
-    daemonsTotal() const
-    {
-        return sched_ ? sched_->daemonsPending()
-                      : eq.daemonsPending();
-    }
-
-    /** Earliest pending event cycle over the whole machine. */
-    Cycle
-    nextEventTime() const
-    {
-        return sched_ ? sched_->headTime() : eq.headTime();
     }
 
     // -----------------------------------------------------------
@@ -359,26 +216,7 @@ class Machine
             w.add("config", std::move(buf));
         }
         w.add("alloc", ckpt::serialize(alloc));
-        if (sched_) {
-            // Same four-field witness layout EventQueue::checkpoint
-            // emits, with the counts summed over every shard wheel
-            // and the weave's executed count: the section is
-            // shard-count-invariant, so a checkpoint saved at
-            // --shards=4 validates byte-for-byte at --shards=1.
-            std::vector<std::uint8_t> buf;
-            ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
-            Cycle t = eq.now();
-            ck.io(t);
-            std::uint64_t v = sched_->pending();
-            ck.io(v);
-            v = sched_->daemonsPending();
-            ck.io(v);
-            std::uint64_t ex = sched_->executed();
-            ck.io(ex);
-            w.add("eq", std::move(buf));
-        } else {
-            w.add("eq", ckpt::serialize(eq));
-        }
+        w.add("eq", ckpt::serialize(eq));
         w.add("monitor", ckpt::serialize(monitor));
         w.add("mem", ckpt::serialize(memory));
         for (CoreId i = 0; i < cfg.numCores; ++i) {
@@ -526,16 +364,6 @@ class Machine
     }
 
     int panicHookId_ = 0;
-
-    /**
-     * Sharded-host state (all null at --shards=1). Declaration
-     * order matters for destruction: the scheduler detaches first,
-     * then the extra wheels die (eq, a plain member, outlives all of
-     * them).
-     */
-    std::unique_ptr<parallel::ShardMap> shardMap_;
-    std::vector<std::unique_ptr<EventQueue>> shardWheels_;
-    std::unique_ptr<parallel::ShardedScheduler> sched_;
 
     /** Run-scoped checkpoint sections, in registration order. */
     std::vector<

@@ -41,7 +41,6 @@ class SimContext
     SimContext(Machine *machine, CoreId core)
         : machine_(machine),
           core_(machine->cores[core].get()),
-          eq_(&machine->wheelFor(core)),
           id_(core)
     {
     }
@@ -50,13 +49,7 @@ class SimContext
     Machine &machine() { return *machine_; }
     cpu::OooCore &core() { return *core_; }
 
-    /**
-     * This worker's timing wheel: its shard's wheel under --shards>1
-     * (so scheduling stays on the owner shard), else the machine's
-     * single queue. now() is the same on every wheel — they advance
-     * in lockstep.
-     */
-    EventQueue &eq() { return *eq_; }
+    EventQueue &eq() { return machine_->eq; }
     WorkMonitor &monitor() { return machine_->monitor; }
 
     /**
@@ -214,7 +207,6 @@ class SimContext
   private:
     Machine *machine_;
     cpu::OooCore *core_;
-    EventQueue *eq_; //!< this core's shard wheel (see eq()).
     CoreId id_;
 };
 

@@ -40,7 +40,6 @@ MachineConfig::validate() const
              "watchdog needs at least one stale check to trip");
     fatal_if(!timelinePath.empty() && timelineBufferCap == 0,
              "--timeline needs a nonzero --timeline-buffer");
-    fatal_if(shards == 0, "--shards must be at least 1");
     fatal_if(attribution && attributionWindow == 0,
              "--attribution needs a nonzero --attribution-window");
 }
@@ -67,13 +66,10 @@ MachineConfig::applyOptions(const Options &opts)
     statsSampleInterval = std::uint32_t(
         opts.getUint("stats-interval", statsSampleInterval));
     hostProfile = opts.getBool("host-profile", hostProfile);
-    // Host performance knob only — byte-identical results across
-    // values, so it never enters describe()/configFingerprint().
-    shards = std::uint32_t(opts.getUint("shards", shards));
 
     // Causal attribution layer (DESIGN.md 5k). Model-visible (the
-    // tracker serializes into checkpoints), so it DOES enter
-    // describe()/configFingerprint(), unlike --shards.
+    // tracker serializes into checkpoints), so it enters
+    // describe()/configFingerprint().
     attribution = opts.getBool("attribution", attribution);
     attributionWindow = std::uint32_t(
         opts.getUint("attribution-window", attributionWindow));

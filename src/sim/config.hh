@@ -257,29 +257,14 @@ struct MachineConfig
     std::uint32_t timelineInterval = 1024;
 
     /**
-     * Host-side shard count (--shards=N; DESIGN.md section 5j). At 1
-     * (the default) the simulation takes the exact legacy
-     * single-wheel path. Above 1 the machine splits into per-core-
-     * cluster shards — each owning a contiguous, engine-aligned
-     * slice of cores with its own timing wheel — woven in canonical
-     * (cycle, seq) order by the ShardedScheduler, with a host-thread
-     * pool (one lane per shard) taking the order-insensitive work.
-     * Results are byte-identical across shard counts; this is a host
-     * performance knob, not a model parameter, and deliberately does
-     * NOT enter describe()/configFingerprint(): a checkpoint saved
-     * at --shards=4 restores at --shards=1.
-     */
-    std::uint32_t shards = 1;
-
-    /**
      * Causal attribution layer (--attribution; DESIGN.md section
      * 5k): per-prefetch lifecycle provenance (timely / late /
      * early-evicted / redundant / polluting classification with
      * issue→fill→use histograms, the "attribution" stats group) and
      * task lineage flows (push→pop arrows in the timeline trace).
      * Off by default: no tracker is constructed and every emit site
-     * costs one null-check. Unlike --shards this is a model-visible
-     * observability knob and enters the config fingerprint.
+     * costs one null-check. It is a model-visible observability
+     * knob and enters the config fingerprint.
      */
     bool attribution = false;
 

@@ -37,8 +37,6 @@ EventQueue::run(std::uint64_t maxEvents)
 {
     panic_if(running_,
              "EventQueue::run() re-entered from inside an event");
-    panic_if(seqSource_, "a seq-tagged shard wheel is driven by the"
-             " ShardedScheduler, not by its own run()");
     running_ = true;
     stopped_ = false;
     interrupted_ = false;

@@ -33,7 +33,6 @@
 #include <csignal>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <queue>
 #include <vector>
 
@@ -45,23 +44,6 @@ namespace minnow
 {
 
 class HostProfiler;
-
-namespace parallel
-{
-class ShardedScheduler;
-}
-
-/**
- * Overrides quiescent() when a queue is one shard wheel of a larger
- * group: "only daemons remain" must be judged over every wheel, or
- * a sampler on one wheel would stop re-arming while workers on
- * another wheel still have real work pending.
- */
-struct QuiescenceProbe
-{
-    virtual ~QuiescenceProbe() = default;
-    virtual bool quiescent() const = 0;
-};
 
 /** Global discrete-event queue; owns simulated time. */
 class EventQueue
@@ -129,47 +111,8 @@ class EventQueue
         --daemons_;
     }
 
-    /** True when only daemon (housekeeping) events remain pending.
-     *  With a probe attached (shard mode) the judgment is global. */
-    bool
-    quiescent() const
-    {
-        return qprobe_ ? qprobe_->quiescent() : size_ <= daemons_;
-    }
-
-    /** Pending daemon events on this queue alone. */
-    std::size_t daemonsPending() const { return daemons_; }
-
-    /** Attach a group-wide quiescence probe (null detaches). */
-    void
-    setQuiescenceProbe(const QuiescenceProbe *p)
-    {
-        qprobe_ = p;
-    }
-
-    /**
-     * Shard mode (DESIGN.md section 5j): tag every scheduled event
-     * with a value drawn from the machine-global sequence counter
-     * @p seq (shared by all shard wheels). Bucket entries get a
-     * parallel per-bucket sequence array and overflow entries use
-     * the global value as their heap tie-break, so a k-way merge
-     * across wheels by (cycle, seq) reproduces the exact global
-     * scheduling order of the single-wheel path. Must be set before
-     * any event is scheduled; a seq-tagged queue is driven by the
-     * ShardedScheduler, never by its own run().
-     */
-    void
-    setSeqSource(std::uint64_t *seq)
-    {
-        panic_if(size_ != 0,
-                 "attaching a seq source to a non-empty queue");
-        seqSource_ = seq;
-        if (seq && !bucketSeqs_) {
-            bucketSeqs_ = std::make_unique<
-                std::array<std::vector<std::uint64_t>,
-                           kWheelBuckets>>();
-        }
-    }
+    /** True when only daemon (housekeeping) events remain pending. */
+    bool quiescent() const { return size_ <= daemons_; }
 
     /** Cycle of the earliest pending event (now() when empty). */
     Cycle headTime() const;
@@ -294,12 +237,9 @@ class EventQueue
      * coroutine addresses and cannot be serialized; a restore
      * replays deterministically to the same coordinates instead,
      * and this section is the witness it is compared against
-     * (DESIGN.md section 5i). Only shard-count-invariant global
-     * coordinates travel — the intra-bucket drain position and the
-     * overflow tie-break are per-wheel layout, which is why a
-     * checkpoint saved at --shards=4 restores at --shards=1: the
-     * sharded Machine emits the same four fields summed over its
-     * wheels (see Machine::checkpointSections).
+     * (DESIGN.md section 5i). The intra-bucket drain position and
+     * the overflow tie-break are queue layout, not coordinates, and
+     * do not travel.
      */
     void
     checkpoint(ckpt::Ckpt &ck)
@@ -314,18 +254,14 @@ class EventQueue
         if (ck.loading())
             daemons_ = std::size_t(v);
         ck.io(executed_);
-        ck.transient("buckets_ bucketSeqs_ occupied_ far_ cursor_"
-                     " farSeq_ stopped_ running_ diagHook_ prof_"
-                     " qprobe_ seqSource_ interrupted_"
-                     " interruptSource_ triggersArmed_ stopAtCycle_"
-                     " stopAtExec_ stopTriggerArmed_"
+        ck.transient("buckets_ occupied_ far_ cursor_ farSeq_"
+                     " stopped_ running_ diagHook_ prof_"
+                     " interrupted_ interruptSource_ triggersArmed_"
+                     " stopAtCycle_ stopAtExec_ stopTriggerArmed_"
                      " stopTriggerFired_");
     }
 
   private:
-    /** Drives seq-tagged wheels via the shard* helpers below. */
-    friend class parallel::ShardedScheduler;
-
     static constexpr std::size_t kWheelMask = kWheelBuckets - 1;
     static constexpr std::size_t kWheelWords = kWheelBuckets / 64;
 
@@ -368,76 +304,10 @@ class EventQueue
             std::size_t idx = std::size_t(when) & kWheelMask;
             buckets_[idx].push_back(ev);
             occupied_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-            if (seqSource_) [[unlikely]]
-                (*bucketSeqs_)[idx].push_back((*seqSource_)++);
         } else {
-            far_.push(FarEvent{
-                when, seqSource_ ? (*seqSource_)++ : farSeq_++, ev});
+            far_.push(FarEvent{when, farSeq_++, ev});
         }
         ++size_;
-    }
-
-    // ---- shard-wheel helpers (ShardedScheduler only) ----
-
-    /** An undrained event exists in the bucket for now_. */
-    bool
-    shardHasEventNow() const
-    {
-        return cursor_ <
-               buckets_[std::size_t(now_) & kWheelMask].size();
-    }
-
-    /** Global seq of the next event at now_ (requires one). */
-    std::uint64_t
-    shardHeadSeq() const
-    {
-        return (*bucketSeqs_)[std::size_t(now_) & kWheelMask]
-            [cursor_];
-    }
-
-    /** Pop the next event at now_ (requires shardHasEventNow()). */
-    Compact
-    shardPop()
-    {
-        Compact ev =
-            buckets_[std::size_t(now_) & kWheelMask][cursor_++];
-        --size_;
-        return ev;
-    }
-
-    /** Recycle the bucket for now_ once fully drained. */
-    void
-    shardRecycleNow()
-    {
-        std::size_t idx = std::size_t(now_) & kWheelMask;
-        Bucket &b = buckets_[idx];
-        if (cursor_ < b.size() || b.empty())
-            return;
-        b.clear();
-        (*bucketSeqs_)[idx].clear();
-        occupied_[idx >> 6] &= ~(std::uint64_t(1) << (idx & 63));
-        cursor_ = 0;
-    }
-
-    /**
-     * Advance the wheel clock to the group-wide next event time and
-     * migrate overflow events that entered the horizon, in
-     * (when, seq) order — the per-wheel half of the determinism
-     * argument at the top of event_queue.cc.
-     */
-    void
-    shardSyncTo(Cycle t)
-    {
-        now_ = t;
-        while (!far_.empty() &&
-               far_.top().when - now_ < kWheelBuckets) {
-            const FarEvent &fe = far_.top();
-            std::size_t idx = std::size_t(fe.when) & kWheelMask;
-            buckets_[idx].push_back(fe.ev);
-            (*bucketSeqs_)[idx].push_back(fe.seq);
-            occupied_[idx >> 6] |= std::uint64_t(1) << (idx & 63);
-            far_.pop();
-        }
     }
 
     /** Advance now_ to the next pending event's cycle. */
@@ -456,13 +326,6 @@ class EventQueue
     Cycle nextWheelTime() const;
 
     std::array<Bucket, kWheelBuckets> buckets_;
-    /**
-     * Shard mode only: per-bucket global sequence tags, parallel to
-     * buckets_ (null on the legacy single-wheel path).
-     */
-    std::unique_ptr<
-        std::array<std::vector<std::uint64_t>, kWheelBuckets>>
-        bucketSeqs_;
     /** One bit per bucket; scan via std::countr_zero. */
     std::array<std::uint64_t, kWheelWords> occupied_;
     std::priority_queue<FarEvent, std::vector<FarEvent>,
@@ -478,9 +341,6 @@ class EventQueue
     bool running_ = false; //!< run() re-entrancy guard
     std::function<void(const char *)> diagHook_;
     HostProfiler *prof_ = nullptr;
-    const QuiescenceProbe *qprobe_ = nullptr;
-    /** Machine-global schedule counter (shard mode; else null). */
-    std::uint64_t *seqSource_ = nullptr;
 
     std::uint64_t executed_ = 0; //!< events fully executed
     bool interrupted_ = false;

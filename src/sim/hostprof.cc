@@ -7,7 +7,6 @@ namespace minnow
 {
 
 thread_local HostProfiler *HostProfiler::active_ = nullptr;
-thread_local std::uint32_t HostProfiler::threadLane_ = 0;
 
 std::uint64_t
 HostProfiler::nowNs()
@@ -62,26 +61,24 @@ HostProfiler::wallNs() const
 void
 HostProfiler::enter(HostClass c)
 {
-    Lane &ln = lanes_[threadLane_];
     std::uint64_t t = nowNs();
-    if (ln.depth != 0)
-        ln.classNs[ln.stack[ln.depth - 1]] += t - ln.sliceStart;
-    panic_if(ln.depth >= kMaxDepth, "host-profiler scope stack"
+    if (depth_ != 0)
+        classNs_[stack_[depth_ - 1]] += t - sliceStart_;
+    panic_if(depth_ >= kMaxDepth, "host-profiler scope stack"
              " overflow (a HostProfScope leaked across a"
              " suspension?)");
-    ln.stack[ln.depth++] = std::uint8_t(c);
-    ++ln.classCalls[std::size_t(c)];
-    ln.sliceStart = t;
+    stack_[depth_++] = std::uint8_t(c);
+    ++classCalls_[std::size_t(c)];
+    sliceStart_ = t;
 }
 
 void
 HostProfiler::exit()
 {
-    Lane &ln = lanes_[threadLane_];
-    panic_if(ln.depth == 0, "host-profiler scope underflow");
+    panic_if(depth_ == 0, "host-profiler scope underflow");
     std::uint64_t t = nowNs();
-    ln.classNs[ln.stack[--ln.depth]] += t - ln.sliceStart;
-    ln.sliceStart = t;
+    classNs_[stack_[--depth_]] += t - sliceStart_;
+    sliceStart_ = t;
 }
 
 void
@@ -108,19 +105,15 @@ HostProfiler::registerStats(StatsRegistry &reg)
         std::string base = names[c];
         g.formula(base + "Ns",
                   "host ns attributed to the " + base +
-                      " component class (exclusive, all lanes)",
+                      " component class (exclusive)",
                   [this, c] { return double(classNs(HostClass(c))); });
         g.formula(base + "Calls",
                   "instrumented entries into the " + base +
-                      " component class (all lanes)",
+                      " component class",
                   [this, c] {
                       return double(classCalls(HostClass(c)));
                   });
     }
-    g.formula("barrierWaitNs",
-              "host ns spent waiting at shard epoch barriers (always"
-              " 0: no shard pool runs work)",
-              [] { return 0.0; });
     g.formula("otherNs",
               "run() wall time not attributed to any component"
               " class (scheduler, coroutine glue)",

@@ -25,19 +25,11 @@
  * host time spent while the coroutine is suspended would be
  * misattributed. Only synchronous functions are instrumented.
  *
- * Sharded-host mode (--shards=N, DESIGN.md 5j): the ShardPool's
- * worker threads attribute into per-lane counter banks. Each host
- * thread is bound to a lane with setThreadLane() once at spawn, and
- * the pool attaches the machine's profiler to a worker for exactly
- * the span of each fork-join job with setThreadActive(); the active
- * pointer is thread-local so an idle worker costs nothing and a
- * foreign Machine's scopes never cross-talk. Lane banks are
- * cache-line separated and merged only at report time, in lane
- * order, by the stats formulas (which run on the leader). The
- * barrierWaitNs stat reads 0: no Machine hands work to a pool any
- * more (ROADMAP item 1 removes it). When no profiler is active (the
- * default), HostProfScope costs one thread-local load and a
- * predictable branch.
+ * One Machine runs on one host thread. The active profiler is
+ * thread-local because the --host-par point farm (DESIGN.md 5j) runs
+ * one Machine per host thread, and their scopes must not cross-talk.
+ * When no profiler is active (the default), HostProfScope costs one
+ * thread-local load and a predictable branch.
  */
 
 #ifndef MINNOW_SIM_HOSTPROF_HH
@@ -65,10 +57,6 @@ enum class HostClass : std::uint8_t
 class HostProfiler
 {
   public:
-    /** Attribution lanes (leader + pool workers); more host threads
-     *  than this fold into the last lane. */
-    static constexpr std::size_t kMaxLanes = 16;
-
     HostProfiler() = default;
     ~HostProfiler()
     {
@@ -91,32 +79,9 @@ class HostProfiler
     /** Detach; no-op unless this profiler is the active one. */
     void deactivate();
 
-    /** The profiler HostProfScope reports to (null when disabled).
-     *  Thread-local: pool workers see only what setThreadActive()
-     *  attached to them. */
+    /** The calling thread's profiler for HostProfScope (null when
+     *  disabled). */
     static HostProfiler *active() { return active_; }
-
-    /**
-     * Bind the calling host thread to an attribution lane. Called
-     * once per ShardPool worker at spawn (lane 0 is the leader and
-     * needs no call). Lanes beyond the compiled-in maximum fold into
-     * the last lane — attribution stays correct, only per-lane
-     * resolution degrades.
-     */
-    static void
-    setThreadLane(std::uint32_t lane)
-    {
-        threadLane_ = lane < kMaxLanes ? lane : kMaxLanes - 1;
-    }
-
-    /**
-     * Attach @p p as the calling thread's active profiler for the
-     * duration of a pool job (null detaches). Workers call this
-     * around each job so scopes inside the job attribute to the
-     * owning Machine's profiler; between jobs the thread profiles
-     * nothing.
-     */
-    static void setThreadActive(HostProfiler *p) { active_ = p; }
 
     // ---- EventQueue side ----
 
@@ -145,24 +110,18 @@ class HostProfiler
     /** Total run() wall time so far, live even mid-run. */
     std::uint64_t wallNs() const;
 
-    /** Host ns attributed to @p c, merged over all lanes. */
+    /** Host ns attributed to @p c. */
     std::uint64_t
     classNs(HostClass c) const
     {
-        std::uint64_t sum = 0;
-        for (std::size_t l = 0; l < kMaxLanes; ++l)
-            sum += lanes_[l].classNs[std::size_t(c)];
-        return sum;
+        return classNs_[std::size_t(c)];
     }
 
-    /** Instrumented calls into @p c, merged over all lanes. */
+    /** Instrumented calls into @p c. */
     std::uint64_t
     classCalls(HostClass c) const
     {
-        std::uint64_t sum = 0;
-        for (std::size_t l = 0; l < kMaxLanes; ++l)
-            sum += lanes_[l].classCalls[std::size_t(c)];
-        return sum;
+        return classCalls_[std::size_t(c)];
     }
 
   private:
@@ -172,7 +131,6 @@ class HostProfiler
     static std::uint64_t nowNs();
 
     static thread_local HostProfiler *active_;
-    static thread_local std::uint32_t threadLane_;
     HostProfiler *prev_ = nullptr;
     bool activated_ = false;
 
@@ -182,24 +140,13 @@ class HostProfiler
     std::uint64_t runStart_ = 0;
     bool inRun_ = false;
 
-    /**
-     * One attribution bank per host-thread lane. Cache-line
-     * separated so concurrent scope bookkeeping on pool workers
-     * never false-shares; each lane is only ever written by its own
-     * thread, and the merge happens at report time on the leader
-     * (after the join barrier, so the values are stable).
-     */
-    struct alignas(64) Lane
-    {
-        std::uint64_t classNs[std::size_t(HostClass::kNumClasses)] =
-            {};
-        std::uint64_t
-            classCalls[std::size_t(HostClass::kNumClasses)] = {};
-        std::uint8_t stack[kMaxDepth] = {};
-        std::size_t depth = 0;
-        std::uint64_t sliceStart = 0;
-    };
-    Lane lanes_[kMaxLanes];
+    std::uint64_t classNs_[std::size_t(HostClass::kNumClasses)] = {};
+    std::uint64_t classCalls_[std::size_t(HostClass::kNumClasses)] =
+        {};
+    /** Open scopes' classes, innermost last. */
+    std::uint8_t stack_[kMaxDepth] = {};
+    std::size_t depth_ = 0;
+    std::uint64_t sliceStart_ = 0;
 
     StatHistogram occupancy_;
 

@@ -10,9 +10,9 @@
  * point; only wall-clock ordering differs, and callers print/record
  * results in point order after the join.
  *
- * This is the sweep-serving axis of the sharded-host work: a figure
- * sweep of K points on N threads approaches N-fold throughput
- * without touching the determinism contract of any single run.
+ * A figure sweep of K points on N threads approaches N-fold
+ * throughput without touching the determinism contract of any
+ * single run. This is the simulator's only host threading.
  */
 
 #ifndef MINNOW_SIM_PARALLEL_TASK_FARM_HH

@@ -38,8 +38,8 @@ diagnosticJson(runtime::Machine &machine, const std::string &reason)
     json::appendEscaped(out, reason);
     out += "\",\"cycle\":" + std::to_string(m.eq.now());
     out += ",\"eventQueue\":{\"pending\":" +
-           std::to_string(m.pendingTotal()) +
-           ",\"head\":" + std::to_string(m.nextEventTime()) + "}";
+           std::to_string(m.eq.pending()) +
+           ",\"head\":" + std::to_string(m.eq.headTime()) + "}";
     out += ",\"monitor\":{\"pending\":" +
            std::to_string(m.monitor.pending()) +
            ",\"stealable\":" + std::to_string(m.monitor.stealable()) +
@@ -75,8 +75,8 @@ dumpDiagnostic(runtime::Machine &machine, const std::string &reason)
     std::fprintf(stderr,
                  "cycle %llu; event queue: %zu pending, head at"
                  " %llu\n",
-                 (unsigned long long)m.eq.now(), m.pendingTotal(),
-                 (unsigned long long)m.nextEventTime());
+                 (unsigned long long)m.eq.now(), m.eq.pending(),
+                 (unsigned long long)m.eq.headTime());
     std::fprintf(stderr,
                  "monitor: pending=%llu stealable=%llu"
                  " idleWorkers=%u terminated=%d\n",

@@ -6,8 +6,7 @@
  * redundant issues counted, pollution windows expire), lineage id
  * conservation through push/enqueue/dequeue including kill/rescue
  * drains, and the determinism contract (attribution stats are
- * byte-identical across shard counts and across a checkpoint
- * save/restore boundary).
+ * byte-identical across a checkpoint save/restore boundary).
  */
 
 #include <gtest/gtest.h>
@@ -163,13 +162,12 @@ TEST(AttributionLineage, PushEnqueueDequeueDrains)
 // ---------------------------------------------------------------
 
 harness::RunSpec
-attrSpec(std::uint32_t shards)
+attrSpec()
 {
     harness::RunSpec spec;
     spec.config = harness::Config::MinnowPf;
     spec.threads = 8;
     spec.machine.numCores = 8;
-    spec.machine.shards = shards;
     spec.machine.attribution = true;
     return spec;
 }
@@ -177,7 +175,7 @@ attrSpec(std::uint32_t shards)
 TEST(AttributionRun, KillRescueDrainsWithoutIdLeaks)
 {
     harness::Workload w = harness::makeWorkload("sssp", 0.05, 7);
-    harness::RunSpec spec = attrSpec(1);
+    harness::RunSpec spec = attrSpec();
     spec.machine.faultSpec =
         "engine_kill:core=0,at=5000;engine_stall:core=3,at=8000,"
         "dur=20000";
@@ -193,29 +191,19 @@ TEST(AttributionRun, KillRescueDrainsWithoutIdLeaks)
               statValue(json, "lineageDequeued"));
 }
 
-TEST(AttributionRun, StatsByteIdenticalAcrossShards)
-{
-    harness::Workload w = harness::makeWorkload("sssp", 0.05, 7);
-    auto one = harness::runExperiment(w, attrSpec(1));
-    auto four = harness::runExperiment(w, attrSpec(4));
-    EXPECT_TRUE(one.run.verified);
-    EXPECT_FALSE(one.run.statsJson.empty());
-    EXPECT_EQ(one.run.statsJson, four.run.statsJson);
-}
-
 TEST(AttributionRun, StatsByteIdenticalAcrossCheckpoint)
 {
     harness::Workload w = harness::makeWorkload("sssp", 0.05, 7);
-    auto cold = harness::runExperiment(w, attrSpec(1));
+    auto cold = harness::runExperiment(w, attrSpec());
     ASSERT_TRUE(cold.run.verified);
 
     std::string path = tmpPath("warm.ckpt");
-    harness::RunSpec save = attrSpec(1);
+    harness::RunSpec save = attrSpec();
     save.checkpointOut = path;
     auto saved = harness::runExperiment(w, save);
     EXPECT_EQ(cold.run.statsJson, saved.run.statsJson);
 
-    harness::RunSpec restore = attrSpec(1);
+    harness::RunSpec restore = attrSpec();
     restore.checkpointIn = path;
     auto warm = harness::runExperiment(w, restore);
     EXPECT_TRUE(warm.run.verified);

@@ -1,5 +1,5 @@
 // Seeded violations for the `host-threading` rule (P1): raw host
-// concurrency primitives outside sim/parallel/. Each marked line
+// concurrency primitives outside the point farm. Each marked line
 // must appear in expected.txt; run_fixtures.py diffs the analyzer
 // output against it.
 

@@ -1,36 +1,31 @@
 // Conforming twin of host_threading_bad.cc: must produce zero
-// findings. Exercises the rule's negative space — cross-thread work
-// expressed through the sim/parallel primitives, project types that
-// merely resemble banned names, and unqualified identifiers.
+// findings. Exercises the rule's negative space — independent points
+// handed to the point farm, project types that merely resemble
+// banned names, and unqualified identifiers.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace fixture
 {
 
-// The sanctioned shapes: a fork-join pool job plus an SPSC drain.
-// (Declarations stand in for sim/parallel includes so the fixture
-// lints standalone.)
-struct ShardPoolLike
-{
-    void runOnAll(const std::function<void(std::uint32_t)> &fn);
-};
+// The sanctioned shape: every point runs through the farm and writes
+// only its own slot; results are read in index order after it
+// returns. (The declaration stands in for the task_farm include so
+// the fixture lints standalone.)
+void runTaskFarmLike(std::size_t n, std::uint32_t threads,
+                     const std::function<void(std::size_t)> &fn);
 
-template <typename T>
-struct SpscChannelLike
+std::vector<std::uint64_t>
+sweepPoints(std::size_t points, std::uint32_t hostPar)
 {
-    bool push(T v);
-    bool pop(T &out);
-};
-
-void
-fanOutSamples(ShardPoolLike &pool, SpscChannelLike<int> &ch)
-{
-    pool.runOnAll([&](std::uint32_t lane) { ch.push(int(lane)); });
-    int v;
-    while (ch.pop(v)) {
-    }
+    std::vector<std::uint64_t> cycles(points, 0);
+    runTaskFarmLike(points, hostPar, [&](std::size_t i) {
+        cycles[i] = 1000 + i;
+    });
+    return cycles;
 }
 
 // Project types named like banned primitives, without std::

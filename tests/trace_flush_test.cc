@@ -71,6 +71,18 @@ TEST(OptionsDeath, UnknownOptionRejected)
                 "unknown option");
 }
 
+TEST(OptionsDeath, RetiredShardsFlagRejected)
+{
+    // The host-sharding flag is gone; the benches' parse path
+    // (MachineConfig::applyOptions, then rejectUnused) must refuse it
+    // rather than silently ignore it.
+    Options opts({"--shards=4"});
+    MachineConfig cfg;
+    cfg.applyOptions(opts);
+    EXPECT_EXIT(opts.rejectUnused(), testing::ExitedWithCode(1),
+                "unknown option --shards=4");
+}
+
 TEST(OptionsDeath, MalformedIntIsFatal)
 {
     Options opts({"--n=abc"});

@@ -29,8 +29,8 @@ Rules (stable identifiers, used in LINT-OK suppressions):
   serializer-coverage S1: every member of a checkpointed class must
                      be serialized or declared transient.
   host-threading     P1: std::thread/mutex/atomic and other host
-                     concurrency primitives only inside
-                     sim/parallel/.
+                     concurrency primitives only inside the
+                     --host-par point farm (sim/parallel/task_farm).
   coro-suspend-safety C1: no reference/pointer into a stack frame,
                      by-ref parameter, or by-ref lambda capture used
                      across a co_await suspension in CoTask bodies.

@@ -1,34 +1,32 @@
-"""P1 `host-threading`: host concurrency lives in sim/parallel/.
+"""P1 `host-threading`: host concurrency lives in the point farm.
 
-The sharded-host design (DESIGN.md section 5j) gives the simulator
-exactly one home for host threads and cross-thread state:
-sim/parallel/ (ShardPool's worker threads, EpochBarrier, SpscChannel,
-the task farm). Everything outside that directory must stay
-single-threaded from the host's point of view, because byte-identical
-replay is argued file by file — a stray std::thread or a mutex-guarded
-shared structure elsewhere silently widens the audit surface:
+The simulator runs each Machine on one host thread. Its only host
+threading is the --host-par point farm, sim/parallel/task_farm.{hh,cc}
+(DESIGN.md section 5j), which runs independent simulation points on a
+fixed set of threads that share no simulator state. Everything else
+must stay single-threaded from the host's point of view, because
+byte-identical replay is argued file by file — a stray std::thread or
+a mutex-guarded shared structure elsewhere silently widens the audit
+surface:
 
   - std::thread / std::jthread / pthread_*: a second execution
-    context outside the pool's fork-join discipline;
+    context outside the farm;
   - std::mutex / condition_variable and friends (and their lock
-    wrappers): blocking cross-thread state with untracked ordering —
-    sharded code exchanges data through epoch barriers and SPSC
-    channels, whose drain order is canonical and testable;
+    wrappers): blocking cross-thread state with untracked ordering;
   - std::atomic / std::atomic_flag: lock-free cross-thread state
     with the same problem in a harder-to-spot shape;
   - std::async / future / promise / semaphores / latches / barriers:
     thread creation or synchronization by another name.
 
-Code that genuinely needs one of these outside sim/parallel/ (e.g.
-the async-signal-safe spinlock in base/logging.cc, which cannot
-depend on sim/) documents why with a LINT-OK(host-threading) at the
-use site.
+Code that genuinely needs one of these outside the farm (e.g. the
+async-signal-safe spinlock in base/logging.cc, which cannot depend on
+sim/) documents why with a LINT-OK(host-threading) at the use site.
 """
 
 RULE_ID = "host-threading"
 
 DOC = ("bans std::thread/mutex/atomic and other host concurrency "
-       "primitives outside sim/parallel/")
+       "primitives outside sim/parallel/task_farm.*")
 
 # Identifiers banned when std::-qualified. std::atomic_<T> aliases
 # (atomic_bool, atomic_uint64_t, ...) are caught by prefix below.
@@ -64,7 +62,11 @@ _BANNED_STD = {
 
 _ATOMIC_PREFIX = "atomic"
 
-_HOME = "sim/parallel/"
+_HOME = "sim/parallel/task_farm."
+
+_WHERE = ("outside sim/parallel/task_farm.*; host concurrency lives "
+          "in the --host-par point farm (DESIGN.md 5j) — run "
+          "independent points through it or justify with a LINT-OK")
 
 
 def _in_home(path):
@@ -73,12 +75,10 @@ def _in_home(path):
 
 def _finding(model, tok, what):
     return (model.path, tok.line, RULE_ID,
-            "%s (%s) outside %s; host concurrency lives in "
-            "sim/parallel (pool + barriers + channels, DESIGN.md "
-            "5j) — route through it or justify with a LINT-OK"
+            "%s (%s) %s"
             % (what, _BANNED_STD.get(tok.text,
                                      "cross-thread shared state"),
-               _HOME.rstrip("/")))
+               _WHERE))
 
 
 def check(unit):
@@ -93,10 +93,7 @@ def check(unit):
             if t.text.startswith("pthread_"):
                 findings.append(
                     (model.path, t.line, RULE_ID,
-                     "%s() (raw pthreads) outside %s; host "
-                     "concurrency lives in sim/parallel (pool + "
-                     "barriers + channels, DESIGN.md 5j)"
-                     % (t.text, _HOME.rstrip("/"))))
+                     "%s() (raw pthreads) %s" % (t.text, _WHERE)))
                 continue
             # Only std::-qualified names: a project type that
             # happens to be called `barrier` or `future` is fine.
@@ -111,9 +108,6 @@ def check(unit):
             elif t.text.startswith(_ATOMIC_PREFIX):
                 findings.append(
                     (model.path, t.line, RULE_ID,
-                     "std::%s (lock-free cross-thread state) "
-                     "outside %s; host concurrency lives in "
-                     "sim/parallel (pool + barriers + channels, "
-                     "DESIGN.md 5j) — route through it or justify "
-                     "with a LINT-OK" % (t.text, _HOME.rstrip("/"))))
+                     "std::%s (lock-free cross-thread state) %s"
+                     % (t.text, _WHERE)))
     return findings
