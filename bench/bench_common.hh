@@ -20,9 +20,6 @@
  *   --dequeue-batch=<k>  one engine round-trip returns up to k tasks
  *                        (default 1: single-task calls, bit-for-bit
  *                        with earlier builds).
- *   --push-batch=<k>     buffer pushes/credit returns per core and
- *                        flush k at a time (or on a deadline);
- *                        default 1 sends each immediately.
  *   --spec-slot          engine speculatively delivers the next task
  *                        into a core-side slot so a hitting dequeue
  *                        skips the round-trip entirely.

@@ -17,15 +17,23 @@ coverage and pollution rates, lineage conservation counters, and the
 six latency histograms with P50/P95/P99), all numeric and
 non-negative.
 
+Every "minnow<N>" engine group must satisfy the spec-slot
+conservation invariant specDeposits == specHits + specReclaims
+(DESIGN.md 5h). The point runs twice: once with the default offload
+protocol and once with --dequeue-batch=4 --spec-slot, so the bundled
+dequeue path and the speculative slot are exercised end to end; the
+second run must show bundled tasks and spec deposits.
+
 Usage: check_stats_json.py <path-to-fig18-binary>
 Exit status 0 on success; prints the first failure otherwise.
 """
 
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
-import os
 
 
 RUN_KEYS = {
@@ -112,6 +120,26 @@ def check_minnow_pf_groups(groups, i):
             fail(f"runs[{i}]: group {g} lacks creditStalls")
 
 
+ENGINE_GROUP = re.compile(r"minnow\d+$")
+
+
+def check_spec_conservation(groups, i):
+    """specDeposits == specHits + specReclaims on every engine."""
+    engines = [g for g in groups if ENGINE_GROUP.match(g)]
+    for g in engines:
+        e = groups[g]
+        for key in ("specDeposits", "specHits", "specReclaims"):
+            if key not in e:
+                fail(f"runs[{i}]: group {g} lacks {key}")
+        if e["specDeposits"] != e["specHits"] + e["specReclaims"]:
+            fail(
+                f"runs[{i}]: {g}.specDeposits {e['specDeposits']} != "
+                f"specHits {e['specHits']} + specReclaims "
+                f"{e['specReclaims']}"
+            )
+    return engines
+
+
 def check_attribution_group(groups, i):
     """The --attribution group (prefetch provenance + lineage)."""
     g = groups.get("attribution")
@@ -171,11 +199,8 @@ def check_observability_groups(groups, i):
         fail(f"runs[{i}]: timeline recorded no events")
 
 
-def main():
-    if len(sys.argv) != 2:
-        fail("usage: check_stats_json.py <fig18-binary>")
-    bench = sys.argv[1]
-
+def run_point(bench, extra):
+    """Run the fig18 point with @extra flags; return the stats doc."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "stats.json")
         trace = os.path.join(tmp, "trace.json")
@@ -190,6 +215,7 @@ def main():
             "--attribution",
             f"--timeline={trace}",
             f"--stats-json={out}",
+            *extra,
         ]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=600
@@ -201,28 +227,49 @@ def main():
             )
         try:
             with open(out) as f:
-                doc = json.load(f)
+                return json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             fail(f"cannot parse {out}: {e}")
 
+
+def check_doc(doc, label):
+    """Validate one stats document; return its engine-group totals."""
     if doc.get("schema") != "minnow-bench-stats-1":
-        fail("top-level schema != minnow-bench-stats-1")
+        fail(f"{label}: top-level schema != minnow-bench-stats-1")
     runs = doc.get("runs")
     if not isinstance(runs, list) or not runs:
-        fail("runs missing or empty")
+        fail(f"{label}: runs missing or empty")
 
     saw_pf = False
+    totals = {"dequeueBundleTasks": 0, "specDeposits": 0}
     for i, run in enumerate(runs):
         groups = check_run_entry(run, i)
+        for g in check_spec_conservation(groups, i):
+            for key in totals:
+                totals[key] += groups[g].get(key, 0)
         if run["config"] == "minnow-pf":
             saw_pf = True
             check_minnow_pf_groups(groups, i)
             check_observability_groups(groups, i)
             check_attribution_group(groups, i)
     if not saw_pf:
-        fail("no minnow-pf run in the sweep output")
+        fail(f"{label}: no minnow-pf run in the sweep output")
+    return len(runs), totals
 
-    print(f"check_stats_json: OK ({len(runs)} runs validated)")
+
+def main():
+    if len(sys.argv) != 2:
+        fail("usage: check_stats_json.py <fig18-binary>")
+    bench = sys.argv[1]
+
+    nruns, _ = check_doc(run_point(bench, []), "default")
+    bundled = ["--dequeue-batch=4", "--spec-slot"]
+    nb, totals = check_doc(run_point(bench, bundled), " ".join(bundled))
+    for key, total in totals.items():
+        if total <= 0:
+            fail(f"{' '.join(bundled)}: no engine recorded {key}")
+
+    print(f"check_stats_json: OK ({nruns} + {nb} runs validated)")
 
 
 if __name__ == "__main__":

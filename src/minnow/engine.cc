@@ -146,7 +146,6 @@ MinnowEngine::MinnowEngine(runtime::Machine *machine, CoreId core,
     creditWaiters_.reserve(params_.prefetchCredits);
     pendingPrefetch_.reserve(params_.localQueueEntries);
     blockedWorkers_.reserve(8);
-    pushBufs_.resize(std::max(1u, params_.coresPerEngine));
 
     registerStats();
 
@@ -257,7 +256,7 @@ MinnowEngine::registerStats()
           &EngineStats::dequeueLocalHits);
     count("dequeueBlocks", "dequeues that blocked the core",
           &EngineStats::dequeueBlocks);
-    count("spillsSpawned", "spill threadlets spawned",
+    count("spillsSpawned", "tasks sent to the spill drain",
           &EngineStats::spillsSpawned);
     count("fillBatches", "fill-daemon batches pulled",
           &EngineStats::fillBatches);
@@ -295,14 +294,6 @@ MinnowEngine::registerStats()
           &EngineStats::creditsLost);
     count("dequeueBundleTasks", "tasks returned in dequeue bundles",
           &EngineStats::dequeueBundleTasks);
-    count("pushFlushes", "buffered push-batch flushes",
-          &EngineStats::pushFlushes);
-    count("pushedBatched", "tasks moved by buffered push flushes",
-          &EngineStats::pushedBatched);
-    count("creditFlushes", "buffered credit-return flushes",
-          &EngineStats::creditFlushes);
-    count("creditsBatched", "credit returns coalesced into batches",
-          &EngineStats::creditsBatched);
     count("creditHandoffs", "credit returns handed straight to a"
           " waiter", &EngineStats::creditHandoffs);
     count("specDeposits", "speculative task deliveries launched"
@@ -448,32 +439,12 @@ MinnowEngine::creditReturn(bool used)
     // Injected credit starvation: the return message is lost and the
     // pool shrinks until the fault window closes. Waiting threadlets
     // stay parked; prefetching degrades, the worklist path (its own
-    // virtual-queue share) is untouched. The fault draw stays here,
-    // per return and before batching, so the injector's RNG stream
-    // is identical at every --push-batch setting.
+    // virtual-queue share) is untouched.
     if (machine_->faults &&
         machine_->faults->swallowCreditReturn(core_)) {
         stats_.creditsLost += 1;
         return;
     }
-    if (params_.pushBatch > 1) {
-        creditPending_ += 1;
-        stats_.creditsBatched += 1;
-        if (creditPending_ >= params_.pushBatch) {
-            flushCredits();
-        } else if (!creditDeadlineArmed_) {
-            creditDeadlineArmed_ = true;
-            adoptThreadlet(creditDeadline(
-                creditSeq_, eq_.now() + pushFlushCycles()));
-        }
-        return;
-    }
-    creditDeliver(used);
-}
-
-void
-MinnowEngine::creditDeliver(bool used)
-{
     DPRINTF(Credit, "credit", "[%u] return (%s), free=%u waiters=%zu",
             core_, used ? "used" : "unused", creditsFree_,
             creditWaiters_.size());
@@ -502,27 +473,6 @@ MinnowEngine::creditDeliver(bool used)
                  "credit pool overflow");
     }
     tlCredits();
-}
-
-void
-MinnowEngine::flushCredits()
-{
-    creditSeq_ += 1; // cancels any armed deadline flush.
-    creditDeadlineArmed_ = false;
-    stats_.creditFlushes += 1;
-    std::uint32_t n = creditPending_;
-    creditPending_ = 0;
-    for (std::uint32_t i = 0; i < n; ++i)
-        creditDeliver(false);
-}
-
-CoTask<void>
-MinnowEngine::creditDeadline(std::uint64_t seq, Cycle when)
-{
-    co_await WaitAt{&eq_, when};
-    if (creditSeq_ != seq)
-        co_return; // a size-triggered flush beat us.
-    flushCredits();
 }
 
 void
@@ -889,17 +839,6 @@ MinnowEngine::rescueLocalTasks()
         spillBuf_.pop_front();
         ++n;
     }
-    // Buffered pushes (--push-batch) were booked pending-private at
-    // their call sites; route them with the rest of the queue.
-    for (PushBuf &pb : pushBufs_) {
-        pb.seq += 1; // cancels any armed deadline flush.
-        pb.deadlineArmed = false;
-        for (const WorkItem &item : pb.items) {
-            global_->pushInitial(item);
-            ++n;
-        }
-        pb.items.clear();
-    }
     // Spec slots (--spec-slot): reclaim deposited tasks and
     // invalidate in-flight deposits (those reclaim themselves on
     // arrival when they see the bumped sequence).
@@ -907,10 +846,7 @@ MinnowEngine::rescueLocalTasks()
         spec_[i].seq += 1;
         cpu::OooCore &oc = *machine_->cores[core_ + i];
         if (oc.specSlot().valid) {
-            const cpu::SpecTaskSlot &s = oc.specSlot();
-            global_->pushInitial(
-                WorkItem{s.priority, s.payload, s.lineage});
-            oc.specInvalidate();
+            global_->pushInitial(takeSpecSlot(oc));
             stats_.specReclaims += 1;
             ++n;
             if (machine_->timeline) {
@@ -977,102 +913,10 @@ MinnowEngine::enqueue(SimContext &ctx, WorkItem item)
     stats_.enqueues += 1;
     ctx.compute(2);
     machine_->monitor.addWork(1, false);
-    if (params_.pushBatch > 1) {
-        // Coalesce into the per-core buffer; the flush (on size or
-        // deadline) moves the whole batch in one engine message.
-        bufferPush(ctx.id(), item);
-        co_await ctx.sync();
-        co_return;
-    }
     Cycle arrive = std::max(ctx.now() + params_.localQueueLatency,
                             eq_.now());
     adoptThreadlet(enqueueArrival(item, arrive));
     co_await ctx.sync();
-}
-
-void
-MinnowEngine::bufferPush(CoreId c, WorkItem item)
-{
-    PushBuf &pb = pushBufs_[pushIdx(c)];
-    pb.items.push_back(item);
-    if (pb.items.size() >= params_.pushBatch) {
-        flushPushBuf(c);
-        return;
-    }
-    if (!pb.deadlineArmed) {
-        pb.deadlineArmed = true;
-        adoptThreadlet(pushDeadline(
-            pushIdx(c), pb.seq,
-            eq_.now() + pushFlushCycles()));
-    }
-}
-
-void
-MinnowEngine::flushPushBuf(CoreId c)
-{
-    if (pushBufs_.empty())
-        return;
-    PushBuf &pb = pushBufs_[pushIdx(c)];
-    if (pb.items.empty())
-        return;
-    pb.seq += 1; // cancels any armed deadline flush.
-    pb.deadlineArmed = false;
-    stats_.pushFlushes += 1;
-    stats_.pushedBatched += pb.items.size();
-    Cycle arrive = eq_.now() + params_.localQueueLatency;
-    std::vector<WorkItem> items;
-    items.swap(pb.items);
-    adoptThreadlet(enqueueArrivalBatch(std::move(items), arrive));
-}
-
-CoTask<void>
-MinnowEngine::pushDeadline(std::uint32_t idx, std::uint64_t seq,
-                           Cycle when)
-{
-    co_await WaitAt{&eq_, when};
-    if (pushBufs_[idx].seq != seq)
-        co_return; // a size-triggered flush beat us.
-    flushPushBuf(core_ + idx);
-}
-
-CoTask<void>
-MinnowEngine::enqueueArrivalBatch(std::vector<WorkItem> items,
-                                  Cycle when)
-{
-    co_await WaitAt{&eq_, when};
-    if (faulted()) {
-        // Same routing as the single-item arrival: the tasks were
-        // booked pending-private; making them stealable in the
-        // global queue keeps the accounting exact.
-        global_->pushInitialBatch(items);
-        stats_.tasksRescued += items.size();
-        machine_->monitor.transferWork(items.size(), true);
-        co_return;
-    }
-    bool spilled = false;
-    for (const WorkItem &item : items) {
-        std::int64_t bucket = global_->bucketOf(item);
-        bool acceptLocal =
-            localQ_.size() + localReserved_ <
-                params_.localQueueEntries &&
-            (localQ_.empty() || bucket <= localBucket_);
-        if (acceptLocal) {
-            if (localQ_.empty() || bucket < localBucket_)
-                localBucket_ = bucket;
-            insertLocal(item);
-        } else {
-            stats_.spillsSpawned += 1;
-            spillBuf_.push_back(item);
-            spilled = true;
-        }
-    }
-    deliverToBlocked();
-    if (spilled && !spillDrainActive_) {
-        spillDrainActive_ = true;
-        co_await PoolAcquire{&threadletSlotsFree_,
-                             &threadletSlotWaiters_, nullptr};
-        adoptThreadlet(spillDrainThreadlet());
-    }
 }
 
 CoTask<void>
@@ -1106,16 +950,22 @@ MinnowEngine::enqueueArrival(WorkItem item, Cycle when)
         deliverToBlocked();
         co_return;
     }
-    // Spill to the global worklist via a threadlet (Fig. 12). The
-    // buffer lets one threadlet drain bursts with amortized atomics.
-    stats_.spillsSpawned += 1;
     spillBuf_.push_back(item);
-    if (!spillDrainActive_) {
-        spillDrainActive_ = true;
-        co_await PoolAcquire{&threadletSlotsFree_,
-                             &threadletSlotWaiters_, nullptr};
-        adoptThreadlet(spillDrainThreadlet());
-    }
+    co_await startSpill(1);
+}
+
+CoTask<void>
+MinnowEngine::startSpill(std::uint64_t n)
+{
+    // The buffer lets one threadlet drain bursts with amortized
+    // atomics.
+    stats_.spillsSpawned += n;
+    if (spillDrainActive_)
+        co_return;
+    spillDrainActive_ = true;
+    co_await PoolAcquire{&threadletSlotsFree_, &threadletSlotWaiters_,
+                         nullptr};
+    adoptThreadlet(spillDrainThreadlet());
 }
 
 CoTask<void>
@@ -1169,21 +1019,27 @@ struct BlockAwait
 
 } // anonymous namespace
 
-CoTask<std::optional<WorkItem>>
-MinnowEngine::dequeue(SimContext &ctx)
+WorkItem
+MinnowEngine::takeSpecSlot(cpu::OooCore &oc)
+{
+    const cpu::SpecTaskSlot &s = oc.specSlot();
+    WorkItem item{s.priority, s.payload, s.lineage};
+    oc.specInvalidate();
+    return item;
+}
+
+CoTask<std::uint32_t>
+MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
+                      std::uint32_t max)
 {
     PhaseGuard guard(ctx, cpu::Phase::Worklist);
-    // Fence: buffered pushes must reach the engine before the pop
-    // doorbell, or a core's own just-pushed task could be invisible
-    // to its dequeue (no-op unless --push-batch buffered anything).
-    flushPushBuf(ctx.id());
+    // Bundle accounting: a single-task pop is not a bundle.
+    const bool bundled = max > 1;
     // Speculative slot (--spec-slot): the engine may have deposited
     // the next task core-side already — then the pop is a handful
     // of local instructions, no engine round-trip at all.
     if (params_.specSlot && ctx.core().specSlot().valid) {
-        const cpu::SpecTaskSlot &s = ctx.core().specSlot();
-        WorkItem item{s.priority, s.payload, s.lineage};
-        ctx.core().specInvalidate();
+        out.push_back(takeSpecSlot(ctx.core()));
         stats_.dequeues += 1;
         stats_.specHits += 1;
         machine_->monitor.takeWork(1, false);
@@ -1195,39 +1051,42 @@ MinnowEngine::dequeue(SimContext &ctx)
         // the engine refills the slot when it lands.
         adoptThreadlet(specConsumedTask(
             eq_.now() + params_.localQueueLatency));
-        co_return item;
+        co_return 1;
     }
     stats_.dequeues += 1;
     ctx.compute(1);
     Cycle dqStart = ctx.now();
-    Cycle t = ctx.now() + params_.localQueueLatency;
-    co_await ctx.waitUntil(t);
+    co_await ctx.waitUntil(dqStart + params_.localQueueLatency);
     ctx.core().idleUntil(eq_.now());
     stats_.dqDoorbellCycles += params_.localQueueLatency;
 
     if (faulted()) {
         // Killed or stalled engine: degrade to the software
         // worklist path (the baseline scheduler).
-        co_return co_await dequeueFallback(ctx, dqStart);
+        co_return co_await dequeueFallback(ctx, out, dqStart);
     }
 
     if (!localQ_.empty()) {
+        // One round-trip, up to max tasks off the local-queue head.
         stats_.dequeueLocalHits += 1;
-        WorkItem item = popLocal();
-        DPRINTF(Engine, "engine", "[%u] dequeue hit payload=%llu",
-                core_, (unsigned long long)item.payload);
+        std::uint32_t got = 0;
+        do {
+            out.push_back(popLocal());
+            ++got;
+        } while (got < max && !localQ_.empty());
+        if (bundled)
+            stats_.dequeueBundleTasks += got;
+        DPRINTF(Engine, "engine", "[%u] dequeue hit n=%u", core_, got);
         dequeueLatencyHist_->sample(eq_.now() - dqStart);
         trySpecDeposit();
-        co_return item;
+        co_return got;
     }
     if (params_.specSlot && ctx.core().specSlot().valid) {
         // A deposit landed while our pop doorbell was in flight (the
         // core checked the slot before sending it). Consume it here
         // instead of parking — parking would strand both the task
         // (core-side, valid) and the worker (engine-side, blocked).
-        const cpu::SpecTaskSlot &s = ctx.core().specSlot();
-        WorkItem item{s.priority, s.payload, s.lineage};
-        ctx.core().specInvalidate();
+        out.push_back(takeSpecSlot(ctx.core()));
         stats_.specHits += 1;
         machine_->monitor.takeWork(1, false);
         co_await ctx.waitUntil(eq_.now() +
@@ -1235,18 +1094,20 @@ MinnowEngine::dequeue(SimContext &ctx)
         ctx.core().idleUntil(eq_.now());
         dequeueLatencyHist_->sample(eq_.now() - dqStart);
         stats_.dqDeliverCycles += params_.localQueueLatency;
-        co_return item;
+        if (bundled)
+            stats_.dequeueBundleTasks += 1;
+        co_return 1;
     }
     DPRINTF(Engine, "engine", "[%u] dequeue blocks", core_);
     if (machine_->monitor.terminated())
-        co_return std::nullopt;
+        co_return 0;
 
     // Block until the engine delivers a task or the run terminates.
     stats_.dequeueBlocks += 1;
     ctx.core().setPhase(cpu::Phase::Idle);
     machine_->monitor.enterIdle();
     if (machine_->monitor.terminated())
-        co_return std::nullopt;
+        co_return 0;
     nudgeDaemon();
 
     std::optional<WorkItem> slot;
@@ -1261,119 +1122,7 @@ MinnowEngine::dequeue(SimContext &ctx)
         // Released by fault injection, not termination: this worker
         // rejoins the run on the software worklist path.
         machine_->monitor.exitIdle();
-        co_return co_await dequeueFallback(ctx, dqStart);
-    }
-    if (slot) {
-        Cycle total = eq_.now() - dqStart;
-        dequeueLatencyHist_->sample(total);
-        stats_.dqDeliverCycles += params_.localQueueLatency;
-        if (total >= 2 * Cycle(params_.localQueueLatency))
-            stats_.dqWaitCycles +=
-                total - 2 * Cycle(params_.localQueueLatency);
-    }
-    co_return slot;
-}
-
-CoTask<std::uint32_t>
-MinnowEngine::dequeueBatch(SimContext &ctx,
-                           std::vector<WorkItem> &out,
-                           std::uint32_t max)
-{
-    PhaseGuard guard(ctx, cpu::Phase::Worklist);
-    if (max == 0)
-        max = 1;
-    flushPushBuf(ctx.id()); // same fence as dequeue().
-    if (params_.specSlot && ctx.core().specSlot().valid) {
-        const cpu::SpecTaskSlot &s = ctx.core().specSlot();
-        WorkItem item{s.priority, s.payload, s.lineage};
-        ctx.core().specInvalidate();
-        stats_.dequeues += 1;
-        stats_.specHits += 1;
-        machine_->monitor.takeWork(1, false);
-        ctx.compute(2);
-        Cycle specStart = ctx.now();
-        co_await ctx.sync();
-        dequeueLatencyHist_->sample(ctx.now() - specStart);
-        adoptThreadlet(specConsumedTask(
-            eq_.now() + params_.localQueueLatency));
-        out.push_back(item);
-        co_return 1;
-    }
-    stats_.dequeues += 1;
-    ctx.compute(1);
-    Cycle dqStart = ctx.now();
-    co_await ctx.waitUntil(dqStart + params_.localQueueLatency);
-    ctx.core().idleUntil(eq_.now());
-    stats_.dqDoorbellCycles += params_.localQueueLatency;
-
-    if (faulted()) {
-        std::optional<WorkItem> one =
-            co_await dequeueFallback(ctx, dqStart);
-        if (!one)
-            co_return 0;
-        out.push_back(*one);
-        co_return 1;
-    }
-
-    if (!localQ_.empty()) {
-        // One round-trip, up to max tasks off the local-queue head.
-        stats_.dequeueLocalHits += 1;
-        std::uint32_t got = 0;
-        while (got < max && !localQ_.empty()) {
-            out.push_back(popLocal());
-            ++got;
-        }
-        stats_.dequeueBundleTasks += got;
-        DPRINTF(Engine, "engine", "[%u] dequeue bundle n=%u",
-                core_, got);
-        dequeueLatencyHist_->sample(eq_.now() - dqStart);
-        trySpecDeposit();
-        co_return got;
-    }
-    if (params_.specSlot && ctx.core().specSlot().valid) {
-        // Same doorbell/deposit race as dequeue(): consume the slot
-        // rather than parking under a valid deposit.
-        const cpu::SpecTaskSlot &s = ctx.core().specSlot();
-        WorkItem item{s.priority, s.payload, s.lineage};
-        ctx.core().specInvalidate();
-        stats_.specHits += 1;
-        machine_->monitor.takeWork(1, false);
-        co_await ctx.waitUntil(eq_.now() +
-                               params_.localQueueLatency);
-        ctx.core().idleUntil(eq_.now());
-        dequeueLatencyHist_->sample(eq_.now() - dqStart);
-        stats_.dqDeliverCycles += params_.localQueueLatency;
-        out.push_back(item);
-        stats_.dequeueBundleTasks += 1;
-        co_return 1;
-    }
-    DPRINTF(Engine, "engine", "[%u] dequeue blocks", core_);
-    if (machine_->monitor.terminated())
-        co_return 0;
-
-    stats_.dequeueBlocks += 1;
-    ctx.core().setPhase(cpu::Phase::Idle);
-    machine_->monitor.enterIdle();
-    if (machine_->monitor.terminated())
-        co_return 0;
-    nudgeDaemon();
-
-    std::optional<WorkItem> slot;
-    co_await BlockAwait{this, &slot,
-                        [](MinnowEngine *eng,
-                           std::coroutine_handle<> h,
-                           std::optional<WorkItem> *s) {
-                            eng->blockedWorkers_.push_back({h, s});
-                        }};
-    ctx.core().idleUntil(eq_.now());
-    if (!slot && !machine_->monitor.terminated()) {
-        machine_->monitor.exitIdle();
-        std::optional<WorkItem> one =
-            co_await dequeueFallback(ctx, dqStart);
-        if (!one)
-            co_return 0;
-        out.push_back(*one);
-        co_return 1;
+        co_return co_await dequeueFallback(ctx, out, dqStart);
     }
     if (!slot)
         co_return 0;
@@ -1384,22 +1133,24 @@ MinnowEngine::dequeueBatch(SimContext &ctx,
         stats_.dqWaitCycles +=
             total - 2 * Cycle(params_.localQueueLatency);
     out.push_back(*slot);
-    stats_.dequeueBundleTasks += 1;
+    if (bundled)
+        stats_.dequeueBundleTasks += 1;
     co_return 1;
 }
 
-CoTask<std::optional<WorkItem>>
-MinnowEngine::dequeueFallback(SimContext &ctx, Cycle dqStart)
+CoTask<std::uint32_t>
+MinnowEngine::dequeueFallback(SimContext &ctx,
+                              std::vector<WorkItem> &out, Cycle dqStart)
 {
     runtime::WorkMonitor &mon = machine_->monitor;
     for (;;) {
         if (mon.terminated())
-            co_return std::nullopt;
+            co_return 0;
         if (!faulted()) {
             // The engine recovered while we were on the software
             // path: go back through the accelerator interface (it
             // may hold freshly filled tasks for us).
-            co_return co_await dequeue(ctx);
+            co_return co_await dequeue(ctx, out, 1);
         }
         if (global_->size() > 0) {
             WorkItem item;
@@ -1410,7 +1161,8 @@ MinnowEngine::dequeueFallback(SimContext &ctx, Cycle dqStart)
                 stats_.fallbackPops += 1;
                 dequeueLatencyHist_->sample(eq_.now() -
                                             dqStart);
-                co_return item;
+                out.push_back(item);
+                co_return 1;
             }
             continue;
         }
@@ -1426,7 +1178,7 @@ MinnowEngine::dequeueFallback(SimContext &ctx, Cycle dqStart)
         ctx.core().idleUntil(eq_.now());
         ctx.core().setPhase(cpu::Phase::Worklist);
         if (!more)
-            co_return std::nullopt;
+            co_return 0;
     }
 }
 
@@ -1434,31 +1186,17 @@ CoTask<void>
 MinnowEngine::flush(SimContext &ctx)
 {
     PhaseGuard guard(ctx, cpu::Phase::Worklist);
-    flushPushBuf(ctx.id()); // buffered pushes spill with the rest.
     co_await ctx.waitUntil(ctx.now() + params_.localQueueLatency);
     ctx.core().idleUntil(eq_.now());
-    while (!localQ_.empty()) {
-        WorkItem item = localQ_.front();
-        localQ_.pop_front();
-        co_await PoolAcquire{&threadletSlotsFree_,
-                             &threadletSlotWaiters_, nullptr};
-        adoptThreadlet(spillThreadlet(item));
-    }
+    std::uint64_t n = localQ_.size();
+    spillBuf_.insert(spillBuf_.end(), localQ_.begin(), localQ_.end());
+    localQ_.clear();
     localBucket_ = MinnowGlobalQueue::kNoBucket;
+    if (n > 0)
+        co_await startSpill(n);
 }
 
 // ---- Threadlet programs ----
-
-CoTask<void>
-MinnowEngine::spillThreadlet(WorkItem item)
-{
-    TlSpan tlspan(this, timeline::Name::Spill);
-    ThreadletCtx tc(this, eq_.now());
-    tc.exec(4);
-    co_await global_->spill(tc, item);
-    machine_->monitor.transferWork(1, true);
-    releaseThreadletSlot();
-}
 
 CoTask<void>
 MinnowEngine::fillDaemon()
@@ -1571,14 +1309,7 @@ MinnowEngine::fillDaemon()
                     spillBuf_.push_back(localQ_.back());
                     localQ_.pop_back();
                 }
-                stats_.spillsSpawned += excess;
-                if (!spillDrainActive_) {
-                    spillDrainActive_ = true;
-                    co_await PoolAcquire{&threadletSlotsFree_,
-                                         &threadletSlotWaiters_,
-                                         nullptr};
-                    adoptThreadlet(spillDrainThreadlet());
-                }
+                co_await startSpill(excess);
                 continue;
             }
             // Local queue is healthy: hand any monitor wakeup we
@@ -1842,16 +1573,6 @@ MinnowEngine::checkpoint(ckpt::Ckpt &ck)
     ck.io(prefetchWindow_);
     ck.io(spillBuf_);
     ck.io(spillDrainActive_);
-    std::uint64_t npb = pushBufs_.size();
-    ck.io(npb);
-    for (PushBuf &pb : pushBufs_) {
-        ck.io(pb.items);
-        ck.io(pb.seq);
-        ck.io(pb.deadlineArmed);
-    }
-    ck.io(creditPending_);
-    ck.io(creditSeq_);
-    ck.io(creditDeadlineArmed_);
     ck.io(spec_);
     ck.io(specNext_);
     ck.io(stats_);

@@ -104,7 +104,7 @@ struct EngineStats
     std::uint64_t dequeues = 0;
     std::uint64_t dequeueLocalHits = 0; //!< served from local queue.
     std::uint64_t dequeueBlocks = 0;    //!< core had to wait.
-    std::uint64_t spillsSpawned = 0;
+    std::uint64_t spillsSpawned = 0;    //!< tasks sent to spillBuf_.
     std::uint64_t fillBatches = 0;
     std::uint64_t itemsFilled = 0;
     std::uint64_t prefetchTasks = 0;
@@ -126,13 +126,9 @@ struct EngineStats
     std::uint64_t prefetchDropped = 0; //!< injected prefetch drops.
     std::uint64_t creditsLost = 0;     //!< injected lost returns.
 
-    // Round-trip batching (--dequeue-batch / --push-batch) and the
-    // speculative core-side slot (--spec-slot).
-    std::uint64_t dequeueBundleTasks = 0; //!< tasks in pop bundles.
-    std::uint64_t pushFlushes = 0;    //!< buffered push flushes.
-    std::uint64_t pushedBatched = 0;  //!< tasks those flushes moved.
-    std::uint64_t creditFlushes = 0;  //!< buffered credit flushes.
-    std::uint64_t creditsBatched = 0; //!< credit returns coalesced.
+    // Dequeue bundling (--dequeue-batch) and the speculative
+    // core-side slot (--spec-slot).
+    std::uint64_t dequeueBundleTasks = 0; //!< tasks in k>1 bundles.
     std::uint64_t creditHandoffs = 0; //!< returns given to a waiter.
     std::uint64_t specDeposits = 0;   //!< spec deliveries launched.
     std::uint64_t specHits = 0;       //!< pops served by deliveries.
@@ -167,22 +163,16 @@ class MinnowEngine
                                   WorkItem item);
 
     /**
-     * minnow_dequeue: pop the next task; blocks until one arrives
-     * or global termination, which yields nullopt.
-     */
-    runtime::CoTask<std::optional<WorkItem>>
-    dequeue(runtime::SimContext &ctx);
-
-    /**
-     * minnow_dequeue with bundling (--dequeue-batch): pop up to
-     * @p max tasks in one core<->engine round-trip, appended to
-     * @p out. The bundle is drawn from the local-queue head, so it
-     * carries the same one-bucket priority slack a chunked OBIM
-     * has. Returns the bundle size; 0 means global termination.
+     * minnow_dequeue: pop up to @p max tasks (at least 1) in one
+     * core<->engine round-trip, appended to @p out; blocks until
+     * one arrives or global termination. A bundle (--dequeue-batch)
+     * is drawn from the local-queue head, so it carries the same
+     * one-bucket priority slack a chunked OBIM has. Returns the
+     * number of tasks appended; 0 means global termination.
      */
     runtime::CoTask<std::uint32_t>
-    dequeueBatch(runtime::SimContext &ctx, std::vector<WorkItem> &out,
-                 std::uint32_t max);
+    dequeue(runtime::SimContext &ctx, std::vector<WorkItem> &out,
+            std::uint32_t max);
 
     /** minnow_flush: spill the whole local queue (context switch). */
     runtime::CoTask<void> flush(runtime::SimContext &ctx);
@@ -217,7 +207,10 @@ class MinnowEngine
     /** Termination hook: release a blocked core with nullopt. */
     void onTerminate();
 
-    /** Credit return from the L2 (via MemorySystem hook). */
+    /**
+     * Credit return from the L2 (via MemorySystem hook): hand the
+     * credit to a parked waiter or return it to the pool.
+     */
     void creditReturn(bool used);
 
     // ---- Fault injection (sim/fault.hh) ----
@@ -249,7 +242,7 @@ class MinnowEngine
 
     /**
      * Witness serialization of the engine's deterministic state:
-     * local queue, resource pools, batching buffers, spec slots and
+     * local queue, resource pools, spill buffer, spec slots and
      * counters, in a fixed order. Save-only (coroutine state is
      * rebuilt by deterministic replay; restore validates by
      * re-serializing and comparing CRCs — DESIGN.md section 5i).
@@ -360,45 +353,6 @@ class MinnowEngine
     /** Front-end FSM: enqueue decision at accelerator-call arrival. */
     runtime::CoTask<void> enqueueArrival(WorkItem item, Cycle when);
 
-    // ---- Push/credit-return coalescing (--push-batch > 1) ----
-
-    /** Cycles a partially-filled push buffer may age before flush. */
-    Cycle
-    pushFlushCycles() const
-    {
-        return Cycle(4) * params_.localQueueLatency;
-    }
-
-    /** Push-buffer index of worker core @p c (shared engines). */
-    std::uint32_t pushIdx(CoreId c) const { return c - core_; }
-
-    /** Buffer one push; flush on size, else arm the deadline. */
-    void bufferPush(CoreId c, WorkItem item);
-
-    /** Flush core @p c's push buffer to the engine front-end. */
-    void flushPushBuf(CoreId c);
-
-    /** One-shot deadline flush for an aging push buffer. */
-    runtime::CoTask<void> pushDeadline(std::uint32_t idx,
-                                       std::uint64_t seq, Cycle when);
-
-    /** Batched front-end arrival: the whole buffer in one message. */
-    runtime::CoTask<void>
-    enqueueArrivalBatch(std::vector<WorkItem> items, Cycle when);
-
-    /** Deliver all batched credit returns to the pool/waiters. */
-    void flushCredits();
-
-    /** One-shot deadline flush for aging batched credits. */
-    runtime::CoTask<void> creditDeadline(std::uint64_t seq,
-                                         Cycle when);
-
-    /**
-     * Deliver one credit: hand it to a parked waiter or return it
-     * to the pool, emitting the counter/handoff instrumentation.
-     */
-    void creditDeliver(bool used);
-
     // ---- Speculative next-task delivery (--spec-slot) ----
 
     /** Deposit local-queue heads into free attached-core slots. */
@@ -412,17 +366,23 @@ class MinnowEngine
     /** Slot-consumed notification arriving back at the engine. */
     runtime::CoTask<void> specConsumedTask(Cycle when);
 
+    /** Take the task out of @p oc's spec slot (which must be valid). */
+    static WorkItem takeSpecSlot(cpu::OooCore &oc);
+
     // ---- Fault machinery ----
 
     /** Waits until the clause fires, then kills/stalls the engine. */
     runtime::CoTask<void> faultTask(FaultClause clause);
 
     /**
-     * Degraded-mode dequeue: pop the software global queue directly,
-     * re-entering the accelerator path if the engine recovers.
+     * Degraded-mode dequeue: pop one task off the software global
+     * queue directly into @p out, re-entering the accelerator path
+     * (with max = 1) if the engine recovers. Returns dequeue()'s
+     * count.
      */
-    runtime::CoTask<std::optional<WorkItem>>
-    dequeueFallback(runtime::SimContext &ctx, Cycle dqStart);
+    runtime::CoTask<std::uint32_t>
+    dequeueFallback(runtime::SimContext &ctx, std::vector<WorkItem> &out,
+                    Cycle dqStart);
 
     /**
      * Flush local + spill-buffered tasks to the global queue (they
@@ -433,8 +393,14 @@ class MinnowEngine
     /** Stall-window end: flush anything that leaked in, wake up. */
     void recoverFromStall();
 
+    /**
+     * Spill to the global worklist (Fig. 12): count the @p n tasks
+     * the caller just appended to spillBuf_ and start the drain
+     * threadlet unless one is already running.
+     */
+    runtime::CoTask<void> startSpill(std::uint64_t n);
+
     // Threadlet programs.
-    runtime::CoTask<void> spillThreadlet(WorkItem item);
     runtime::CoTask<void> spillDrainThreadlet();
     runtime::CoTask<void> fillDaemon();
     runtime::CoTask<void> prefetchTaskThreadlet(WorkItem item,
@@ -505,26 +471,11 @@ class MinnowEngine
     std::uint32_t activePrefetchTasks_ = 0;
     std::uint32_t prefetchWindow_ = 8;
 
-    // Spill coalescing: enqueue overflow accumulates here and one
-    // drain threadlet pushes it to the global queue in same-bucket
-    // batches.
+    // The one spill path: enqueue overflow, work sharing and
+    // minnow_flush accumulate here and one drain threadlet pushes it
+    // to the global queue in same-bucket batches.
     std::deque<WorkItem> spillBuf_;
     bool spillDrainActive_ = false;
-
-    // Push coalescing (--push-batch > 1): one buffer per attached
-    // core; seq cancels a stale deadline flush after a size-
-    // triggered one already ran. Credits batch engine-wide (the
-    // credit pool is per-engine, not per-core).
-    struct PushBuf
-    {
-        std::vector<WorkItem> items;
-        std::uint64_t seq = 0;
-        bool deadlineArmed = false;
-    };
-    std::vector<PushBuf> pushBufs_;
-    std::uint32_t creditPending_ = 0;
-    std::uint64_t creditSeq_ = 0;
-    bool creditDeadlineArmed_ = false;
 
     // Speculative delivery (--spec-slot): per active attached core,
     // whether a deposit is in flight and the invalidation sequence

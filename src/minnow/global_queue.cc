@@ -58,21 +58,6 @@ MinnowGlobalQueue::pushInitial(WorkItem item)
     size_ += 1;
 }
 
-void
-MinnowGlobalQueue::pushInitialBatch(const std::vector<WorkItem> &items)
-{
-    for (const WorkItem &item : items)
-        pushInitial(item);
-}
-
-CoTask<void>
-MinnowGlobalQueue::spill(ThreadletCtx &tc, WorkItem item)
-{
-    std::vector<WorkItem> one{item};
-    co_await spillBatch(tc, one, bucketOf(item),
-                        tc.engine().coreId() % packages_);
-}
-
 CoTask<void>
 MinnowGlobalQueue::spillBatch(ThreadletCtx &tc,
                               const std::vector<WorkItem> &items,

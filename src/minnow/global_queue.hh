@@ -64,19 +64,11 @@ class MinnowGlobalQueue
     /** Functional-only seeding before simulated time starts. */
     void pushInitial(WorkItem item);
 
-    /** Functional batch variant of pushInitial (rescue paths). */
-    void pushInitialBatch(const std::vector<WorkItem> &items);
-
     /**
-     * Timed spill of one task, executed by an engine threadlet.
+     * Timed spill of a batch of same-bucket tasks, executed by an
+     * engine threadlet: one map probe and one head atomic amortized
+     * over the whole batch (the grouped operations of Section 5.2).
      * The monitor transfer to "stealable" is the caller's job.
-     */
-    runtime::CoTask<void> spill(ThreadletCtx &tc, WorkItem item);
-
-    /**
-     * Timed spill of a batch of same-bucket tasks: one map probe and
-     * one head atomic amortized over the whole batch (the grouped
-     * operations of Section 5.2).
      */
     runtime::CoTask<void> spillBatch(ThreadletCtx &tc,
                                      const std::vector<WorkItem> &items,

@@ -168,10 +168,6 @@ MinnowSystem::totals() const
         t.prefetchDropped += s.prefetchDropped;
         t.creditsLost += s.creditsLost;
         t.dequeueBundleTasks += s.dequeueBundleTasks;
-        t.pushFlushes += s.pushFlushes;
-        t.pushedBatched += s.pushedBatched;
-        t.creditFlushes += s.creditFlushes;
-        t.creditsBatched += s.creditsBatched;
         t.creditHandoffs += s.creditHandoffs;
         t.specDeposits += s.specDeposits;
         t.specHits += s.specHits;
@@ -212,10 +208,8 @@ minnowWorker(SimContext &ctx, MinnowEngine &eng, apps::App &app,
         : timeline::kNoTrack;
     // Dequeue bundling (--dequeue-batch): one engine round-trip
     // returns up to k tasks; the rest of the bundle is consumed with
-    // a couple of local instructions per pop. k == 1 takes exactly
-    // the single-task accelerator-call path.
-    const std::uint32_t batch =
-        std::max(1u, ctx.machine().cfg.minnow.dequeueBatch);
+    // a couple of local instructions per pop.
+    const std::uint32_t batch = ctx.machine().cfg.minnow.dequeueBatch;
     std::vector<worklist::WorkItem> bundle;
     std::size_t bundleNext = 0;
     for (;;) {
@@ -226,15 +220,11 @@ minnowWorker(SimContext &ctx, MinnowEngine &eng, apps::App &app,
             item = bundle[bundleNext++];
             ctx.compute(2);
             co_await ctx.sync();
-        } else if (batch > 1) {
+        } else {
             bundle.clear();
             bundleNext = 0;
-            std::uint32_t got =
-                co_await eng.dequeueBatch(ctx, bundle, batch);
-            if (got > 0)
+            if (co_await eng.dequeue(ctx, bundle, batch) > 0)
                 item = bundle[bundleNext++];
-        } else {
-            item = co_await eng.dequeue(ctx);
         }
         if (!item)
             break;

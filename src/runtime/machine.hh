@@ -193,14 +193,23 @@ class Machine
 
     /**
      * Everything that pins a checkpoint to one machine build: the
-     * hardware description plus the fault spec/seed. A checkpoint
-     * taken under a different fingerprint is rejected (the harness
-     * then degrades to cold start).
+     * hardware description, the model-visible knobs describe() (the
+     * Table 3 printout) leaves out, and the fault spec/seed. A
+     * checkpoint taken under a different fingerprint is rejected
+     * (the harness then degrades to cold start).
      */
     std::string
     configFingerprint() const
     {
-        return cfg.describe() + "\nfaults=" + cfg.faultSpec +
+        const MinnowParams &mn = cfg.minnow;
+        return cfg.describe() +
+               "\ndequeueBatch=" + std::to_string(mn.dequeueBatch) +
+               " specSlot=" + std::to_string(mn.specSlot) +
+               " coresPerEngine=" +
+               std::to_string(mn.coresPerEngine) +
+               " workSharing=" + std::to_string(mn.workSharing) +
+               " prefetcher=" + std::to_string(int(cfg.prefetcher)) +
+               "\nfaults=" + cfg.faultSpec +
                " faultSeed=" + std::to_string(cfg.faultSeed);
     }
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Checkpoint container format "minnow-ckpt-2".
+ * Checkpoint container format "minnow-ckpt-3".
  *
  * A checkpoint is a single binary file:
  *
- *     magic        "minnow-ckpt-2\n"        (14 bytes)
+ *     magic        "minnow-ckpt-3\n"        (14 bytes)
  *     u32          section count
  *     per section:
  *       u32        name length, then name bytes
@@ -17,6 +17,10 @@
  * magic pins the version so a layout change bumps the digit and old
  * files are rejected, never misread). Version 2 changed the cache
  * array, memory directory and core frontend payloads (DESIGN.md 5m).
+ * Version 3 dropped the push/credit coalescing state from the minnow
+ * engine sections and added the offload, engine-sharing, work-
+ * sharing and hardware-prefetcher knobs to the config fingerprint
+ * (DESIGN.md 5h).
  *
  * Integrity: the trailing file CRC is verified over the whole
  * buffer BEFORE any length field is trusted, so a corrupted section
@@ -47,7 +51,7 @@ namespace minnow::ckpt
 {
 
 /** The format magic; the trailing digit is the version. */
-inline constexpr char kMagic[] = "minnow-ckpt-2\n";
+inline constexpr char kMagic[] = "minnow-ckpt-3\n";
 inline constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
 
 /** CRC-32 (IEEE 802.3, reflected 0xEDB88320), seedable for chains. */

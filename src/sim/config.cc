@@ -34,8 +34,6 @@ MachineConfig::validate() const
              "prefetching requires at least one credit");
     fatal_if(minnow.enabled && minnow.dequeueBatch == 0,
              "--dequeue-batch must be at least 1");
-    fatal_if(minnow.enabled && minnow.pushBatch == 0,
-             "--push-batch must be at least 1");
     fatal_if(watchdogInterval != 0 && watchdogChecks == 0,
              "watchdog needs at least one stale check to trip");
     fatal_if(!timelinePath.empty() && timelineBufferCap == 0,
@@ -109,8 +107,6 @@ MachineConfig::applyOptions(const Options &opts)
         opts.getUint("cores-per-engine", minnow.coresPerEngine));
     minnow.dequeueBatch = std::uint32_t(
         opts.getUint("dequeue-batch", minnow.dequeueBatch));
-    minnow.pushBatch = std::uint32_t(
-        opts.getUint("push-batch", minnow.pushBatch));
     minnow.specSlot = opts.getBool("spec-slot", minnow.specSlot);
 
     std::string pf = opts.getString("prefetcher", "");

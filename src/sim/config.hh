@@ -137,18 +137,12 @@ struct MinnowParams
     /**
      * Dequeue bundling: one core->engine round-trip returns up to
      * this many tasks (same priority relaxation as chunked OBIM —
-     * the bundle is drawn from the local-queue head). 1 = today's
-     * single-task pop, bit-for-bit.
+     * the bundle is drawn from the local-queue head). 1 = the
+     * paper's single-task pop. Every value takes the same
+     * MinnowEngine::dequeue path; bundles are counted in
+     * dequeueBundleTasks only when this exceeds 1.
      */
     std::uint32_t dequeueBatch = 1;
-
-    /**
-     * Push/credit-return coalescing: enqueues and credit returns
-     * buffer per core and flush to the engine when the buffer
-     * reaches this size or a 4x localQueueLatency deadline expires,
-     * amortizing the doorbell. 1 = unbuffered (today's behavior).
-     */
-    std::uint32_t pushBatch = 1;
 
     /**
      * Speculative next-task delivery: the engine deposits the

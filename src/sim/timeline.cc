@@ -30,7 +30,6 @@ constexpr const char *kNameStrings[std::size_t(Name::kNum)] = {
     "idle",
     "fillBatch",
     "fillDaemon",
-    "spill",
     "spillDrain",
     "prefetchTask",
     "prefetchEdge",

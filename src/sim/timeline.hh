@@ -102,7 +102,6 @@ enum class Name : std::uint16_t
     PhaseIdle,
     FillBatch,   //!< engine daemon pulled one global-queue batch.
     FillDaemon,  //!< threadlet lifetimes.
-    Spill,
     SpillDrain,
     PrefetchTask,
     PrefetchEdge,

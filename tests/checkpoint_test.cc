@@ -8,7 +8,9 @@
  */
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -160,16 +162,16 @@ TEST(CkptContainer, PayloadFlipNamesTheSection)
 TEST(CkptContainer, VersionBumpIsDiagnosed)
 {
     std::vector<std::uint8_t> buf = sampleImage();
-    // "minnow-ckpt-2\n" -> "minnow-ckpt-3\n": a future format must
+    // "minnow-ckpt-3\n" -> "minnow-ckpt-4\n": a future format must
     // be named as a version problem, not a CRC failure.
-    ASSERT_EQ(buf[ckpt::kMagicLen - 2], '2');
-    buf[ckpt::kMagicLen - 2] = '3';
+    ASSERT_EQ(buf[ckpt::kMagicLen - 2], '3');
+    buf[ckpt::kMagicLen - 2] = '4';
     refreshFileCrc(buf);
     ckpt::Reader r;
     std::string err = r.decode(buf);
     EXPECT_NE(err.find("bad magic/version"), std::string::npos)
         << err;
-    EXPECT_NE(err.find("minnow-ckpt-3"), std::string::npos) << err;
+    EXPECT_NE(err.find("minnow-ckpt-4"), std::string::npos) << err;
 }
 
 TEST(CkptContainer, SectionLengthOverrunIsBoundsChecked)
@@ -326,53 +328,79 @@ TEST(CkptMachine, DifferentConfigIsRejected)
 {
     MachineConfig mc = scaledMachine();
     mc.numCores = 2;
+    mc.minnow.enabled = true;
     runtime::Machine m(mc);
     std::string path = tmpPath("machine_cfg.ckpt");
     ASSERT_EQ(m.save(path), "");
 
-    MachineConfig other = mc;
-    other.numCores = 4;
-    runtime::Machine m2(other);
-    ckpt::Reader r;
-    std::string err = m2.restore(path, r);
-    EXPECT_NE(err.find("different machine configuration"),
-              std::string::npos)
-        << err;
+    // Each change is model-visible, so each must fail the config
+    // check — including the knobs the Table 3 describe() omits.
+    std::vector<std::pair<const char *,
+                          std::function<void(MachineConfig &)>>>
+        changes = {
+            {"cores", [](MachineConfig &c) { c.numCores = 4; }},
+            {"dequeue-batch",
+             [](MachineConfig &c) { c.minnow.dequeueBatch = 4; }},
+            {"spec-slot",
+             [](MachineConfig &c) { c.minnow.specSlot = true; }},
+            {"cores-per-engine",
+             [](MachineConfig &c) { c.minnow.coresPerEngine = 2; }},
+            {"work-sharing",
+             [](MachineConfig &c) { c.minnow.workSharing = false; }},
+            {"prefetcher",
+             [](MachineConfig &c) {
+                 c.prefetcher = PrefetcherKind::Stride;
+             }},
+        };
+    for (const auto &[name, change] : changes) {
+        MachineConfig other = mc;
+        change(other);
+        runtime::Machine m2(other);
+        ckpt::Reader r;
+        std::string err = m2.restore(path, r);
+        EXPECT_NE(err.find("different machine configuration"),
+                  std::string::npos)
+            << name << ": " << err;
+    }
     std::remove(path.c_str());
 }
 
 TEST(CkptMachine, VersionOneFileIsRejectedAndColdStarts)
 {
     // Version 1 laid out cache frames, the directory and the core
-    // frontend differently; such a file must be refused by name.
+    // frontend differently, and version 2 still carried the engine's
+    // push/credit coalescing state and a narrower config fingerprint;
+    // such files must be refused by name.
     MachineConfig mc = scaledMachine();
     mc.numCores = 2;
     runtime::Machine m(mc);
     ckpt::Writer w;
     m.checkpointSections(w);
-    std::vector<std::uint8_t> buf = w.encode();
-    buf[ckpt::kMagicLen - 2] = '1';
-    refreshFileCrc(buf);
-    std::string path = tmpPath("version1.ckpt");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f), buf.size());
-    std::fclose(f);
+    for (char version : {'1', '2'}) {
+        std::vector<std::uint8_t> buf = w.encode();
+        buf[ckpt::kMagicLen - 2] = std::uint8_t(version);
+        refreshFileCrc(buf);
+        std::string path = tmpPath("old_version.ckpt");
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(buf.data(), 1, buf.size(), f),
+                  buf.size());
+        std::fclose(f);
 
-    ckpt::Reader r;
-    std::string err = m.restore(path, r);
-    EXPECT_NE(err.find("bad magic/version 'minnow-ckpt-1"),
-              std::string::npos)
-        << err;
-    EXPECT_NE(err.find("want 'minnow-ckpt-2'"), std::string::npos)
-        << err;
+        ckpt::Reader r;
+        std::string err = m.restore(path, r);
+        std::string want = "bad magic/version 'minnow-ckpt-";
+        EXPECT_NE(err.find(want + version), std::string::npos) << err;
+        EXPECT_NE(err.find("want 'minnow-ckpt-3'"), std::string::npos)
+            << err;
 
-    // The harness warns and builds the workload cold.
-    harness::Workload wl =
-        harness::makeWorkloadWarm("sssp", 0.1, 2, path);
-    EXPECT_FALSE(wl.warmLoaded);
-    ASSERT_NE(wl.app, nullptr);
-    std::remove(path.c_str());
+        // The harness warns and builds the workload cold.
+        harness::Workload wl =
+            harness::makeWorkloadWarm("sssp", 0.1, 2, path);
+        EXPECT_FALSE(wl.warmLoaded);
+        ASSERT_NE(wl.app, nullptr);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(CkptMachine, CkptHooksEmitInRegistrationOrder)

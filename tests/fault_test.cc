@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/sssp.hh"
 #include "graph/generators.hh"
@@ -160,13 +161,14 @@ RunResult
 runSsspWithFaults(std::uint32_t threads, bool prefetch,
                   const std::string &spec, EngineStats *es = nullptr,
                   std::unique_ptr<Machine> *keepAlive = nullptr,
-                  bool specSlot = false)
+                  bool specSlot = false, std::uint32_t dequeueBatch = 1)
 {
     graph::CsrGraph g = graph::gridGraph(24, 24, 100, 1);
     apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
     MachineConfig cfg = minnowConfig(std::max(threads, 2u), prefetch);
     cfg.faultSpec = spec;
     cfg.minnow.specSlot = specSlot;
+    cfg.minnow.dequeueBatch = dequeueBatch;
     auto m = std::make_unique<Machine>(cfg);
     g.assignAddresses(m->alloc, 32);
     app.reset();
@@ -285,7 +287,9 @@ TEST(EngineDegradation, InjectedKillReleasesBlockedWorker)
                      minnowengine::MinnowEngine &eng,
                      std::optional<worklist::WorkItem> &out,
                      bool &set) -> runtime::CoTask<void> {
-        out = co_await eng.dequeue(ctx);
+        std::vector<worklist::WorkItem> got;
+        if (co_await eng.dequeue(ctx, got, 1) > 0)
+            out = got.front();
         set = true;
     };
     runtime::CoTask<void> t = driver(ctx, eng, result, resultSet);
@@ -391,6 +395,28 @@ TEST(FaultRun, SpecSlotKillConservesAllWork)
     EXPECT_TRUE(r.verified);
     EXPECT_EQ(m->monitor.pending(), 0u);
     EXPECT_EQ(es.faultKills, 1u);
+    EXPECT_EQ(es.specDeposits, es.specHits + es.specReclaims);
+}
+
+TEST(FaultRun, BundledSpecSlotStallFallsBackAndReenters)
+{
+    // A stall under --dequeue-batch=4 --spec-slot sends the engine's
+    // worker to the software path (fallback pops) and, once the
+    // window closes, back through the one dequeue path at max = 1.
+    // No task may be lost and every spec deposit must still end as
+    // a hit or a reclaim.
+    EngineStats es;
+    std::unique_ptr<Machine> m;
+    RunResult r = runSsspWithFaults(
+        8, true, "engine_stall:core=0,at=3000,dur=30000", &es, &m,
+        /*specSlot=*/true, /*dequeueBatch=*/4);
+    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.verified);
+    EXPECT_TRUE(m->monitor.terminated());
+    EXPECT_EQ(m->monitor.pending(), 0u);
+    EXPECT_EQ(es.faultStalls, 1u);
+    EXPECT_GT(es.fallbackPops, 0u);
+    EXPECT_GT(es.dequeueBundleTasks, 0u);
     EXPECT_EQ(es.specDeposits, es.specHits + es.specReclaims);
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,6 +49,16 @@ minnowConfig(std::uint32_t cores, bool prefetch)
     return cfg;
 }
 
+// Single-task pop: the one dequeue path at max = 1.
+CoTask<std::optional<worklist::WorkItem>>
+popOne(SimContext &ctx, MinnowEngine &eng)
+{
+    std::vector<worklist::WorkItem> out;
+    if (co_await eng.dequeue(ctx, out, 1) == 0)
+        co_return std::nullopt;
+    co_return out.front();
+}
+
 TEST(GlobalQueue, FunctionalSeedAndMinBucket)
 {
     SimAlloc alloc;
@@ -74,14 +85,14 @@ TEST(Engine, EnqueueDequeueRoundTrip)
         co_await eng.enqueue(ctx, {5, 100});
         co_await eng.enqueue(ctx, {6, 101});
         for (int i = 0; i < 2; ++i) {
-            auto item = co_await eng.dequeue(ctx);
+            auto item = co_await popOne(ctx, eng);
             EXPECT_TRUE(item.has_value());
             if (!item)
                 co_return;
             out.push_back(*item);
         }
         // Third dequeue: queue empty, worker idles, run terminates.
-        auto item = co_await eng.dequeue(ctx);
+        auto item = co_await popOne(ctx, eng);
         EXPECT_FALSE(item.has_value());
     };
     std::vector<worklist::WorkItem> got;
@@ -117,17 +128,17 @@ TEST(Engine, LowerPriorityTaskSpills)
         co_await ctx.waitUntil(ctx.eq().now() + 5000);
         EXPECT_EQ(eng.localQueueSize() + q.size(), 2u);
         // Drain: local first, then the engine refills from global.
-        auto a = co_await eng.dequeue(ctx);
+        auto a = co_await popOne(ctx, eng);
         EXPECT_TRUE(a.has_value());
         if (!a)
             co_return;
         EXPECT_EQ(a->payload, 10u);
-        auto b = co_await eng.dequeue(ctx);
+        auto b = co_await popOne(ctx, eng);
         EXPECT_TRUE(b.has_value());
         if (!b)
             co_return;
         EXPECT_EQ(b->payload, 11u);
-        auto c = co_await eng.dequeue(ctx);
+        auto c = co_await popOne(ctx, eng);
         EXPECT_FALSE(c.has_value());
     };
     CoTask<void> t = driver(ctx, eng, q);
@@ -156,7 +167,7 @@ TEST(Engine, LocalQueueOverflowSpills)
             co_await eng.enqueue(ctx, {0, std::uint64_t(i)});
         int got = 0;
         for (;;) {
-            auto item = co_await eng.dequeue(ctx);
+            auto item = co_await popOne(ctx, eng);
             if (!item)
                 break;
             ++got;
@@ -191,7 +202,7 @@ TEST(Engine, BlockedDequeueIsDeliveredByFill)
     auto consumer = [](SimContext &ctx, MinnowEngine &eng,
                        int &delivered) -> CoTask<void> {
         for (;;) {
-            auto item = co_await eng.dequeue(ctx);
+            auto item = co_await popOne(ctx, eng);
             if (!item)
                 break;
             ++delivered;
@@ -205,7 +216,7 @@ TEST(Engine, BlockedDequeueIsDeliveredByFill)
             co_await eng.enqueue(ctx, {0, std::uint64_t(i)});
         // Drain own share.
         for (;;) {
-            auto item = co_await eng.dequeue(ctx);
+            auto item = co_await popOne(ctx, eng);
             if (!item)
                 break;
         }
@@ -228,7 +239,7 @@ TEST(Engine, DequeueBatchMatchesSingletonPops)
     // worker the same task set — bundling only amortizes the
     // round-trip, it must not invent, lose, or reorder work across
     // bucket boundaries beyond the usual chunked-OBIM slack.
-    auto drain = [](bool batched) {
+    auto drain = [](std::uint32_t max) {
         Machine m(minnowConfig(2, false));
         m.monitor.reset(1);
         MinnowGlobalQueue q(&m.alloc, 3);
@@ -238,35 +249,19 @@ TEST(Engine, DequeueBatchMatchesSingletonPops)
         std::vector<worklist::WorkItem> got;
         std::uint64_t calls = 0;
         auto driver = [](SimContext &ctx, MinnowEngine &eng,
-                         bool batched,
+                         std::uint32_t max,
                          std::vector<worklist::WorkItem> &out,
                          std::uint64_t &calls) -> CoTask<void> {
             for (std::uint64_t i = 0; i < 8; ++i)
                 co_await eng.enqueue(ctx, {std::int64_t(i % 4),
                                            100 + i});
-            if (batched) {
-                std::vector<worklist::WorkItem> bundle;
-                for (;;) {
-                    bundle.clear();
-                    std::uint32_t n =
-                        co_await eng.dequeueBatch(ctx, bundle, 4);
-                    calls += 1;
-                    if (n == 0)
-                        break;
-                    out.insert(out.end(), bundle.begin(),
-                               bundle.end());
-                }
-            } else {
-                for (;;) {
-                    auto item = co_await eng.dequeue(ctx);
-                    calls += 1;
-                    if (!item)
-                        break;
-                    out.push_back(*item);
-                }
+            for (;;) {
+                calls += 1;
+                if (co_await eng.dequeue(ctx, out, max) == 0)
+                    break;
             }
         };
-        CoTask<void> t = driver(ctx, eng, batched, got, calls);
+        CoTask<void> t = driver(ctx, eng, max, got, calls);
         t.start();
         m.eq.run();
         EXPECT_TRUE(t.done());
@@ -277,8 +272,8 @@ TEST(Engine, DequeueBatchMatchesSingletonPops)
         std::sort(payloads.begin(), payloads.end());
         return std::make_pair(payloads, calls);
     };
-    auto [single, singleCalls] = drain(false);
-    auto [bundled, bundleCalls] = drain(true);
+    auto [single, singleCalls] = drain(1);
+    auto [bundled, bundleCalls] = drain(4);
     EXPECT_EQ(single, bundled);
     ASSERT_EQ(single.size(), 8u);
     EXPECT_LT(bundleCalls, singleCalls)
@@ -303,7 +298,7 @@ TEST(Engine, SpecSlotDeliversAndConservesTasks)
         for (std::uint64_t i = 0; i < 12; ++i)
             co_await eng.enqueue(ctx, {0, i});
         for (;;) {
-            auto item = co_await eng.dequeue(ctx);
+            auto item = co_await popOne(ctx, eng);
             if (!item)
                 break;
             ++got;
@@ -552,15 +547,14 @@ TEST(MinnowInt, DeterministicAcrossRuns)
 // One full run with a given knob setting, returning the machine's
 // entire stats snapshot so byte-identity checks catch any drift.
 static std::string
-runKnobbedSssp(std::uint32_t dequeueBatch, std::uint32_t pushBatch,
-               bool specSlot, bool explicitDefaults = true,
+runKnobbedSssp(std::uint32_t dequeueBatch, bool specSlot,
+               bool explicitDefaults = true,
                EngineStats *es = nullptr, bool *verified = nullptr)
 {
     graph::CsrGraph g = graph::gridGraph(20, 20, 100, 1);
     MachineConfig mc = minnowConfig(4, true);
     if (explicitDefaults) {
         mc.minnow.dequeueBatch = dequeueBatch;
-        mc.minnow.pushBatch = pushBatch;
         mc.minnow.specSlot = specSlot;
     }
     Machine m(mc);
@@ -578,12 +572,12 @@ runKnobbedSssp(std::uint32_t dequeueBatch, std::uint32_t pushBatch,
 
 TEST(MinnowInt, ExplicitDefaultKnobsMatchDefaultsBitForBit)
 {
-    // --dequeue-batch=1 --push-batch=1 (and no --spec-slot) must be
-    // the exact pre-knob engine: the full stats snapshot, not just
-    // the cycle count, is byte-identical to a default-config run.
-    std::string dflt = runKnobbedSssp(1, 1, false,
+    // --dequeue-batch=1 (and no --spec-slot) must be the exact
+    // pre-knob engine: the full stats snapshot, not just the cycle
+    // count, is byte-identical to a default-config run.
+    std::string dflt = runKnobbedSssp(1, false,
                                       /*explicitDefaults=*/false);
-    std::string expl = runKnobbedSssp(1, 1, false);
+    std::string expl = runKnobbedSssp(1, false);
     EXPECT_EQ(dflt, expl);
 }
 
@@ -591,35 +585,23 @@ TEST(MinnowInt, OffloadKnobsAreDeterministicAcrossRuns)
 {
     // Seeded determinism holds under each knob in isolation: two
     // identical runs give byte-identical stats snapshots.
-    EXPECT_EQ(runKnobbedSssp(4, 1, false),
-              runKnobbedSssp(4, 1, false));
-    EXPECT_EQ(runKnobbedSssp(1, 4, false),
-              runKnobbedSssp(1, 4, false));
-    EXPECT_EQ(runKnobbedSssp(1, 1, true),
-              runKnobbedSssp(1, 1, true));
+    EXPECT_EQ(runKnobbedSssp(4, false), runKnobbedSssp(4, false));
+    EXPECT_EQ(runKnobbedSssp(1, true), runKnobbedSssp(1, true));
 }
 
 TEST(MinnowInt, BatchedDequeueVerifiesAndBundles)
 {
     EngineStats es;
-    runKnobbedSssp(4, 1, false, true, &es);
+    runKnobbedSssp(4, false, true, &es);
     EXPECT_GT(es.dequeueBundleTasks, 0u);
     EXPECT_GT(es.dequeueBundleTasks, es.dequeues)
         << "bundles must deliver more tasks than round-trips";
 }
 
-TEST(MinnowInt, BatchedPushVerifiesAndFlushes)
-{
-    EngineStats es;
-    runKnobbedSssp(1, 4, false, true, &es);
-    EXPECT_GT(es.pushedBatched + es.creditsBatched, 0u);
-    EXPECT_GT(es.pushFlushes + es.creditFlushes, 0u);
-}
-
 TEST(MinnowInt, SpecSlotVerifiesAndConservesDeposits)
 {
     EngineStats es;
-    runKnobbedSssp(1, 1, true, true, &es);
+    runKnobbedSssp(1, true, true, &es);
     EXPECT_GT(es.specDeposits, 0u);
     EXPECT_GT(es.specHits, 0u)
         << "speculative delivery must convert some pops into hits";

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "apps/sssp.hh"
 #include "base/options.hh"
 #include "base/trace.hh"
@@ -71,16 +74,19 @@ TEST(OptionsDeath, UnknownOptionRejected)
                 "unknown option");
 }
 
-TEST(OptionsDeath, RetiredShardsFlagRejected)
+TEST(OptionsDeath, RetiredFlagsRejected)
 {
-    // The host-sharding flag is gone; the benches' parse path
-    // (MachineConfig::applyOptions, then rejectUnused) must refuse it
-    // rather than silently ignore it.
-    Options opts({"--shards=4"});
-    MachineConfig cfg;
-    cfg.applyOptions(opts);
-    EXPECT_EXIT(opts.rejectUnused(), testing::ExitedWithCode(1),
-                "unknown option --shards=4");
+    // Retired flags (host sharding, push/credit coalescing): the
+    // benches' parse path (MachineConfig::applyOptions, then
+    // rejectUnused) must refuse them rather than silently ignore
+    // them.
+    for (const char *flag : {"--shards=4", "--push-batch=4"}) {
+        Options opts({flag});
+        MachineConfig cfg;
+        cfg.applyOptions(opts);
+        EXPECT_EXIT(opts.rejectUnused(), testing::ExitedWithCode(1),
+                    std::string("unknown option ") + flag);
+    }
 }
 
 TEST(OptionsDeath, MalformedIntIsFatal)
@@ -130,20 +136,20 @@ TEST(EngineFlush, SpillsLocalQueueToGlobal)
         co_await ctx.waitUntil(ctx.eq().now() + 2000);
         std::uint32_t before = eng.localQueueSize();
         EXPECT_GT(before, 0u);
+        std::uint64_t spillsBefore = q.spills();
         // minnow_flush: core context switch spills everything.
         co_await eng.flush(ctx);
         co_await ctx.waitUntil(ctx.eq().now() + 5000);
         EXPECT_EQ(eng.localQueueSize() + std::uint32_t(q.size()),
                   8u);
-        EXPECT_GE(q.size() + 0u, 0u);
+        // Every flushed task reached the global queue through the
+        // spill drain (the fill daemon may have pulled some back).
+        EXPECT_GE(q.spills() - spillsBefore, before);
         // Drain everything back through the normal protocol.
         int got = 0;
-        for (;;) {
-            auto item = co_await eng.dequeue(ctx);
-            if (!item)
-                break;
+        std::vector<worklist::WorkItem> bundle;
+        while (co_await eng.dequeue(ctx, bundle, 1) > 0)
             ++got;
-        }
         EXPECT_EQ(got, 8);
     };
     auto t = driver(ctx, eng, q);
