@@ -29,19 +29,24 @@ main(int argc, char **argv)
     TextTable t;
     t.header({"cores/engine", "cycles", "slowdown", "engine-area"
               " mm^2 total@14nm", "deq-blocks"});
+    const std::uint32_t shares[] = {1, 2, 4, 8};
+    std::vector<Point> points;
+    for (std::uint32_t share : shares) {
+        Point p{workload, harness::Config::MinnowPf, args.threads,
+                args.machine};
+        p.machine.minnow.coresPerEngine = share;
+        points.push_back(p);
+    }
+    auto results = runPoints(args, points);
     double base = 0;
-    for (std::uint32_t share : {1u, 2u, 4u, 8u}) {
-        harness::Workload w =
-            harness::makeWorkload(workload, args.scale, args.seed);
-        BenchArgs a = args;
-        a.machine.minnow.coresPerEngine = share;
-        auto r = run(w, harness::Config::MinnowPf, args.threads, a);
-        checkVerified(r, workload);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        std::uint32_t share = shares[i];
+        const harness::ExperimentResult &r = results[i];
         double c = r.run.timedOut ? 0 : double(r.run.cycles);
         if (share == 1)
             base = c;
         minnowengine::AreaEstimate area =
-            minnowengine::estimateArea(a.machine);
+            minnowengine::estimateArea(points[i].machine);
         double totalArea = area.totalMm2At14 *
                            ((args.threads + share - 1) / share);
         t.row({std::to_string(share), cyclesOrTimeout(r.run),

@@ -27,24 +27,40 @@ main(int argc, char **argv)
                std::to_string(args.threads) + " threads)",
            "");
 
+    const std::uint32_t localQs[] = {8, 16, 32, 64, 128};
+    const std::uint32_t loadBufs[] = {4, 8, 16, 32, 64};
+    const std::uint32_t lgDeltas[] = {0, 2, 4, 6, 8, 12};
+    const Point base{workload, harness::Config::MinnowPf, args.threads,
+                     args.machine};
+    std::vector<Point> points;
+    for (std::uint32_t lq : localQs) {
+        Point p = base;
+        p.machine.minnow.localQueueEntries = lq;
+        p.machine.minnow.refillThreshold = std::max(2u, lq / 4);
+        points.push_back(p);
+    }
+    for (std::uint32_t lb : loadBufs) {
+        Point p = base;
+        p.machine.minnow.loadBufferEntries = lb;
+        points.push_back(p);
+    }
+    for (std::uint32_t lg : lgDeltas) {
+        Point p = base;
+        p.prepare = [lg](harness::Workload &w) { w.lgDelta = lg; };
+        points.push_back(p);
+    }
+    auto results = runPoints(args, points);
+    const harness::ExperimentResult *r = results.data();
+
     {
         std::printf("\n--- local queue depth ---\n");
         TextTable t;
         t.header({"localQ", "cycles", "deq-blocks", "spills"});
-        for (std::uint32_t lq : {8u, 16u, 32u, 64u, 128u}) {
-            harness::Workload w = harness::makeWorkload(
-                workload, args.scale, args.seed);
-            BenchArgs a = args;
-            a.machine.minnow.localQueueEntries = lq;
-            a.machine.minnow.refillThreshold =
-                std::max(2u, lq / 4);
-            auto r = run(w, harness::Config::MinnowPf,
-                         args.threads, a);
-            checkVerified(r, workload);
-            t.row({std::to_string(lq),
-                   cyclesOrTimeout(r.run),
-                   TextTable::count(r.engines.dequeueBlocks),
-                   TextTable::count(r.engines.spillsSpawned)});
+        for (std::uint32_t lq : localQs) {
+            t.row({std::to_string(lq), cyclesOrTimeout(r->run),
+                   TextTable::count(r->engines.dequeueBlocks),
+                   TextTable::count(r->engines.spillsSpawned)});
+            ++r;
         }
         t.print();
     }
@@ -52,17 +68,11 @@ main(int argc, char **argv)
         std::printf("\n--- load buffer entries ---\n");
         TextTable t;
         t.header({"loadBuf", "cycles", "lb-stalls", "mpki"});
-        for (std::uint32_t lb : {4u, 8u, 16u, 32u, 64u}) {
-            harness::Workload w = harness::makeWorkload(
-                workload, args.scale, args.seed);
-            BenchArgs a = args;
-            a.machine.minnow.loadBufferEntries = lb;
-            auto r = run(w, harness::Config::MinnowPf,
-                         args.threads, a);
-            checkVerified(r, workload);
-            t.row({std::to_string(lb), cyclesOrTimeout(r.run),
-                   TextTable::count(r.engines.loadBufStalls),
-                   TextTable::num(r.run.l2Mpki, 1)});
+        for (std::uint32_t lb : loadBufs) {
+            t.row({std::to_string(lb), cyclesOrTimeout(r->run),
+                   TextTable::count(r->engines.loadBufStalls),
+                   TextTable::num(r->run.l2Mpki, 1)});
+            ++r;
         }
         t.print();
     }
@@ -70,15 +80,10 @@ main(int argc, char **argv)
         std::printf("\n--- offloaded OBIM bucket interval ---\n");
         TextTable t;
         t.header({"lgDelta", "cycles", "tasks(work-eff)"});
-        for (std::uint32_t lg : {0u, 2u, 4u, 6u, 8u, 12u}) {
-            harness::Workload w = harness::makeWorkload(
-                workload, args.scale, args.seed);
-            w.lgDelta = lg;
-            auto r = run(w, harness::Config::MinnowPf,
-                         args.threads, args);
-            checkVerified(r, workload);
-            t.row({std::to_string(lg), cyclesOrTimeout(r.run),
-                   TextTable::count(r.run.tasks)});
+        for (std::uint32_t lg : lgDeltas) {
+            t.row({std::to_string(lg), cyclesOrTimeout(r->run),
+                   TextTable::count(r->run.tasks)});
+            ++r;
         }
         t.print();
     }

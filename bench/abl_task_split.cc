@@ -39,17 +39,24 @@ main(int argc, char **argv)
     TextTable t;
     t.header({"threshold", "cycles", "speedup-vs-nosplit",
               "tasks"});
-    double nosplit = 0;
-    for (std::uint32_t thr :
-         {0u, 64u, 128u, 256u, 512u, 1024u, 4096u}) {
-        harness::Workload wl =
-            harness::makeWorkload("g500", args.scale, args.seed);
+    const std::uint32_t thresholds[] = {0,   64,   128, 256,
+                                        512, 1024, 4096};
+    std::vector<Point> points;
+    for (std::uint32_t thr : thresholds) {
+        Point p{"g500", harness::Config::MinnowPf, args.threads,
+                args.machine};
         std::uint32_t effective = thr == 0 ? (1u << 30) : thr;
-        wl.app = std::make_unique<apps::SsspApp>(
-            &wl.graph, 0, true, effective, "g500");
-        auto r =
-            run(wl, harness::Config::MinnowPf, args.threads, args);
-        checkVerified(r, "g500");
+        p.prepare = [effective](harness::Workload &wl) {
+            wl.app = std::make_unique<apps::SsspApp>(
+                &wl.graph, 0, true, effective, "g500");
+        };
+        points.push_back(p);
+    }
+    auto results = runPoints(args, points);
+    double nosplit = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        std::uint32_t thr = thresholds[i];
+        const harness::ExperimentResult &r = results[i];
         double c = r.run.timedOut ? 0 : double(r.run.cycles);
         if (thr == 0)
             nosplit = c;

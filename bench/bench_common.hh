@@ -26,21 +26,15 @@
  *   offload_breakdown additionally takes --batch-list=a,b and
  *   --json=<path> (schema "minnow-offload-1").
  *
- * Checkpoint knobs (DESIGN.md section 5i):
- *   --checkpoint-out=<path>   write a checkpoint (when depends on
- *                        --checkpoint-after; also written as a
- *                        rescue on SIGINT/SIGTERM).
- *   --checkpoint-in=<path>    warm-start from a checkpoint; any
- *                        validation failure warns and degrades to
- *                        a cold start, never wrong results.
- *   --checkpoint-after=<when> "warmup" (default: save at the warm
- *                        boundary, before simulated time starts) or
- *                        a cycle count (save a mid-run rescue
- *                        anchor at the first event boundary at or
- *                        after that cycle).
- * SIGINT/SIGTERM always stop cleanly at the next event boundary:
- * stats/diag JSON are flushed, a rescue checkpoint is written when
- * --checkpoint-out is set, and the bench exits 128+signal.
+ * Host parallelism (DESIGN.md section 5j):
+ *   --host-par=<n>    run a bench's independent points on n host
+ *                     threads (default 1). Every output — stdout,
+ *                     --stats-json, --timeline — is byte-identical
+ *                     to a serial run.
+ * SIGINT/SIGTERM stop every running point at its next event
+ * boundary; once all have stopped, --stats-json and the panic hooks
+ * are flushed and the bench exits 128+signal. (point_runner also
+ * writes a rescue checkpoint; its checkpoint flags are its own.)
  *
  * Robustness knobs (also via applyOptions; see DESIGN.md "Fault
  * model"):
@@ -63,8 +57,9 @@
  *   --timeline=<path>    record simulated-time span/instant/counter
  *                        events and write a Chrome trace_event JSON
  *                        (open in Perfetto) when the machine is torn
- *                        down. Adds a "timeline" stats group with
- *                        task-latency percentiles.
+ *                        down; a multi-point bench leaves the last
+ *                        point's trace. Adds a "timeline" stats group
+ *                        with task-latency percentiles.
  *   --timeline-buffer=<n>  ring-buffer capacity in events (default
  *                        262144); on overflow the oldest events are
  *                        dropped and counted.
@@ -74,17 +69,22 @@
  *   --timeline-interval=<n>  counter-track sampling period in cycles
  *                        (default 1024; 0 disables sampling).
  *
- * Output convention: each bench prints the paper's rows/series as a
- * fixed-width table, with the paper's published value alongside where
- * one exists, so shape comparisons are one glance.
+ * Driver shape: a bench declares its points (workload, config,
+ * threads, machine) as a std::vector<Point>, calls runPoints() and
+ * renders its table from the results, which come back in
+ * declaration order. Each bench prints the paper's rows/series as a
+ * fixed-width table, with the paper's published value alongside
+ * where one exists, so shape comparisons are one glance.
  */
 
 #ifndef MINNOW_BENCH_BENCH_COMMON_HH
 #define MINNOW_BENCH_BENCH_COMMON_HH
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -97,6 +97,7 @@
 #include "base/trace.hh"
 #include "base/table.hh"
 #include "harness/workloads.hh"
+#include "sim/parallel/task_farm.hh"
 
 namespace minnow::bench
 {
@@ -105,9 +106,13 @@ namespace minnow::bench
  * Graceful-stop plumbing: the handler only sets a flag; the event
  * loop polls it at event boundaries, so an interrupted run's
  * simulated prefix stays bit-identical to an uninterrupted one.
+ * The flags are atomic because the handler and the farm threads
+ * reading them are different host threads; lock-free atomics are
+ * async-signal-safe.
  */
-inline volatile std::sig_atomic_t gStopRequested = 0;
-inline volatile std::sig_atomic_t gStopSignal = 0;
+static_assert(std::atomic<int>::is_always_lock_free);
+inline std::atomic<int> gStopRequested{0};
+inline std::atomic<int> gStopSignal{0};
 
 extern "C" inline void
 benchSignalHandler(int sig)
@@ -130,9 +135,9 @@ installSignalHandlers()
  * carries its identifying parameters plus the machine's full
  * StatsRegistry snapshot (schema "minnow-stats-1") under "stats".
  *
- * Shared by value-copied BenchArgs (e.g. inside credit sweeps) via
- * shared_ptr, so every run of the process lands in one file. The
- * destructor flushes, so a bench needs no explicit final call.
+ * Held by BenchArgs through a shared_ptr, so every run of the
+ * process lands in one file. The destructor flushes, so a bench
+ * needs no explicit final call.
  */
 class StatsJsonLog
 {
@@ -230,21 +235,8 @@ struct BenchArgs
     std::uint64_t seed = 1;
     std::uint64_t maxEvents = 400'000'000;
     std::vector<std::string> workloads;
-    std::string statsDir; //!< dump per-run .stats files here.
     std::shared_ptr<StatsJsonLog> statsJson; //!< --stats-json log.
-    std::string checkpointOut;   //!< --checkpoint-out.
-    std::string checkpointIn;    //!< --checkpoint-in.
-    std::string checkpointAfter = "warmup"; //!< --checkpoint-after.
-
-    /**
-     * Host task-farm width for independent sweep points
-     * (--host-par=N, default 1 = serial). Sweep drivers farm their
-     * per-point loop over N host threads; every farmed point runs
-     * its own Machine and workload, and shared outputs
-     * (--stats-json, --stats-dir) are replayed in point order after
-     * the join, so all files stay byte-identical to a serial sweep.
-     */
-    std::uint32_t hostPar = 1;
+    std::uint32_t hostPar = 1; //!< --host-par: runPoints' threads.
     MachineConfig machine;
 
     BenchArgs() : machine(scaledMachine()) {}
@@ -265,14 +257,9 @@ parseArgs(const Options &opts, double defaultScale = 1.0,
     if (!dbg.empty())
         trace::setOutputFile(dbg);
     trace::enableList(opts.getString("debug-flags", ""));
-    a.statsDir = opts.getString("stats-dir", "");
     std::string sj = opts.getString("stats-json", "");
     if (!sj.empty())
         a.statsJson = std::make_shared<StatsJsonLog>(sj);
-    a.checkpointOut = opts.getString("checkpoint-out", "");
-    a.checkpointIn = opts.getString("checkpoint-in", "");
-    a.checkpointAfter =
-        opts.getString("checkpoint-after", "warmup");
     a.hostPar = std::uint32_t(opts.getUint("host-par", 1));
     fatal_if(a.hostPar == 0, "--host-par must be at least 1");
     installSignalHandlers();
@@ -280,89 +267,183 @@ parseArgs(const Options &opts, double defaultScale = 1.0,
     if (a.machine.numCores < a.threads)
         a.machine.numCores = a.threads;
 
-    std::string list = opts.getString("workloads", "");
-    if (list.empty()) {
+    a.workloads = opts.getList("workloads", "");
+    if (a.workloads.empty())
         a.workloads = harness::workloadNames();
-    } else {
-        std::size_t pos = 0;
-        while (pos != std::string::npos) {
-            std::size_t comma = list.find(',', pos);
-            a.workloads.push_back(list.substr(
-                pos, comma == std::string::npos ? comma
-                                                : comma - pos));
-            pos = comma == std::string::npos ? comma : comma + 1;
-        }
-    }
     return a;
 }
 
-/**
- * Build a workload honoring --checkpoint-in: warm-loads the graph
- * from the checkpoint when one was given (degrading to cold
- * generation on any validation failure), else generates cold.
- */
+/** Build a workload cold at the bench's --scale and --seed. */
 inline harness::Workload
 makeWorkload(const std::string &name, const BenchArgs &a)
 {
-    if (!a.checkpointIn.empty()) {
-        return harness::makeWorkloadWarm(name, a.scale, a.seed,
-                                         a.checkpointIn);
-    }
     return harness::makeWorkload(name, a.scale, a.seed);
 }
 
-/** Run one workload/config and return the result (fresh machine). */
-inline harness::ExperimentResult
-run(harness::Workload &w, harness::Config config,
-    std::uint32_t threads, const BenchArgs &a, bool verify = true)
+/** One simulation point of a bench. */
+struct Point
+{
+    Point(std::string workload_, harness::Config config_,
+          std::uint32_t threads_, const MachineConfig &machine_)
+        : workload(std::move(workload_)), config(config_),
+          threads(threads_), machine(machine_)
+    {
+    }
+
+    std::string workload;
+    harness::Config config;
+    std::uint32_t threads;
+    MachineConfig machine;
+
+    /**
+     * Adjusts or reads the workload before the run (fig03's OBIM
+     * bucket interval, abl_task_split's splitting app, table2's
+     * input description). A point that has one always runs on a
+     * workload built for it alone.
+     */
+    std::function<void(harness::Workload &)> prepare;
+
+    /** Config name in --stats-json ("" = harness::configName). */
+    std::string statsConfig;
+};
+
+/** The RunSpec of one point, polling the bench's stop flag. */
+inline harness::RunSpec
+specOf(const Point &p, const BenchArgs &a)
 {
     harness::RunSpec spec;
-    spec.config = config;
-    spec.threads = threads;
-    spec.machine = a.machine;
-    spec.verify = verify;
+    spec.config = p.config;
+    spec.threads = p.threads;
+    spec.machine = p.machine;
     spec.maxEvents = a.maxEvents;
-    spec.checkpointOut = a.checkpointOut;
-    spec.checkpointIn = a.checkpointIn;
-    spec.checkpointAfter = a.checkpointAfter;
     spec.interruptFlag = &gStopRequested;
-    harness::ExperimentResult r = harness::runExperiment(w, spec);
-    if (a.statsJson) {
-        a.statsJson->add(w.name, harness::configName(config),
-                         threads, a.scale, a.seed,
-                         a.machine.minnow.prefetchCredits,
-                         r.run.timedOut, r.run.verified,
-                         r.run.cycles, r.run.instructions,
-                         r.run.l2Mpki, r.run.statsJson);
+    return spec;
+}
+
+/** Append one finished point to the --stats-json log, if any. */
+inline void
+logRun(const BenchArgs &a, const Point &p,
+       const harness::ExperimentResult &r)
+{
+    if (!a.statsJson)
+        return;
+    a.statsJson->add(p.workload,
+                     p.statsConfig.empty()
+                         ? harness::configName(p.config)
+                         : p.statsConfig,
+                     p.threads, a.scale, a.seed,
+                     p.machine.minnow.prefetchCredits, r.run.timedOut,
+                     r.run.verified, r.run.cycles, r.run.instructions,
+                     r.run.l2Mpki, r.run.statsJson);
+}
+
+/**
+ * Clean signal exit: everything a crashed run would leave behind
+ * (diag/stats via the panic-hook registry, the bench's own JSON
+ * log) is flushed before exiting nonzero so callers can tell this
+ * from success.
+ */
+[[noreturn]] inline void
+exitInterrupted(const BenchArgs &a, bool rescueWritten = false)
+{
+    std::fprintf(stderr,
+                 "interrupted by signal %d: stopped at an event"
+                 " boundary, output flushed%s\n",
+                 int(gStopSignal),
+                 rescueWritten ? ", rescue checkpoint written" : "");
+    if (a.statsJson)
+        a.statsJson->flush();
+    flushPanicHooks();
+    std::exit(128 + int(gStopSignal));
+}
+
+/** Warn loudly if a finished run failed verification. */
+inline void
+checkVerified(const harness::ExperimentResult &r,
+              const std::string &label)
+{
+    if (!r.run.timedOut && !r.run.interrupted && !r.run.verified) {
+        std::fprintf(stderr,
+                     "WARNING: %s failed output verification\n",
+                     label.c_str());
     }
-    if (!a.statsDir.empty()) {
-        std::string path = a.statsDir + "/" + w.name + "-" +
-                           harness::configName(config) + "-t" +
-                           std::to_string(threads) + ".stats";
-        if (std::FILE *f = std::fopen(path.c_str(), "w")) {
-            r.run.report.dump(f);
-            std::fclose(f);
+}
+
+/**
+ * Run every point, each on a fresh machine, and return the results
+ * in declaration order.
+ *
+ * --host-par=N farms the points over N host threads; each farmed
+ * point then builds a private workload from the same deterministic
+ * generator. A serial run builds each workload once and reuses it
+ * for consecutive points of that workload (a run resets the app and
+ * reassigns addresses, so reuse changes no result). Recording
+ * happens after the join, in point order — verification warnings,
+ * --stats-json entries, then the interrupt exit — so every output
+ * is byte-identical at any --host-par.
+ *
+ * Only the last point tracing to a given --timeline path writes it;
+ * the others trace to /dev/null. A serial run would overwrite their
+ * files anyway, and farmed points must not race on one file.
+ */
+inline std::vector<harness::ExperimentResult>
+runPoints(const BenchArgs &a, std::vector<Point> points)
+{
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        std::string &path = points[i].machine.timelinePath;
+        for (std::size_t j = i + 1; j < points.size(); ++j) {
+            if (!path.empty() && points[j].machine.timelinePath == path)
+                path = "/dev/null";
         }
     }
-    if (r.run.interrupted) {
-        // Clean signal exit: everything a crashed run would leave
-        // behind (diag/stats via the panic-hook registry, the
-        // bench's own JSON log, a rescue checkpoint — already
-        // written by the harness) is flushed before exiting
-        // nonzero so callers can distinguish this from success.
-        std::fprintf(stderr,
-                     "interrupted by signal %d: stopped at an event"
-                     " boundary, output flushed%s\n",
-                     int(gStopSignal),
-                     a.checkpointOut.empty()
-                         ? ""
-                         : ", rescue checkpoint written");
-        if (a.statsJson)
-            a.statsJson->flush();
-        flushPanicHooks();
-        std::exit(128 + int(gStopSignal));
+
+    // One task per farmed point; serially, one task per run of
+    // consecutive points sharing a workload. A point with a prepare
+    // hook is a task of its own.
+    const bool farmed = a.hostPar > 1;
+    std::vector<std::pair<std::size_t, std::size_t>> tasks;
+    for (std::size_t i = 0; i < points.size();) {
+        std::size_t j = i + 1;
+        while (!farmed && !points[i].prepare && j < points.size() &&
+               !points[j].prepare &&
+               points[j].workload == points[i].workload)
+            ++j;
+        tasks.emplace_back(i, j);
+        i = j;
     }
-    return r;
+
+    std::vector<harness::ExperimentResult> results(points.size());
+    std::vector<char> ran(points.size(), 0);
+    parallel::runTaskFarm(tasks.size(), a.hostPar, [&](std::size_t t) {
+        auto [first, last] = tasks[t];
+        if (gStopRequested)
+            return; // interrupted: start no further points.
+        // Built in place: the app points into this object's graph.
+        harness::Workload w = makeWorkload(points[first].workload, a);
+        if (points[first].prepare)
+            points[first].prepare(w);
+        for (std::size_t i = first; i < last && !gStopRequested; ++i) {
+            results[i] = harness::runExperiment(w, specOf(points[i], a));
+            ran[i] = 1;
+        }
+    });
+
+    bool stopped = false;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!ran[i]) {
+            stopped = true;
+            continue;
+        }
+        const harness::ExperimentResult &r = results[i];
+        checkVerified(r, points[i].workload + "/" +
+                             harness::configName(points[i].config) +
+                             " (point " + std::to_string(i) + ")");
+        logRun(a, points[i], r);
+        stopped = stopped || r.run.interrupted;
+    }
+    if (stopped)
+        exitInterrupted(a);
+    return results;
 }
 
 /** "12.34" or "TIMEOUT". */
@@ -381,18 +462,6 @@ banner(const std::string &what, const std::string &paperNote)
     std::printf("=== %s ===\n", what.c_str());
     if (!paperNote.empty())
         std::printf("paper: %s\n", paperNote.c_str());
-}
-
-/** Warn loudly if a run failed verification. */
-inline void
-checkVerified(const harness::ExperimentResult &r,
-              const std::string &label)
-{
-    if (!r.run.timedOut && !r.run.verified) {
-        std::fprintf(stderr,
-                     "WARNING: %s failed output verification\n",
-                     label.c_str());
-    }
 }
 
 } // namespace minnow::bench

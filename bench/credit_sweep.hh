@@ -8,13 +8,12 @@
 #ifndef MINNOW_BENCH_CREDIT_SWEEP_HH
 #define MINNOW_BENCH_CREDIT_SWEEP_HH
 
-#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "base/logging.hh"
 #include "bench_common.hh"
-#include "sim/parallel/task_farm.hh"
 
 namespace minnow::bench
 {
@@ -35,13 +34,9 @@ struct CreditSweep
     std::string workload;
     double baseMpki = 0;
     std::vector<CreditPoint> points;
+    /** Results of the bench's extra points, in declaration order. */
+    std::vector<harness::ExperimentResult> extra;
 };
-
-inline std::vector<std::uint32_t>
-defaultCredits()
-{
-    return {1, 2, 4, 8, 16, 32, 64, 128, 256};
-}
 
 /**
  * Swept credit counts: --credits-list=a,b,c overrides the default
@@ -50,103 +45,79 @@ defaultCredits()
 inline std::vector<std::uint32_t>
 creditsFromOpts(const Options &opts)
 {
-    std::string list = opts.getString("credits-list", "");
-    if (list.empty())
-        return defaultCredits();
     std::vector<std::uint32_t> out;
-    std::size_t pos = 0;
-    while (pos < list.size()) {
-        std::size_t comma = list.find(',', pos);
-        std::string tok = list.substr(
-            pos, comma == std::string::npos ? comma : comma - pos);
-        if (!tok.empty())
-            out.push_back(std::uint32_t(std::stoul(tok)));
-        pos = comma == std::string::npos ? list.size() : comma + 1;
-    }
-    fatal_if(out.empty(), "--credits-list parsed to nothing: '%s'",
-             list.c_str());
+    for (const std::string &tok :
+         opts.getList("credits-list", "1,2,4,8,16,32,64,128,256"))
+        out.push_back(std::uint32_t(std::stoul(tok)));
+    fatal_if(out.empty(), "--credits-list parsed to nothing");
     return out;
 }
 
-/** Run the sweep for one workload. */
-inline CreditSweep
-sweepCredits(const std::string &name, const BenchArgs &args,
-             const std::vector<std::uint32_t> &credits)
+/**
+ * Sweep every --workloads entry: Minnow with prefetching off (the
+ * baseline), then MinnowPf at each credit count, then the points
+ * @p extra declares for that workload. All workloads' points run in
+ * one runPoints() call.
+ */
+inline std::vector<CreditSweep>
+sweepCredits(const BenchArgs &args,
+             const std::vector<std::uint32_t> &credits,
+             const std::function<std::vector<Point>(
+                 const std::string &)> &extra = {})
 {
-    CreditSweep out;
-    out.workload = name;
-    harness::Workload w =
-        harness::makeWorkload(name, args.scale, args.seed);
-
-    auto base =
-        run(w, harness::Config::Minnow, args.threads, args);
-    checkVerified(base, name + "/minnow");
-    out.baseMpki = base.run.l2Mpki;
-    double baseCycles = double(base.run.cycles);
-
-    // One MinnowPf run per credit count. The points are independent
-    // simulations, so --host-par=N farms them over N host threads.
-    // A run mutates its workload (address assignment, app state),
-    // so each farmed point builds a private workload from the same
-    // deterministic generator; shared outputs (--stats-json,
-    // --stats-dir, --checkpoint-out) are suppressed inside the farm
-    // and replayed in point order after the join, keeping every
-    // output file byte-identical to a serial sweep.
-    const bool farmed = args.hostPar > 1;
-    std::vector<harness::ExperimentResult> results(credits.size());
-    parallel::runTaskFarm(
-        credits.size(), args.hostPar, [&](std::size_t i) {
-            BenchArgs a = args;
-            a.machine.minnow.prefetchCredits = credits[i];
-            if (!farmed) {
-                results[i] = run(w, harness::Config::MinnowPf,
-                                 args.threads, a);
-                return;
-            }
-            a.statsJson.reset();
-            a.statsDir.clear();
-            a.checkpointOut.clear();
-            harness::Workload wi = makeWorkload(name, a);
-            results[i] = run(wi, harness::Config::MinnowPf,
-                             args.threads, a);
-        });
-
-    for (std::size_t i = 0; i < credits.size(); ++i) {
-        std::uint32_t c = credits[i];
-        const harness::ExperimentResult &r = results[i];
-        checkVerified(r, name + "/credits" + std::to_string(c));
-        if (farmed && args.statsJson) {
-            args.statsJson->add(
-                w.name, harness::configName(harness::Config::MinnowPf),
-                args.threads, args.scale, args.seed, c,
-                r.run.timedOut, r.run.verified, r.run.cycles,
-                r.run.instructions, r.run.l2Mpki, r.run.statsJson);
+    std::vector<Point> points;
+    std::vector<std::size_t> firsts;
+    for (const std::string &name : args.workloads) {
+        firsts.push_back(points.size());
+        points.push_back({name, harness::Config::Minnow, args.threads,
+                          args.machine});
+        for (std::uint32_t c : credits) {
+            Point p{name, harness::Config::MinnowPf, args.threads,
+                    args.machine};
+            p.machine.minnow.prefetchCredits = c;
+            points.push_back(p);
         }
-        if (farmed && !args.statsDir.empty()) {
-            std::string path =
-                args.statsDir + "/" + w.name + "-" +
-                harness::configName(harness::Config::MinnowPf) +
-                "-t" + std::to_string(args.threads) + ".stats";
-            if (std::FILE *f = std::fopen(path.c_str(), "w")) {
-                r.run.report.dump(f);
-                std::fclose(f);
-            }
+        if (extra) {
+            for (Point &p : extra(name))
+                points.push_back(std::move(p));
         }
-        CreditPoint p;
-        p.credits = c;
-        p.timedOut = r.run.timedOut || base.run.timedOut;
-        if (!p.timedOut) {
-            p.mpki = r.run.l2Mpki;
-            p.speedup = baseCycles / double(r.run.cycles);
-            std::uint64_t fills = r.run.mem.prefetchFills;
-            p.efficiency =
-                fills ? 100.0 * double(r.run.mem.prefetchUsed) /
-                            double(fills)
-                      : 0.0;
-        }
-        out.points.push_back(p);
     }
-    return out;
+    firsts.push_back(points.size());
+    std::vector<harness::ExperimentResult> results =
+        runPoints(args, points);
+
+    std::vector<CreditSweep> sweeps;
+    for (std::size_t k = 0; k < args.workloads.size(); ++k) {
+        const harness::ExperimentResult *r = &results[firsts[k]];
+        const harness::ExperimentResult &base = r[0];
+        CreditSweep s;
+        s.workload = args.workloads[k];
+        s.baseMpki = base.run.l2Mpki;
+        for (std::size_t i = 0; i < credits.size(); ++i) {
+            const galois::RunResult &run = r[1 + i].run;
+            CreditPoint p;
+            p.credits = credits[i];
+            p.timedOut = run.timedOut || base.run.timedOut;
+            if (!p.timedOut) {
+                p.mpki = run.l2Mpki;
+                p.speedup =
+                    double(base.run.cycles) / double(run.cycles);
+                std::uint64_t fills = run.mem.prefetchFills;
+                p.efficiency =
+                    fills ? 100.0 * double(run.mem.prefetchUsed) /
+                                double(fills)
+                          : 0.0;
+            }
+            s.points.push_back(p);
+        }
+        auto from = results.begin() +
+                    std::ptrdiff_t(firsts[k] + 1 + credits.size());
+        auto to = results.begin() + std::ptrdiff_t(firsts[k + 1]);
+        s.extra.assign(std::make_move_iterator(from),
+                       std::make_move_iterator(to));
+        sweeps.push_back(std::move(s));
+    }
+    return sweeps;
 }
 
 } // namespace minnow::bench

@@ -29,25 +29,25 @@ main(int argc, char **argv)
     table.header({"workload", "galois(cyc)", "minnow(cyc)",
                   "minnow+pf(cyc)", "speedup", "speedup+pf",
                   "verified"});
+    std::vector<Point> points;
     for (const char *name : {"mis", "kcore"}) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto base =
-            run(w, harness::Config::Obim, args.threads, args);
-        auto mn =
-            run(w, harness::Config::Minnow, args.threads, args);
-        auto pf =
-            run(w, harness::Config::MinnowPf, args.threads, args);
-        bool ok = base.run.verified && mn.run.verified &&
-                  pf.run.verified;
-        double s1 = mn.run.timedOut
-                        ? 0
-                        : double(base.run.cycles) / mn.run.cycles;
-        double s2 = pf.run.timedOut
-                        ? 0
-                        : double(base.run.cycles) / pf.run.cycles;
-        table.row({w.name, cyclesOrTimeout(base.run),
-                   cyclesOrTimeout(mn.run), cyclesOrTimeout(pf.run),
+        for (harness::Config c :
+             {harness::Config::Obim, harness::Config::Minnow,
+              harness::Config::MinnowPf})
+            points.push_back({name, c, args.threads, args.machine});
+    }
+    auto results = runPoints(args, points);
+    for (std::size_t i = 0; i < points.size(); i += 3) {
+        const galois::RunResult &base = results[i].run;
+        const galois::RunResult &mn = results[i + 1].run;
+        const galois::RunResult &pf = results[i + 2].run;
+        bool ok = base.verified && mn.verified && pf.verified;
+        double s1 =
+            mn.timedOut ? 0 : double(base.cycles) / mn.cycles;
+        double s2 =
+            pf.timedOut ? 0 : double(base.cycles) / pf.cycles;
+        table.row({points[i].workload, cyclesOrTimeout(base),
+                   cyclesOrTimeout(mn), cyclesOrTimeout(pf),
                    TextTable::num(s1, 2) + "x",
                    TextTable::num(s2, 2) + "x", ok ? "yes" : "NO"});
     }

@@ -29,37 +29,34 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"workload", "gmat1T(cyc)", "gmat", "gmat*",
                   "galois-obim", "galois-fifo"});
+    // Per workload: 1-thread GraphMat (the normalizer), then
+    // GraphMat, GMat*, Galois-OBIM and Galois-FIFO at --threads.
+    const harness::Config configs[] = {
+        harness::Config::Bsp, harness::Config::BspBucketed,
+        harness::Config::Obim, harness::Config::Fifo};
+    std::vector<std::string> names;
+    std::vector<Point> points;
     for (const std::string &name : args.workloads) {
         if (name == "tc" || name == "bc")
             continue; // Fig. 2 covers BFS/G500/SSSP/CC/PR.
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto base1 = run(w, harness::Config::Bsp, 1, args);
-        checkVerified(base1, name + "/bsp-1t");
-        double norm = double(base1.run.cycles);
-        auto speedup = [&](const harness::ExperimentResult &r) {
-            if (r.run.timedOut || r.run.cycles == 0)
+        names.push_back(name);
+        points.push_back({name, harness::Config::Bsp, 1, args.machine});
+        for (harness::Config c : configs)
+            points.push_back({name, c, args.threads, args.machine});
+    }
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < names.size(); ++k) {
+        const harness::ExperimentResult *r = &results[5 * k];
+        double norm = double(r[0].run.cycles);
+        auto speedup = [&](const harness::ExperimentResult &x) {
+            if (x.run.timedOut || x.run.cycles == 0)
                 return std::string("TIMEOUT");
-            return TextTable::num(norm / double(r.run.cycles), 2) +
+            return TextTable::num(norm / double(x.run.cycles), 2) +
                    "x";
         };
-
-        auto gmat =
-            run(w, harness::Config::Bsp, args.threads, args);
-        checkVerified(gmat, name + "/bsp");
-        auto gmatStar = run(w, harness::Config::BspBucketed,
-                            args.threads, args);
-        checkVerified(gmatStar, name + "/bsp-bucket");
-        auto obim =
-            run(w, harness::Config::Obim, args.threads, args);
-        checkVerified(obim, name + "/obim");
-        auto fifo =
-            run(w, harness::Config::Fifo, args.threads, args);
-        checkVerified(fifo, name + "/fifo");
-
-        table.row({w.name, TextTable::count(base1.run.cycles),
-                   speedup(gmat), speedup(gmatStar), speedup(obim),
-                   speedup(fifo)});
+        table.row({names[k], TextTable::count(r[0].run.cycles),
+                   speedup(r[1]), speedup(r[2]), speedup(r[3]),
+                   speedup(r[4])});
     }
     table.print();
     std::printf("expected shape: OBIM >> GraphMat on sssp (ordering"

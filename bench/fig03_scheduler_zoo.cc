@@ -8,27 +8,9 @@
 #include <cstdio>
 
 #include "bench_common.hh"
-#include "worklist/obim.hh"
 
 using namespace minnow;
 using namespace minnow::bench;
-
-namespace
-{
-
-/** Run Galois OBIM with an overridden bucket interval. */
-harness::ExperimentResult
-runObimLg(harness::Workload &w, std::uint32_t lg,
-          std::uint32_t threads, const BenchArgs &a)
-{
-    std::uint32_t saved = w.lgDelta;
-    w.lgDelta = lg;
-    auto r = run(w, harness::Config::Obim, threads, a);
-    w.lgDelta = saved;
-    return r;
-}
-
-} // anonymous namespace
 
 int
 main(int argc, char **argv)
@@ -48,34 +30,39 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"workload", "fifo", "lifo(carbon)", "strict",
                   "obim(fine)", "obim(tuned)", "obim(coarse)"});
+    // Per workload: GraphMat (the normalizer), FIFO, LIFO, strict,
+    // then OBIM with the finest, the tuned and a coarse bucket
+    // interval.
+    std::vector<std::string> names;
+    std::vector<Point> points;
     for (const std::string &name : args.workloads) {
         if (name == "tc" || name == "bc")
             continue;
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto gmat =
-            run(w, harness::Config::Bsp, args.threads, args);
-        checkVerified(gmat, name + "/bsp");
-        double norm = double(gmat.run.cycles);
-        auto rel = [&](const harness::ExperimentResult &r) {
-            if (r.run.timedOut)
-                return std::string("TIMEOUT");
-            return TextTable::num(double(r.run.cycles) / norm, 2);
+        names.push_back(name);
+        for (harness::Config c :
+             {harness::Config::Bsp, harness::Config::Fifo,
+              harness::Config::Lifo, harness::Config::Strict,
+              harness::Config::Obim, harness::Config::Obim,
+              harness::Config::Obim})
+            points.push_back({name, c, args.threads, args.machine});
+        points[points.size() - 3].prepare = [](harness::Workload &w) {
+            w.lgDelta = 0;
         };
-
-        auto fifo =
-            run(w, harness::Config::Fifo, args.threads, args);
-        auto lifo =
-            run(w, harness::Config::Lifo, args.threads, args);
-        auto strict =
-            run(w, harness::Config::Strict, args.threads, args);
-        auto fine = runObimLg(w, 0, args.threads, args);
-        auto tuned = runObimLg(w, w.lgDelta, args.threads, args);
-        auto coarse =
-            runObimLg(w, w.lgDelta + 6, args.threads, args);
-
-        table.row({w.name, rel(fifo), rel(lifo), rel(strict),
-                   rel(fine), rel(tuned), rel(coarse)});
+        points.back().prepare = [](harness::Workload &w) {
+            w.lgDelta += 6;
+        };
+    }
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < names.size(); ++k) {
+        const harness::ExperimentResult *r = &results[7 * k];
+        double norm = double(r[0].run.cycles);
+        auto rel = [&](const harness::ExperimentResult &x) {
+            if (x.run.timedOut)
+                return std::string("TIMEOUT");
+            return TextTable::num(double(x.run.cycles) / norm, 2);
+        };
+        table.row({names[k], rel(r[1]), rel(r[2]), rel(r[3]),
+                   rel(r[4]), rel(r[5]), rel(r[6])});
     }
     table.print();
     std::printf("expected shape: tuned OBIM lowest on sssp by a"

@@ -33,48 +33,53 @@ main(int argc, char **argv)
            "realistic curve flat past 256; ideal (perfect branch,"
            " no fence) keeps scaling");
 
+    // Per workload: the ROB sweep in each of the three modes
+    // (realistic, perfect branches, perfect branches + no fences).
+    std::vector<Point> points;
     for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        std::printf("\n-- %s --\n", name.c_str());
+        for (int mode = 0; mode < 3; ++mode) {
+            for (std::uint32_t rob : robs) {
+                Point p{name, harness::Config::Obim, args.threads,
+                        args.machine};
+                CoreParams &core = p.machine.core;
+                core.robEntries = rob;
+                core.rsEntries = std::max(8u, rob * 97 / 224);
+                core.lqEntries = std::max(8u, rob * 72 / 224);
+                core.sqEntries = std::max(8u, rob * 56 / 224);
+                core.perfectBranches = mode >= 1;
+                core.atomicFences = mode < 2;
+                points.push_back(p);
+            }
+        }
+    }
+    auto results = runPoints(args, points);
+    auto cycles = [&](std::size_t i) {
+        return results[i].run.timedOut ? 0
+                                       : double(results[i].run.cycles);
+    };
+    const std::size_t n = robs.size();
+    for (std::size_t k = 0; k < args.workloads.size(); ++k) {
+        std::printf("\n-- %s --\n", args.workloads[k].c_str());
         TextTable table;
         table.header({"rob", "realistic", "perfect-branch",
                       "ideal(nofence)"});
-
         // Normalization run: 256-entry realistic.
+        std::size_t first = 3 * n * k;
         double norm = 0;
-        std::vector<std::vector<double>> cols(
-            3, std::vector<double>(robs.size(), 0));
-        for (int mode = 0; mode < 3; ++mode) {
-            for (std::size_t i = 0; i < robs.size(); ++i) {
-                BenchArgs a = args;
-                a.machine.core.robEntries = robs[i];
-                a.machine.core.rsEntries =
-                    std::max(8u, robs[i] * 97 / 224);
-                a.machine.core.lqEntries =
-                    std::max(8u, robs[i] * 72 / 224);
-                a.machine.core.sqEntries =
-                    std::max(8u, robs[i] * 56 / 224);
-                a.machine.core.perfectBranches = mode >= 1;
-                a.machine.core.atomicFences = mode < 2;
-                auto r = run(w, harness::Config::Obim,
-                             args.threads, a);
-                checkVerified(r, name + "/rob" +
-                                     std::to_string(robs[i]));
-                cols[mode][i] =
-                    r.run.timedOut ? 0 : double(r.run.cycles);
-                if (mode == 0 && robs[i] == 256)
-                    norm = cols[mode][i];
-            }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (robs[i] == 256)
+                norm = cycles(first + i);
         }
-        for (std::size_t i = 0; i < robs.size(); ++i) {
-            auto cell = [&](double v) {
-                if (v == 0)
-                    return std::string("TIMEOUT");
-                return TextTable::num(norm / v, 2) + "x";
-            };
-            table.row({std::to_string(robs[i]), cell(cols[0][i]),
-                       cell(cols[1][i]), cell(cols[2][i])});
+        auto cell = [&](double v) {
+            if (v == 0)
+                return std::string("TIMEOUT");
+            return TextTable::num(norm / v, 2) + "x";
+        };
+        for (std::size_t i = 0; i < n; ++i) {
+            table.row({std::to_string(robs[i]),
+                       cell(cycles(first + i)),
+                       cell(cycles(first + n + i)),
+                       cell(cycles(first + 2 * n + i))});
         }
         table.print();
     }

@@ -29,13 +29,16 @@ main(int argc, char **argv)
                   "idle%", "tasks", "cycles"});
     double sumUseful = 0;
     int counted = 0;
-    for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto r = run(w, harness::Config::Obim, args.threads, args);
-        checkVerified(r, name + "/obim");
+    std::vector<Point> points;
+    for (const std::string &name : args.workloads)
+        points.push_back({name, harness::Config::Obim, args.threads,
+                          args.machine});
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < points.size(); ++k) {
+        const harness::ExperimentResult &r = results[k];
+        const std::string &name = points[k].workload;
         if (r.run.timedOut) {
-            table.row({w.name, "TIMEOUT", "", "", "", "", ""});
+            table.row({name, "TIMEOUT", "", "", "", "", ""});
             continue;
         }
         // Useful = app-phase uops at full dispatch width; the rest
@@ -51,7 +54,7 @@ main(int argc, char **argv)
         double usefulPct = 100.0 * useful / total;
         sumUseful += usefulPct;
         ++counted;
-        table.row({w.name, TextTable::num(usefulPct, 1),
+        table.row({name, TextTable::num(usefulPct, 1),
                    TextTable::num(
                        100.0 * (appCycles - useful) / total, 1),
                    TextTable::num(100.0 * wlCycles / total, 1),

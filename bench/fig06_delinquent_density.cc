@@ -30,11 +30,13 @@ main(int argc, char **argv)
                   "lq72-delinquent"});
     double sum = 0;
     int counted = 0;
-    for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto r = run(w, harness::Config::Obim, args.threads, args);
-        checkVerified(r, name);
+    std::vector<Point> points;
+    for (const std::string &name : args.workloads)
+        points.push_back({name, harness::Config::Obim, args.threads,
+                          args.machine});
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < points.size(); ++k) {
+        const harness::ExperimentResult &r = results[k];
         if (r.run.timedOut || r.run.allLoads == 0)
             continue;
         double density =
@@ -44,7 +46,7 @@ main(int argc, char **argv)
         // Of a 72-entry Skylake load queue, how many entries hold
         // delinquent loads on average (the paper's ~7)?
         double lqShare = 72.0 * density / 100.0;
-        table.row({w.name, TextTable::count(r.run.delinquentLoads),
+        table.row({points[k].workload, TextTable::count(r.run.delinquentLoads),
                    TextTable::count(r.run.allLoads),
                    TextTable::num(density, 1),
                    TextTable::num(lqShare, 1)});

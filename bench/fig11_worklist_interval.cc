@@ -26,21 +26,23 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"workload", "pushes", "pops", "core-cycles",
                   "cycles/op"});
-    for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto r = run(w, harness::Config::Minnow, args.threads,
-                     args);
-        checkVerified(r, name);
+    std::vector<Point> points;
+    for (const std::string &name : args.workloads)
+        points.push_back({name, harness::Config::Minnow, args.threads,
+                          args.machine});
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < points.size(); ++k) {
+        const harness::ExperimentResult &r = results[k];
+        const std::string &name = points[k].workload;
         if (r.run.timedOut) {
-            table.row({w.name, "TIMEOUT", "", "", ""});
+            table.row({name, "TIMEOUT", "", "", ""});
             continue;
         }
         std::uint64_t ops =
             r.engines.enqueues + r.engines.dequeues;
         double coreCycles =
             double(r.run.cycles) * args.threads;
-        table.row({w.name, TextTable::count(r.engines.enqueues),
+        table.row({name, TextTable::count(r.engines.enqueues),
                    TextTable::count(r.engines.dequeues),
                    TextTable::count(r.run.cycles),
                    ops ? TextTable::num(coreCycles / ops, 0)

@@ -26,34 +26,43 @@ main(int argc, char **argv)
            "Galois scales to ~32 threads then flattens; CC slows"
            " past 16; Minnow keeps scaling");
 
+    std::vector<std::uint32_t> counts;
+    for (std::uint32_t t : threads) {
+        if (t > args.threads)
+            break;
+        counts.push_back(t);
+    }
+    // Per workload: the serial baseline, then Galois and Minnow at
+    // each thread count.
+    std::vector<Point> points;
     for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto serial = run(w, harness::Config::SerialRelaxed, 1,
-                          args);
-        checkVerified(serial, name + "/serial");
-        double norm = double(serial.run.cycles);
-
+        points.push_back(
+            {name, harness::Config::SerialRelaxed, 1, args.machine});
+        for (std::uint32_t t : counts) {
+            points.push_back({name, harness::Config::Obim, t,
+                              args.machine});
+            points.push_back({name, harness::Config::Minnow, t,
+                              args.machine});
+        }
+    }
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < args.workloads.size(); ++k) {
+        const harness::ExperimentResult *r =
+            &results[k * (1 + 2 * counts.size())];
+        double norm = double(r[0].run.cycles);
         std::printf("\n-- %s (serial baseline %s cycles) --\n",
-                    name.c_str(),
-                    TextTable::count(serial.run.cycles).c_str());
+                    args.workloads[k].c_str(),
+                    TextTable::count(r[0].run.cycles).c_str());
         TextTable table;
         table.header({"threads", "galois", "minnow"});
-        for (std::uint32_t t : threads) {
-            if (t > args.threads)
-                break;
-            auto sw = run(w, harness::Config::Obim, t, args);
-            checkVerified(sw, name + "/obim");
-            auto hw = run(w, harness::Config::Minnow, t, args);
-            checkVerified(hw, name + "/minnow");
-            auto cell = [&](const harness::ExperimentResult &r) {
-                if (r.run.timedOut)
-                    return std::string("TIMEOUT");
-                return TextTable::num(norm / double(r.run.cycles),
-                                      2) +
-                       "x";
-            };
-            table.row({std::to_string(t), cell(sw), cell(hw)});
+        auto cell = [&](const harness::ExperimentResult &x) {
+            if (x.run.timedOut)
+                return std::string("TIMEOUT");
+            return TextTable::num(norm / double(x.run.cycles), 2) + "x";
+        };
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            table.row({std::to_string(counts[i]), cell(r[1 + 2 * i]),
+                       cell(r[2 + 2 * i])});
         }
         table.print();
     }

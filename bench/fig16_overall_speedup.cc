@@ -67,33 +67,32 @@ main(int argc, char **argv)
                   "paper", "paper+pf"});
     double geoNoPf = 1, geoPf = 1;
     int counted = 0;
+    std::vector<Point> points;
     for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto base = run(w, harness::Config::Obim, args.threads,
-                        args);
-        checkVerified(base, name + "/obim");
-        auto mn = run(w, harness::Config::Minnow, args.threads,
-                      args);
-        checkVerified(mn, name + "/minnow");
-        auto pf = run(w, harness::Config::MinnowPf, args.threads,
-                      args);
-        checkVerified(pf, name + "/minnow-pf");
-
-        double s1 = base.run.timedOut || mn.run.timedOut
+        for (harness::Config c :
+             {harness::Config::Obim, harness::Config::Minnow,
+              harness::Config::MinnowPf})
+            points.push_back({name, c, args.threads, args.machine});
+    }
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < args.workloads.size(); ++k) {
+        const std::string &name = args.workloads[k];
+        const galois::RunResult &base = results[3 * k].run;
+        const galois::RunResult &mn = results[3 * k + 1].run;
+        const galois::RunResult &pf = results[3 * k + 2].run;
+        double s1 = base.timedOut || mn.timedOut
                         ? 0
-                        : double(base.run.cycles) / mn.run.cycles;
-        double s2 = base.run.timedOut || pf.run.timedOut
+                        : double(base.cycles) / mn.cycles;
+        double s2 = base.timedOut || pf.timedOut
                         ? 0
-                        : double(base.run.cycles) / pf.run.cycles;
+                        : double(base.cycles) / pf.cycles;
         if (s1 > 0 && s2 > 0) {
             geoNoPf *= s1;
             geoPf *= s2;
             ++counted;
         }
-        table.row({w.name, cyclesOrTimeout(base.run),
-                   cyclesOrTimeout(mn.run), cyclesOrTimeout(pf.run),
-                   TextTable::num(s1, 2) + "x",
+        table.row({name, cyclesOrTimeout(base), cyclesOrTimeout(mn),
+                   cyclesOrTimeout(pf), TextTable::num(s1, 2) + "x",
                    TextTable::num(s2, 2) + "x",
                    TextTable::num(paperNoPf(name), 1) + "x",
                    TextTable::num(paperWithPf(name), 1) + "x"});

@@ -33,39 +33,35 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"workload", "stride", "imp", "minnow-pf",
                   "imp-patterns"});
+    // Per workload: Minnow without prefetching (the normalizer),
+    // then stride and IMP — a hardware L2 prefetcher on the same
+    // Minnow-offload system instead of worklist direction, so the
+    // comparison isolates the prefetching mechanism — then
+    // Minnow's own prefetching.
+    std::vector<Point> points;
     for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto base = run(w, harness::Config::Minnow, args.threads,
-                        args);
-        checkVerified(base, name + "/minnow");
-        double norm = double(base.run.cycles);
-        auto cell = [&](const harness::ExperimentResult &r) {
-            if (r.run.timedOut || base.run.timedOut)
+        Point base{name, harness::Config::Minnow, args.threads,
+                   args.machine};
+        Point stride = base;
+        stride.machine.prefetcher = PrefetcherKind::Stride;
+        Point imp = base;
+        imp.machine.prefetcher = PrefetcherKind::Imp;
+        Point mpf = base;
+        mpf.config = harness::Config::MinnowPf;
+        points.insert(points.end(), {base, stride, imp, mpf});
+    }
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < args.workloads.size(); ++k) {
+        const harness::ExperimentResult *r = &results[4 * k];
+        double norm = double(r[0].run.cycles);
+        auto cell = [&](const harness::ExperimentResult &x) {
+            if (x.run.timedOut || r[0].run.timedOut)
                 return std::string("TIMEOUT");
-            return TextTable::num(norm / double(r.run.cycles), 2) +
+            return TextTable::num(norm / double(x.run.cycles), 2) +
                    "x";
         };
-
-        // Stride/IMP run on the same Minnow-offload system with a
-        // hardware L2 prefetcher instead of worklist direction, so
-        // the comparison isolates the prefetching mechanism.
-        BenchArgs strideArgs = args;
-        strideArgs.machine.prefetcher = PrefetcherKind::Stride;
-        auto stride = run(w, harness::Config::Minnow, args.threads,
-                          strideArgs);
-        checkVerified(stride, name + "/stride");
-        BenchArgs impArgs = args;
-        impArgs.machine.prefetcher = PrefetcherKind::Imp;
-        auto imp = run(w, harness::Config::Minnow, args.threads,
-                       impArgs);
-        checkVerified(imp, name + "/imp");
-        auto mpf = run(w, harness::Config::MinnowPf, args.threads,
-                       args);
-        checkVerified(mpf, name + "/minnow-pf");
-
-        table.row({w.name, cell(stride), cell(imp), cell(mpf),
-                   "-"});
+        table.row({args.workloads[k], cell(r[1]), cell(r[2]),
+                   cell(r[3]), "-"});
     }
     table.print();
     std::printf("note: all configs share Minnow worklist offload;"

@@ -32,8 +32,7 @@ main(int argc, char **argv)
     for (auto c : credits)
         header.push_back(std::to_string(c));
     table.header(header);
-    for (const std::string &name : args.workloads) {
-        CreditSweep s = sweepCredits(name, args, credits);
+    for (const CreditSweep &s : sweepCredits(args, credits)) {
         std::vector<std::string> row = {s.workload};
         for (const CreditPoint &p : s.points) {
             row.push_back(p.timedOut

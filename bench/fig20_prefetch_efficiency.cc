@@ -15,33 +15,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "credit_sweep.hh"
 
 using namespace minnow;
 using namespace minnow::bench;
-
-namespace
-{
-
-/** Pull one numeric stat out of the run's "attribution" group. */
-double
-attrStat(const std::string &json, const std::string &key)
-{
-    std::size_t base = json.find("\"attribution\":");
-    if (base == std::string::npos)
-        return 0.0;
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = json.find(needle, base);
-    return pos == std::string::npos
-               ? 0.0
-               : std::strtod(json.c_str() + pos + needle.size(),
-                             nullptr);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -64,43 +43,37 @@ main(int argc, char **argv)
     header.push_back("timely%@32");
     header.push_back("pollut%@32");
     table.header(header);
-    for (const std::string &name : args.workloads) {
-        CreditSweep s = sweepCredits(name, args, credits);
+    // Per workload, after its sweep: the IMP efficiency point
+    // (hardware prefetcher, same system), and the paper-point
+    // credit count (32) re-run with the provenance tracker on.
+    auto extra = [&](const std::string &name) {
+        Point imp{name, harness::Config::Minnow, args.threads,
+                  args.machine};
+        imp.machine.prefetcher = PrefetcherKind::Imp;
+        Point attr{name, harness::Config::MinnowPf, args.threads,
+                   args.machine};
+        attr.machine.minnow.prefetchCredits = 32;
+        attr.machine.attribution = true;
+        return std::vector<Point>{imp, attr};
+    };
+    for (const CreditSweep &s : sweepCredits(args, credits, extra)) {
         std::vector<std::string> row = {s.workload};
         for (const CreditPoint &p : s.points) {
             row.push_back(p.timedOut
                               ? "T/O"
                               : TextTable::num(p.efficiency, 1));
         }
-        // IMP efficiency point (hardware prefetcher, same system).
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        BenchArgs impArgs = args;
-        impArgs.machine.prefetcher = PrefetcherKind::Imp;
-        auto imp = run(w, harness::Config::Minnow, args.threads,
-                       impArgs);
-        std::uint64_t fills = imp.run.mem.prefetchFills;
+        const galois::RunResult &imp = s.extra[0].run;
+        std::uint64_t fills = imp.mem.prefetchFills;
         row.push_back(
-            fills ? TextTable::num(100.0 *
-                                       double(imp.run.mem
-                                                  .prefetchUsed) /
+            fills ? TextTable::num(100.0 * double(imp.mem.prefetchUsed) /
                                        double(fills),
                                    1)
                   : "-");
-        // Attribution columns: the paper-point credit count (32)
-        // re-run with the provenance tracker on.
-        harness::Workload wa =
-            harness::makeWorkload(name, args.scale, args.seed);
-        BenchArgs attrArgs = args;
-        attrArgs.machine.minnow.prefetchCredits = 32;
-        attrArgs.machine.attribution = true;
-        auto ar = run(wa, harness::Config::MinnowPf, args.threads,
-                      attrArgs);
-        const std::string &aj = ar.run.statsJson;
-        double afills = attrStat(aj, "fills");
-        double timely = attrStat(aj, "timely");
-        double late = attrStat(aj, "late");
-        double used = timely + late;
+        const StatsReport &ar = s.extra[1].run.report;
+        double afills = ar.get("attribution.fills");
+        double timely = ar.get("attribution.timely");
+        double used = timely + ar.get("attribution.late");
         row.push_back(
             afills ? TextTable::num(100.0 * used / afills, 1)
                    : "-");
@@ -108,7 +81,8 @@ main(int argc, char **argv)
             used > 0 ? TextTable::num(100.0 * timely / used, 1)
                      : "-");
         row.push_back(
-            afills ? TextTable::num(attrStat(aj, "pollutionPct"), 2)
+            afills ? TextTable::num(ar.get("attribution.pollutionPct"),
+                                    2)
                    : "-");
         table.row(row);
     }

@@ -30,40 +30,46 @@ main(int argc, char **argv)
            "latency-bound without prefetch (flat to ~4ch);"
            " bandwidth-bound with prefetch; TC insensitive");
 
+    // Per workload and channel count: Minnow without, then with
+    // prefetching.
+    std::vector<Point> points;
     for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        std::printf("\n-- %s --\n", name.c_str());
+        for (std::uint32_t ch : channels) {
+            Point off{name, harness::Config::Minnow, args.threads,
+                      args.machine};
+            off.machine.dram.channels = ch;
+            Point on = off;
+            on.config = harness::Config::MinnowPf;
+            points.insert(points.end(), {off, on});
+        }
+    }
+    auto results = runPoints(args, points);
+    auto cycles = [&](std::size_t i) {
+        return results[i].run.timedOut ? 0
+                                       : double(results[i].run.cycles);
+    };
+    const std::size_t n = channels.size();
+    for (std::size_t k = 0; k < args.workloads.size(); ++k) {
+        std::printf("\n-- %s --\n", args.workloads[k].c_str());
         TextTable table;
         table.header({"channels", "minnow", "minnow+pf"});
+        std::size_t first = 2 * n * k;
         double norm[2] = {0, 0};
-        std::vector<std::array<double, 2>> rows;
-        for (std::uint32_t ch : channels) {
-            BenchArgs a = args;
-            a.machine.dram.channels = ch;
-            auto off =
-                run(w, harness::Config::Minnow, args.threads, a);
-            auto on =
-                run(w, harness::Config::MinnowPf, args.threads, a);
-            checkVerified(off, name);
-            checkVerified(on, name);
-            double c0 = off.run.timedOut ? 0 : double(off.run.cycles);
-            double c1 = on.run.timedOut ? 0 : double(on.run.cycles);
-            rows.push_back({c0, c1});
-            if (ch == 12) {
-                norm[0] = c0;
-                norm[1] = c1;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (channels[i] == 12) {
+                norm[0] = cycles(first + 2 * i);
+                norm[1] = cycles(first + 2 * i + 1);
             }
         }
-        for (std::size_t i = 0; i < channels.size(); ++i) {
-            auto cell = [&](double v, double n) {
-                if (v == 0 || n == 0)
-                    return std::string("T/O");
-                return TextTable::num(n / v, 2) + "x";
-            };
+        auto cell = [&](double v, double nv) {
+            if (v == 0 || nv == 0)
+                return std::string("T/O");
+            return TextTable::num(nv / v, 2) + "x";
+        };
+        for (std::size_t i = 0; i < n; ++i) {
             table.row({std::to_string(channels[i]),
-                       cell(rows[i][0], norm[0]),
-                       cell(rows[i][1], norm[1])});
+                       cell(cycles(first + 2 * i), norm[0]),
+                       cell(cycles(first + 2 * i + 1), norm[1])});
         }
         table.print();
     }

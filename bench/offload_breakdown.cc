@@ -30,7 +30,8 @@ using namespace minnow::bench;
 namespace
 {
 
-struct Point
+/** One table row: the engine round-trip split at one setting. */
+struct Row
 {
     std::uint32_t batch = 1;
     bool specSlot = false;
@@ -65,25 +66,16 @@ struct SweptConfig
 std::vector<SweptConfig>
 batchesFromOpts(const Options &opts)
 {
-    std::string list = opts.getString("batch-list", "1,2,4,8,4s");
     std::vector<SweptConfig> out;
-    std::size_t pos = 0;
-    while (pos != std::string::npos) {
-        std::size_t comma = list.find(',', pos);
-        std::string tok = list.substr(
-            pos, comma == std::string::npos ? comma : comma - pos);
-        if (!tok.empty()) {
-            SweptConfig c;
-            if (tok.back() == 's') {
-                c.specSlot = true;
-                tok.pop_back();
-            }
-            fatal_if(tok.empty(),
-                     "--batch-list token has no batch count");
-            c.batch = std::uint32_t(std::stoul(tok));
-            out.push_back(c);
+    for (std::string tok : opts.getList("batch-list", "1,2,4,8,4s")) {
+        SweptConfig c;
+        if (tok.back() == 's') {
+            c.specSlot = true;
+            tok.pop_back();
         }
-        pos = comma == std::string::npos ? comma : comma + 1;
+        fatal_if(tok.empty(), "--batch-list token has no batch count");
+        c.batch = std::uint32_t(std::stoul(tok));
+        out.push_back(c);
     }
     fatal_if(out.empty(), "--batch-list parsed to nothing");
     return out;
@@ -108,32 +100,31 @@ main(int argc, char **argv)
 
     const std::string wl =
         args.workloads.empty() ? "sssp" : args.workloads.front();
-    harness::Workload w =
-        harness::makeWorkload(wl, args.scale, args.seed);
 
     std::vector<Point> points;
     for (const SweptConfig &sc : batches) {
-        std::uint32_t k = sc.batch;
-        harness::RunSpec spec;
-        spec.config = harness::Config::MinnowPf;
-        spec.threads = args.threads;
-        spec.machine = args.machine;
-        spec.machine.minnow.dequeueBatch = k;
+        Point p{wl, harness::Config::MinnowPf, args.threads,
+                args.machine};
+        p.machine.minnow.dequeueBatch = sc.batch;
         if (sc.specSlot)
-            spec.machine.minnow.specSlot = true;
+            p.machine.minnow.specSlot = true;
         // The popWait histogram lives in the timeline stats group;
         // route the (unused) trace to the null device and keep only
         // the task category so tracing cost stays negligible.
-        spec.machine.timelinePath = "/dev/null";
-        spec.machine.timelineTracks = "task";
-        spec.maxEvents = args.maxEvents;
-        harness::ExperimentResult r = harness::runExperiment(w, spec);
-        checkVerified(r, wl + " k=" + std::to_string(k) +
-                             (sc.specSlot ? "s" : ""));
+        p.machine.timelinePath = "/dev/null";
+        p.machine.timelineTracks = "task";
+        p.statsConfig = "minnow-pf(k=" + std::to_string(sc.batch) +
+                        (sc.specSlot ? "s)" : ")");
+        points.push_back(p);
+    }
+    auto results = runPoints(args, points);
 
-        Point p;
-        p.batch = k;
-        p.specSlot = spec.machine.minnow.specSlot;
+    std::vector<Row> rows;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const harness::ExperimentResult &r = results[i];
+        Row p;
+        p.batch = batches[i].batch;
+        p.specSlot = points[i].machine.minnow.specSlot;
         p.timedOut = r.run.timedOut;
         p.cycles = r.run.cycles;
         p.dequeues = r.engines.dequeues;
@@ -147,18 +138,7 @@ main(int argc, char **argv)
         p.popWaitP50 = r.run.report.get("timeline.popWaitP50");
         p.popWaitP95 = r.run.report.get("timeline.popWaitP95");
         p.popWaitP99 = r.run.report.get("timeline.popWaitP99");
-        points.push_back(p);
-
-        if (args.statsJson) {
-            args.statsJson->add(wl, "minnow-pf(k=" +
-                                std::to_string(k) +
-                                (sc.specSlot ? "s)" : ")"),
-                                args.threads, args.scale, args.seed,
-                                spec.machine.minnow.prefetchCredits,
-                                r.run.timedOut, r.run.verified,
-                                r.run.cycles, r.run.instructions,
-                                r.run.l2Mpki, r.run.statsJson);
-        }
+        rows.push_back(p);
     }
 
     TextTable table;
@@ -166,7 +146,7 @@ main(int argc, char **argv)
                   "bundleTasks", "doorbell/call", "wait/call",
                   "deliver/call", "popWaitP50", "popWaitP95",
                   "popWaitP99"});
-    for (const Point &p : points) {
+    for (const Row &p : rows) {
         table.row({std::to_string(p.batch) +
                        (p.specSlot ? "s" : ""),
                    std::to_string(p.specHits),
@@ -189,8 +169,8 @@ main(int argc, char **argv)
         std::fprintf(f, "{\"schema\":\"minnow-offload-1\","
                         "\"workload\":\"%s\",\"threads\":%u,"
                         "\"points\":[", wl.c_str(), args.threads);
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const Point &p = points[i];
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            const Row &p = rows[i];
             std::fprintf(
                 f,
                 "%s{\"batch\":%u,\"specSlot\":%s,"

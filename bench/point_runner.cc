@@ -3,19 +3,30 @@
  * Run exactly one (workload, config, threads) figure point and emit
  * a machine-readable result (schema "minnow-point-1").
  *
- * This is the worker the warm-sweep orchestrator
- * (scripts/sweep_orchestrator.py) forks per point, and the subject
- * of the checkpoint A/B equivalence test
- * (scripts/check_checkpoint_ab.py): it accepts every common bench
- * flag, including --checkpoint-out/--checkpoint-in/
- * --checkpoint-after, so one invocation can produce a warm
- * checkpoint and later invocations can start from it.
+ * This is the subject of the checkpoint A/B equivalence tests
+ * (scripts/check_checkpoint_ab.py, scripts/check_attribution_ab.py)
+ * and the point the benchmark ledger (perfbench/) times. It accepts
+ * every common bench flag, plus the checkpoint flags, which only
+ * this binary has, so one invocation can produce a checkpoint and
+ * later invocations can start from it.
  *
  * Extra flags beyond bench_common:
  *   --workload=<name>  required: one of the harness workloads.
  *   --config=<name>    scheduler config (default minnow-pf).
  *   --json=<path>      write the result JSON to a file instead of
  *                      stdout.
+ *   --checkpoint-out=<path>   write a checkpoint (when depends on
+ *                      --checkpoint-after; also written as a
+ *                      rescue on SIGINT/SIGTERM).
+ *   --checkpoint-in=<path>    warm-start from a checkpoint; any
+ *                      validation failure warns and degrades to
+ *                      a cold start, never wrong results.
+ *   --checkpoint-after=<when> "warmup" (default: save at the warm
+ *                      boundary, before simulated time starts) or
+ *                      a cycle count (save a mid-run rescue
+ *                      anchor at the first event boundary at or
+ *                      after that cycle).
+ * See DESIGN.md section 5i.
  *
  * The result includes hostSeconds (wall-clock for workload build +
  * simulation), which scripts/bench_simspeed.py uses to measure
@@ -40,16 +51,31 @@ main(int argc, char **argv)
     std::string configName =
         opts.getString("config", "minnow-pf");
     std::string jsonPath = opts.getString("json", "");
+    std::string ckptOut = opts.getString("checkpoint-out", "");
+    std::string ckptIn = opts.getString("checkpoint-in", "");
+    std::string ckptAfter =
+        opts.getString("checkpoint-after", "warmup");
     opts.rejectUnused();
     fatal_if(workload.empty(), "point_runner needs --workload=");
     harness::Config config = harness::parseConfig(configName);
 
+    Point p{workload, config, args.threads, args.machine};
+    harness::RunSpec spec = specOf(p, args);
+    spec.checkpointOut = ckptOut;
+    spec.checkpointIn = ckptIn;
+    spec.checkpointAfter = ckptAfter;
+
     auto t0 = std::chrono::steady_clock::now();
-    harness::Workload w = makeWorkload(workload, args);
+    harness::Workload w =
+        ckptIn.empty() ? makeWorkload(workload, args)
+                       : harness::makeWorkloadWarm(workload, args.scale,
+                                                   args.seed, ckptIn);
     auto t1 = std::chrono::steady_clock::now();
-    harness::ExperimentResult r =
-        run(w, config, args.threads, args);
+    harness::ExperimentResult r = harness::runExperiment(w, spec);
     auto t2 = std::chrono::steady_clock::now();
+    logRun(args, p, r);
+    if (r.run.interrupted)
+        exitInterrupted(args, !ckptOut.empty());
 
     auto secs = [](auto a, auto b) {
         return std::chrono::duration<double>(b - a).count();

@@ -44,14 +44,24 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"workload", "algorithm", "input",
                   "serial-cycles", "tasks", "verified"});
-    for (const std::string &name : args.workloads) {
-        harness::Workload w =
-            harness::makeWorkload(name, args.scale, args.seed);
-        auto r = run(w, harness::Config::SerialRelaxed, 1, args);
-        table.row({w.name, algorithmOf(name), w.inputDesc,
-                   TextTable::count(r.run.cycles),
-                   TextTable::count(r.run.tasks),
-                   r.run.verified ? "yes" : "NO"});
+    std::vector<Point> points;
+    std::vector<std::string> inputs(args.workloads.size());
+    for (std::size_t k = 0; k < args.workloads.size(); ++k) {
+        points.push_back({args.workloads[k],
+                          harness::Config::SerialRelaxed, 1,
+                          args.machine});
+        points.back().prepare = [&input = inputs[k]](
+                                    harness::Workload &w) {
+            input = w.inputDesc;
+        };
+    }
+    auto results = runPoints(args, points);
+    for (std::size_t k = 0; k < points.size(); ++k) {
+        const std::string &name = points[k].workload;
+        const galois::RunResult &r = results[k].run;
+        table.row({name, algorithmOf(name), inputs[k],
+                   TextTable::count(r.cycles), TextTable::count(r.tasks),
+                   r.verified ? "yes" : "NO"});
     }
     table.print();
     return 0;

@@ -20,12 +20,9 @@ Five measurements, all from binaries built in this tree:
     amortization the batched-dequeue path exists for).
 
  4. the checkpoint subsystem (DESIGN.md section 5i): host-time cost
-    of saving and warm-restoring a fig18-scale point via
-    point_runner, and warm-vs-cold time-to-first-figure-point for a
-    crash-resumed sweep (scripts/sweep_orchestrator.py serving a
-    finished point from its manifest vs re-running it cold). The
-    resumed sweep must deliver its first figure point >= 2x faster
-    than the cold run.
+    of saving a fig18-scale point via point_runner and of
+    warm-restoring it (graph loaded from the checkpoint instead of
+    generated), against a cold run of the same point.
 
  5. the causal-attribution layer (--attribution, DESIGN.md section
     5k): wall time of the same point_runner point with attribution
@@ -40,9 +37,8 @@ Five measurements, all from binaries built in this tree:
 
 --smoke runs a smaller workload point and only enforces a
 conservative >= 1.05x micro speedup (wired into ctest so sim-speed
-regressions fail loudly without flaking on noisy CI hosts); the 2x
-checkpoint-resume floor and the attribution overhead ceiling apply
-in both modes.
+regressions fail loudly without flaking on noisy CI hosts); the
+attribution overhead ceiling applies in both modes.
 
 Usage:
   bench_simspeed.py [--build-dir DIR] [--micro PATH] [--fig PATH]
@@ -203,10 +199,7 @@ def timed_run(cmd, timeout=1800):
 
 
 def run_checkpoint(runner):
-    """Measure checkpoint save/restore host cost and the
-    warm-vs-cold time-to-first-figure-point of a resumed sweep."""
-    orch = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                        "sweep_orchestrator.py")
+    """Measure checkpoint save and warm-restore host cost."""
     scale = "1.0"  # generation + sim must dominate process startup
     point = ["--workload=sssp", "--config=minnow-pf",
              "--threads=4", "--cores=4", f"--scale={scale}",
@@ -229,23 +222,6 @@ def run_checkpoint(runner):
         warm_wall, warm = point_run([f"--checkpoint-in={ckpt}"])
         if not warm.get("warmStart"):
             fail("checkpoint restore did not warm-start")
-
-        # Orchestrated sweep: first invocation runs the point and
-        # journals it; the re-invocation (a crash-recovery resume)
-        # serves it from the manifest. Its wall clock is the
-        # resumed sweep's time-to-first-figure-point.
-        sweep = [sys.executable, orch, f"--runner={runner}",
-                 f"--points=sssp:minnow-pf:4", f"--scale={scale}",
-                 "--seed=42", f"--out={os.path.join(tmp, 'sweep')}"]
-        _, proc = timed_run(sweep)
-        if proc.returncode != 0:
-            fail(f"orchestrator sweep failed:\n{proc.stdout}"
-                 f"\n{proc.stderr}")
-        resume_wall, proc = timed_run(sweep)
-        if proc.returncode != 0 or \
-                "served from manifest" not in proc.stdout:
-            fail(f"orchestrator resume did not serve from the "
-                 f"manifest:\n{proc.stdout}\n{proc.stderr}")
         ckpt_bytes = os.path.getsize(ckpt)
 
     return {
@@ -257,8 +233,6 @@ def run_checkpoint(runner):
         "coldBuildSeconds": cold["buildSeconds"],
         "warmBuildSeconds": warm["buildSeconds"],
         "checkpointBytes": ckpt_bytes,
-        "resumeSeconds": resume_wall,
-        "resumeSpeedup": cold_wall / resume_wall,
     }
 
 
@@ -373,9 +347,8 @@ def main():
           f" ({int(hp.get('events', 0))} events)"
           f" | popWaitP95 k=1 {opts[1]['popWaitP95']:.0f}"
           f" -> k=4 {opts[4]['popWaitP95']:.0f}"
-          f" | ckpt cold {ckpt_res['coldSeconds']:.3f}s, resume "
-          f"{ckpt_res['resumeSeconds']:.3f}s"
-          f" ({ckpt_res['resumeSpeedup']:.1f}x)"
+          f" | ckpt cold {ckpt_res['coldSeconds']:.3f}s, warm "
+          f"{ckpt_res['warmSeconds']:.3f}s"
           f" | attribution {attr_res['overhead']:.2f}x"
           f" (ceiling {attr_res['ceiling']:.2f}x)"
           f" | wrote {args.out}")
@@ -383,10 +356,6 @@ def main():
     if micro_res["speedup"] < bar:
         fail(f"wheel-vs-heap speedup {micro_res['speedup']:.3f}x"
              f" below the {bar}x bar")
-    if ckpt_res["resumeSpeedup"] < 2.0:
-        fail(f"resumed sweep's time-to-first-figure-point is only "
-             f"{ckpt_res['resumeSpeedup']:.2f}x faster than cold "
-             f"(floor 2x)")
     print("bench_simspeed: OK")
 
 

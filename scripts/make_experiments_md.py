@@ -1,14 +1,32 @@
 #!/usr/bin/env python3
-"""Assemble EXPERIMENTS.md from bench_output.txt.
+"""Regenerate the evaluation: run every bench, write EXPERIMENTS.md.
 
 Each paper table/figure gets: the analysis prose below (what the
 paper reports, what we measure, which shapes hold, known gaps) plus
 the measured rows pasted verbatim from the bench run, so the document
-always matches the committed bench output.
+always matches the bench output.
+
+Usage:
+  make_experiments_md.py --build-dir build [--host-par N]
+                         [--record BENCH_eval_suite.json]
+      runs every bench in ORDER at its defaults from DIR/bench
+      (forwarding --host-par to the benches that take it), writes
+      bench_output.txt, then EXPERIMENTS.md. --record appends the
+      per-bench wall times to a JSON history file.
+  make_experiments_md.py
+      re-assembles EXPERIMENTS.md from an existing bench_output.txt
+      (after editing the prose).
 """
 
+import argparse
+import datetime
+import json
+import os
+import platform
 import re
+import subprocess
 import sys
+import time
 
 PROSE = {}
 
@@ -374,93 +392,131 @@ paper workloads.
 # Static epilogue: workflow notes that are not tied to one bench's
 # output and must survive regeneration.
 EPILOGUE = """\
-## Running sweeps: the warm-sweep orchestrator
+## Regenerating this file
 
-Long figure sweeps (many points of one workload at different
-configs/thread counts) do not need to regenerate the input graph per
-point: `bench/point_runner` runs one (workload, config, threads)
-point and can save/load the deterministic warm-boundary checkpoint
-(DESIGN.md §5i), and `scripts/sweep_orchestrator.py` drives a whole
-point list crash-safely on top of it:
+One command runs every bench above at its defaults and rewrites
+`bench_output.txt` and this file:
 
 ```sh
-./build/bench/point_runner --workload=sssp --config=minnow-pf \\
-    --threads=16 --scale=0.5 --checkpoint-out=sssp.ckpt  # 1st point
-./build/bench/point_runner --workload=sssp --config=obim \\
-    --threads=16 --scale=0.5 --checkpoint-in=sssp.ckpt   # warm start
-
-python3 scripts/sweep_orchestrator.py \\
-    --runner=build/bench/point_runner \\
-    --points=sssp:minnow-pf:4,sssp:obim:4,pr:obim:4 \\
-    --scale=0.5 --timeout=600 --retries=3 --out=sweep
+python3 scripts/make_experiments_md.py --build-dir build --host-par=4
 ```
 
-The first completed point of each workload writes `<out>/<wl>.ckpt`;
-every later point of that workload warm-starts from it. Each point
-gets a wall-clock `--timeout` (a hung child is killed and retried up
-to `--retries` times with exponential backoff + jitter), and every
-state change is journaled to `<out>/sweep_manifest.json` via
-temp+rename. If the orchestrator itself dies — OOM kill, ctrl-C,
-power loss — just re-run the same command: finished points are
-served from the manifest without re-running, the interrupted point
-is retried (warm, since the checkpoint survived), and the final
-report accounts for every point. Statuses in the report/manifest:
-
-  - `ok` — point completed (warm or cold as expected);
-    `retried xN` notes timeout/error attempts along the way.
-  - `degraded` — the point expected to warm-start but its checkpoint
-    was missing or failed CRC validation, so `point_runner` warned
-    and cold-started ("warn, never wrong"): the numbers are still
-    correct and byte-identical to a cold run, it just cost more
-    wall-clock.
-  - `failed` — all `--retries` attempts timed out or errored; the
-    sweep exits nonzero and the last error is in the manifest.
-
-Warm and cold runs of a point produce byte-identical `--stats-json`
-(enforced by `scripts/check_checkpoint_ab.py` in ctest); the crash
-path above is drilled by `scripts/check_orchestrator_crash.py`, and
-`scripts/bench_simspeed.py` gates the resume path at >=2x the
-cold time-to-first-point.
+Every bench declares its figure points and runs them through one
+driver (`runPoints` in `bench/bench_common.hh`), which farms them
+over `--host-par` host threads and records results in declaration
+order, so the output is byte-identical at any `--host-par`
+(`check_host_par_ab` in ctest runs fig18, fig15, fig03 and fig04 at
+1 and 4 threads and compares stdout, `--stats-json` and
+`--timeline`). Per-bench wall times of full regenerations are kept
+in `BENCH_eval_suite.json`.
 """
+
+# Benches in document order; the ones without common bench flags
+# do not take --host-par.
+ORDER = [
+    "table3_machine_config", "table1_graph_inputs",
+    "table2_benchmarks", "fig02_priority_speedup",
+    "fig03_scheduler_zoo", "fig04_rob_sweep",
+    "fig05_overhead_breakdown", "fig06_delinquent_density",
+    "fig11_worklist_interval", "fig15_scalability",
+    "fig16_overall_speedup", "fig17_imp_comparison",
+    "fig18_mpki_credits", "fig19_speedup_credits",
+    "fig20_prefetch_efficiency", "fig21_membw_sweep",
+    "sec54_area_model", "abl_minnow_structures",
+    "abl_task_split", "abl_engine_sharing", "ext_workloads",
+]
+NO_BENCH_FLAGS = {"table3_machine_config", "sec54_area_model"}
+
+
+def run_benches(build_dir, host_par):
+    """Run ORDER, write bench_output.txt; return {bench: seconds}."""
+    parts, seconds = [], {}
+    for name in ORDER:
+        cmd = [os.path.join(build_dir, "bench", name)]
+        if name not in NO_BENCH_FLAGS:
+            cmd.append(f"--host-par={host_par}")
+        t0 = time.monotonic()
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        seconds[name] = round(time.monotonic() - t0, 3)
+        if proc.returncode != 0:
+            sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n"
+                     f"{proc.stderr}")
+        print(f"{name}: {seconds[name]:.1f} s", flush=True)
+        parts.append(f"##### {name}\n{proc.stdout}")
+    with open("bench_output.txt", "w") as f:
+        f.write("\n".join(parts))
+    return seconds
+
+
+def record(path, build_dir, host_par, seconds):
+    """Append one regeneration's wall times to a JSON history."""
+    doc = {"schema": "minnow-eval-suite-1", "runs": []}
+    if os.path.exists(path):
+        with open(path) as f:
+            doc = json.load(f)
+    build_type = ""
+    with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
+        m = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", f.read(), re.M)
+        build_type = m.group(1) if m else ""
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"],
+                            capture_output=True, text=True)
+    doc["runs"].append({
+        "date": datetime.datetime.now(datetime.timezone.utc)
+                .strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "commit": commit.stdout.strip() or None,
+        "hostPar": host_par,
+        "host": {"cpus": os.cpu_count(),
+                 "machine": platform.machine(),
+                 "platform": platform.platform()},
+        "buildType": build_type,
+        "totalSeconds": round(sum(seconds.values()), 3),
+        "seconds": seconds,
+    })
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
 
 
 def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--build-dir",
+                    help="run the benches from DIR/bench first")
+    ap.add_argument("--host-par", type=int, default=1)
+    ap.add_argument("--record", metavar="JSON",
+                    help="append per-bench wall times here")
+    args = ap.parse_args()
+    if args.build_dir:
+        seconds = run_benches(args.build_dir, args.host_par)
+        if args.record:
+            record(args.record, args.build_dir, args.host_par,
+                   seconds)
+    elif args.record:
+        sys.exit("--record needs --build-dir")
+
     bench = open("bench_output.txt").read()
     sections = {}
     for m in re.finditer(r"^##### (\S+)\n(.*?)(?=^##### |\Z)", bench,
                          re.M | re.S):
         sections[m.group(1)] = m.group(2).strip()
 
-    order = [
-        "table3_machine_config", "table1_graph_inputs",
-        "table2_benchmarks", "fig02_priority_speedup",
-        "fig03_scheduler_zoo", "fig04_rob_sweep",
-        "fig05_overhead_breakdown", "fig06_delinquent_density",
-        "fig11_worklist_interval", "fig15_scalability",
-        "fig16_overall_speedup", "fig17_imp_comparison",
-        "fig18_mpki_credits", "fig19_speedup_credits",
-        "fig20_prefetch_efficiency", "fig21_membw_sweep",
-        "sec54_area_model", "abl_minnow_structures",
-        "abl_task_split", "abl_engine_sharing", "ext_workloads",
-    ]
-
     out = []
     out.append("""# Experiments: paper vs. measured
 
 Every table and figure of the paper's evaluation, regenerated by one
 bench binary each (`build/bench/...`), with the full measured output
-inlined below (this file is assembled from `bench_output.txt` by
-`scripts/make_experiments_md.py`; regenerate after re-running the
-benches). The reproduction contract is *shape*, not absolute
-numbers: inputs are deterministic scaled stand-ins and the machine
-is cache-scaled to match (DESIGN.md §2, §6).
+inlined below (this file is written by
+`scripts/make_experiments_md.py`, which runs the benches; see
+"Regenerating this file" at the end). The reproduction contract is
+*shape*, not absolute numbers: inputs are deterministic scaled
+stand-ins and the machine is cache-scaled to match (DESIGN.md §2,
+§6).
 
 Regeneration goes faster on multi-core hosts without changing a
-byte of any figure: the credit sweeps (fig18/19/20) take
-`--host-par=N`, which farms independent figure points over N host
-threads and replays their logs in point order (DESIGN.md §5j). The
-output is byte-identical to a serial run (`check_host_par_ab` in
-ctest proves it per commit).
+byte of any figure: every bench takes `--host-par=N`, which farms
+its independent figure points over N host threads and records their
+results in point order (DESIGN.md §5j). The output is
+byte-identical to a serial run (`check_host_par_ab` in ctest proves
+it per commit).
 
 ## Summary of shape fidelity
 
@@ -482,7 +538,7 @@ ctest proves it per commit).
 | §5.4 | <1% area per slice | reproduced (0.90%) |
 """)
 
-    for name in order:
+    for name in ORDER:
         prose = PROSE.get(name, "## " + name + "\n")
         out.append(prose.rstrip())
         body = sections.get(name, "(missing from bench_output.txt)")

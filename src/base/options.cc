@@ -100,6 +100,23 @@ Options::getDouble(const std::string &key, double dflt) const
     return v;
 }
 
+std::vector<std::string>
+Options::getList(const std::string &key, const std::string &dflt) const
+{
+    std::string csv = getString(key, dflt);
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= csv.size()) {
+        std::size_t comma = csv.find(',', pos);
+        if (comma == std::string::npos)
+            comma = csv.size();
+        if (comma > pos)
+            out.push_back(csv.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
+}
+
 bool
 Options::getBool(const std::string &key, bool dflt) const
 {

@@ -39,6 +39,14 @@ class Options
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 
+    /**
+     * Comma-separated list (--key=a,b,c), or @p dflt split the same
+     * way when the key is absent. Empty items are dropped, so "" and
+     * "a,,b," give {} and {a, b}.
+     */
+    std::vector<std::string> getList(const std::string &key,
+                                     const std::string &dflt) const;
+
     const std::vector<std::string> &positional() const
     {
         return positional_;

@@ -14,7 +14,7 @@
 #ifndef MINNOW_HARNESS_WORKLOADS_HH
 #define MINNOW_HARNESS_WORKLOADS_HH
 
-#include <csignal>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -154,7 +154,8 @@ struct RunSpec
      * boundary; a rescue checkpoint is written when checkpointOut
      * is set.
      */
-    const volatile std::sig_atomic_t *interruptFlag = nullptr;
+    // LINT-OK(host-threading): lock-free signal flag, read-only here
+    const std::atomic<int> *interruptFlag = nullptr;
 
     RunSpec() : machine(scaledMachine()) {}
 };

@@ -29,8 +29,8 @@
 #define MINNOW_SIM_EVENT_QUEUE_HH
 
 #include <array>
+#include <atomic>
 #include <coroutine>
-#include <csignal>
 #include <cstdint>
 #include <functional>
 #include <queue>
@@ -194,10 +194,13 @@ class EventQueue
      * run() returns at the next event boundary with interrupted()
      * true so the caller can flush stats and write a rescue
      * checkpoint. Polling at event boundaries keeps the interrupted
-     * prefix of the run bit-identical to an uninterrupted one.
+     * prefix of the run bit-identical to an uninterrupted one. The
+     * flag is atomic because the handler and the --host-par farm
+     * threads polling it are different host threads.
      */
     void
-    setInterruptSource(const volatile std::sig_atomic_t *src)
+    // LINT-OK(host-threading): lock-free signal flag, read-only here
+    setInterruptSource(const std::atomic<int> *src)
     {
         interruptSource_ = src;
         triggersArmed_ = true;
@@ -346,7 +349,8 @@ class EventQueue
     bool interrupted_ = false;
     /** True while the stop trigger or an interrupt source is armed. */
     bool triggersArmed_ = false;
-    const volatile std::sig_atomic_t *interruptSource_ = nullptr;
+    // LINT-OK(host-threading): see setInterruptSource
+    const std::atomic<int> *interruptSource_ = nullptr;
     Cycle stopAtCycle_ = 0;
     std::uint64_t stopAtExec_ = 0;
     bool stopTriggerArmed_ = false;

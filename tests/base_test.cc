@@ -385,6 +385,20 @@ TEST(Options, NegativeInt)
     EXPECT_EQ(opts.getInt("x", 0), -5);
 }
 
+TEST(Options, ListSplitsOnCommasAndDropsEmptyItems)
+{
+    using List = std::vector<std::string>;
+    Options opts({"--w=sssp,bfs", "--one=8", "--gaps=,4,,4s,",
+                  "--empty="});
+    EXPECT_EQ(opts.getList("w", ""), (List{"sssp", "bfs"}));
+    EXPECT_EQ(opts.getList("one", ""), (List{"8"}));
+    EXPECT_EQ(opts.getList("gaps", ""), (List{"4", "4s"}));
+    EXPECT_EQ(opts.getList("empty", "1,2"), List{});
+    EXPECT_EQ(opts.getList("absent", "1,2"), (List{"1", "2"}));
+    EXPECT_EQ(opts.getList("absent2", ""), List{});
+    opts.rejectUnused(); // getList marks the key used.
+}
+
 TEST(Table, Format)
 {
     EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
