@@ -384,7 +384,11 @@ checkVerified(const harness::ExperimentResult &r,
  *
  * Only the last point tracing to a given --timeline path writes it;
  * the others trace to /dev/null. A serial run would overwrite their
- * files anyway, and farmed points must not race on one file.
+ * files anyway, and farmed points must not race on one file. Which
+ * points write a --diag-json file is known only after they ran, so
+ * farmed points write private files ("<path>.point<i>"), and after
+ * the join they are renamed onto the path in point order: the last
+ * point that wrote one wins, as in a serial run.
  */
 inline std::vector<harness::ExperimentResult>
 runPoints(const BenchArgs &a, std::vector<Point> points)
@@ -401,6 +405,14 @@ runPoints(const BenchArgs &a, std::vector<Point> points)
     // consecutive points sharing a workload. A point with a prepare
     // hook is a task of its own.
     const bool farmed = a.hostPar > 1;
+    std::vector<std::string> diagPaths(points.size());
+    for (std::size_t i = 0; farmed && i < points.size(); ++i) {
+        std::string &path = points[i].machine.diagnosticPath;
+        if (!path.empty()) {
+            diagPaths[i] = path;
+            path += ".point" + std::to_string(i);
+        }
+    }
     std::vector<std::pair<std::size_t, std::size_t>> tasks;
     for (std::size_t i = 0; i < points.size();) {
         std::size_t j = i + 1;
@@ -427,6 +439,12 @@ runPoints(const BenchArgs &a, std::vector<Point> points)
             ran[i] = 1;
         }
     });
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        // Fails harmlessly for a point that wrote no diagnostic.
+        if (!diagPaths[i].empty())
+            std::rename(points[i].machine.diagnosticPath.c_str(),
+                        diagPaths[i].c_str());
+    }
 
     bool stopped = false;
     for (std::size_t i = 0; i < points.size(); ++i) {

@@ -3,34 +3,35 @@
  * Run exactly one (workload, config, threads) figure point and emit
  * a machine-readable result (schema "minnow-point-1").
  *
- * This is the subject of the checkpoint A/B equivalence tests
- * (scripts/check_checkpoint_ab.py, scripts/check_attribution_ab.py)
- * and the point the benchmark ledger (perfbench/) times. It accepts
- * every common bench flag, plus the checkpoint flags, which only
- * this binary has, so one invocation can produce a checkpoint and
- * later invocations can start from it.
+ * This is the subject of the checkpoint A/B equivalence test
+ * (scripts/check_checkpoint_ab.py) and of the attribution A/B test
+ * (scripts/check_attribution_ab.py), and the point the benchmark
+ * ledger (perfbench/) times. It accepts every common bench flag,
+ * plus the checkpoint flags, which only this binary has, so one
+ * invocation can save a checkpoint and a later one can replay to
+ * it.
  *
  * Extra flags beyond bench_common:
  *   --workload=<name>  required: one of the harness workloads.
  *   --config=<name>    scheduler config (default minnow-pf).
  *   --json=<path>      write the result JSON to a file instead of
  *                      stdout.
- *   --checkpoint-out=<path>   write a checkpoint (when depends on
- *                      --checkpoint-after; also written as a
+ *   --checkpoint-out=<path>   write a checkpoint at the
+ *                      --checkpoint-after anchor (also written as a
  *                      rescue on SIGINT/SIGTERM).
- *   --checkpoint-in=<path>    warm-start from a checkpoint; any
- *                      validation failure warns and degrades to
- *                      a cold start, never wrong results.
- *   --checkpoint-after=<when> "warmup" (default: save at the warm
- *                      boundary, before simulated time starts) or
- *                      a cycle count (save a mid-run rescue
- *                      anchor at the first event boundary at or
- *                      after that cycle).
+ *   --checkpoint-in=<path>    replay to the checkpoint's anchor and
+ *                      witness-validate there; any validation
+ *                      failure warns and degrades to a cold start,
+ *                      never wrong results. Exclusive with
+ *                      --checkpoint-out.
+ *   --checkpoint-after=<N>    anchor cycle (default 0): save at the
+ *                      first event boundary at or after cycle N;
+ *                      0 saves before the first event.
  * See DESIGN.md section 5i.
  *
- * The result includes hostSeconds (wall-clock for workload build +
- * simulation), which scripts/bench_simspeed.py uses to measure
- * warm-vs-cold time-to-first-figure-point.
+ * The result includes "restored" (the checkpoint validated and the
+ * replay reached its anchor) and hostSeconds (wall-clock for
+ * workload build + simulation).
  */
 
 #include <chrono>
@@ -53,8 +54,7 @@ main(int argc, char **argv)
     std::string jsonPath = opts.getString("json", "");
     std::string ckptOut = opts.getString("checkpoint-out", "");
     std::string ckptIn = opts.getString("checkpoint-in", "");
-    std::string ckptAfter =
-        opts.getString("checkpoint-after", "warmup");
+    Cycle ckptAfter = opts.getUint("checkpoint-after", 0);
     opts.rejectUnused();
     fatal_if(workload.empty(), "point_runner needs --workload=");
     harness::Config config = harness::parseConfig(configName);
@@ -66,10 +66,7 @@ main(int argc, char **argv)
     spec.checkpointAfter = ckptAfter;
 
     auto t0 = std::chrono::steady_clock::now();
-    harness::Workload w =
-        ckptIn.empty() ? makeWorkload(workload, args)
-                       : harness::makeWorkloadWarm(workload, args.scale,
-                                                   args.seed, ckptIn);
+    harness::Workload w = makeWorkload(workload, args);
     auto t1 = std::chrono::steady_clock::now();
     harness::ExperimentResult r = harness::runExperiment(w, spec);
     auto t2 = std::chrono::steady_clock::now();
@@ -97,8 +94,8 @@ main(int argc, char **argv)
          (r.run.timedOut ? "true" : "false");
     j += std::string(",\"verified\":") +
          (r.run.verified ? "true" : "false");
-    j += std::string(",\"warmStart\":") +
-         (w.warmLoaded ? "true" : "false");
+    j += std::string(",\"restored\":") +
+         (r.restored ? "true" : "false");
     std::snprintf(buf, sizeof buf,
                   ",\"buildSeconds\":%.6f,\"simSeconds\":%.6f,"
                   "\"hostSeconds\":%.6f",

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check causal-attribution A/B equivalence (ISSUE acceptance).
+"""Check causal-attribution A/B equivalence (DESIGN.md section 5k).
 
 The attribution layer (--attribution, mem/attribution.hh) must be a
 pure observer: enabling it may add the "attribution" stats group and
@@ -11,14 +11,13 @@ outcome. This script drives point_runner through the matrix:
      enabled run, the two stats documents must be identical (same
      canonical JSON). The run geometry (cycles, instructions,
      verification) must match exactly.
-  2. checkpoint roundtrip: saving a warm checkpoint must not perturb
-     the attribution-enabled stats, and a fresh process restoring it
-     must reproduce them byte-identically (the tracker state rides
-     in the "attribution" checkpoint section).
-  3. schema: the attribution group must report all five lifecycle
+  2. schema: the attribution group must report all five lifecycle
      classes, the derived coverage/pollution rates, lineage
      conservation (assigned == dequeued, live == 0 at exit), and the
      six latency histograms with P50/P95/P99.
+
+The attribution outputs across a checkpoint save/restore are checked
+by check_checkpoint_ab.py.
 
 Usage: check_attribution_ab.py <path-to-point_runner-binary>
 Exit status 0 on success; prints the first failure otherwise.
@@ -124,44 +123,8 @@ def check_zero_perturbation(runner, tmp):
     print("check_attribution_ab: zero-perturbation OK")
 
 
-def check_checkpoint_roundtrip(runner, tmp):
-    cold = os.path.join(tmp, "cold.json")
-    run_point(runner, ["--attribution", f"--stats-json={cold}"])
-    a = read(cold)
-
-    ckpt = os.path.join(tmp, "warm.ckpt")
-    save = os.path.join(tmp, "save.json")
-    run_point(
-        runner,
-        [
-            "--attribution",
-            f"--stats-json={save}",
-            f"--checkpoint-out={ckpt}",
-        ],
-    )
-    if read(save) != a:
-        fail("saving a checkpoint perturbed attribution stats")
-    if not os.path.exists(ckpt):
-        fail("no checkpoint written")
-
-    warm = os.path.join(tmp, "warm.json")
-    doc = run_point(
-        runner,
-        [
-            "--attribution",
-            f"--stats-json={warm}",
-            f"--checkpoint-in={ckpt}",
-        ],
-    )
-    if not doc["warmStart"]:
-        fail("checkpoint restore did not warm-start")
-    if read(warm) != a:
-        fail("restored attribution stats differ from cold run")
-    print("check_attribution_ab: checkpoint roundtrip OK")
-
-
 def check_schema(tmp):
-    group = attribution_group(os.path.join(tmp, "cold.json"))
+    group = attribution_group(os.path.join(tmp, "on.json"))
     for cls in CLASSES:
         if cls not in group:
             fail(f"attribution group missing class '{cls}'")
@@ -204,7 +167,6 @@ def main():
     runner = sys.argv[1]
     with tempfile.TemporaryDirectory() as tmp:
         check_zero_perturbation(runner, tmp)
-        check_checkpoint_roundtrip(runner, tmp)
         check_schema(tmp)
     print("check_attribution_ab: PASS")
 

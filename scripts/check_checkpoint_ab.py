@@ -1,24 +1,23 @@
 #!/usr/bin/env python3
-"""Check checkpoint/restore A/B equivalence (ISSUE acceptance).
+"""Check checkpoint/restore A/B equivalence (DESIGN.md section 5i).
 
-Drives the point_runner bench through the full checkpoint matrix for
-sssp (minnow-pf) and pr (obim):
+Drives point_runner through one table of points x legs. Every point
+first runs cold; every leg then reruns it in a fresh process and must
+leave --stats-json (and, for the timeline point, --timeline)
+byte-identical to the cold run, with no witness mismatch:
 
-  1. cold baseline: one uninterrupted run with --stats-json (and,
-     for sssp, --timeline and --stats-interval, so every compare
-     below also covers the interval samples).
-  2. warm save: same run writing a warm-boundary checkpoint; saving
-     must not perturb the stats (byte-compare vs baseline).
-  3. warm restore: a fresh process starting from the checkpoint must
-     report warmStart and produce byte-identical stats (and
-     timeline) to the cold baseline.
-  4. rescue roundtrip: save a mid-run rescue anchor
-     (--checkpoint-after=<cycles>), restore it in a fresh process,
-     and byte-compare the stats again.
-  5. corruption: flip one byte of the warm checkpoint; the restore
-     run must warn (CRC mismatch), degrade to a cold start
-     (warmStart false), and still produce byte-identical stats
-     ("warn, never wrong").
+  save at anchor 0     --checkpoint-out at the default anchor, before
+                       the first event; saving must not perturb
+  save at cycles/3     --checkpoint-after=<cold cycles / 3>
+  restore at anchor 0  must report "restored"
+  restore at cycles/3  must report "restored"
+  corrupt file         one flipped byte in the anchor-0 file: the run
+                       must warn about the CRC, report not restored
+                       and run cold ("warn, never wrong")
+
+Points: sssp/minnow-pf with --timeline and --stats-interval (so the
+interval samples are compared too), pr/obim, and sssp/minnow-pf with
+--attribution (its tracker state rides in a checkpoint section).
 
 Usage: check_checkpoint_ab.py <path-to-point_runner-binary>
 Exit status 0 on success; prints the first failure otherwise.
@@ -31,13 +30,37 @@ import sys
 import tempfile
 
 POINTS = [
-    # (workload, config, timeline?, flags for every run of the point)
-    ("sssp", "minnow-pf", True, ["--stats-interval=500"]),
-    ("pr", "obim", False, []),
+    # (workload, config, flags for every run of the point, timeline?)
+    ("sssp", "minnow-pf", ["--stats-interval=500"], True),
+    ("pr", "obim", [], False),
+    ("sssp", "minnow-pf", ["--attribution"], False),
 ]
 SCALE = "0.1"
 THREADS = "4"
 SEED = "7"
+
+
+def corrupt(d):
+    blob = bytearray(read(os.path.join(d, "a0.ckpt")))
+    blob[len(blob) // 2] ^= 0x40
+    with open(os.path.join(d, "bad.ckpt"), "wb") as f:
+        f.write(blob)
+
+
+LEGS = [
+    # (leg, checkpoint flags, restored?, required stderr, setup)
+    ("save at anchor 0", ["--checkpoint-out=a0.ckpt"], False, None,
+     None),
+    ("save at cycles/3",
+     ["--checkpoint-out=a3.ckpt", "--checkpoint-after={third}"], False,
+     None, None),
+    ("restore at anchor 0", ["--checkpoint-in=a0.ckpt"], True, None,
+     None),
+    ("restore at cycles/3", ["--checkpoint-in=a3.ckpt"], True, None,
+     None),
+    ("corrupt file", ["--checkpoint-in=bad.ckpt"], False,
+     "CRC mismatch", corrupt),
+]
 
 
 def fail(msg):
@@ -45,7 +68,13 @@ def fail(msg):
     sys.exit(1)
 
 
-def run_point(runner, workload, config, extra, expect_ok=True):
+def read(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def run_point(runner, d, workload, config, extra):
+    """Run one leg in @d; return (result JSON, stderr)."""
     cmd = [
         runner,
         f"--workload={workload}",
@@ -55,134 +84,75 @@ def run_point(runner, workload, config, extra, expect_ok=True):
         f"--cores={THREADS}",
         f"--seed={SEED}",
     ] + extra
-    proc = subprocess.run(
-        cmd, capture_output=True, text=True, timeout=600
-    )
-    if expect_ok and proc.returncode != 0:
-        fail(
-            f"point_runner exited {proc.returncode} for "
-            f"{workload}/{config} {extra}:\n{proc.stdout}\n"
-            f"{proc.stderr}"
-        )
-    return proc
-
-
-def read(path):
-    with open(path, "rb") as f:
-        return f.read()
-
-
-def point_json(proc):
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=d,
+                          timeout=600)
+    if proc.returncode != 0:
+        fail(f"point_runner exited {proc.returncode} for "
+             f"{workload}/{config} {extra}:\n{proc.stdout}\n"
+             f"{proc.stderr}")
     doc = json.loads(proc.stdout)
     if doc.get("schema") != "minnow-point-1":
         fail(f"bad point schema: {proc.stdout!r}")
-    return doc
+    if "witness mismatch" in proc.stderr:
+        fail(f"{workload}/{config} {extra}: witness mismatch:\n"
+             f"{proc.stderr}")
+    return doc, proc.stderr
 
 
-def check_point(runner, tmp, workload, config, with_timeline, flags):
-    tag = f"{workload}/{config}"
-    d = os.path.join(tmp, workload)
-    os.mkdir(d)
-    stats_a = os.path.join(d, "a.json")
-    tl_a = os.path.join(d, "tl_a.json")
-    ckpt = os.path.join(d, "warm.ckpt")
+def outputs(run, timeline):
+    """Output flags of one run, and the files they name by kind."""
+    files = {"stats JSON": f"{run}.json"}
+    if timeline:
+        files["timeline"] = f"{run}.tl.json"
+    flag = {"stats JSON": "--stats-json", "timeline": "--timeline"}
+    return [f"{flag[k]}={f}" for k, f in files.items()], files
 
-    # 1. Cold baseline.
-    extra = flags + [f"--stats-json={stats_a}"]
-    if with_timeline:
-        extra.append(f"--timeline={tl_a}")
-    cold = point_json(run_point(runner, workload, config, extra))
-    if cold["warmStart"]:
-        fail(f"{tag}: cold run reported warmStart")
+
+def check_point(runner, d, workload, config, flags, timeline):
+    tag = " ".join([f"{workload}/{config}", *flags])
+    out, files = outputs("cold", timeline)
+    cold, _ = run_point(runner, d, workload, config, flags + out)
+    if cold["restored"]:
+        fail(f"{tag}: cold run reported restored")
     if not cold["verified"]:
         fail(f"{tag}: cold run failed verification")
-    a = read(stats_a)
-    if flags and b'"intervals":[' not in a:
-        fail(f"{tag}: --stats-interval produced no interval samples")
+    want = {k: read(os.path.join(d, f)) for k, f in files.items()}
+    for flag, marker in (("--stats-interval", b'"intervals":['),
+                         ("--attribution", b'"attribution":{')):
+        if any(f.startswith(flag) for f in flags) and \
+                marker not in want["stats JSON"]:
+            fail(f"{tag}: {flag} left no {marker.decode()} in the stats")
 
-    # 2. Warm save: writing the checkpoint must not perturb stats.
-    # (--timeline adds a stats group, so timeline-enabled points
-    # must record one in every run to stay comparable.)
-    stats_s = os.path.join(d, "save.json")
-    extra = flags + [f"--stats-json={stats_s}", f"--checkpoint-out={ckpt}"]
-    if with_timeline:
-        extra.append(f"--timeline={os.path.join(d, 'tl_s.json')}")
-    run_point(runner, workload, config, extra)
-    if read(stats_s) != a:
-        fail(f"{tag}: saving a checkpoint changed the stats JSON")
-    if not os.path.exists(ckpt):
-        fail(f"{tag}: no checkpoint written")
+    third = max(1, int(cold["cycles"]) // 3)
+    for i, (leg, ckpt, restored, needs, setup) in enumerate(LEGS):
+        if setup:
+            setup(d)
+        ckpt = [f.format(third=third) for f in ckpt]
+        out, files = outputs(f"leg{i}", timeline)
+        doc, err = run_point(runner, d, workload, config,
+                             flags + ckpt + out)
+        if doc["restored"] != restored:
+            fail(f"{tag}: {leg} reported restored={doc['restored']}"
+                 f":\n{err}")
+        if needs and needs not in err:
+            fail(f"{tag}: {leg} did not warn '{needs}':\n{err}")
+        for kind, f in files.items():
+            if read(os.path.join(d, f)) != want[kind]:
+                fail(f"{tag}: {leg} changed the {kind}")
 
-    # 3. Warm restore in a fresh process: byte-identical outputs.
-    stats_b = os.path.join(d, "b.json")
-    tl_b = os.path.join(d, "tl_b.json")
-    extra = flags + [f"--stats-json={stats_b}", f"--checkpoint-in={ckpt}"]
-    if with_timeline:
-        extra.append(f"--timeline={tl_b}")
-    warm = point_json(run_point(runner, workload, config, extra))
-    if not warm["warmStart"]:
-        fail(f"{tag}: restore did not warm-start")
-    if read(stats_b) != a:
-        fail(f"{tag}: warm-restored stats JSON differs from cold")
-    if with_timeline and read(tl_b) != read(tl_a):
-        fail(f"{tag}: warm-restored timeline differs from cold")
-
-    # 4. Rescue roundtrip at a mid-run anchor.
-    anchor = max(1, int(cold["cycles"]) // 3)
-    rescue = os.path.join(d, "rescue.ckpt")
-    extra = flags + [f"--checkpoint-out={rescue}",
-             f"--checkpoint-after={anchor}"]
-    if with_timeline:
-        extra.append(f"--timeline={os.path.join(d, 'tl_r.json')}")
-    run_point(runner, workload, config, extra)
-    if not os.path.exists(rescue):
-        fail(f"{tag}: no rescue checkpoint at cycle {anchor}")
-    stats_c = os.path.join(d, "c.json")
-    extra = flags + [f"--stats-json={stats_c}", f"--checkpoint-in={rescue}"]
-    if with_timeline:
-        extra.append(f"--timeline={os.path.join(d, 'tl_c.json')}")
-    proc = run_point(runner, workload, config, extra)
-    if "witness mismatch" in proc.stderr:
-        fail(f"{tag}: rescue witness mismatch:\n{proc.stderr}")
-    if read(stats_c) != a:
-        fail(f"{tag}: rescue-restored stats JSON differs from cold")
-
-    # 5. Corrupted checkpoint: warn, degrade cold, identical stats.
-    blob = bytearray(read(ckpt))
-    blob[len(blob) // 2] ^= 0x40
-    bad = os.path.join(d, "bad.ckpt")
-    with open(bad, "wb") as f:
-        f.write(blob)
-    stats_d = os.path.join(d, "d.json")
-    extra = flags + [f"--stats-json={stats_d}", f"--checkpoint-in={bad}"]
-    if with_timeline:
-        extra.append(f"--timeline={os.path.join(d, 'tl_d.json')}")
-    proc = run_point(runner, workload, config, extra)
-    if "CRC mismatch" not in proc.stderr:
-        fail(
-            f"{tag}: corrupt checkpoint produced no CRC warning:\n"
-            f"{proc.stderr}"
-        )
-    degraded = point_json(proc)
-    if degraded["warmStart"]:
-        fail(f"{tag}: corrupt checkpoint still warm-started")
-    if read(stats_d) != a:
-        fail(f"{tag}: degraded run's stats JSON differs from cold")
-
-    print(
-        f"check_checkpoint_ab: {tag} OK ({len(a)} bytes; warm, "
-        f"rescue@{anchor}, and degraded runs all byte-identical)"
-    )
+    print(f"check_checkpoint_ab: {tag} OK ({len(want['stats JSON'])}"
+          f" bytes; {len(LEGS)} legs byte-identical, anchor {third})")
 
 
 def main():
     if len(sys.argv) != 2:
         fail("usage: check_checkpoint_ab.py <point_runner-binary>")
-    runner = sys.argv[1]
+    runner = os.path.abspath(sys.argv[1])
     with tempfile.TemporaryDirectory() as tmp:
-        for workload, config, with_timeline, flags in POINTS:
-            check_point(runner, tmp, workload, config,
-                        with_timeline, flags)
+        for i, (workload, config, flags, timeline) in enumerate(POINTS):
+            d = os.path.join(tmp, str(i))
+            os.mkdir(d)
+            check_point(runner, d, workload, config, flags, timeline)
     print("check_checkpoint_ab: OK")
 
 

@@ -24,7 +24,13 @@ protocol and once with --dequeue-batch=4 --spec-slot, so the bundled
 dequeue path and the speculative slot are exercised end to end; the
 second run must show bundled tasks and spec deposits.
 
+offload_breakdown's --dequeue-batch sweep then gates two simulated
+values: k=4 bundling must pull the worker popWait P95 strictly below
+the k=1 value (the round-trip amortization the batched-dequeue path
+exists for), and the k=4 spec-slot point must record specHits > 0.
+
 Usage: check_stats_json.py <path-to-fig18-binary>
+                           <path-to-offload_breakdown-binary>
 Exit status 0 on success; prints the first failure otherwise.
 """
 
@@ -257,9 +263,60 @@ def check_doc(doc, label):
     return len(runs), totals
 
 
+def check_offload(offload):
+    """k=4 popWait P95 below k=1, and a delivering spec slot.
+
+    k=1 pops pay a full engine round-trip per task, so a meaningful
+    share of them wait >= one popWait histogram bucket; k=4 bundles
+    amortize the round-trip and must pull the P95 strictly below the
+    k=1 value on the same workload point.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "offload.json")
+        cmd = [
+            offload,
+            "--workloads=sssp",
+            "--scale=0.05",
+            "--threads=4",
+            "--cores=4",
+            "--seed=42",
+            "--batch-list=1,2,4,8,4s",
+            f"--json={out}",
+        ]
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=600)
+        if proc.returncode != 0:
+            fail(f"offload_breakdown exited {proc.returncode}:"
+                 f"\n{proc.stdout}\n{proc.stderr}")
+        with open(out) as f:
+            doc = json.load(f)
+    points = {(p["batch"], p.get("specSlot", False)): p
+              for p in doc.get("points", [])}
+    k1, k4 = points.get((1, False)), points.get((4, False))
+    spec = points.get((4, True))
+    if not k1 or not k4:
+        fail("offload_breakdown output missing the k=1/k=4 points")
+    if not spec:
+        fail("offload_breakdown output missing the k=4 spec-slot"
+             " point (--batch-list '4s' entry)")
+    for p in (k1, k4, spec):
+        if p["timedOut"]:
+            fail(f"offload point k={p['batch']} timed out")
+    if k4["popWaitP95"] >= k1["popWaitP95"]:
+        fail(f"dequeue batching regression: k=4 popWaitP95"
+             f" {k4['popWaitP95']} not below k=1's"
+             f" {k1['popWaitP95']}")
+    if spec["specHits"] <= 0:
+        fail("spec-slot point recorded zero specHits: the core-side"
+             " slot is not delivering (or the sweep lost the"
+             " --spec-slot plumbing again)")
+    return k1["popWaitP95"], k4["popWaitP95"], spec["specHits"]
+
+
 def main():
-    if len(sys.argv) != 2:
-        fail("usage: check_stats_json.py <fig18-binary>")
+    if len(sys.argv) != 3:
+        fail("usage: check_stats_json.py <fig18-binary>"
+             " <offload_breakdown-binary>")
     bench = sys.argv[1]
 
     nruns, _ = check_doc(run_point(bench, []), "default")
@@ -269,7 +326,10 @@ def main():
         if total <= 0:
             fail(f"{' '.join(bundled)}: no engine recorded {key}")
 
-    print(f"check_stats_json: OK ({nruns} + {nb} runs validated)")
+    p95_k1, p95_k4, hits = check_offload(sys.argv[2])
+    print(f"check_stats_json: OK ({nruns} + {nb} runs validated;"
+          f" popWaitP95 k=1 {p95_k1:.0f} -> k=4 {p95_k4:.0f},"
+          f" specHits {hits:.0f})")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,10 @@ namespace minnow
 namespace
 {
 
-bool warnSeen = false;
+// Farmed points (--host-par) can warn at once, e.g. several points
+// timing out together.
+// LINT-OK(host-threading): base-layer flag, no sim/parallel dep
+std::atomic<bool> warnSeen{false};
 
 struct PanicHookEntry
 {
@@ -110,7 +113,7 @@ logMessage(LogLevel level, const char *file, int line,
 
     switch (level) {
       case LogLevel::Warn:
-        warnSeen = true;
+        warnSeen.store(true, std::memory_order_relaxed);
         break;
       case LogLevel::Fatal:
         std::exit(1);
@@ -125,13 +128,13 @@ logMessage(LogLevel level, const char *file, int line,
 bool
 warningsSeen()
 {
-    return warnSeen;
+    return warnSeen.load(std::memory_order_relaxed);
 }
 
 void
 clearWarnings()
 {
-    warnSeen = false;
+    warnSeen.store(false, std::memory_order_relaxed);
 }
 
 int

@@ -96,8 +96,6 @@ workerLoop(SimContext &ctx, worklist::Worklist &wl, apps::App &app,
 bool
 runEventLoop(runtime::Machine &machine, const RunConfig &cfg)
 {
-    if (cfg.warmBoundaryHook)
-        cfg.warmBoundaryHook();
     if (cfg.stopAt)
         machine.eq.setStopTrigger(cfg.stopAtCycle, cfg.stopAtExec);
     std::uint64_t budget = cfg.maxEvents;

@@ -46,20 +46,13 @@ struct RunConfig
     // ----- checkpoint/restore plumbing (DESIGN.md section 5i) -----
 
     /**
-     * Invoked after seeding, immediately before simulated time
-     * starts: the warm-boundary checkpoint point (save there, or
-     * witness-validate a warm restore against it).
-     */
-    std::function<void()> warmBoundaryHook;
-
-    /**
      * When stopAt is set, the executor arms
      * EventQueue::setStopTrigger(stopAtCycle, stopAtExec) and calls
      * midRunHook once the trigger fires — after eq.run() returns,
      * so on the normalized between-events state — then resumes the
      * run with its remaining event budget. Drives
-     * --checkpoint-after rescue saves and restore-replay witness
-     * validation.
+     * --checkpoint-after saves and restore-replay witness
+     * validation; an anchor of {0, 0} fires before the first event.
      */
     bool stopAt = false;
     Cycle stopAtCycle = 0;
@@ -164,8 +157,7 @@ RunResult collectResult(runtime::Machine &machine, apps::App &app,
 
 /**
  * Drive machine.eq.run() honoring the RunConfig checkpoint hooks:
- * warm-boundary hook, stop-trigger mid-run hook with
- * remaining-budget resume. Shared by runParallel and runMinnow.
+ * stop-trigger mid-run hook with remaining-budget resume. Shared by runParallel and runMinnow.
  * @return true if a signal interrupted the run cleanly.
  */
 bool runEventLoop(runtime::Machine &machine, const RunConfig &cfg);

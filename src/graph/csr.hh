@@ -129,11 +129,11 @@ class CsrGraph
     static constexpr std::uint32_t kEdgeBytes = 16;
 
     /**
-     * Serialize topology and simulated layout *materially*: a warm
-     * restore loads these arrays instead of regenerating the graph,
-     * which is the bulk of a cold start's setup time. Generators are
-     * deterministic, so a cold-generated graph CRC-matches the
-     * checkpoint's section byte for byte.
+     * Serialize topology and simulated layout. A restore regenerates
+     * the graph and only compares it with this section: generators
+     * are deterministic, so a regenerated graph matches the
+     * checkpoint's section byte for byte, and one that does not is
+     * named by the witness.
      */
     void
     checkpoint(ckpt::Ckpt &ck)

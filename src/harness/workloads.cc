@@ -1,7 +1,6 @@
 #include "harness/workloads.hh"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "apps/bc.hh"
 #include "apps/cc.hh"
@@ -39,32 +38,23 @@ scaled(double base, double scale)
     return NodeId(std::max(64.0, v));
 }
 
-/**
- * Shared builder: when @p preload is non-null the (expensive) graph
- * generation is skipped and the preloaded arrays are adopted — the
- * warm-start path. Everything else (app construction, tuning) is
- * identical, so warm and cold workloads behave the same.
- */
+} // anonymous namespace
+
 Workload
-makeWorkloadImpl(const std::string &name, double scale,
-                 std::uint64_t seed, graph::CsrGraph *preload)
+makeWorkload(const std::string &name, double scale,
+             std::uint64_t seed)
 {
     Workload w;
     w.name = name;
     w.scale = scale;
     w.seed = seed;
-    if (preload) {
-        w.graph = std::move(*preload);
-        w.warmLoaded = true;
-    }
     if (name == "sssp") {
         // USA-road-d.W class: high-diameter weighted grid.
         std::uint32_t side =
             std::uint32_t(std::sqrt(double(scaled(22500, scale))));
         w.inputDesc = "grid " + std::to_string(side) + "x" +
                       std::to_string(side) + " w<=100";
-        if (!preload)
-            w.graph = graph::gridGraph(side, side, 100, seed);
+        w.graph = graph::gridGraph(side, side, 100, seed);
         w.lgDelta = 4; // delta ~16 for weights ~1..100.
         w.app = std::make_unique<apps::SsspApp>(
             &w.graph, 0, false, 1u << 30, "sssp");
@@ -72,8 +62,7 @@ makeWorkloadImpl(const std::string &name, double scale,
         // r4-2e23 class: random avg-degree-4 "mesh".
         NodeId n = scaled(30000, scale);
         w.inputDesc = "random n=" + std::to_string(n) + " d=4";
-        if (!preload)
-            w.graph = graph::randomGraph(n, 4.0, seed);
+        w.graph = graph::randomGraph(n, 4.0, seed);
         w.lgDelta = 0; // hop-count buckets.
         w.app = std::make_unique<apps::SsspApp>(
             &w.graph, 0, true, 1u << 30, "bfs");
@@ -83,8 +72,7 @@ makeWorkloadImpl(const std::string &name, double scale,
         if (scale >= 2.0)
             sc += std::uint32_t(std::log2(scale));
         w.inputDesc = "rmat scale=" + std::to_string(sc) + " ef=8";
-        if (!preload)
-            w.graph = graph::rmatGraph(sc, 8, seed);
+        w.graph = graph::rmatGraph(sc, 8, seed);
         w.lgDelta = 0;
         // Task splitting: the hub holds a large share of all edges.
         w.app = std::make_unique<apps::SsspApp>(
@@ -94,8 +82,7 @@ makeWorkloadImpl(const std::string &name, double scale,
         NodeId n = scaled(30000, scale);
         w.inputDesc = "powerlaw-sym n=" + std::to_string(n) +
                       " d=6";
-        if (!preload)
-            w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
+        w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
         w.lgDelta = 6; // component-id buckets.
         // Task splitting (Section 6.2.1), threshold scaled from the
         // paper's 10K edges to our input sizes.
@@ -104,8 +91,7 @@ makeWorkloadImpl(const std::string &name, double scale,
         // wiki-Talk class: directed power-law.
         NodeId n = scaled(15000, scale);
         w.inputDesc = "powerlaw n=" + std::to_string(n) + " d=8";
-        if (!preload)
-            w.graph = graph::powerLawGraph(n, 8.0, 0.9, seed);
+        w.graph = graph::powerLawGraph(n, 8.0, 0.9, seed);
         w.lgDelta = 4; // residual-derived priorities.
         w.app = std::make_unique<apps::PrApp>(&w.graph, 0.85, 1e-4,
                                               1u << 30);
@@ -114,8 +100,7 @@ makeWorkloadImpl(const std::string &name, double scale,
         NodeId n = scaled(3000, scale);
         w.inputDesc = "watts-strogatz n=" + std::to_string(n) +
                       " k=10";
-        if (!preload)
-            w.graph = graph::wattsStrogatz(n, 10, 0.05, seed);
+        w.graph = graph::wattsStrogatz(n, 10, 0.05, seed);
         w.nodeBytes = 64; // paper: TC uses 64 B nodes.
         w.usesPriority = false;
         w.app = std::make_unique<apps::TcApp>(&w.graph, 1u << 30);
@@ -125,10 +110,7 @@ makeWorkloadImpl(const std::string &name, double scale,
         NodeId right = scaled(8000, scale);
         w.inputDesc = "bipartite " + std::to_string(left) + "+" +
                       std::to_string(right) + " d=4";
-        if (!preload) {
-            w.graph =
-                graph::bipartiteGraph(left, right, 4.0, 0.8, seed);
-        }
+        w.graph = graph::bipartiteGraph(left, right, 4.0, 0.8, seed);
         w.usesPriority = false;
         w.app = std::make_unique<apps::BcApp>(&w.graph, 256);
     } else if (name == "mis") {
@@ -137,8 +119,7 @@ makeWorkloadImpl(const std::string &name, double scale,
         NodeId n = scaled(25000, scale);
         w.inputDesc = "powerlaw-sym n=" + std::to_string(n) +
                       " d=6";
-        if (!preload)
-            w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
+        w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
         w.lgDelta = 6; // ascending node-id order helps releases.
         w.usesPriority = true;
         w.app = std::make_unique<apps::MisApp>(&w.graph, 256);
@@ -148,85 +129,13 @@ makeWorkloadImpl(const std::string &name, double scale,
         NodeId n = scaled(25000, scale);
         w.inputDesc = "powerlaw-sym n=" + std::to_string(n) +
                       " d=6, k=5";
-        if (!preload)
-            w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
+        w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
         w.usesPriority = false;
         w.app = std::make_unique<apps::KcoreApp>(&w.graph, 5, 256);
     } else {
         fatal("unknown workload '%s'", name.c_str());
     }
     return w;
-}
-
-} // anonymous namespace
-
-Workload
-makeWorkload(const std::string &name, double scale,
-             std::uint64_t seed)
-{
-    return makeWorkloadImpl(name, scale, seed, nullptr);
-}
-
-Workload
-makeWorkloadWarm(const std::string &name, double scale,
-                 std::uint64_t seed, const std::string &ckptPath)
-{
-    // Every failure below warns and falls back to cold generation:
-    // a stale or damaged checkpoint may cost time, never
-    // correctness ("warn, never wrong").
-    ckpt::Reader r;
-    std::string err = r.openFile(ckptPath);
-    if (!err.empty()) {
-        warn("warm start from %s failed (%s); generating cold",
-             ckptPath.c_str(), err.c_str());
-        return makeWorkloadImpl(name, scale, seed, nullptr);
-    }
-    const ckpt::Section *ms = r.find("meta");
-    if (!ms) {
-        warn("checkpoint %s has no meta section; generating cold",
-             ckptPath.c_str());
-        return makeWorkloadImpl(name, scale, seed, nullptr);
-    }
-    CkptMeta meta;
-    {
-        ckpt::Ckpt ck =
-            ckpt::Ckpt::loader(ms->bytes.data(), ms->bytes.size());
-        meta.checkpoint(ck);
-        if (!ck.ok()) {
-            warn("checkpoint %s meta section is malformed (%s);"
-                 " generating cold",
-                 ckptPath.c_str(), ck.error().c_str());
-            return makeWorkloadImpl(name, scale, seed, nullptr);
-        }
-    }
-    if (meta.workload != name || meta.scale != scale ||
-        meta.seed != seed) {
-        warn("checkpoint %s is for %s scale=%g seed=%llu, not %s"
-             " scale=%g seed=%llu; generating cold",
-             ckptPath.c_str(), meta.workload.c_str(), meta.scale,
-             (unsigned long long)meta.seed, name.c_str(), scale,
-             (unsigned long long)seed);
-        return makeWorkloadImpl(name, scale, seed, nullptr);
-    }
-    const ckpt::Section *gs = r.find("graph");
-    if (!gs) {
-        warn("checkpoint %s has no graph section; generating cold",
-             ckptPath.c_str());
-        return makeWorkloadImpl(name, scale, seed, nullptr);
-    }
-    graph::CsrGraph g;
-    {
-        ckpt::Ckpt ck =
-            ckpt::Ckpt::loader(gs->bytes.data(), gs->bytes.size());
-        g.checkpoint(ck);
-        if (!ck.ok()) {
-            warn("checkpoint %s graph section is malformed (%s);"
-                 " generating cold",
-                 ckptPath.c_str(), ck.error().c_str());
-            return makeWorkloadImpl(name, scale, seed, nullptr);
-        }
-    }
-    return makeWorkloadImpl(name, scale, seed, &g);
 }
 
 Config
@@ -306,14 +215,13 @@ runExperiment(Workload &w, const RunSpec &spec)
 
     // ---- checkpoint/restore wiring (DESIGN.md section 5i) ----
     // The harness owns the run-scoped sections the Machine cannot
-    // see: the resume anchor ("meta", read live at serialize time),
-    // the input graph (material on warm start) and the app state.
-    // Registered unconditionally so save-run and restore-run emit
-    // identical section sequences.
-    std::uint8_t ckKind = 0; // 0 = warm boundary, 1 = rescue.
+    // see: the anchor ("meta", read live at serialize time), the
+    // input graph (so a restore names a regenerated graph that
+    // differs from the saved one) and the app state. Registered
+    // unconditionally so save-run and restore-run emit identical
+    // section sequences.
     machine.addCkptHook("meta", [&](ckpt::Ckpt &ck) {
         CkptMeta m;
-        m.kind = ckKind;
         m.cycle = machine.eq.now();
         m.executed = machine.eq.executed();
         m.workload = w.name;
@@ -329,6 +237,9 @@ runExperiment(Workload &w, const RunSpec &spec)
     machine.addCkptHook(
         "app", [&](ckpt::Ckpt &ck) { w.app->checkpoint(ck); });
 
+    // Restoring and saving both need the one stop trigger.
+    fatal_if(!spec.checkpointIn.empty() && !spec.checkpointOut.empty(),
+             "cannot combine checkpoint-in with checkpoint-out");
     bool isBsp = spec.config == Config::Bsp ||
                  spec.config == Config::BspBucketed;
     if (isBsp &&
@@ -378,81 +289,39 @@ runExperiment(Workload &w, const RunSpec &spec)
         }
     }
 
-    // Save side: "warmup" saves at the warm boundary; a cycle count
-    // arms the one-shot stop trigger for a mid-run rescue anchor.
-    bool saveOut = !isBsp && !spec.checkpointOut.empty();
-    bool saveAtWarm = spec.checkpointAfter == "warmup";
-    std::uint64_t saveCycle = 0;
-    if (saveOut && !saveAtWarm) {
-        char *end = nullptr;
-        saveCycle =
-            std::strtoull(spec.checkpointAfter.c_str(), &end, 10);
-        fatal_if(end == spec.checkpointAfter.c_str() || *end != '\0',
-                 "bad checkpoint-after '%s' (want 'warmup' or a"
-                 " cycle count)",
-                 spec.checkpointAfter.c_str());
-    }
-    // Rescue restore and timed rescue save both need the single
-    // one-shot stop trigger; combining them is a driver error.
-    fatal_if(restoring && meta.kind == 1 && saveOut && !saveAtWarm,
-             "cannot combine checkpoint-after=<cycles> with"
-             " restoring a rescue checkpoint");
-
     auto saveNow = [&](const char *what) {
         std::string err = machine.save(spec.checkpointOut);
         if (!err.empty())
             warn("failed to write %s checkpoint %s: %s", what,
                  spec.checkpointOut.c_str(), err.c_str());
     };
-    auto witness = [&](const char *what) {
-        std::vector<std::string> bad =
-            machine.validateAgainst(reader);
-        if (bad.empty())
-            return;
-        std::string names;
-        for (const std::string &n : bad)
-            names += (names.empty() ? "" : ", ") + n;
-        warn("%s witness mismatch in section(s) %s; continuing with"
-             " the replayed state",
-             what, names.c_str());
-    };
-
-    rc.warmBoundaryHook = [&] {
-        if (restoring && meta.kind == 0) {
-            ckKind = 0;
-            witness("warm-restore");
-        }
-        if (saveOut && saveAtWarm) {
-            ckKind = 0;
-            saveNow("warm");
-        }
-    };
-    if (restoring && meta.kind == 1) {
+    if (restoring) {
         // Replay deterministically to the saved anchor, then prove
         // the replayed state matches the checkpoint byte-for-byte.
         rc.stopAt = true;
         rc.stopAtCycle = meta.cycle;
         rc.stopAtExec = meta.executed;
         rc.midRunHook = [&] {
-            ckKind = 1;
-            witness("rescue-restore");
+            out.restored = true;
+            std::vector<std::string> bad =
+                machine.validateAgainst(reader);
+            if (bad.empty())
+                return;
+            std::string names;
+            for (const std::string &n : bad)
+                names += (names.empty() ? "" : ", ") + n;
+            warn("restore witness mismatch in section(s) %s;"
+                 " continuing with the replayed state",
+                 names.c_str());
         };
-    } else if (saveOut && !saveAtWarm) {
+    } else if (!isBsp && !spec.checkpointOut.empty()) {
         rc.stopAt = true;
-        rc.stopAtCycle = saveCycle;
+        rc.stopAtCycle = spec.checkpointAfter;
         rc.stopAtExec = 0;
-        rc.midRunHook = [&] {
-            ckKind = 1;
-            saveNow("rescue");
-        };
-    }
-    if (saveOut) {
+        rc.midRunHook = [&] { saveNow("anchor"); };
         // SIGINT/SIGTERM: the executor calls this while run-scoped
         // state is still live, so the rescue file is complete.
-        rc.interruptHook = [&] {
-            ckKind = 1;
-            saveNow("interrupt rescue");
-        };
+        rc.interruptHook = [&] { saveNow("interrupt rescue"); };
     }
 
     switch (spec.config) {

@@ -42,7 +42,6 @@ struct Workload
     bool usesPriority = true;  //!< benefits from ordering (paper).
     double scale = 1.0;        //!< scale it was built at.
     std::uint64_t seed = 1;    //!< generator seed it was built with.
-    bool warmLoaded = false;   //!< graph came from a checkpoint.
 };
 
 /** The paper's seven workloads, in Fig. 16 order. */
@@ -56,27 +55,12 @@ Workload makeWorkload(const std::string &name, double scale = 1.0,
                       std::uint64_t seed = 1);
 
 /**
- * Build a workload from a warm checkpoint: validates the file
- * (CRC/version/meta) and loads the graph arrays materially instead
- * of regenerating them. Any failure — missing file, corrupt
- * sections, meta describing a different workload — warns and falls
- * back to cold generation ("warn, never wrong"); check
- * Workload::warmLoaded for which path was taken.
- */
-Workload makeWorkloadWarm(const std::string &name, double scale,
-                          std::uint64_t seed,
-                          const std::string &ckptPath);
-
-/**
  * The "meta" checkpoint section: which run produced the file and
- * where its resume anchor sits. kind 0 = warm boundary (taken
- * before simulated time started), 1 = rescue (mid-run anchor; a
- * restore replays deterministically to (cycle, executed) and
- * witness-validates there).
+ * where its anchor sits. A restore replays deterministically to
+ * (cycle, executed) and witness-validates there.
  */
 struct CkptMeta
 {
-    std::uint8_t kind = 0;
     Cycle cycle = 0;
     std::uint64_t executed = 0;
     std::string workload;
@@ -88,7 +72,6 @@ struct CkptMeta
     void
     checkpoint(ckpt::Ckpt &ck)
     {
-        ck.io(kind);
         ck.io(cycle);
         ck.io(executed);
         ck.io(workload);
@@ -126,6 +109,8 @@ struct ExperimentResult
     minnowengine::EngineStats engines; //!< Minnow configs only.
     bsp::BspStats bsp;                 //!< BSP configs only.
     Cycle serialBaselineCycles = 0;    //!< when requested.
+    /** The checkpoint validated and the replay reached its anchor. */
+    bool restored = false;
 };
 
 /** Options for one experiment run. */
@@ -139,14 +124,17 @@ struct RunSpec
 
     /** Write a checkpoint here ("" = off); see checkpointAfter. */
     std::string checkpointOut;
-    /** Restore/validate from this checkpoint ("" = off). */
+    /**
+     * Replay to this checkpoint's anchor and witness-validate there
+     * ("" = off). Exclusive with checkpointOut: both need the one
+     * stop trigger.
+     */
     std::string checkpointIn;
     /**
-     * When to save: "warmup" = at the warm boundary (right before
-     * simulated time starts), or a cycle count N = a mid-run rescue
-     * anchor at the first event boundary at or after cycle N.
+     * Anchor of the saved checkpoint: the first event boundary at or
+     * after this cycle. 0 = before the first event.
      */
-    std::string checkpointAfter = "warmup";
+    Cycle checkpointAfter = 0;
 
     /**
      * Signal-handler flag for graceful SIGINT/SIGTERM (null = off):

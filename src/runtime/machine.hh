@@ -261,9 +261,10 @@ class Machine
     /**
      * Open @p path into @p r and verify it belongs to this machine:
      * container magic/version/CRCs (Reader::openFile) plus the
-     * config fingerprint. On success the harness loads the material
-     * sections (graph, meta) from @p r and witness-validates the
-     * rest with validateAgainst(). @return "" or a diagnostic.
+     * config fingerprint. On success the harness reads the anchor
+     * from the meta section of @p r, replays to it and
+     * witness-validates every section with validateAgainst().
+     * @return "" or a diagnostic.
      */
     std::string
     restore(const std::string &path, ckpt::Reader &r)

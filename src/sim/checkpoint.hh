@@ -1,10 +1,10 @@
 /**
  * @file
- * Checkpoint container format "minnow-ckpt-3".
+ * Checkpoint container format "minnow-ckpt-4".
  *
  * A checkpoint is a single binary file:
  *
- *     magic        "minnow-ckpt-3\n"        (14 bytes)
+ *     magic        "minnow-ckpt-4\n"        (14 bytes)
  *     u32          section count
  *     per section:
  *       u32        name length, then name bytes
@@ -13,14 +13,16 @@
  *     u32          CRC32 of everything above (file CRC)
  *
  * All integers are little-endian host order (checkpoints are a
- * same-host warm-start mechanism, not an interchange format; the
+ * same-host replay witness, not an interchange format; the
  * magic pins the version so a layout change bumps the digit and old
  * files are rejected, never misread). Version 2 changed the cache
  * array, memory directory and core frontend payloads (DESIGN.md 5m).
  * Version 3 dropped the push/credit coalescing state from the minnow
  * engine sections and added the offload, engine-sharing, work-
  * sharing and hardware-prefetcher knobs to the config fingerprint
- * (DESIGN.md 5h).
+ * (DESIGN.md 5h). Version 4 dropped the checkpoint-kind byte from
+ * the harness's meta section: every checkpoint is a replay anchor
+ * (DESIGN.md 5i).
  *
  * Integrity: the trailing file CRC is verified over the whole
  * buffer BEFORE any length field is trusted, so a corrupted section
@@ -51,7 +53,7 @@ namespace minnow::ckpt
 {
 
 /** The format magic; the trailing digit is the version. */
-inline constexpr char kMagic[] = "minnow-ckpt-3\n";
+inline constexpr char kMagic[] = "minnow-ckpt-4\n";
 inline constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
 
 /** CRC-32 (IEEE 802.3, reflected 0xEDB88320), seedable for chains. */

@@ -197,7 +197,7 @@ TEST(AttributionRun, StatsByteIdenticalAcrossCheckpoint)
     auto cold = harness::runExperiment(w, attrSpec());
     ASSERT_TRUE(cold.run.verified);
 
-    std::string path = tmpPath("warm.ckpt");
+    std::string path = tmpPath("anchor.ckpt");
     harness::RunSpec save = attrSpec();
     save.checkpointOut = path;
     auto saved = harness::runExperiment(w, save);
@@ -205,9 +205,10 @@ TEST(AttributionRun, StatsByteIdenticalAcrossCheckpoint)
 
     harness::RunSpec restore = attrSpec();
     restore.checkpointIn = path;
-    auto warm = harness::runExperiment(w, restore);
-    EXPECT_TRUE(warm.run.verified);
-    EXPECT_EQ(cold.run.statsJson, warm.run.statsJson);
+    auto replayed = harness::runExperiment(w, restore);
+    EXPECT_TRUE(replayed.restored);
+    EXPECT_TRUE(replayed.run.verified);
+    EXPECT_EQ(cold.run.statsJson, replayed.run.statsJson);
     std::remove(path.c_str());
 }
 

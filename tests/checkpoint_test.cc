@@ -68,6 +68,39 @@ readBytes(const std::string &path)
     return out;
 }
 
+/** A small sssp/minnow-pf point; @p ckpt sets its checkpoint flags. */
+harness::ExperimentResult
+runPoint(const std::function<void(harness::RunSpec &)> &ckpt = {},
+         const std::string &workload = "sssp")
+{
+    harness::Workload w = harness::makeWorkload(workload, 0.1, 2);
+    harness::RunSpec spec;
+    spec.config = harness::Config::MinnowPf;
+    spec.threads = 2;
+    spec.machine.numCores = 2;
+    if (ckpt)
+        ckpt(spec);
+    return harness::runExperiment(w, spec);
+}
+
+/** The stats of runPoint() without checkpoint flags. */
+const std::string &
+coldStats()
+{
+    static const std::string stats = runPoint().run.statsJson;
+    return stats;
+}
+
+/** Save runPoint()'s anchor-0 checkpoint to @p path. */
+void
+saveAnchorZero(const std::string &path)
+{
+    harness::ExperimentResult r = runPoint(
+        [&](harness::RunSpec &s) { s.checkpointOut = path; });
+    EXPECT_EQ(r.run.statsJson, coldStats())
+        << "saving perturbed the run";
+}
+
 } // anonymous namespace
 
 TEST(CkptContainer, EncodeDecodeRoundtrip)
@@ -162,16 +195,16 @@ TEST(CkptContainer, PayloadFlipNamesTheSection)
 TEST(CkptContainer, VersionBumpIsDiagnosed)
 {
     std::vector<std::uint8_t> buf = sampleImage();
-    // "minnow-ckpt-3\n" -> "minnow-ckpt-4\n": a future format must
+    // "minnow-ckpt-4\n" -> "minnow-ckpt-5\n": a future format must
     // be named as a version problem, not a CRC failure.
-    ASSERT_EQ(buf[ckpt::kMagicLen - 2], '3');
-    buf[ckpt::kMagicLen - 2] = '4';
+    ASSERT_EQ(buf[ckpt::kMagicLen - 2], '4');
+    buf[ckpt::kMagicLen - 2] = '5';
     refreshFileCrc(buf);
     ckpt::Reader r;
     std::string err = r.decode(buf);
     EXPECT_NE(err.find("bad magic/version"), std::string::npos)
         << err;
-    EXPECT_NE(err.find("minnow-ckpt-4"), std::string::npos) << err;
+    EXPECT_NE(err.find("minnow-ckpt-5"), std::string::npos) << err;
 }
 
 TEST(CkptContainer, SectionLengthOverrunIsBoundsChecked)
@@ -368,15 +401,16 @@ TEST(CkptMachine, DifferentConfigIsRejected)
 TEST(CkptMachine, VersionOneFileIsRejectedAndColdStarts)
 {
     // Version 1 laid out cache frames, the directory and the core
-    // frontend differently, and version 2 still carried the engine's
-    // push/credit coalescing state and a narrower config fingerprint;
-    // such files must be refused by name.
+    // frontend differently, version 2 still carried the engine's
+    // push/credit coalescing state and a narrower config fingerprint,
+    // and version 3's meta section a checkpoint-kind byte; such files
+    // must be refused by name.
     MachineConfig mc = scaledMachine();
     mc.numCores = 2;
     runtime::Machine m(mc);
     ckpt::Writer w;
     m.checkpointSections(w);
-    for (char version : {'1', '2'}) {
+    for (char version : {'1', '2', '3'}) {
         std::vector<std::uint8_t> buf = w.encode();
         buf[ckpt::kMagicLen - 2] = std::uint8_t(version);
         refreshFileCrc(buf);
@@ -391,14 +425,14 @@ TEST(CkptMachine, VersionOneFileIsRejectedAndColdStarts)
         std::string err = m.restore(path, r);
         std::string want = "bad magic/version 'minnow-ckpt-";
         EXPECT_NE(err.find(want + version), std::string::npos) << err;
-        EXPECT_NE(err.find("want 'minnow-ckpt-3'"), std::string::npos)
+        EXPECT_NE(err.find("want 'minnow-ckpt-4'"), std::string::npos)
             << err;
 
-        // The harness warns and builds the workload cold.
-        harness::Workload wl =
-            harness::makeWorkloadWarm("sssp", 0.1, 2, path);
-        EXPECT_FALSE(wl.warmLoaded);
-        ASSERT_NE(wl.app, nullptr);
+        // The harness warns and runs cold.
+        harness::ExperimentResult res = runPoint(
+            [&](harness::RunSpec &s) { s.checkpointIn = path; });
+        EXPECT_FALSE(res.restored);
+        EXPECT_EQ(res.run.statsJson, coldStats());
         std::remove(path.c_str());
     }
 }
@@ -429,7 +463,6 @@ TEST(CkptMachine, CkptHooksEmitInRegistrationOrder)
 TEST(CkptMeta, RoundtripAndWorkloadMismatchDegrades)
 {
     harness::CkptMeta meta;
-    meta.kind = 1;
     meta.cycle = 12345;
     meta.executed = 67890;
     meta.workload = "sssp";
@@ -446,59 +479,77 @@ TEST(CkptMeta, RoundtripAndWorkloadMismatchDegrades)
     ckpt::Ckpt ck = ckpt::Ckpt::loader(buf.data(), buf.size());
     got.checkpoint(ck);
     ASSERT_TRUE(ck.ok());
-    EXPECT_EQ(got.kind, 1);
     EXPECT_EQ(got.cycle, 12345u);
     EXPECT_EQ(got.executed, 67890u);
     EXPECT_EQ(got.workload, "sssp");
     EXPECT_EQ(got.config, "minnow-pf");
 
-    // A checkpoint naming a different workload must warn and
-    // cold-start (never load mismatched material).
-    ckpt::Writer w;
-    {
-        std::vector<std::uint8_t> mb;
-        ckpt::Ckpt sv = ckpt::Ckpt::saver(&mb);
-        meta.checkpoint(sv);
-        w.add("meta", std::move(mb));
-    }
+    // An sssp checkpoint offered to a bfs run on the same machine
+    // must warn and cold-start (never replay to a foreign anchor).
     std::string path = tmpPath("mismatch.ckpt");
-    ASSERT_EQ(w.writeFile(path), "");
-    harness::Workload wl =
-        harness::makeWorkloadWarm("bfs", 0.25, 3, path);
-    EXPECT_FALSE(wl.warmLoaded);
-    EXPECT_EQ(wl.name, "bfs");
-    ASSERT_NE(wl.app, nullptr);
+    saveAnchorZero(path);
+    harness::ExperimentResult res = runPoint(
+        [&](harness::RunSpec &s) { s.checkpointIn = path; }, "bfs");
+    EXPECT_FALSE(res.restored);
+    EXPECT_TRUE(res.run.verified);
+    EXPECT_EQ(res.run.statsJson, runPoint({}, "bfs").run.statsJson);
     std::remove(path.c_str());
 }
 
-TEST(CkptWorkload, WarmLoadMatchesColdGeneration)
+TEST(CkptRestore, AnchorZeroIsWitnessCleanAndMatchesCold)
 {
-    // Save a warm checkpoint through the harness, then rebuild the
-    // workload from it: the loaded graph must be byte-identical to
-    // a cold generation (the material half of the warm-start
-    // contract; the A/B equivalence script covers the full run).
-    harness::Workload cold = harness::makeWorkload("sssp", 0.1, 2);
-    harness::RunSpec spec;
-    spec.config = harness::Config::Minnow;
-    spec.threads = 2;
-    spec.machine.numCores = 2;
-    spec.checkpointOut = tmpPath("warm.ckpt");
-    harness::runExperiment(cold, spec);
+    // The default anchor {cycle 0, executed 0} fires before the first
+    // event: a restore replays to it, the witness finds every
+    // section identical, and the run ends with the cold run's stats.
+    std::string path = tmpPath("anchor0.ckpt");
+    saveAnchorZero(path);
+    testing::internal::CaptureStderr();
+    harness::ExperimentResult res = runPoint(
+        [&](harness::RunSpec &s) { s.checkpointIn = path; });
+    std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_TRUE(res.restored);
+    EXPECT_EQ(err, "");
+    EXPECT_TRUE(res.run.verified);
+    EXPECT_EQ(res.run.statsJson, coldStats());
+    std::remove(path.c_str());
+}
 
-    harness::Workload warm = harness::makeWorkloadWarm(
-        "sssp", 0.1, 2, spec.checkpointOut);
-    EXPECT_TRUE(warm.warmLoaded);
-    std::vector<std::uint8_t> a, b;
-    {
-        ckpt::Ckpt ck = ckpt::Ckpt::saver(&a);
-        cold.graph.checkpoint(ck);
+TEST(CkptRestore, ChangedEdgeIsNamedAsGraph)
+{
+    // A graph section re-sealed with valid CRCs but one changed edge
+    // passes the container checks; the witness must still name it.
+    MachineConfig mc = scaledMachine();
+    mc.numCores = 2;
+    runtime::Machine m(mc);
+    harness::Workload w = harness::makeWorkload("sssp", 0.1, 2);
+    w.graph.assignAddresses(m.alloc, w.nodeBytes);
+    m.addCkptHook("graph",
+                  [&](ckpt::Ckpt &ck) { w.graph.checkpoint(ck); });
+    std::string path = tmpPath("graph_edge.ckpt");
+    ASSERT_EQ(m.save(path), "");
+
+    ckpt::Reader saved;
+    ASSERT_EQ(saved.openFile(path), "");
+    ckpt::Writer resealed;
+    for (const ckpt::Section &sec : saved.sections()) {
+        std::vector<std::uint8_t> bytes = sec.bytes;
+        if (sec.name == "graph") {
+            // Payload: rowPtr (u64 count + u64s), then dst (u64
+            // count + u32s); bump the destination of edge 0.
+            std::size_t dst0 =
+                8 + 8 * (std::size_t(w.graph.numNodes()) + 1) + 8;
+            ASSERT_LT(dst0 + 4, bytes.size());
+            bytes[dst0] ^= 0x01;
+        }
+        resealed.add(sec.name, std::move(bytes));
     }
-    {
-        ckpt::Ckpt ck = ckpt::Ckpt::saver(&b);
-        warm.graph.checkpoint(ck);
-    }
-    EXPECT_EQ(a, b);
-    std::remove(spec.checkpointOut.c_str());
+    ASSERT_EQ(resealed.writeFile(path), "");
+
+    ckpt::Reader r;
+    ASSERT_EQ(m.restore(path, r), "");
+    EXPECT_EQ(m.validateAgainst(r), std::vector<std::string>{"graph"});
+    m.removeCkptHook("graph");
+    std::remove(path.c_str());
 }
 
 TEST(CkptMachine, HostProfileLeavesMidRunCheckpointDeterministic)
@@ -515,7 +566,7 @@ TEST(CkptMachine, HostProfileLeavesMidRunCheckpointDeterministic)
         spec.machine.hostProfile = true;
         spec.machine.statsSampleInterval = 200;
         spec.checkpointOut = tmpPath(name);
-        spec.checkpointAfter = "3000";
+        spec.checkpointAfter = 3000;
         harness::ExperimentResult r = harness::runExperiment(w, spec);
         EXPECT_TRUE(r.run.verified);
         EXPECT_NE(r.run.statsJson.find("\"hostprof\""),
