@@ -3,13 +3,12 @@
  * Run exactly one (workload, config, threads) figure point and emit
  * a machine-readable result (schema "minnow-point-1").
  *
- * This is the subject of the checkpoint A/B equivalence test
- * (scripts/check_checkpoint_ab.py) and of the attribution A/B test
- * (scripts/check_attribution_ab.py), and the point the benchmark
- * ledger (perfbench/) times. It accepts every common bench flag,
- * plus the checkpoint flags, which only this binary has, so one
- * invocation can save a checkpoint and a later one can replay to
- * it.
+ * scripts/check_equivalence.py runs it for its checkpoint,
+ * attribution, negative-control and BSP-interrupt rows, and the
+ * benchmark ledger (perfbench/) times it. It accepts every common
+ * bench flag, plus the checkpoint flags, which only this binary has,
+ * so one invocation can save a checkpoint and a later one can replay
+ * to it.
  *
  * Extra flags beyond bench_common:
  *   --workload=<name>  required: one of the harness workloads.

@@ -13,9 +13,9 @@ The sweep runs with --host-profile=true, --timeline and
 groups: "hostprof" (host wall-clock attribution), "timeline" (event
 counts plus the pop-wait/dequeue/execute/push latency percentiles),
 and "attribution" (the five prefetch lifecycle classes, the derived
-coverage and pollution rates, lineage conservation counters, and the
-six latency histograms with P50/P95/P99), all numeric and
-non-negative.
+coverage and pollution rates, lineage conservation (every assigned
+lineage dequeued, none live at exit), and the six latency histograms
+with P50/P95/P99), all numeric and non-negative.
 
 Every "minnow<N>" engine group must satisfy the spec-slot
 conservation invariant specDeposits == specHits + specReclaims
@@ -165,6 +165,9 @@ def check_attribution_group(groups, i):
         fail(f"runs[{i}]: coveredPct out of range")
     if g["lineageLive"] != 0:
         fail(f"runs[{i}]: lineage leak ({g['lineageLive']} live)")
+    if g["lineageAssigned"] != g["lineageDequeued"]:
+        fail(f"runs[{i}]: lineage not conserved (assigned"
+             f" {g['lineageAssigned']}, dequeued {g['lineageDequeued']})")
     for hist in ("issueToFill", "fillToUse", "issueToUse",
                  "pushToEnqueue", "enqueueToDequeue",
                  "dequeueToFirstMiss"):

@@ -5,9 +5,9 @@
 # With no arguments, runs all three sanitizers in sequence. Each
 # sanitizer gets its own build directory (build-san-<name>) so
 # incremental rebuilds stay cheap. The thread leg additionally runs
-# the tsan_host_par_ab ctest (the --host-par point-farm A/B under
-# the race detector); it only exists in MINNOW_SANITIZE=thread
-# builds.
+# the tsan_equivalence ctest (the whole check_equivalence table,
+# --host-par point-farm rows included, under the race detector); it
+# only exists in MINNOW_SANITIZE=thread builds.
 
 set -euo pipefail
 

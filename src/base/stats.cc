@@ -11,13 +11,6 @@
 namespace minnow
 {
 
-void
-StatsReport::dump(std::FILE *out) const
-{
-    for (const auto &[key, value] : values_)
-        std::fprintf(out, "%-48s %.6g\n", key.c_str(), value);
-}
-
 double
 FormulaStat::value() const
 {
@@ -175,14 +168,6 @@ StatsRegistry::flatten(StatsReport &out) const
             }
         }
     }
-}
-
-void
-StatsRegistry::dumpText(std::FILE *out) const
-{
-    StatsReport flat;
-    flatten(flat);
-    flat.dump(out);
 }
 
 namespace

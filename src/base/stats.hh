@@ -3,29 +3,27 @@
  * Statistics package: raw aggregate types plus the hierarchical
  * registry used for machine-readable dumps.
  *
- * Two layers coexist:
- *
- *  - Raw aggregates (StatAverage, StatHistogram) and the flat
- *    StatsReport, kept for hot-path counting and legacy text dumps.
- *  - The StatsRegistry: named groups ("sim", "core3", "l2_3",
- *    "minnow0", "worklist") of typed stats — scalars, counters,
- *    formulas evaluated lazily at dump time (MPKI, prefetch
- *    accuracy), and fixed-bucket histograms — with JSON export and an
- *    optional per-interval sampling hook driven off the EventQueue.
+ * One stats layer, the StatsRegistry: named groups ("sim", "core3",
+ * "l2_3", "minnow0", "worklist") of typed stats — scalars, counters,
+ * formulas evaluated lazily at dump time (MPKI, prefetch accuracy),
+ * and fixed-bucket histograms — with JSON export and an optional
+ * per-interval sampling hook driven off the EventQueue. The flat
+ * StatsReport is only a read view of it: StatsRegistry::flatten
+ * fills it with "group.stat" keys. StatHistogram is a raw aggregate
+ * for host-side profiling.
  *
  * Components register their stats into a group once at construction;
  * formulas capture references to the component's own counters, so
  * nothing is paid on the hot path beyond the existing struct
  * increments. Dumping walks the registry, evaluates formulas, and
- * emits either "group.stat value" text lines or a JSON document (see
- * DESIGN.md "Statistics & observability" for the schema).
+ * emits a JSON document (see DESIGN.md "Statistics & observability"
+ * for the schema).
  */
 
 #ifndef MINNOW_BASE_STATS_HH
 #define MINNOW_BASE_STATS_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -51,43 +49,6 @@ isHostTimeGroup(const std::string &name)
 {
     return name == kHostTimeGroup;
 }
-
-/** Running mean/min/max over a stream of samples. */
-class StatAverage
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        count_ += 1;
-        if (count_ == 1 || v < min_)
-            min_ = v;
-        if (count_ == 1 || v > max_)
-            max_ = v;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-    void
-    reset()
-    {
-        sum_ = 0;
-        count_ = 0;
-        min_ = 0;
-        max_ = 0;
-    }
-
-  private:
-    double sum_ = 0;
-    std::uint64_t count_ = 0;
-    double min_ = 0;
-    double max_ = 0;
-};
 
 /** Power-of-two bucketed histogram for latency/size distributions. */
 class StatHistogram
@@ -141,8 +102,9 @@ class StatHistogram
 };
 
 /**
- * Flat name -> value map that components contribute into when asked to
- * report. Keys use dotted paths, e.g. "core03.l2.missRate".
+ * Flat name -> value view of a StatsRegistry (see
+ * StatsRegistry::flatten). Keys use dotted paths, e.g.
+ * "attribution.fills".
  */
 class StatsReport
 {
@@ -163,9 +125,6 @@ class StatsReport
     bool has(const std::string &key) const { return values_.count(key); }
 
     const std::map<std::string, double> &values() const { return values_; }
-
-    /** Write "key value" lines to the given stream-like file. */
-    void dump(std::FILE *out) const;
 
   private:
     std::map<std::string, double> values_;
@@ -513,9 +472,6 @@ class StatsRegistry
 
     /** Flatten every stat into "group.stat" keys of a report. */
     void flatten(StatsReport &out) const;
-
-    /** Text dump: "group.stat value" lines, sorted. */
-    void dumpText(std::FILE *out) const;
 
     /** Serialize groups (+ interval samples) as a JSON document. */
     std::string toJson() const;

@@ -184,7 +184,8 @@ bspWorker(SimContext &ctx, BspShared &sh, apps::App &app,
 } // anonymous namespace
 
 galois::RunResult
-runBsp(Machine &machine, apps::App &app, const BspConfig &cfg,
+runBsp(Machine &machine, apps::App &app, const galois::RunConfig &cfg,
+       bool bucketed, std::uint32_t lgBucketInterval,
        BspStats *statsOut)
 {
     fatal_if(cfg.threads == 0, "need at least one worker");
@@ -199,8 +200,8 @@ runBsp(Machine &machine, apps::App &app, const BspConfig &cfg,
     sh.threads = cfg.threads;
     sh.eq = &machine.eq;
     sh.numNodes = app.graph().numNodes();
-    sh.bucketed = cfg.bucketed;
-    sh.lg = cfg.lgBucketInterval;
+    sh.bucketed = bucketed;
+    sh.lg = lgBucketInterval;
     sh.flagBase =
         machine.alloc.alloc("bsp.activeFlags", sh.numNodes / 8 + 64);
 
@@ -236,11 +237,11 @@ runBsp(Machine &machine, apps::App &app, const BspConfig &cfg,
     for (auto &w : workers)
         w.start();
 
-    machine.eq.run(cfg.maxEvents);
+    bool interrupted = galois::runEventLoop(machine, cfg);
 
     bool timedOut = false;
     for (const auto &w : workers)
-        timedOut |= !w.done();
+        timedOut |= !interrupted && !w.done();
     if (timedOut) {
         warn("BSP run of %s timed out after %llu events",
              app.name().c_str(),
@@ -250,12 +251,13 @@ runBsp(Machine &machine, apps::App &app, const BspConfig &cfg,
     galois::RunResult r = galois::collectResult(
         machine, app, cfg.threads, timedOut, sh.vertexOps);
     r.tasks = sh.vertexOps;
+    r.interrupted = interrupted;
     if (statsOut) {
         statsOut->supersteps = sh.supersteps;
         statsOut->vertexOps = sh.vertexOps;
         statsOut->sweepWork = sh.sweepWork;
     }
-    if (cfg.verify && !timedOut)
+    if (cfg.verify && !timedOut && !interrupted)
         r.verified = app.verify();
     return r;
 }

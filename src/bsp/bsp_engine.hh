@@ -38,32 +38,22 @@ struct BspStats
     std::uint64_t sweepWork = 0;   //!< active-flag scan cost proxy.
 };
 
-/** Run parameters. */
-struct BspConfig
-{
-    std::uint32_t threads = 1;
-    bool verify = true;
-
-    /**
-     * GMat* mode: process only the lowest-priority-bucket vertices
-     * per pass (one full engine invocation per bucket). 0 disables
-     * bucketing (plain unordered GraphMat).
-     */
-    std::uint32_t lgBucketInterval = 0;
-    bool bucketed = false;
-
-    std::uint64_t maxEvents = 400'000'000;
-};
-
 /**
  * Execute @p app to convergence under the BSP model.
  *
  * The app's operator is reused unchanged; the engine feeds it one
  * task per active vertex per superstep and collects newly activated
  * vertices (the app's TaskSink pushes) into the next frontier.
+ * @p cfg supplies threads, verification and the event budget, as
+ * for the Galois and Minnow executors; the run goes through
+ * galois::runEventLoop, so a signal reports it interrupted. With
+ * @p bucketed (GMat* mode) each pass processes only the vertices
+ * in the lowest priority bucket of width 2^@p lgBucketInterval.
  */
 galois::RunResult runBsp(runtime::Machine &machine, apps::App &app,
-                         const BspConfig &cfg,
+                         const galois::RunConfig &cfg,
+                         bool bucketed = false,
+                         std::uint32_t lgBucketInterval = 0,
                          BspStats *stats = nullptr);
 
 } // namespace minnow::bsp

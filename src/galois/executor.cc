@@ -151,39 +151,8 @@ collectResult(runtime::Machine &machine, apps::App &app,
                    (double(r.instructions) / 1000.0);
     }
 
-    // Full stats report for --stats-file dumps.
-    r.report.add("run.cycles", double(r.cycles));
-    r.report.add("run.instructions", double(r.instructions));
-    r.report.add("run.tasks", double(r.tasks));
-    r.report.add("run.ipc", r.mlpProxyIpc());
-    r.report.add("run.l2Mpki", r.l2Mpki);
-    r.report.add("run.threads", double(threads));
-    r.report.add("core.delinquentLoads",
-                 double(r.delinquentLoads));
-    r.report.add("core.loads", double(r.allLoads));
-    r.report.add("core.atomics", double(r.atomics));
-    r.report.add("core.mispredicts", double(r.mispredicts));
-    r.report.add("core.fenceStallCycles",
-                 double(r.fenceStallCycles));
-    r.report.add("core.branchStallCycles",
-                 double(r.branchStallCycles));
-    const char *phaseNames[3] = {"app", "worklist", "idle"};
-    for (int p = 0; p < 3; ++p) {
-        r.report.add(std::string("phase.") + phaseNames[p] +
-                         ".cycles",
-                     double(r.phaseCycles[p]));
-        r.report.add(std::string("phase.") + phaseNames[p] +
-                         ".uops",
-                     double(r.phaseUops[p]));
-    }
-    r.report.add("workload.edgesVisited",
-                 double(r.workload.edgesVisited));
-    r.report.add("workload.updates", double(r.workload.updates));
-    r.report.add("workload.pushes", double(r.workload.pushes));
-    machine.memory.report(r.report, "mem");
-
-    // Hierarchical registry: flatten into the legacy report and
-    // snapshot the JSON form while every component is still alive.
+    // Flatten the registry into the dotted-key view and snapshot
+    // the JSON form while every component is still alive.
     machine.stats.flatten(r.report);
     r.statsJson = machine.stats.toJson();
     return r;

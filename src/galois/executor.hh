@@ -94,7 +94,8 @@ struct RunResult
 
     apps::AppCounters workload;
 
-    /** Full dotted-key stats dump (see base/stats.hh). */
+    /** The StatsRegistry flattened to "group.stat" keys at collect
+     *  time (see StatsRegistry::flatten). */
     StatsReport report;
 
     /**
@@ -157,7 +158,8 @@ RunResult collectResult(runtime::Machine &machine, apps::App &app,
 
 /**
  * Drive machine.eq.run() honoring the RunConfig checkpoint hooks:
- * stop-trigger mid-run hook with remaining-budget resume. Shared by runParallel and runMinnow.
+ * stop-trigger mid-run hook with remaining-budget resume. Shared by
+ * runParallel, runMinnow and bsp::runBsp.
  * @return true if a signal interrupted the run cleanly.
  */
 bool runEventLoop(runtime::Machine &machine, const RunConfig &cfg);

@@ -367,13 +367,9 @@ runExperiment(Workload &w, const RunSpec &spec)
       }
       case Config::Bsp:
       case Config::BspBucketed: {
-        bsp::BspConfig bc;
-        bc.threads = rc.threads;
-        bc.verify = rc.verify;
-        bc.maxEvents = rc.maxEvents;
-        bc.bucketed = spec.config == Config::BspBucketed;
-        bc.lgBucketInterval = w.lgDelta;
-        out.run = bsp::runBsp(machine, *w.app, bc, &out.bsp);
+        out.run = bsp::runBsp(machine, *w.app, rc,
+                              spec.config == Config::BspBucketed,
+                              w.lgDelta, &out.bsp);
         break;
       }
     }

@@ -497,34 +497,6 @@ MemorySystem::totals() const
     return t;
 }
 
-void
-MemorySystem::report(StatsReport &out, const std::string &prefix) const
-{
-    MemStats t = totals();
-    out.add(prefix + ".loads", double(t.loads));
-    out.add(prefix + ".stores", double(t.stores));
-    out.add(prefix + ".atomics", double(t.atomics));
-    out.add(prefix + ".engineAccesses", double(t.engineAccesses));
-    out.add(prefix + ".l1Hits", double(t.l1Hits));
-    out.add(prefix + ".l2Hits", double(t.l2Hits));
-    out.add(prefix + ".l2DemandMisses", double(t.l2DemandMisses));
-    out.add(prefix + ".l3Hits", double(t.l3Hits));
-    out.add(prefix + ".memAccesses", double(t.memAccesses));
-    out.add(prefix + ".writebacks", double(t.writebacks));
-    out.add(prefix + ".invalidationsSent",
-            double(t.invalidationsSent));
-    out.add(prefix + ".prefetchFills", double(t.prefetchFills));
-    out.add(prefix + ".prefetchUsed", double(t.prefetchUsed));
-    out.add(prefix + ".prefetchUsedLate", double(t.prefetchUsedLate));
-    out.add(prefix + ".prefetchEvictedUnused",
-            double(t.prefetchEvictedUnused));
-    out.add(prefix + ".nocMessages", double(noc_.messages()));
-    out.add(prefix + ".nocContention",
-            double(noc_.contentionCycles()));
-    out.add(prefix + ".dramAccesses", double(dram_.accesses()));
-    out.add(prefix + ".dramQueueCycles", double(dram_.queueCycles()));
-}
-
 namespace
 {
 

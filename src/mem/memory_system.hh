@@ -188,8 +188,6 @@ class MemorySystem
     const Noc &noc() const { return noc_; }
     const Dram &dram() const { return dram_; }
 
-    /** Aggregate stats into a report under the given prefix. */
-    void report(StatsReport &out, const std::string &prefix) const;
 
     /**
      * Register hierarchy totals (plus NoC/DRAM counters and the

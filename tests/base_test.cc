@@ -310,20 +310,6 @@ TEST(SimAlloc, ZeroSizeStillDistinct)
     EXPECT_NE(a, b);
 }
 
-TEST(Stats, Average)
-{
-    StatAverage avg;
-    EXPECT_EQ(avg.mean(), 0.0);
-    avg.sample(1.0);
-    avg.sample(3.0);
-    EXPECT_DOUBLE_EQ(avg.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(avg.min(), 1.0);
-    EXPECT_DOUBLE_EQ(avg.max(), 3.0);
-    EXPECT_EQ(avg.count(), 2u);
-    avg.reset();
-    EXPECT_EQ(avg.count(), 0u);
-}
-
 TEST(Stats, Histogram)
 {
     StatHistogram h;

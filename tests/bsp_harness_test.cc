@@ -22,7 +22,6 @@ namespace minnow
 namespace
 {
 
-using bsp::BspConfig;
 using bsp::BspStats;
 using bsp::runBsp;
 using harness::Config;
@@ -45,10 +44,10 @@ TEST(Bsp, BfsConvergesAndVerifies)
     graph::CsrGraph g = graph::randomGraph(2000, 4.0, 7);
     g.assignAddresses(m.alloc);
     apps::SsspApp app(&g, 0, true, 1u << 30, "bfs");
-    BspConfig bc;
+    galois::RunConfig bc;
     bc.threads = 4;
     BspStats st;
-    auto r = runBsp(m, app, bc, &st);
+    auto r = runBsp(m, app, bc, false, 0, &st);
     EXPECT_FALSE(r.timedOut);
     EXPECT_TRUE(r.verified);
     // BFS supersteps track hop levels: close to the BFS depth.
@@ -67,7 +66,7 @@ TEST(Bsp, SsspUnorderedDoesMoreWorkThanObim)
     runtime::Machine m1(cfg(4));
     g.assignAddresses(m1.alloc);
     apps::SsspApp app1(&g, 0, false, 1u << 30, "sssp");
-    BspConfig bc;
+    galois::RunConfig bc;
     bc.threads = 4;
     auto bspRun = runBsp(m1, app1, bc);
     ASSERT_TRUE(bspRun.verified);
@@ -101,12 +100,11 @@ TEST(Bsp, BucketedModeImprovesSsspWork)
         runtime::Machine m(cfg(4));
         g.assignAddresses(m.alloc);
         apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
-        BspConfig bc;
+        galois::RunConfig bc;
         bc.threads = 4;
-        bc.bucketed = bucketed;
-        bc.lgBucketInterval = 6; // coarse: per-kernel overhead.
         BspStats st;
-        auto r = runBsp(m, app, bc, &st);
+        // lg bucket interval 6 is coarse: per-kernel overhead.
+        auto r = runBsp(m, app, bc, bucketed, 6, &st);
         EXPECT_TRUE(r.verified);
         return r.workload.edgesVisited;
     };
@@ -120,7 +118,7 @@ TEST(Bsp, PrConverges)
     graph::CsrGraph g = graph::powerLawGraph(500, 8.0, 0.9, 13);
     g.assignAddresses(m.alloc);
     apps::PrApp app(&g, 0.85, 1e-4, 1u << 30);
-    BspConfig bc;
+    galois::RunConfig bc;
     bc.threads = 4;
     auto r = runBsp(m, app, bc);
     EXPECT_FALSE(r.timedOut);

@@ -1,7 +1,7 @@
 """D1 `determinism`: ban ambient-entropy and host-time sources.
 
 The simulator's contract is byte-identical runs per seed
-(scripts/check_fault_determinism.py, check_trace_json.py). Anything
+(scripts/check_equivalence.py, check_trace_json.py). Anything
 that reads the host environment breaks it:
 
   - rand()/srand()/random()/drand48(): process-global hidden state;

@@ -2,7 +2,7 @@
 
 Stats JSON, timeline export, and diagnostic dumps are diffed
 byte-for-byte across runs (check_stats_json.py, check_trace_json.py,
-check_fault_determinism.py). Iterating a std::unordered_map/set while
+check_equivalence.py). Iterating a std::unordered_map/set while
 producing them leaks hash-table order — which is stable for a fixed
 libstdc++ *today* but is salted or layout-dependent on other
 standard libraries and changes with load factor — into those
