@@ -30,8 +30,10 @@ No run may warn "witness mismatch". Rows run concurrently; under a
 TSan build they are the race detector's workload, since the point
 farm is the simulator's only threaded code.
 
-Usage: check_equivalence.py <bench-binary-directory>
-Exit status 0 when every row passes; prints each failure otherwise.
+Usage: check_equivalence.py <bench-binary-directory> [row-prefix ...]
+Prefixes pick the rows whose names start with one (ctest: one test per
+contract). Exit status 0 when every row run passes; prints each
+failure otherwise.
 """
 
 import json
@@ -43,6 +45,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 # Output file -> the flag that writes it.
 FILE_FLAGS = {"stats.json": "--stats-json", "timeline.json": "--timeline",
@@ -59,16 +62,10 @@ class Divergence(Exception):
     """A row failed; the message names where."""
 
 
-def read(path):
-    with open(path, "rb") as f:
-        return f.read()
-
-
 def corrupt(rowdir):
-    blob = bytearray(read(os.path.join(rowdir, "a0.ckpt")))
+    blob = bytearray(Path(rowdir, "a0.ckpt").read_bytes())
     blob[len(blob) // 2] ^= 0x40
-    with open(os.path.join(rowdir, "bad.ckpt"), "wb") as f:
-        f.write(blob)
+    Path(rowdir, "bad.ckpt").write_bytes(blob)
 
 
 def marked(marker=None):
@@ -267,7 +264,7 @@ def run_variant(r, bench_dir, rowdir, i, fmt):
     left = sorted(os.listdir(vdir))
     if left != sorted(r["files"]):
         raise Divergence(f"{tag} left {left}, expected {r['files']}")
-    out = {f: read(os.path.join(vdir, f)) for f in left}
+    out = {f: Path(vdir, f).read_bytes() for f in left}
     out |= {"stdout": stdout, "stderr": err, "doc": None}
     if r["binary"] == "point_runner" and proc.returncode == 0:
         out["doc"] = json.loads(stdout)
@@ -327,15 +324,18 @@ def check_row(r, bench_dir, tmp):
 
 
 def main():
-    if len(sys.argv) != 2:
-        print("usage: check_equivalence.py <bench-binary-directory>",
-              file=sys.stderr)
-        sys.exit(2)
+    if len(sys.argv) < 2:
+        sys.exit("usage: check_equivalence.py <bench-binary-directory>"
+                 " [row-prefix ...]")
     bench_dir = os.path.abspath(sys.argv[1])
+    prefixes = tuple(sys.argv[2:])
+    rows = [r for r in ROWS if r["name"].startswith(prefixes or "")]
+    if not all(any(r["name"].startswith(p) for r in rows) for p in prefixes):
+        sys.exit(f"check_equivalence: a prefix of {prefixes} picks no row")
     failed = False
     with tempfile.TemporaryDirectory() as tmp, \
             ThreadPoolExecutor(max_workers=4) as pool:
-        jobs = [pool.submit(check_row, r, bench_dir, tmp) for r in ROWS]
+        jobs = [pool.submit(check_row, r, bench_dir, tmp) for r in rows]
         for job in jobs:
             try:
                 print(f"check_equivalence: {job.result()}")

@@ -405,7 +405,7 @@ Every bench declares its figure points and runs them through one
 driver (`runPoints` in `bench/bench_common.hh`), which farms them
 over `--host-par` host threads and records results in declaration
 order, so the output is byte-identical at any `--host-par`
-(`check_equivalence` in ctest runs fig18, fig15, fig03 and fig04 at
+(`check_host_par_ab` in ctest runs fig18, fig15, fig03 and fig04 at
 1 and 4 threads and compares stdout, `--stats-json`, `--timeline`
 and `--diag-json`). Per-bench wall times of full regenerations are kept
 in `BENCH_eval_suite.json`.
@@ -515,7 +515,7 @@ Regeneration goes faster on multi-core hosts without changing a
 byte of any figure: every bench takes `--host-par=N`, which farms
 its independent figure points over N host threads and records their
 results in point order (DESIGN.md §5j). The output is
-byte-identical to a serial run (`check_equivalence` in ctest proves
+byte-identical to a serial run (`check_host_par_ab` in ctest proves
 it per commit).
 
 ## Summary of shape fidelity
