@@ -59,7 +59,8 @@
  *                        (open in Perfetto) when the machine is torn
  *                        down; a multi-point bench leaves the last
  *                        point's trace. Adds a "timeline" stats group
- *                        with task-latency percentiles.
+ *                        with record counts (the task-latency
+ *                        percentiles are always in "tasks").
  *   --timeline-buffer=<n>  ring-buffer capacity in events (default
  *                        262144); on overflow the oldest events are
  *                        dropped and counted.

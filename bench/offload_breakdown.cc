@@ -5,11 +5,12 @@
  * delivery hop), and how dequeue bundling (--dequeue-batch=k)
  * amortizes them. Sweeps k over --batch-list (default 1,2,4,8) on
  * one workload point and prints per-call component cycles plus the
- * worker-side popWait percentiles from the timeline task histogram.
+ * worker-side dequeue percentiles from the "tasks" stats group
+ * (cycles from the start of a pop to having the task, per task).
  *
  * Expected shape: the doorbell and delivery legs are a fixed
  * 2 x localQueueLatency per engine call; bundling divides the call
- * count by up to k so per-pop round-trip cost and the popWait tail
+ * count by up to k so per-pop round-trip cost and the dequeue tail
  * (P95) drop as k grows, until queue depth can no longer fill a
  * bundle.
  *
@@ -43,9 +44,9 @@ struct Row
     double doorbellPerCall = 0;
     double waitPerCall = 0;
     double deliverPerCall = 0;
-    double popWaitP50 = 0;
-    double popWaitP95 = 0;
-    double popWaitP99 = 0;
+    double dequeueP50 = 0;
+    double dequeueP95 = 0;
+    double dequeueP99 = 0;
 };
 
 /** One swept configuration: dequeue batch + spec-slot toggle. */
@@ -87,7 +88,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    // Small default point: popWait contention needs more workers
+    // Small default point: dequeue contention needs more workers
     // than engine-side supply, not a big graph.
     BenchArgs args = parseArgs(opts, 0.05, 4);
     auto batches = batchesFromOpts(opts);
@@ -108,11 +109,6 @@ main(int argc, char **argv)
         p.machine.minnow.dequeueBatch = sc.batch;
         if (sc.specSlot)
             p.machine.minnow.specSlot = true;
-        // The popWait histogram lives in the timeline stats group;
-        // route the (unused) trace to the null device and keep only
-        // the task category so tracing cost stays negligible.
-        p.machine.timelinePath = "/dev/null";
-        p.machine.timelineTracks = "task";
         p.statsConfig = "minnow-pf(k=" + std::to_string(sc.batch) +
                         (sc.specSlot ? "s)" : ")");
         points.push_back(p);
@@ -135,17 +131,17 @@ main(int argc, char **argv)
         p.doorbellPerCall = double(r.engines.dqDoorbellCycles) / calls;
         p.waitPerCall = double(r.engines.dqWaitCycles) / calls;
         p.deliverPerCall = double(r.engines.dqDeliverCycles) / calls;
-        p.popWaitP50 = r.run.report.get("timeline.popWaitP50");
-        p.popWaitP95 = r.run.report.get("timeline.popWaitP95");
-        p.popWaitP99 = r.run.report.get("timeline.popWaitP99");
+        p.dequeueP50 = r.run.report.get("tasks.dequeueP50");
+        p.dequeueP95 = r.run.report.get("tasks.dequeueP95");
+        p.dequeueP99 = r.run.report.get("tasks.dequeueP99");
         rows.push_back(p);
     }
 
     TextTable table;
     table.header({"batch", "specHits", "cycles", "engineCalls",
                   "bundleTasks", "doorbell/call", "wait/call",
-                  "deliver/call", "popWaitP50", "popWaitP95",
-                  "popWaitP99"});
+                  "deliver/call", "dequeueP50", "dequeueP95",
+                  "dequeueP99"});
     for (const Row &p : rows) {
         table.row({std::to_string(p.batch) +
                        (p.specSlot ? "s" : ""),
@@ -157,9 +153,9 @@ main(int argc, char **argv)
                    TextTable::num(p.doorbellPerCall, 1),
                    TextTable::num(p.waitPerCall, 1),
                    TextTable::num(p.deliverPerCall, 1),
-                   TextTable::num(p.popWaitP50, 0),
-                   TextTable::num(p.popWaitP95, 0),
-                   TextTable::num(p.popWaitP99, 0)});
+                   TextTable::num(p.dequeueP50, 0),
+                   TextTable::num(p.dequeueP95, 0),
+                   TextTable::num(p.dequeueP99, 0)});
     }
     table.print();
 
@@ -178,8 +174,8 @@ main(int argc, char **argv)
                 "\"engineCalls\":%llu,\"bundleTasks\":%llu,"
                 "\"specHits\":%llu,\"doorbellPerCall\":%.3f,"
                 "\"waitPerCall\":%.3f,\"deliverPerCall\":%.3f,"
-                "\"popWaitP50\":%.0f,\"popWaitP95\":%.0f,"
-                "\"popWaitP99\":%.0f}",
+                "\"dequeueP50\":%.0f,\"dequeueP95\":%.0f,"
+                "\"dequeueP99\":%.0f}",
                 i ? "," : "", p.batch,
                 p.specSlot ? "true" : "false",
                 p.timedOut ? "true" : "false",
@@ -187,8 +183,8 @@ main(int argc, char **argv)
                 (unsigned long long)p.dequeues,
                 (unsigned long long)p.bundleTasks,
                 (unsigned long long)p.specHits, p.doorbellPerCall,
-                p.waitPerCall, p.deliverPerCall, p.popWaitP50,
-                p.popWaitP95, p.popWaitP99);
+                p.waitPerCall, p.deliverPerCall, p.dequeueP50,
+                p.dequeueP95, p.dequeueP99);
         }
         std::fprintf(f, "]}\n");
         std::fclose(f);

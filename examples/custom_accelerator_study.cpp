@@ -56,7 +56,7 @@ main(int argc, char **argv)
         apps::SsspApp app(&g, 0, true, 1u << 30, "bfs");
         galois::RunConfig rc;
         rc.threads = threads;
-        galois::RunResult r = minnowengine::runMinnow(m, app, 0, rc);
+        galois::RunResult r = galois::runMinnow(m, app, 0, rc);
         minnowengine::AreaEstimate area =
             minnowengine::estimateArea(cfg);
 

@@ -80,7 +80,7 @@ main(int argc, char **argv)
         galois::RunConfig rc;
         rc.threads = threads;
         report("minnow",
-               minnowengine::runMinnow(m, app, 4, rc));
+               galois::runMinnow(m, app, 4, rc));
     }
 
     // 4. Minnow + worklist-directed prefetching: the engines also
@@ -98,7 +98,7 @@ main(int argc, char **argv)
         rc.threads = threads;
         minnowengine::EngineStats es;
         galois::RunResult r =
-            minnowengine::runMinnow(m, app, 4, rc, &es);
+            galois::runMinnow(m, app, 4, rc, &es);
         report("minnow+prefetch", r);
         std::printf("prefetch: %s fills, %.1f%% used before"
                     " eviction\n",

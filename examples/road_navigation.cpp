@@ -86,7 +86,7 @@ main(int argc, char **argv)
                     32, 8);
                 r = galois::runParallel(m, app, wl, rc);
             } else {
-                r = minnowengine::runMinnow(m, app, 4, rc);
+                r = galois::runMinnow(m, app, 4, rc);
             }
             if (!r.verified && !r.timedOut) {
                 std::fprintf(stderr,

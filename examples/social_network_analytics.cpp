@@ -46,7 +46,7 @@ runOnce(apps::App &app, graph::CsrGraph &g, std::uint32_t threads,
     galois::RunConfig rc;
     rc.threads = threads;
     if (useMinnow)
-        return minnowengine::runMinnow(m, app, lgDelta, rc);
+        return galois::runMinnow(m, app, lgDelta, rc);
     worklist::ObimWorklist wl(&m, lgDelta, 16, 8);
     return galois::runParallel(m, app, wl, rc);
 }

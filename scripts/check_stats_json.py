@@ -8,14 +8,19 @@ entry must carry its identifying parameters plus a full
 expose the acceptance metrics (per-core L2 MPKI, prefetch
 coverage/accuracy, credit-stall counters).
 
+Every run must carry the always-on "tasks" group (the popWait,
+dequeue, execute and push histograms with P50/P95/P99 each; DESIGN.md
+5c) with one dequeue per executed task, and on Galois runs one per
+worklist pop; point_runner adds an obim and a bsp point so those
+executors are checked too (BSP executes without dequeues).
+
 The sweep runs with --host-profile=true, --timeline and
 --attribution, so the snapshot must also carry the observability
-groups: "hostprof" (host wall-clock attribution), "timeline" (event
-counts plus the pop-wait/dequeue/execute/push latency percentiles),
-and "attribution" (the five prefetch lifecycle classes, the derived
-coverage and pollution rates, lineage conservation (every assigned
-lineage dequeued, none live at exit), and the six latency histograms
-with P50/P95/P99), all numeric and non-negative.
+groups: "hostprof" (host wall-clock attribution), "timeline" (record
+counts), and "attribution" (the five prefetch lifecycle classes, the
+derived coverage and pollution rates, lineage conservation (every
+assigned lineage dequeued, none live at exit), and the six latency
+histograms with P50/P95/P99), all numeric and non-negative.
 
 Every "minnow<N>" engine group must satisfy the spec-slot
 conservation invariant specDeposits == specHits + specReclaims
@@ -25,12 +30,13 @@ dequeue path and the speculative slot are exercised end to end; the
 second run must show bundled tasks and spec deposits.
 
 offload_breakdown's --dequeue-batch sweep then gates two simulated
-values: k=4 bundling must pull the worker popWait P95 strictly below
+values: k=4 bundling must pull the worker dequeue P95 strictly below
 the k=1 value (the round-trip amortization the batched-dequeue path
 exists for), and the k=4 spec-slot point must record specHits > 0.
 
 Usage: check_stats_json.py <path-to-fig18-binary>
                            <path-to-offload_breakdown-binary>
+                           <path-to-point_runner-binary>
 Exit status 0 on success; prints the first failure otherwise.
 """
 
@@ -179,6 +185,37 @@ def check_attribution_group(groups, i):
                 fail(f"runs[{i}]: attribution lacks {hist}{pct}")
 
 
+TASK_METRICS = ("popWait", "dequeue", "execute", "push")
+
+
+def check_tasks_group(run, groups, i):
+    """The per-task probe: one definition under every executor."""
+    g = groups.get("tasks")
+    if g is None:
+        fail(f"runs[{i}]: no tasks group")
+    for metric in TASK_METRICS:
+        h = g.get(metric)
+        if not isinstance(h, dict) or h.get("type") != "histogram":
+            fail(f"runs[{i}]: tasks lacks histogram {metric}")
+        for pct in ("P50", "P95", "P99"):
+            if f"{metric}{pct}" not in g:
+                fail(f"runs[{i}]: tasks lacks {metric}{pct}")
+    executed = g["execute"]["total"]
+    dequeued = g["dequeue"]["total"]
+    if executed <= 0:
+        fail(f"runs[{i}]: tasks.execute recorded no task")
+    if run["config"].startswith("bsp"):
+        return  # BSP has no queue: no dequeues, pushes or parks.
+    if executed != dequeued:
+        fail(f"runs[{i}]: tasks.execute.total {executed} !="
+             f" tasks.dequeue.total {dequeued}")
+    if not run["config"].startswith("minnow"):
+        pops = groups.get("worklist", {}).get("pops")
+        if dequeued != pops:
+            fail(f"runs[{i}]: tasks.dequeue.total {dequeued} !="
+                 f" worklist.pops {pops}")
+
+
 def check_observability_groups(groups, i):
     """The --host-profile / --timeline groups (PR 4)."""
     for gname in ("hostprof", "timeline"):
@@ -193,39 +230,18 @@ def check_observability_groups(groups, i):
             if sval < 0:
                 fail(f"runs[{i}] {gname}.{sname}: negative ({sval})")
     tl = groups["timeline"]
-    for key in (
-        "events",
-        "droppedEvents",
-        "bufferCapacity",
-        "popWaitP50",
-        "dequeueP95",
-        "executeP99",
-        "pushP50",
-    ):
+    for key in ("events", "droppedEvents", "bufferCapacity"):
         if key not in tl:
             fail(f"runs[{i}]: timeline group lacks {key}")
     if tl["events"] <= 0:
         fail(f"runs[{i}]: timeline recorded no events")
 
 
-def run_point(bench, extra):
-    """Run the fig18 point with @extra flags; return the stats doc."""
+def run_point(cmd):
+    """Run a bench with --stats-json; return the stats doc."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "stats.json")
-        trace = os.path.join(tmp, "trace.json")
-        cmd = [
-            bench,
-            "--workloads=sssp",
-            "--scale=0.05",
-            "--threads=4",
-            "--cores=4",
-            "--credits-list=4",
-            "--host-profile=true",
-            "--attribution",
-            f"--timeline={trace}",
-            f"--stats-json={out}",
-            *extra,
-        ]
+        cmd = [*cmd, f"--stats-json={out}"]
         proc = subprocess.run(
             cmd, capture_output=True, text=True, timeout=600
         )
@@ -241,6 +257,36 @@ def run_point(bench, extra):
             fail(f"cannot parse {out}: {e}")
 
 
+def run_fig18(bench, extra):
+    """Run the fig18 point with @extra flags; return the stats doc."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = os.path.join(tmp, "trace.json")
+        return run_point([
+            bench,
+            "--workloads=sssp",
+            "--scale=0.05",
+            "--threads=4",
+            "--cores=4",
+            "--credits-list=4",
+            "--host-profile=true",
+            "--attribution",
+            f"--timeline={trace}",
+            *extra,
+        ])
+
+
+def check_executors(runner):
+    """The tasks group of a Galois (obim) and a BSP point."""
+    for config in ("obim", "bsp"):
+        doc = run_point([runner, "--workload=sssp", f"--config={config}",
+                         "--scale=0.05", "--threads=4", "--cores=4"])
+        runs = doc.get("runs")
+        if not runs:
+            fail(f"point_runner --config={config}: no runs")
+        for i, run in enumerate(runs):
+            check_tasks_group(run, check_run_entry(run, i), i)
+
+
 def check_doc(doc, label):
     """Validate one stats document; return its engine-group totals."""
     if doc.get("schema") != "minnow-bench-stats-1":
@@ -253,6 +299,7 @@ def check_doc(doc, label):
     totals = {"dequeueBundleTasks": 0, "specDeposits": 0}
     for i, run in enumerate(runs):
         groups = check_run_entry(run, i)
+        check_tasks_group(run, groups, i)
         for g in check_spec_conservation(groups, i):
             for key in totals:
                 totals[key] += groups[g].get(key, 0)
@@ -267,10 +314,10 @@ def check_doc(doc, label):
 
 
 def check_offload(offload):
-    """k=4 popWait P95 below k=1, and a delivering spec slot.
+    """k=4 dequeue P95 below k=1, and a delivering spec slot.
 
     k=1 pops pay a full engine round-trip per task, so a meaningful
-    share of them wait >= one popWait histogram bucket; k=4 bundles
+    share of them wait >= one dequeue histogram bucket; k=4 bundles
     amortize the round-trip and must pull the P95 strictly below the
     k=1 value on the same workload point.
     """
@@ -305,33 +352,34 @@ def check_offload(offload):
     for p in (k1, k4, spec):
         if p["timedOut"]:
             fail(f"offload point k={p['batch']} timed out")
-    if k4["popWaitP95"] >= k1["popWaitP95"]:
-        fail(f"dequeue batching regression: k=4 popWaitP95"
-             f" {k4['popWaitP95']} not below k=1's"
-             f" {k1['popWaitP95']}")
+    if k4["dequeueP95"] >= k1["dequeueP95"]:
+        fail(f"dequeue batching regression: k=4 dequeueP95"
+             f" {k4['dequeueP95']} not below k=1's"
+             f" {k1['dequeueP95']}")
     if spec["specHits"] <= 0:
         fail("spec-slot point recorded zero specHits: the core-side"
              " slot is not delivering (or the sweep lost the"
              " --spec-slot plumbing again)")
-    return k1["popWaitP95"], k4["popWaitP95"], spec["specHits"]
+    return k1["dequeueP95"], k4["dequeueP95"], spec["specHits"]
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         fail("usage: check_stats_json.py <fig18-binary>"
-             " <offload_breakdown-binary>")
+             " <offload_breakdown-binary> <point_runner-binary>")
     bench = sys.argv[1]
 
-    nruns, _ = check_doc(run_point(bench, []), "default")
+    nruns, _ = check_doc(run_fig18(bench, []), "default")
     bundled = ["--dequeue-batch=4", "--spec-slot"]
-    nb, totals = check_doc(run_point(bench, bundled), " ".join(bundled))
+    nb, totals = check_doc(run_fig18(bench, bundled), " ".join(bundled))
     for key, total in totals.items():
         if total <= 0:
             fail(f"{' '.join(bundled)}: no engine recorded {key}")
 
+    check_executors(sys.argv[3])
     p95_k1, p95_k4, hits = check_offload(sys.argv[2])
     print(f"check_stats_json: OK ({nruns} + {nb} runs validated;"
-          f" popWaitP95 k=1 {p95_k1:.0f} -> k=4 {p95_k4:.0f},"
+          f" dequeueP95 k=1 {p95_k1:.0f} -> k=4 {p95_k4:.0f},"
           f" specHits {hits:.0f})")
 
 

@@ -215,7 +215,7 @@ scale 0.1, 4 threads/cores, seed 42 — the sweep recorded in
 `BENCH_simspeed.json` and gated in ctest):
 
 ```
-k  cycles  engine-calls  doorbell/call  wait/call  popWaitP95
+k  cycles  engine-calls  doorbell/call  wait/call  dequeueP95
 1  182128  4314          10.0           44.9       127
 2  164105  2500          10.0           66.0       127
 4  163882  1873          10.0           74.3        63
@@ -223,7 +223,7 @@ k  cycles  engine-calls  doorbell/call  wait/call  popWaitP95
 ```
 
 Bundling amortizes the fixed legs over up to k tasks: k=4 cuts
-engine calls 2.3x, shifts the worker popWait P95 from 127 to 63
+engine calls 2.3x, shifts the worker dequeue P95 from 127 to 63
 cycles, and takes ~10% off the makespan; beyond k=4 the bundle
 starts draining the local queue faster than the fill daemon refills
 it (wait/call grows), so returns flatten. `--spec-slot` removes the

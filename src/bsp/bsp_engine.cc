@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <coroutine>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "base/logging.hh"
 #include "runtime/sim_context.hh"
 #include "runtime/task.hh"
 
@@ -34,9 +32,10 @@ struct BspShared
     Addr flagBase = 0;                   //!< sim address of flags.
     std::uint32_t threads = 1;
     std::uint32_t arrived = 0;
-    std::uint64_t supersteps = 0;
-    std::uint64_t vertexOps = 0;
-    std::uint64_t sweepWork = 0;
+    /** The "bsp" stats group's counters (registry-owned). */
+    CounterStat *supersteps = nullptr;
+    CounterStat *vertexOps = nullptr;
+    CounterStat *sweepWork = nullptr;
     bool bucketed = false;
     std::uint32_t lg = 0;
     bool done = false;
@@ -47,6 +46,26 @@ struct BspShared
     /** Deferred pool for bucketed (GMat*) mode. */
     std::vector<WorkItem> deferred;
 };
+
+/**
+ * Bucketed (GMat*) mode: keep only the frontier's best priority
+ * bucket for this pass and defer the rest to later passes.
+ */
+void
+deferLaterBuckets(BspShared &sh)
+{
+    if (sh.frontier.empty())
+        return;
+    std::int64_t best = sh.frontier[0].priority >> sh.lg;
+    for (const auto &it : sh.frontier)
+        best = std::min(best, it.priority >> sh.lg);
+    auto mid = std::partition(sh.frontier.begin(), sh.frontier.end(),
+                              [&](const WorkItem &it) {
+                                  return (it.priority >> sh.lg) == best;
+                              });
+    sh.deferred.assign(mid, sh.frontier.end());
+    sh.frontier.erase(mid, sh.frontier.end());
+}
 
 /** TaskSink collecting activations into the next frontier. */
 class BspSink : public apps::TaskSink
@@ -105,7 +124,7 @@ barrier(SimContext &ctx, BspShared &sh)
             }
             // Last arriver: advance the superstep.
             sh->arrived = 0;
-            sh->supersteps += 1;
+            ++*sh->supersteps;
             // Fold priorities back in and swap frontiers.
             for (auto &item : sh->next)
                 item.priority = sh->nextPrio[item.payload];
@@ -120,21 +139,7 @@ barrier(SimContext &ctx, BspShared &sh)
                                     sh->deferred.begin(),
                                     sh->deferred.end());
                 sh->deferred.clear();
-                if (!sh->frontier.empty()) {
-                    std::int64_t best =
-                        sh->frontier[0].priority >> sh->lg;
-                    for (const auto &it : sh->frontier) {
-                        best = std::min(best,
-                                        it.priority >> sh->lg);
-                    }
-                    auto mid = std::partition(
-                        sh->frontier.begin(), sh->frontier.end(),
-                        [&](const WorkItem &it) {
-                            return (it.priority >> sh->lg) == best;
-                        });
-                    sh->deferred.assign(mid, sh->frontier.end());
-                    sh->frontier.erase(mid, sh->frontier.end());
-                }
+                deferLaterBuckets(*sh);
             }
             if (sh->frontier.empty())
                 sh->done = true;
@@ -153,7 +158,7 @@ barrier(SimContext &ctx, BspShared &sh)
         sh.numNodes / (8 * 64 * sh.threads) + 1);
     ctx.compute(4 * share);
     ctx.cheapLoads(share);
-    sh.sweepWork += share;
+    *sh.sweepWork += share;
     co_await ctx.sync();
     co_await Waiter{&sh};
     ctx.core().idleUntil(ctx.eq().now());
@@ -161,8 +166,10 @@ barrier(SimContext &ctx, BspShared &sh)
 
 CoTask<void>
 bspWorker(SimContext &ctx, BspShared &sh, apps::App &app,
-          BspSink &sink, std::uint32_t tid)
+          BspSink &sink)
 {
+    runtime::TaskProbe *probe = ctx.machine().tasks.get();
+    const std::uint32_t tid = ctx.id();
     for (;;) {
         // Process my static slice of the frontier.
         std::size_t n = sh.frontier.size();
@@ -170,9 +177,11 @@ bspWorker(SimContext &ctx, BspShared &sh, apps::App &app,
         std::size_t hi = n * (tid + 1) / sh.threads;
         for (std::size_t i = lo; i < hi; ++i) {
             ctx.core().setPhase(cpu::Phase::App);
-            sh.vertexOps += 1;
+            ++*sh.vertexOps;
+            Cycle execStart = ctx.eq().now();
             co_await app.process(ctx, sh.frontier[i], sink);
             co_await ctx.sync();
+            probe->executed(ctx.id(), execStart);
         }
         ctx.core().setPhase(cpu::Phase::Idle);
         co_await barrier(ctx, sh);
@@ -185,80 +194,40 @@ bspWorker(SimContext &ctx, BspShared &sh, apps::App &app,
 
 galois::RunResult
 runBsp(Machine &machine, apps::App &app, const galois::RunConfig &cfg,
-       bool bucketed, std::uint32_t lgBucketInterval,
-       BspStats *statsOut)
+       bool bucketed, std::uint32_t lgBucketInterval)
 {
-    fatal_if(cfg.threads == 0, "need at least one worker");
-    fatal_if(cfg.threads > machine.cfg.numCores,
-             "%u workers > %u cores", cfg.threads,
-             machine.cfg.numCores);
-
-    machine.monitor.reset(cfg.threads);
-    app.resetCounters();
-
     BspShared sh;
-    sh.threads = cfg.threads;
-    sh.eq = &machine.eq;
-    sh.numNodes = app.graph().numNodes();
-    sh.bucketed = bucketed;
-    sh.lg = lgBucketInterval;
-    sh.flagBase =
-        machine.alloc.alloc("bsp.activeFlags", sh.numNodes / 8 + 64);
-
-    // Seed the first frontier (every task part; split tasks keep
-    // their slices).
-    for (const WorkItem &item : app.initialWork()) {
-        if (sh.nextActive.insert(item.payload).second)
-            sh.frontier.push_back(item);
-    }
-    sh.nextActive.clear();
-    if (sh.bucketed && !sh.frontier.empty()) {
-        std::int64_t best = sh.frontier[0].priority >> sh.lg;
-        for (const auto &it : sh.frontier)
-            best = std::min(best, it.priority >> sh.lg);
-        auto mid = std::partition(
-            sh.frontier.begin(), sh.frontier.end(),
-            [&](const WorkItem &it) {
-                return (it.priority >> sh.lg) == best;
-            });
-        sh.deferred.assign(mid, sh.frontier.end());
-        sh.frontier.erase(mid, sh.frontier.end());
-    }
-
-    std::vector<std::unique_ptr<SimContext>> contexts;
-    std::vector<CoTask<void>> workers;
     BspSink sink(&sh);
-    for (std::uint32_t i = 0; i < cfg.threads; ++i) {
-        contexts.push_back(
-            std::make_unique<SimContext>(&machine, i));
-        workers.push_back(
-            bspWorker(*contexts[i], sh, app, sink, i));
-    }
-    for (auto &w : workers)
-        w.start();
+    auto setup = [&] {
+        sh.threads = cfg.threads;
+        sh.eq = &machine.eq;
+        sh.numNodes = app.graph().numNodes();
+        sh.bucketed = bucketed;
+        sh.lg = lgBucketInterval;
+        sh.flagBase = machine.alloc.alloc("bsp.activeFlags",
+                                          sh.numNodes / 8 + 64);
+        StatsGroup &g = machine.stats.freshGroup("bsp");
+        sh.supersteps = &g.counter("supersteps", "barriers passed");
+        sh.vertexOps =
+            &g.counter("vertexOps", "active-vertex executions");
+        sh.sweepWork =
+            &g.counter("sweepWork", "active-flag scan cost proxy");
 
-    bool interrupted = galois::runEventLoop(machine, cfg);
-
-    bool timedOut = false;
-    for (const auto &w : workers)
-        timedOut |= !interrupted && !w.done();
-    if (timedOut) {
-        warn("BSP run of %s timed out after %llu events",
-             app.name().c_str(),
-             (unsigned long long)cfg.maxEvents);
-    }
-
-    galois::RunResult r = galois::collectResult(
-        machine, app, cfg.threads, timedOut, sh.vertexOps);
-    r.tasks = sh.vertexOps;
-    r.interrupted = interrupted;
-    if (statsOut) {
-        statsOut->supersteps = sh.supersteps;
-        statsOut->vertexOps = sh.vertexOps;
-        statsOut->sweepWork = sh.sweepWork;
-    }
-    if (cfg.verify && !timedOut && !interrupted)
-        r.verified = app.verify();
+        // Seed the first frontier (every task part; split tasks
+        // keep their slices).
+        for (const WorkItem &item : app.initialWork()) {
+            if (sh.nextActive.insert(item.payload).second)
+                sh.frontier.push_back(item);
+        }
+        sh.nextActive.clear();
+        if (sh.bucketed)
+            deferLaterBuckets(sh);
+    };
+    galois::RunResult r = galois::runWorkers(
+        machine, app, cfg, "BSP run", setup, [&](SimContext &ctx) {
+            return bspWorker(ctx, sh, app, sink);
+        });
+    r.tasks = sh.vertexOps->count();
     return r;
 }
 

@@ -30,31 +30,24 @@
 namespace minnow::bsp
 {
 
-/** Per-superstep statistics. */
-struct BspStats
-{
-    std::uint64_t supersteps = 0;
-    std::uint64_t vertexOps = 0;   //!< active-vertex executions.
-    std::uint64_t sweepWork = 0;   //!< active-flag scan cost proxy.
-};
-
 /**
  * Execute @p app to convergence under the BSP model.
  *
  * The app's operator is reused unchanged; the engine feeds it one
  * task per active vertex per superstep and collects newly activated
  * vertices (the app's TaskSink pushes) into the next frontier.
- * @p cfg supplies threads, verification and the event budget, as
- * for the Galois and Minnow executors; the run goes through
- * galois::runEventLoop, so a signal reports it interrupted. With
- * @p bucketed (GMat* mode) each pass processes only the vertices
- * in the lowest priority bucket of width 2^@p lgBucketInterval.
+ * The run goes through galois::runWorkers, the driver the Galois
+ * and Minnow executors share, with @p cfg supplying threads,
+ * verification and the event budget. With @p bucketed (GMat*
+ * mode) each pass processes only the vertices in the lowest
+ * priority bucket of width 2^@p lgBucketInterval. Per-superstep
+ * counts land in the "bsp" stats group (supersteps, vertexOps,
+ * sweepWork).
  */
 galois::RunResult runBsp(runtime::Machine &machine, apps::App &app,
                          const galois::RunConfig &cfg,
                          bool bucketed = false,
-                         std::uint32_t lgBucketInterval = 0,
-                         BspStats *stats = nullptr);
+                         std::uint32_t lgBucketInterval = 0);
 
 } // namespace minnow::bsp
 

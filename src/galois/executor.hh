@@ -1,13 +1,22 @@
 /**
  * @file
- * Galois-like parallel foreach executor.
+ * The executors and the one run driver they share.
  *
- * Drives N worker threads (one per simulated core) over a software
- * worklist: pop a task, run the application operator, repeat; park on
- * the work monitor when empty; exit on distributed termination. This
- * is the software baseline of the paper — every scheduler operation
- * executes on the worker's own core and is exposed to all its
- * latency, contention and serialization.
+ * runWorkers() owns the run protocol every executor follows: worker
+ * count checks, monitor and app-counter reset, one SimContext and
+ * worker coroutine per thread, the event loop with its checkpoint
+ * and signal hooks, the timeout rule, and result collection and
+ * verification. Each executor adds only its own setup and teardown:
+ *
+ *  - runParallel: Galois-like foreach over a software worklist — pop
+ *    a task, run the application operator, repeat; park on the work
+ *    monitor when empty. The paper's software baseline: every
+ *    scheduler operation executes on the worker's own core and is
+ *    exposed to all its latency, contention and serialization.
+ *  - runMinnow: scheduling offloaded to Minnow engines — workers only
+ *    issue minnow_enqueue / minnow_dequeue accelerator calls, so
+ *    scheduling leaves their critical path.
+ *  - bsp::runBsp (bsp/bsp_engine.hh): GraphMat-style supersteps.
  */
 
 #ifndef MINNOW_GALOIS_EXECUTOR_HH
@@ -19,7 +28,9 @@
 #include "apps/app.hh"
 #include "base/stats.hh"
 #include "mem/memory_system.hh"
+#include "minnow/engine.hh"
 #include "runtime/machine.hh"
+#include "runtime/task.hh"
 #include "worklist/worklist.hh"
 
 namespace minnow::galois
@@ -73,7 +84,6 @@ struct RunResult
     Cycle cycles = 0;              //!< makespan over all cores.
     std::uint64_t instructions = 0;
     std::uint64_t tasks = 0;       //!< operator invocations.
-    std::uint64_t pops = 0;        //!< successful dequeues.
     bool verified = false;
     bool timedOut = false;
     bool interrupted = false;      //!< SIGINT/SIGTERM clean stop.
@@ -88,9 +98,6 @@ struct RunResult
     std::uint64_t delinquentLoads = 0;
     std::uint64_t allLoads = 0;
     std::uint64_t atomics = 0;
-    std::uint64_t mispredicts = 0;
-    Cycle fenceStallCycles = 0;
-    Cycle branchStallCycles = 0;
 
     apps::AppCounters workload;
 
@@ -104,65 +111,49 @@ struct RunResult
      * after the machine is gone.
      */
     std::string statsJson;
-
-    double
-    mlpProxyIpc() const
-    {
-        return cycles ? double(instructions) / double(cycles) : 0;
-    }
-};
-
-/** TaskSink that forwards into a software worklist. */
-class WorklistSink : public apps::TaskSink
-{
-  public:
-    explicit WorklistSink(worklist::Worklist *wl) : wl_(wl) {}
-
-    runtime::CoTask<void>
-    put(runtime::SimContext &ctx, worklist::WorkItem item) override
-    {
-        timeline::Timeline *tl = ctx.machine().timeline.get();
-        mem::Attribution *attr = ctx.machine().attribution.get();
-        Cycle pushStart = ctx.machine().eq.now();
-        if (attr)
-            item.lineage = attr->pushTask(ctx.id(), pushStart);
-        co_await wl_->push(ctx, item);
-        if (attr)
-            attr->taskEnqueued(item.lineage,
-                               ctx.machine().eq.now());
-        if (tl) {
-            Cycle now = ctx.machine().eq.now();
-            tl->span(tl->coreTaskTrack(ctx.id()),
-                     timeline::Name::Push, pushStart, now);
-            tl->taskSample(timeline::TaskPhase::Push,
-                           now - pushStart);
-        }
-    }
-
-  private:
-    worklist::Worklist *wl_;
 };
 
 /**
- * Execute @p app to completion over @p wl with cfg.threads workers.
- * The machine must be freshly constructed (or reset) for meaningful
- * statistics.
+ * The one run driver behind runParallel, runMinnow and bsp::runBsp.
+ *
+ * Checks the worker count, resets the work monitor and the app's
+ * counters, calls @p setup (the executor's own state: worklist
+ * seeding and hooks, MinnowSystem, BSP frontier), then builds one
+ * SimContext and one @p worker coroutine per thread, starts them in
+ * thread order and drives the event loop under @p cfg's checkpoint
+ * and signal hooks. A run timed out when no signal interrupted it,
+ * the monitor has not terminated and some worker has not finished;
+ * the warning names the executor by @p label ("run", "minnow run",
+ * "BSP run"). Returns the collected (and, on a completed run,
+ * verified) result; the workers are gone on return, so the caller
+ * may tear its setup down.
+ */
+RunResult runWorkers(
+    runtime::Machine &machine, apps::App &app, const RunConfig &cfg,
+    const char *label, const std::function<void()> &setup,
+    const std::function<runtime::CoTask<void>(runtime::SimContext &)>
+        &worker);
+
+/**
+ * Execute @p app to completion over the software worklist @p wl
+ * with cfg.threads workers. The machine must be freshly constructed
+ * (or reset) for meaningful statistics.
  */
 RunResult runParallel(runtime::Machine &machine, apps::App &app,
                       worklist::Worklist &wl, const RunConfig &cfg);
 
-/** Collect a RunResult from machine state after any executor. */
-RunResult collectResult(runtime::Machine &machine, apps::App &app,
-                        std::uint32_t threads, bool timedOut,
-                        std::uint64_t pops);
-
 /**
- * Drive machine.eq.run() honoring the RunConfig checkpoint hooks:
- * stop-trigger mid-run hook with remaining-budget resume. Shared by
- * runParallel, runMinnow and bsp::runBsp.
- * @return true if a signal interrupted the run cleanly.
+ * Execute @p app under Minnow offload with cfg.threads workers.
+ * Prefetching follows machine.cfg.minnow.prefetchEnabled.
+ *
+ * @param lgBucketInterval Bucket interval for the offloaded global
+ *                         priority worklist.
+ * @param engineTotals     receives the aggregated engine counters.
  */
-bool runEventLoop(runtime::Machine &machine, const RunConfig &cfg);
+RunResult runMinnow(runtime::Machine &machine, apps::App &app,
+                    std::uint32_t lgBucketInterval,
+                    const RunConfig &cfg,
+                    minnowengine::EngineStats *engineTotals = nullptr);
 
 } // namespace minnow::galois
 

@@ -360,16 +360,15 @@ runExperiment(Workload &w, const RunSpec &spec)
       }
       case Config::Minnow:
       case Config::MinnowPf: {
-        out.run = minnowengine::runMinnow(machine, *w.app,
-                                          w.lgDelta, rc,
-                                          &out.engines);
+        out.run = galois::runMinnow(machine, *w.app, w.lgDelta, rc,
+                                    &out.engines);
         break;
       }
       case Config::Bsp:
       case Config::BspBucketed: {
         out.run = bsp::runBsp(machine, *w.app, rc,
                               spec.config == Config::BspBucketed,
-                              w.lgDelta, &out.bsp);
+                              w.lgDelta);
         break;
       }
     }

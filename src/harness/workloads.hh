@@ -107,7 +107,6 @@ struct ExperimentResult
 {
     galois::RunResult run;
     minnowengine::EngineStats engines; //!< Minnow configs only.
-    bsp::BspStats bsp;                 //!< BSP configs only.
     Cycle serialBaselineCycles = 0;    //!< when requested.
     /** The checkpoint validated and the replay reached its anchor. */
     bool restored = false;

@@ -327,21 +327,6 @@ MinnowEngine::registerStats()
     g.formula("localQueueSize", "local-queue depth right now",
               [this] { return double(localQ_.size()); });
 
-    dequeueLatencyHist_ = &g.histogram(
-        "dequeueLatency", "cycles from dequeue call to task delivery",
-        16, 32);
-    g.formula("dequeueLatencyP50", "median dequeue latency",
-              [this] {
-                  return double(dequeueLatencyHist_->percentile(0.50));
-              });
-    g.formula("dequeueLatencyP95", "95th-percentile dequeue latency",
-              [this] {
-                  return double(dequeueLatencyHist_->percentile(0.95));
-              });
-    g.formula("dequeueLatencyP99", "99th-percentile dequeue latency",
-              [this] {
-                  return double(dequeueLatencyHist_->percentile(0.99));
-              });
     std::uint32_t occWidth =
         std::max(1u, params_.threadletQueueEntries / 16);
     threadletOccupancyHist_ = &g.histogram(
@@ -1044,9 +1029,7 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
         stats_.specHits += 1;
         machine_->monitor.takeWork(1, false);
         ctx.compute(2);
-        Cycle specStart = ctx.now();
         co_await ctx.sync();
-        dequeueLatencyHist_->sample(ctx.now() - specStart);
         // Slot-free notification travels back off the critical path;
         // the engine refills the slot when it lands.
         adoptThreadlet(specConsumedTask(
@@ -1063,7 +1046,7 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
     if (faulted()) {
         // Killed or stalled engine: degrade to the software
         // worklist path (the baseline scheduler).
-        co_return co_await dequeueFallback(ctx, out, dqStart);
+        co_return co_await dequeueFallback(ctx, out);
     }
 
     if (!localQ_.empty()) {
@@ -1077,7 +1060,6 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
         if (bundled)
             stats_.dequeueBundleTasks += got;
         DPRINTF(Engine, "engine", "[%u] dequeue hit n=%u", core_, got);
-        dequeueLatencyHist_->sample(eq_.now() - dqStart);
         trySpecDeposit();
         co_return got;
     }
@@ -1092,7 +1074,6 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
         co_await ctx.waitUntil(eq_.now() +
                                params_.localQueueLatency);
         ctx.core().idleUntil(eq_.now());
-        dequeueLatencyHist_->sample(eq_.now() - dqStart);
         stats_.dqDeliverCycles += params_.localQueueLatency;
         if (bundled)
             stats_.dequeueBundleTasks += 1;
@@ -1111,6 +1092,7 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
     nudgeDaemon();
 
     std::optional<WorkItem> slot;
+    Cycle parkStart = eq_.now();
     co_await BlockAwait{this, &slot,
                         [](MinnowEngine *eng,
                            std::coroutine_handle<> h,
@@ -1122,12 +1104,12 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
         // Released by fault injection, not termination: this worker
         // rejoins the run on the software worklist path.
         machine_->monitor.exitIdle();
-        co_return co_await dequeueFallback(ctx, out, dqStart);
+        co_return co_await dequeueFallback(ctx, out);
     }
     if (!slot)
         co_return 0;
+    machine_->tasks->popWait(ctx.id(), parkStart);
     Cycle total = eq_.now() - dqStart;
-    dequeueLatencyHist_->sample(total);
     stats_.dqDeliverCycles += params_.localQueueLatency;
     if (total >= 2 * Cycle(params_.localQueueLatency))
         stats_.dqWaitCycles +=
@@ -1140,7 +1122,7 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
 
 CoTask<std::uint32_t>
 MinnowEngine::dequeueFallback(SimContext &ctx,
-                              std::vector<WorkItem> &out, Cycle dqStart)
+                              std::vector<WorkItem> &out)
 {
     runtime::WorkMonitor &mon = machine_->monitor;
     for (;;) {
@@ -1159,8 +1141,6 @@ MinnowEngine::dequeueFallback(SimContext &ctx,
             if (got) {
                 mon.takeWork(1, true);
                 stats_.fallbackPops += 1;
-                dequeueLatencyHist_->sample(eq_.now() -
-                                            dqStart);
                 out.push_back(item);
                 co_return 1;
             }
@@ -1174,11 +1154,13 @@ MinnowEngine::dequeueFallback(SimContext &ctx,
             continue;
         }
         ctx.core().setPhase(cpu::Phase::Idle);
+        Cycle parkStart = eq_.now();
         bool more = co_await mon.waitForWork();
         ctx.core().idleUntil(eq_.now());
         ctx.core().setPhase(cpu::Phase::Worklist);
         if (!more)
             co_return 0;
+        machine_->tasks->popWait(ctx.id(), parkStart);
     }
 }
 
@@ -1585,7 +1567,7 @@ MinnowEngine::checkpoint(ckpt::Ckpt &ck)
                  " threadletSlotWaiters_ loadBufWlWaiters_"
                  " loadBufPfWaiters_ creditWaiters_ parkedDaemon_"
                  " tlEngine_ tlCreditTrack_ tlLastCredits_"
-                 " tlLaneTracks_ tlFreeLanes_ dequeueLatencyHist_"
+                 " tlLaneTracks_ tlFreeLanes_"
                  " threadletOccupancyHist_ statsGroupName_"
                  " threadlets_ faultTasks_");
 }

@@ -381,8 +381,8 @@ class MinnowEngine
      * count.
      */
     runtime::CoTask<std::uint32_t>
-    dequeueFallback(runtime::SimContext &ctx, std::vector<WorkItem> &out,
-                    Cycle dqStart);
+    dequeueFallback(runtime::SimContext &ctx,
+                    std::vector<WorkItem> &out);
 
     /**
      * Flush local + spill-buffered tasks to the global queue (they
@@ -513,7 +513,6 @@ class MinnowEngine
         tlFreeLanes_;
 
     // Registry-owned distribution stats (point into the group).
-    HistogramStat *dequeueLatencyHist_ = nullptr;
     HistogramStat *threadletOccupancyHist_ = nullptr;
     std::string statsGroupName_;
 

@@ -1,15 +1,11 @@
 #include "minnow/minnow_system.hh"
 
 #include "base/logging.hh"
-#include "runtime/sim_context.hh"
-#include "runtime/task.hh"
 
 namespace minnow::minnowengine
 {
 
-using runtime::CoTask;
 using runtime::Machine;
-using runtime::SimContext;
 
 MinnowSystem::MinnowSystem(Machine *machine,
                            std::uint32_t lgBucketInterval,
@@ -91,6 +87,7 @@ MinnowSystem::MinnowSystem(Machine *machine,
 
 MinnowSystem::~MinnowSystem()
 {
+    machine_->memory.setCreditHook(nullptr);
     machine_->removeCkptHook("globalq");
     for (std::size_t e = 0; e < engines_.size(); ++e)
         machine_->removeCkptHook("minnow" + std::to_string(e));
@@ -177,151 +174,6 @@ MinnowSystem::totals() const
         t.dqDeliverCycles += s.dqDeliverCycles;
     }
     return t;
-}
-
-PrefetchProgram
-programFor(const apps::App &app)
-{
-    PrefetchProgram p;
-    p.graph = &app.graph();
-    p.splitThreshold = app.splitThreshold();
-    p.chaseAdjacency = app.prefetchChasesAdjacency();
-    p.taskStale = app.staleTaskPredicate();
-    return p;
-}
-
-namespace
-{
-
-struct WorkerState
-{
-    std::uint64_t pops = 0;
-};
-
-CoTask<void>
-minnowWorker(SimContext &ctx, MinnowEngine &eng, apps::App &app,
-             EngineSink &sink, WorkerState &state)
-{
-    timeline::Timeline *tl = ctx.machine().timeline.get();
-    timeline::TrackId taskTrack = tl
-        ? tl->coreTaskTrack(ctx.id())
-        : timeline::kNoTrack;
-    // Dequeue bundling (--dequeue-batch): one engine round-trip
-    // returns up to k tasks; the rest of the bundle is consumed with
-    // a couple of local instructions per pop.
-    const std::uint32_t batch = ctx.machine().cfg.minnow.dequeueBatch;
-    std::vector<worklist::WorkItem> bundle;
-    std::size_t bundleNext = 0;
-    for (;;) {
-        ctx.core().setPhase(cpu::Phase::Worklist);
-        Cycle dqStart = ctx.machine().eq.now();
-        std::optional<worklist::WorkItem> item;
-        if (bundleNext < bundle.size()) {
-            item = bundle[bundleNext++];
-            ctx.compute(2);
-            co_await ctx.sync();
-        } else {
-            bundle.clear();
-            bundleNext = 0;
-            if (co_await eng.dequeue(ctx, bundle, batch) > 0)
-                item = bundle[bundleNext++];
-        }
-        if (!item)
-            break;
-        if (mem::Attribution *attr =
-                ctx.machine().attribution.get()) {
-            attr->taskDequeued(ctx.id(), item->lineage,
-                               ctx.machine().eq.now());
-        }
-        if (tl) {
-            Cycle now = ctx.machine().eq.now();
-            tl->span(taskTrack, timeline::Name::Dequeue, dqStart,
-                     now);
-            tl->taskSample(timeline::TaskPhase::Dequeue,
-                           now - dqStart);
-            // Per-pop wait-for-task latency: ~0 for bundle-local
-            // and spec-slot pops, a round-trip (plus any park time)
-            // for engine calls — the batching scoreboard.
-            tl->taskSample(timeline::TaskPhase::PopWait,
-                           now - dqStart);
-        }
-        state.pops += 1;
-        ctx.core().setPhase(cpu::Phase::App);
-        Cycle execStart = ctx.machine().eq.now();
-        co_await app.process(ctx, *item, sink);
-        co_await ctx.sync();
-        if (tl) {
-            Cycle now = ctx.machine().eq.now();
-            tl->span(taskTrack, timeline::Name::Task, execStart,
-                     now);
-            tl->taskSample(timeline::TaskPhase::Execute,
-                           now - execStart);
-        }
-    }
-    ctx.core().setPhase(cpu::Phase::Idle);
-}
-
-} // anonymous namespace
-
-galois::RunResult
-runMinnow(Machine &machine, apps::App &app,
-          std::uint32_t lgBucketInterval,
-          const galois::RunConfig &cfg, EngineStats *engineTotals)
-{
-    fatal_if(cfg.threads == 0, "need at least one worker");
-    fatal_if(cfg.threads > machine.cfg.numCores,
-             "%u workers > %u cores", cfg.threads,
-             machine.cfg.numCores);
-    fatal_if(cfg.serialRelaxed,
-             "the relaxed serial baseline does not use Minnow");
-
-    machine.monitor.reset(cfg.threads);
-    app.resetCounters();
-
-    MinnowSystem sys(&machine, lgBucketInterval, programFor(app),
-                     cfg.threads);
-    sys.seedInitial(app.initialWork());
-    sys.startDaemons();
-
-    std::vector<std::unique_ptr<SimContext>> contexts;
-    std::vector<WorkerState> states(cfg.threads);
-    std::vector<CoTask<void>> workers;
-    EngineSink sink(&sys);
-    contexts.reserve(cfg.threads);
-    workers.reserve(cfg.threads);
-    for (std::uint32_t i = 0; i < cfg.threads; ++i) {
-        contexts.push_back(
-            std::make_unique<SimContext>(&machine, i));
-        contexts.back()->engine = &sys.engine(i);
-        workers.push_back(minnowWorker(*contexts[i], sys.engine(i),
-                                       app, sink, states[i]));
-    }
-    for (auto &w : workers)
-        w.start();
-
-    bool interrupted = galois::runEventLoop(machine, cfg);
-
-    // The credit hook captures the (stack-local) MinnowSystem;
-    // detach it before the system goes out of scope.
-    machine.memory.setCreditHook(nullptr);
-
-    bool timedOut = !interrupted && !machine.monitor.terminated();
-    if (timedOut) {
-        warn("minnow run of %s timed out after %llu events",
-             app.name().c_str(),
-             (unsigned long long)cfg.maxEvents);
-    }
-    std::uint64_t pops = 0;
-    for (const auto &s : states)
-        pops += s.pops;
-    galois::RunResult r = galois::collectResult(
-        machine, app, cfg.threads, timedOut, pops);
-    r.interrupted = interrupted;
-    if (engineTotals)
-        *engineTotals = sys.totals();
-    if (cfg.verify && !timedOut && !interrupted)
-        r.verified = app.verify();
-    return r;
 }
 
 } // namespace minnow::minnowengine

@@ -1,13 +1,11 @@
 /**
  * @file
- * Machine-level Minnow wiring and the Minnow executor.
+ * Machine-level Minnow wiring.
  *
  * MinnowSystem owns the shared software global queue and one engine
  * per core, registers the L2 credit hook and the termination hooks,
- * and seeds initial work. runMinnow() drives application workers
- * whose scheduling is fully offloaded: workers only issue
- * minnow_enqueue / minnow_dequeue accelerator calls, so scheduling
- * leaves their critical path — the paper's headline mechanism.
+ * and seeds initial work. The executor that drives workers over it
+ * is galois::runMinnow (galois/executor.hh).
  */
 
 #ifndef MINNOW_MINNOW_MINNOW_SYSTEM_HH
@@ -16,8 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "apps/app.hh"
-#include "galois/executor.hh"
 #include "minnow/engine.hh"
 #include "minnow/global_queue.hh"
 #include "runtime/machine.hh"
@@ -40,7 +36,8 @@ class MinnowSystem
                  const PrefetchProgram &program,
                  std::uint32_t engines);
 
-    /** Drops the "worklist" stats group (formulas capture this). */
+    /** Detaches the credit hook and drops the "worklist" stats group
+     *  (both capture this). */
     ~MinnowSystem();
 
     MinnowEngine &engine(CoreId core)
@@ -71,50 +68,6 @@ class MinnowSystem
     std::uint32_t coresPerEngine_ = 1;
     std::vector<std::unique_ptr<MinnowEngine>> engines_;
 };
-
-/** TaskSink that issues minnow_enqueue accelerator calls. */
-class EngineSink : public apps::TaskSink
-{
-  public:
-    explicit EngineSink(MinnowSystem *sys) : sys_(sys) {}
-
-    runtime::CoTask<void>
-    put(runtime::SimContext &ctx, worklist::WorkItem item) override
-    {
-        timeline::Timeline *tl = ctx.machine().timeline.get();
-        mem::Attribution *attr = ctx.machine().attribution.get();
-        Cycle pushStart = ctx.machine().eq.now();
-        if (attr)
-            item.lineage = attr->pushTask(ctx.id(), pushStart);
-        co_await sys_->engine(ctx.id()).enqueue(ctx, item);
-        if (tl) {
-            Cycle now = ctx.machine().eq.now();
-            tl->span(tl->coreTaskTrack(ctx.id()),
-                     timeline::Name::Push, pushStart, now);
-            tl->taskSample(timeline::TaskPhase::Push,
-                           now - pushStart);
-        }
-    }
-
-  private:
-    MinnowSystem *sys_;
-};
-
-/**
- * Execute @p app under Minnow offload with cfg.threads workers.
- * Prefetching follows machine.cfg.minnow.prefetchEnabled.
- *
- * @param lgBucketInterval Bucket interval for the offloaded global
- *                         priority worklist.
- */
-galois::RunResult runMinnow(runtime::Machine &machine,
-                            apps::App &app,
-                            std::uint32_t lgBucketInterval,
-                            const galois::RunConfig &cfg,
-                            EngineStats *engineTotals = nullptr);
-
-/** Build the PrefetchProgram matching an application. */
-PrefetchProgram programFor(const apps::App &app);
 
 } // namespace minnow::minnowengine
 

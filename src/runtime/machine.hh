@@ -25,6 +25,7 @@
 #include "cpu/ooo_core.hh"
 #include "mem/attribution.hh"
 #include "mem/memory_system.hh"
+#include "runtime/task_probe.hh"
 #include "runtime/work_monitor.hh"
 #include "sim/checkpoint.hh"
 #include "sim/config.hh"
@@ -69,6 +70,8 @@ class Machine
             attribution->bindClock(&eq.nowRef());
             memory.setAttribution(attribution.get());
         }
+        tasks = std::make_unique<TaskProbe>(
+            stats, &eq.nowRef(), timeline.get(), attribution.get());
         if (timeline) {
             timeline->registerStats(stats);
             for (CoreId i = 0; i < cfg.numCores; ++i) {
@@ -316,12 +319,13 @@ class Machine
 
     /**
      * The machine's stats tree. Groups follow the naming scheme in
-     * DESIGN.md: "sim", "core<N>", "l2_<N>", "mem", and — added by
-     * their owners — "minnow<N>" and "worklist". Declared before
-     * every component that registers a group (memory, timeline,
-     * cores, faults, hostprof): registrants remove their groups in
-     * their destructors, so the registry must still be alive when
-     * they die — i.e. be destroyed last among them.
+     * DESIGN.md: "sim", "core<N>", "l2_<N>", "mem", "tasks", and —
+     * added by their owners — "minnow<N>", "worklist" and "bsp".
+     * Declared before every component that registers a group
+     * (memory, timeline, tasks, cores, faults, hostprof):
+     * registrants remove their groups in their destructors, so the
+     * registry must still be alive when they die — i.e. be destroyed
+     * last among them.
      */
     StatsRegistry stats;
 
@@ -343,6 +347,12 @@ class Machine
      * both must outlive it).
      */
     std::unique_ptr<mem::Attribution> attribution;
+
+    /**
+     * The per-task cycle probe and its "tasks" group (never null).
+     * Declared after `timeline` and `attribution`, which it feeds.
+     */
+    std::unique_ptr<TaskProbe> tasks;
 
     std::vector<std::unique_ptr<cpu::OooCore>> cores;
     WorkMonitor monitor;

@@ -252,14 +252,6 @@ Timeline::flowEnd(TrackId t, Name n, Cycle at, std::uint64_t id)
 }
 
 void
-Timeline::taskSample(TaskPhase p, Cycle duration)
-{
-    HistogramStat *h = taskHist_[std::size_t(p)];
-    if (h)
-        h->sample(duration);
-}
-
-void
 Timeline::addCounterProvider(Cat cat, const std::string &name,
                              const void *owner,
                              std::function<double()> fn)
@@ -350,30 +342,6 @@ Timeline::registerStats(StatsRegistry &reg)
               [this] { return double(dropped_); });
     g.formula("bufferCapacity", "ring capacity in records",
               [this] { return double(ring_.size()); });
-
-    static constexpr const char *kPhaseNames[] = {
-        "popWait", "dequeue", "execute", "push",
-    };
-    static constexpr const char *kPhaseDescs[] = {
-        "cycles parked waiting for work, per park",
-        "cycles inside pop/minnow_dequeue, per task",
-        "cycles running the operator, per task",
-        "cycles inside push/minnow_enqueue, per push",
-    };
-    for (std::size_t p = 0; p < std::size_t(TaskPhase::kNum); ++p) {
-        HistogramStat &h =
-            g.histogram(kPhaseNames[p], kPhaseDescs[p], 64, 256);
-        taskHist_[p] = &h;
-        for (double frac : {0.50, 0.95, 0.99}) {
-            char name[32];
-            std::snprintf(name, sizeof(name), "%sP%.0f",
-                          kPhaseNames[p], frac * 100);
-            g.formula(name, "task-latency percentile (cycles)",
-                      [&h, frac] {
-                          return double(h.percentile(frac));
-                      });
-        }
-    }
 }
 
 std::size_t

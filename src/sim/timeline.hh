@@ -130,16 +130,6 @@ using TrackId = std::uint32_t;
  *  it is a cheap no-op, so emit sites need no mask checks. */
 constexpr TrackId kNoTrack = 0xffffffffu;
 
-/** Task-latency attribution phases (the Fig. 5 breakdown). */
-enum class TaskPhase : std::uint8_t
-{
-    PopWait = 0, //!< parked with no work available.
-    Dequeue,     //!< inside pop/minnow_dequeue.
-    Execute,     //!< running the operator.
-    Push,        //!< inside push/minnow_enqueue.
-    kNum,
-};
-
 /** One simulated-time trace sink (owned by the Machine). */
 class Timeline
 {
@@ -232,9 +222,6 @@ class Timeline
     /** Record the terminating leg of flow @p id. */
     void flowEnd(TrackId t, Name n, Cycle at, std::uint64_t id);
 
-    /** Feed the task-latency attribution histograms. */
-    void taskSample(TaskPhase p, Cycle duration);
-
     // ---- sampled counter providers ----
 
     /**
@@ -258,7 +245,7 @@ class Timeline
      */
     void startSampling(EventQueue &eq, Cycle interval);
 
-    /** Register the "timeline" stats group (attribution report). */
+    /** Register the "timeline" stats group (record counters). */
     void registerStats(StatsRegistry &reg);
 
     // ---- export / inspection ----
@@ -355,10 +342,6 @@ class Timeline
 
     std::vector<Provider> providers_;
     std::unique_ptr<Sampler> sampler_;
-
-    // Attribution histograms (registry-owned; null until
-    // registerStats()).
-    HistogramStat *taskHist_[std::size_t(TaskPhase::kNum)] = {};
 
     /** Registry holding our "timeline" group (for dtor removal). */
     StatsRegistry *statsReg_ = nullptr;

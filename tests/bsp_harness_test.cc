@@ -22,7 +22,6 @@ namespace minnow
 namespace
 {
 
-using bsp::BspStats;
 using bsp::runBsp;
 using harness::Config;
 using harness::makeWorkload;
@@ -46,14 +45,13 @@ TEST(Bsp, BfsConvergesAndVerifies)
     apps::SsspApp app(&g, 0, true, 1u << 30, "bfs");
     galois::RunConfig bc;
     bc.threads = 4;
-    BspStats st;
-    auto r = runBsp(m, app, bc, false, 0, &st);
+    auto r = runBsp(m, app, bc);
     EXPECT_FALSE(r.timedOut);
     EXPECT_TRUE(r.verified);
     // BFS supersteps track hop levels: close to the BFS depth.
     graph::GraphStats gs = graph::analyzeGraph(g);
-    EXPECT_GE(st.supersteps, gs.estDiameter / 2);
-    EXPECT_GT(st.vertexOps, 0u);
+    EXPECT_GE(r.report.get("bsp.supersteps"), gs.estDiameter / 2);
+    EXPECT_GT(r.report.get("bsp.vertexOps"), 0);
 }
 
 TEST(Bsp, SsspUnorderedDoesMoreWorkThanObim)
@@ -102,9 +100,8 @@ TEST(Bsp, BucketedModeImprovesSsspWork)
         apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
         galois::RunConfig bc;
         bc.threads = 4;
-        BspStats st;
         // lg bucket interval 6 is coarse: per-kernel overhead.
-        auto r = runBsp(m, app, bc, bucketed, 6, &st);
+        auto r = runBsp(m, app, bc, bucketed, 6);
         EXPECT_TRUE(r.verified);
         return r.workload.edgesVisited;
     };

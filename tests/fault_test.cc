@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "apps/sssp.hh"
+#include "galois/executor.hh"
 #include "graph/generators.hh"
 #include "harness/workloads.hh"
 #include "minnow/engine.hh"
@@ -35,7 +36,7 @@ namespace
 using galois::RunConfig;
 using galois::RunResult;
 using minnowengine::EngineStats;
-using minnowengine::runMinnow;
+using galois::runMinnow;
 using runtime::Machine;
 
 MachineConfig

@@ -35,6 +35,7 @@ namespace
 
 using galois::RunConfig;
 using galois::RunResult;
+using galois::runMinnow;
 using runtime::CoTask;
 using runtime::Machine;
 using runtime::SimContext;

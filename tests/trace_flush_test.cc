@@ -12,6 +12,7 @@
 #include "apps/sssp.hh"
 #include "base/options.hh"
 #include "base/trace.hh"
+#include "galois/executor.hh"
 #include "graph/generators.hh"
 #include "graph/io.hh"
 #include "minnow/minnow_system.hh"
@@ -175,7 +176,7 @@ TEST(EngineFlush, TracingARunProducesOutput)
     apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
     galois::RunConfig rc;
     rc.threads = 2;
-    auto r = minnowengine::runMinnow(m, app, 3, rc);
+    auto r = galois::runMinnow(m, app, 3, rc);
     trace::clearAll();
     EXPECT_TRUE(r.verified);
 }

@@ -66,7 +66,7 @@ DOC = ("references/pointers into containers, by-ref params and "
 _STABLE_PARAM_TYPES = {
     "EventQueue", "Machine", "Worklist", "App", "MinnowEngine",
     "StatsRegistry", "Graph", "Ckpt", "MemorySystem", "Timeline",
-    "WorkerState", "BspShared", "WorklistRunStats",
+    "BspShared", "WorklistRunStats",
 }
 
 # Call sinks through which a by-ref lambda escapes the frame.
