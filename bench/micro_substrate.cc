@@ -1,11 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulation substrate
- * itself: event queue throughput, cache lookup/fill, NoC traversal,
- * DRAM booking, the OOO core per-op cost, and the stats sampler and
- * JSON export. These bound the simulator's host-side performance (how
- * many simulated memory ops per wall-second the experiment harness
- * can drive).
+ * itself: event queue throughput, coroutine spawn/await, cache
+ * lookup/fill, NoC traversal, DRAM booking, the OOO core per-op cost,
+ * and the stats sampler and JSON export. These bound the simulator's
+ * host-side performance (how many simulated memory ops per
+ * wall-second the experiment harness can drive).
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +18,7 @@
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "runtime/machine.hh"
+#include "runtime/task.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 
@@ -153,6 +154,39 @@ BM_EventQueueFarFutureMix(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueueFarFutureMix);
+
+runtime::CoTask<std::uint64_t>
+coChild(std::uint64_t v)
+{
+    co_return v + 1;
+}
+
+runtime::CoTask<std::uint64_t>
+coSpawnAwait64(std::uint64_t v)
+{
+    for (int i = 0; i < 64; ++i)
+        v = co_await coChild(v);
+    co_return v;
+}
+
+/**
+ * Coroutine frame churn: a root task spawns, awaits and destroys 64
+ * child tasks in turn, the shape of a threadlet's memory accesses.
+ * Items are child tasks; the root's own frame is amortised over 64.
+ */
+void
+BM_CoTaskSpawnAwait(benchmark::State &state)
+{
+    std::uint64_t v = 0;
+    for (auto _ : state) {
+        runtime::CoTask<std::uint64_t> root = coSpawnAwait64(v);
+        root.start();
+        v = root.result();
+    }
+    benchmark::DoNotOptimize(v);
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_CoTaskSpawnAwait);
 
 void
 BM_CacheLookupHit(benchmark::State &state)

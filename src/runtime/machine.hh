@@ -25,6 +25,7 @@
 #include "cpu/ooo_core.hh"
 #include "mem/attribution.hh"
 #include "mem/memory_system.hh"
+#include "runtime/task.hh"
 #include "runtime/task_probe.hh"
 #include "runtime/work_monitor.hh"
 #include "sim/checkpoint.hh"
@@ -144,6 +145,9 @@ class Machine
             warn("cannot write --timeline file %s",
                  cfg.timelinePath.c_str());
         }
+        // The run's coroutines are gone; give their cached frames
+        // back so the next point on this thread starts from the heap.
+        detail::FramePool::trim();
     }
 
     Machine(const Machine &) = delete;

@@ -9,17 +9,23 @@
  *    explicitly start()ed as a root task);
  *  - composable: co_await'ing a child task uses symmetric transfer
  *    and resumes the parent when the child finishes;
- *  - owning: the handle is destroyed with the CoTask object.
+ *  - owning: the handle is destroyed with the CoTask object;
+ *  - recycled: every frame comes from the calling host thread's
+ *    FramePool, so steady-state spawning does not touch the heap.
  *
- * The simulation is single-host-threaded, so no synchronization is
- * needed anywhere in this machinery.
+ * A Machine runs on one host thread, so no synchronization is needed
+ * anywhere in this machinery; the frame cache is per host thread.
  */
 
 #ifndef MINNOW_RUNTIME_TASK_HH
 #define MINNOW_RUNTIME_TASK_HH
 
+#include <sanitizer/asan_interface.h>
+
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <utility>
 
 namespace minnow::runtime
@@ -30,6 +36,144 @@ class CoTask;
 
 namespace detail
 {
+
+/**
+ * Per-host-thread cache of coroutine frames (DESIGN.md 5e,
+ * "Coroutine frame cache"). Frames up to kMaxBytes are rounded up to
+ * a 64-byte size class; a freed frame goes onto its class's free
+ * list and the next frame of that class on the same thread reuses
+ * it. Larger frames go straight to the heap.
+ *
+ * Every cached frame is a plain ::operator new block of its class
+ * size with no header, so a frame may be freed on any thread: the
+ * cache only delays returning a block to the heap. The free-list
+ * heads are a trivially destructible thread_local; an ExitGuard,
+ * armed by the thread's first free, empties them when the thread
+ * exits and marks the cache dead, after which frees go straight to
+ * the heap. Machine teardown empties them too (trim()). Under ASan a
+ * cached frame's bytes are poisoned, so a use after free still
+ * reports.
+ */
+class FramePool
+{
+  public:
+    static constexpr std::size_t kClassBytes = 64;
+    static constexpr std::size_t kClasses = 16;
+    static constexpr std::size_t kMaxBytes = kClassBytes * kClasses;
+
+    static void *
+    allocate(std::size_t bytes)
+    {
+        if (bytes > kMaxBytes)
+            return ::operator new(bytes);
+        std::size_t c = classOf(bytes);
+        FreeLists &fl = lists_;
+        if (Node *n = fl.head[c]) {
+            ASAN_UNPOISON_MEMORY_REGION(n, bytes);
+            fl.head[c] = n->next;
+            --fl.cached;
+            return n;
+        }
+        return ::operator new(classBytes(c));
+    }
+
+    static void
+    deallocate(void *p, std::size_t bytes) noexcept
+    {
+        if (bytes > kMaxBytes) {
+            ::operator delete(p, bytes);
+            return;
+        }
+        std::size_t c = classOf(bytes);
+        FreeLists &fl = lists_;
+        if (fl.state != State::Live && !arm()) {
+            ::operator delete(p, classBytes(c));
+            return;
+        }
+        fl.head[c] = ::new (p) Node{fl.head[c]};
+        ++fl.cached;
+        ASAN_POISON_MEMORY_REGION(p, classBytes(c));
+    }
+
+    /**
+     * Return the calling thread's cached frames to the heap. Machine
+     * teardown calls it, so frames cached by one simulation point do
+     * not pin heap memory through the next point on the same thread.
+     */
+    static void
+    trim() noexcept
+    {
+        FreeLists &fl = lists_;
+        for (std::size_t c = 0; c < kClasses; ++c) {
+            while (Node *n = fl.head[c]) {
+                ASAN_UNPOISON_MEMORY_REGION(n, classBytes(c));
+                fl.head[c] = n->next;
+                ::operator delete(n, classBytes(c));
+            }
+        }
+        fl.cached = 0;
+    }
+
+    /** Frames held by the calling thread's cache. */
+    static std::size_t cachedFrames() { return lists_.cached; }
+
+  private:
+    struct Node
+    {
+        Node *next;
+    };
+
+    enum class State : unsigned char { Cold, Live, Dead };
+
+    struct FreeLists
+    {
+        Node *head[kClasses];
+        std::size_t cached;
+        State state;
+    };
+
+    /** Returns the thread's cached frames to the heap at exit. */
+    struct ExitGuard
+    {
+        ~ExitGuard()
+        {
+            trim();
+            lists_.state = State::Dead;
+        }
+    };
+
+    /** Frames are never empty, so class c holds (64c, 64(c+1)]. */
+    static std::size_t
+    classOf(std::size_t bytes)
+    {
+        return (bytes - 1) / kClassBytes;
+    }
+
+    static std::size_t
+    classBytes(std::size_t c)
+    {
+        return (c + 1) * kClassBytes;
+    }
+
+    /**
+     * First free on a thread: construct its ExitGuard (registering
+     * the drain at thread exit) and go live. False once the guard
+     * has run.
+     */
+    [[gnu::noinline]] static bool
+    arm() noexcept
+    {
+        FreeLists &fl = lists_;
+        if (fl.state == State::Dead)
+            return false;
+        static thread_local ExitGuard guard;
+        (void)guard;
+        fl.state = State::Live;
+        return true;
+    }
+
+    static inline thread_local FreeLists lists_{};
+};
 
 /** On completion, transfer control back to the awaiting parent. */
 template <typename Promise>
@@ -56,6 +200,18 @@ struct PromiseBase
     std::suspend_always initial_suspend() noexcept { return {}; }
 
     void unhandled_exception() { std::terminate(); }
+
+    static void *
+    operator new(std::size_t bytes)
+    {
+        return FramePool::allocate(bytes);
+    }
+
+    static void
+    operator delete(void *p, std::size_t bytes) noexcept
+    {
+        FramePool::deallocate(p, bytes);
+    }
 };
 
 } // namespace detail

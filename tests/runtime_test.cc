@@ -1,13 +1,16 @@
 /**
  * @file
- * Unit tests for the coroutine runtime: CoTask composition, the
- * event queue, SimContext awaitables, and WorkMonitor termination
- * semantics.
+ * Unit tests for the coroutine runtime: CoTask composition and its
+ * frame cache, the event queue, SimContext awaitables, and
+ * WorkMonitor termination semantics.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "runtime/machine.hh"
@@ -16,6 +19,7 @@
 #include "runtime/work_monitor.hh"
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
+#include "sim/parallel/task_farm.hh"
 
 namespace minnow::runtime
 {
@@ -158,6 +162,127 @@ TEST(CoTask, ResumesAtScheduledCycles)
     eq.run();
     EXPECT_EQ(trace, (std::vector<Cycle>{0, 100, 250}));
     EXPECT_TRUE(t.done());
+}
+
+using detail::FramePool;
+
+TEST(FramePool, ReusesAFreedFrameWithinItsSizeClassOnly)
+{
+    void *a = FramePool::allocate(200);
+    FramePool::deallocate(a, 200);
+    // 100 bytes is another class: it must not get a's block.
+    void *other = FramePool::allocate(100);
+    EXPECT_NE(other, a);
+    // 250 bytes shares a's class, (192, 256].
+    void *b = FramePool::allocate(250);
+    EXPECT_EQ(b, a);
+    FramePool::deallocate(b, 250);
+    FramePool::deallocate(other, 100);
+}
+
+TEST(FramePool, DestroyedTaskFrameIsReusedBySameSizedTask)
+{
+    CoTask<int> warm = leaf(1);
+    warm = {};
+    std::size_t cached = FramePool::cachedFrames();
+    ASSERT_GT(cached, 0u);
+    CoTask<int> t = leaf(2);
+    EXPECT_EQ(FramePool::cachedFrames(), cached - 1);
+    t.start();
+    EXPECT_EQ(t.result(), 4);
+    t = {};
+    EXPECT_EQ(FramePool::cachedFrames(), cached);
+}
+
+CoTask<int>
+bigFrame(int v)
+{
+    // Live across the co_await, so the array is part of the frame.
+    std::array<int, FramePool::kMaxBytes / sizeof(int) + 1> buf{};
+    buf[std::size_t(v)] = v;
+    co_await leaf(v);
+    co_return buf[std::size_t(v)];
+}
+
+TEST(FramePool, OversizedFrameBypassesTheCache)
+{
+    std::size_t cached = FramePool::cachedFrames();
+    void *p = FramePool::allocate(FramePool::kMaxBytes + 1);
+    FramePool::deallocate(p, FramePool::kMaxBytes + 1);
+    EXPECT_EQ(FramePool::cachedFrames(), cached);
+
+    CoTask<int> t = bigFrame(3);
+    t.start();
+    EXPECT_EQ(t.result(), 3);
+    cached = FramePool::cachedFrames();
+    t = {};
+    EXPECT_EQ(FramePool::cachedFrames(), cached);
+}
+
+TEST(FramePool, MachineTeardownEmptiesTheCache)
+{
+    {
+        Machine m(tinyConfig());
+        CoTask<int> t = parent();
+        t.start();
+        t = {};
+        EXPECT_GT(FramePool::cachedFrames(), 0u);
+    }
+    EXPECT_EQ(FramePool::cachedFrames(), 0u);
+}
+
+/** Runs two farm indices, each started once both are on a thread. */
+template <typename Fn>
+void
+onTwoFarmThreads(Fn fn)
+{
+    std::atomic<int> arrived{0};
+    parallel::runTaskFarm(2, 2, [&](std::size_t i) {
+        arrived.fetch_add(1);
+        while (arrived.load() < 2)
+            std::this_thread::yield();
+        fn(i);
+    });
+}
+
+TEST(FramePool, FrameMayBeDestroyedOnAnotherFarmThread)
+{
+    CoTask<int> task;
+    std::atomic<bool> handed{false};
+    std::array<std::thread::id, 2> ran;
+    onTwoFarmThreads([&](std::size_t i) {
+        ran[i] = std::this_thread::get_id();
+        if (i == 0) {
+            task = parent();
+            task.start();
+            handed.store(true, std::memory_order_release);
+            return;
+        }
+        while (!handed.load(std::memory_order_acquire))
+            std::this_thread::yield();
+        EXPECT_EQ(task.result(), 14);
+        std::size_t cached = FramePool::cachedFrames();
+        task = {};
+        EXPECT_EQ(FramePool::cachedFrames(), cached + 1);
+    });
+    EXPECT_NE(ran[0], ran[1]);
+}
+
+TEST(FramePool, FarmThreadCacheIsFreedAtThreadExit)
+{
+    // The pool thread exits inside runTaskFarm; its frames go back
+    // to the heap then, or LSan reports them on the address leg.
+    // coro_frame_alloc_test counts the returned blocks exactly.
+    std::array<std::size_t, 2> held{};
+    onTwoFarmThreads([&](std::size_t i) {
+        for (int k = 0; k < 4; ++k) {
+            CoTask<int> t = parent();
+            t.start();
+        }
+        held[i] = FramePool::cachedFrames();
+    });
+    EXPECT_GT(held[0], 0u);
+    EXPECT_GT(held[1], 0u);
 }
 
 TEST(Machine, ConstructsAndReports)
