@@ -56,8 +56,8 @@
  *                        instead of stderr (fatal if unwritable).
  *   --timeline=<path>    record simulated-time span/instant/counter
  *                        events and write a Chrome trace_event JSON
- *                        (open in Perfetto) when the machine is torn
- *                        down; a multi-point bench leaves the last
+ *                        (open in Perfetto) at the end of the run;
+ *                        a multi-point bench leaves the last
  *                        point's trace. Adds a "timeline" stats group
  *                        with record counts (the task-latency
  *                        percentiles are always in "tasks").
@@ -88,7 +88,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -136,6 +135,12 @@ installSignalHandlers()
  * carries its identifying parameters plus the machine's full
  * StatsRegistry snapshot (schema "minnow-stats-1") under "stats".
  *
+ * Each entry keeps its small parameter header and the stats string
+ * side by side; add() takes the stats string by rvalue, so the log
+ * holds the one copy the run produced and never concatenates it.
+ * flush() writes header, stats ("{}" if empty) and the closing
+ * brace of each entry in turn.
+ *
  * Held by BenchArgs through a shared_ptr, so every run of the
  * process lands in one file. The destructor flushes, so a bench
  * needs no explicit final call.
@@ -158,12 +163,10 @@ class StatsJsonLog
         std::uint32_t threads, double scale, std::uint64_t seed,
         std::uint32_t credits, bool timedOut, bool verified,
         Cycle cycles, std::uint64_t instructions, double l2Mpki,
-        const std::string &statsJson)
+        std::string &&statsJson)
     {
         char buf[64];
         std::string e;
-        e.reserve(statsJson.size() + workload.size() + config.size() +
-                  256);
         e += "{\"workload\":\"";
         e += workload;
         e += "\",\"config\":\"";
@@ -189,10 +192,7 @@ class StatsJsonLog
         e += ",\"l2Mpki\":";
         e += buf;
         e += ",\"stats\":";
-        e += statsJson.empty() ? std::string_view("{}")
-                               : std::string_view(statsJson);
-        e += '}';
-        entries_.push_back(std::move(e));
+        entries_.push_back(Entry{std::move(e), std::move(statsJson)});
         dirty_ = true;
     }
 
@@ -213,9 +213,15 @@ class StatsJsonLog
                    "\"runs\":[",
                    f);
         for (std::size_t i = 0; i < entries_.size(); ++i) {
+            const Entry &e = entries_[i];
             if (i)
                 std::fputc(',', f);
-            std::fwrite(entries_[i].data(), 1, entries_[i].size(), f);
+            std::fwrite(e.head.data(), 1, e.head.size(), f);
+            if (e.stats.empty())
+                std::fputs("{}", f);
+            else
+                std::fwrite(e.stats.data(), 1, e.stats.size(), f);
+            std::fputc('}', f);
         }
         std::fputs("]}\n", f);
         std::fclose(f);
@@ -223,8 +229,15 @@ class StatsJsonLog
     }
 
   private:
+    /** One run: its parameters up to "stats":, and the stats. */
+    struct Entry
+    {
+        std::string head;
+        std::string stats;
+    };
+
     std::string path_;
-    std::vector<std::string> entries_;
+    std::vector<Entry> entries_;
     bool dirty_ = true; //!< start true: an empty log still writes.
 };
 
@@ -321,10 +334,13 @@ specOf(const Point &p, const BenchArgs &a)
     return spec;
 }
 
-/** Append one finished point to the --stats-json log, if any. */
+/**
+ * Append one finished point to the --stats-json log, if any. The
+ * log takes over r.run.statsJson, which is left empty.
+ */
 inline void
 logRun(const BenchArgs &a, const Point &p,
-       const harness::ExperimentResult &r)
+       harness::ExperimentResult &r)
 {
     if (!a.statsJson)
         return;
@@ -335,7 +351,7 @@ logRun(const BenchArgs &a, const Point &p,
                      p.threads, a.scale, a.seed,
                      p.machine.minnow.prefetchCredits, r.run.timedOut,
                      r.run.verified, r.run.cycles, r.run.instructions,
-                     r.run.l2Mpki, r.run.statsJson);
+                     r.run.l2Mpki, std::move(r.run.statsJson));
 }
 
 /**
@@ -453,7 +469,7 @@ runPoints(const BenchArgs &a, std::vector<Point> points)
             stopped = true;
             continue;
         }
-        const harness::ExperimentResult &r = results[i];
+        harness::ExperimentResult &r = results[i];
         checkVerified(r, points[i].workload + "/" +
                              harness::configName(points[i].config) +
                              " (point " + std::to_string(i) + ")");

@@ -22,8 +22,9 @@ timeline), or the first differing line of text.
                 with timeouts and --diag-json, fig04 (5j)
   rob-control   negative control: --rob=200 must differ at the named
                 path, or the comparator is blind
-  sigint-farm   SIGINT mid-farm: exit 130 once, the points that ran
-                recorded in point order, some cut short
+  sigint-farm   SIGINT mid-farm, sent once the first point reports its
+                termination (--debug-flags=Monitor): exit 130 once, the
+                points that ran recorded in point order, some cut short
   sigint-bsp    SIGINT in a BSP point: interrupted, not timed out
 
 No run may warn "witness mismatch". Rows run concurrently; under a
@@ -105,7 +106,8 @@ def stopped_in_point_order(outs):
 
 # A variant is (label, extra flags, expectations): rc (exit status,
 # default 0), restored (in the point JSON), warns/quiet (text stderr
-# must/must not hold), sigint (seconds to SIGINT), setup (run first,
+# must/must not hold), sigint (seconds to SIGINT, or the stderr text
+# to send it after), setup (run first,
 # on the row directory), differs (path of the first difference). A
 # row check returns an error or None. point_runner's stdout holds host
 # seconds, so it is parsed, not compared.
@@ -141,8 +143,9 @@ ROWS = [
         files=["stats.json", "timeline.json"]),
     row("sigint-farm", "fig16_overall_speedup",
         [f"--workloads={','.join(FIG16_WORKLOADS)}", "--threads=16",
-         "--scale=1", "--host-par=4"],
-        [("SIGINT after 1 s", [], {"sigint": 1.0, "rc": 130})],
+         "--scale=1", "--host-par=4", "--debug-flags=Monitor"],
+        [("SIGINT after the first point ends", [],
+          {"sigint": "termination:", "rc": 130})],
         check=stopped_in_point_order),
     row("sigint-bsp", "point_runner",
         ["--workload=sssp", "--config=bsp", "--scale=2", "--threads=16"],
@@ -243,13 +246,25 @@ def run_variant(r, bench_dir, rowdir, i, fmt):
     cmd = [os.path.join(bench_dir, r["binary"]), *r["args"],
            *(f.format(**fmt) for f in flags),
            *(f"{FILE_FLAGS[f]}={f}" for f in r["files"])]
+    # Unbuffered, so reading stderr up to a line leaves the rest
+    # for communicate().
     proc = subprocess.Popen(cmd, cwd=vdir, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    if want.get("sigint"):
-        time.sleep(want["sigint"])
+                            stderr=subprocess.PIPE, bufsize=0)
+    head = b""
+    sigint = want.get("sigint")
+    if isinstance(sigint, str):
+        # Signal once the text appears, however slow the host: a
+        # fixed delay can land before any point has started.
+        while line := proc.stderr.readline():
+            head += line
+            if sigint.encode() in line:
+                break
+        proc.send_signal(signal.SIGINT)
+    elif sigint:
+        time.sleep(sigint)
         proc.send_signal(signal.SIGINT)
     stdout, stderr = proc.communicate(timeout=1200)
-    err = stderr.decode()
+    err = (head + stderr).decode()
     tag = f"{r['name']}: {label}"
     last = (err.strip().splitlines() or ["(no stderr)"])[-1]
     if proc.returncode != want.get("rc", 0):

@@ -73,6 +73,9 @@ collectResult(runtime::Machine &machine, apps::App &app,
                    (double(r.instructions) / 1000.0);
     }
 
+    // Write the trace before any stats snapshot exists, so the
+    // export's buffers are freed before the stats string is built.
+    machine.writeTimeline();
     // Flatten the registry into the dotted-key view and snapshot
     // the JSON form while every component is still alive.
     machine.stats.flatten(r.report);

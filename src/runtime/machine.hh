@@ -141,10 +141,7 @@ class Machine
     ~Machine()
     {
         removePanicHook(panicHookId_);
-        if (timeline && !timeline->writeFile(cfg.timelinePath)) {
-            warn("cannot write --timeline file %s",
-                 cfg.timelinePath.c_str());
-        }
+        writeTimeline();
         // The run's coroutines are gone; give their cached frames
         // back so the next point on this thread starts from the heap.
         detail::FramePool::trim();
@@ -152,6 +149,26 @@ class Machine
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
+
+    /**
+     * Write the --timeline file unless it already holds the whole
+     * trace. The run driver calls this before it snapshots the stats
+     * JSON, so the export never overlaps the stats string, and a
+     * Machine that runs twice rewrites the file to cover both runs.
+     * The destructor calls it too: the fallback for a run that never
+     * reached the driver's snapshot, or whose teardown recorded more
+     * (a threadlet still suspended closes its span when destroyed).
+     */
+    void
+    writeTimeline()
+    {
+        if (!timeline || timeline->unchangedSinceWrite())
+            return;
+        if (!timeline->writeFile(cfg.timelinePath)) {
+            warn("cannot write --timeline file %s",
+                 cfg.timelinePath.c_str());
+        }
+    }
 
     /** Latest drain time across all cores = run makespan. */
     Cycle

@@ -5,6 +5,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <queue>
+#include <utility>
 
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -351,19 +354,97 @@ Timeline::recorded() const
                                                ring_.size()));
 }
 
+namespace
+{
+
+/** One export event: ph selects the JSON shape. */
+struct Ev
+{
+    Cycle ts;
+    std::uint64_t arg; //!< counter value bits; flow id for s/t/f.
+    TrackId track;
+    std::uint16_t name;
+    char ph; //!< 'B', 'E', 'i', 'C', 's', 't' or 'f'.
+};
+
+} // anonymous namespace
+
+/**
+ * Where the export goes. With a FILE the text is formatted into a
+ * chunk of about kChunk bytes that is written out each time it
+ * fills; without one the whole export accumulates in `buf`.
+ */
+class Timeline::ChunkSink
+{
+  public:
+    static constexpr std::size_t kChunk = std::size_t(1) << 20;
+
+    explicit ChunkSink(std::FILE *f) : f_(f)
+    {
+        if (f_)
+            buf.reserve(kChunk + 4096);
+    }
+
+    /** Write the chunk out once it is full (file sinks only). */
+    void
+    poll()
+    {
+        if (f_ && buf.size() >= kChunk)
+            flush();
+    }
+
+    /** Write out what is buffered; false once any write failed. */
+    bool
+    flush()
+    {
+        if (f_ && !buf.empty()) {
+            ok_ = std::fwrite(buf.data(), 1, buf.size(), f_) ==
+                      buf.size() &&
+                  ok_;
+            buf.clear();
+        }
+        return ok_;
+    }
+
+    std::string buf;
+
+  private:
+    std::FILE *f_;
+    bool ok_ = true;
+};
+
 std::string
 Timeline::toJson() const
 {
-    // One export event, post-ordering: ph selects the JSON shape.
-    struct Ev
-    {
-        Cycle ts;
-        char ph; // 'B', 'E', 'i', 'C', 's', 't', 'f'
-        TrackId track;
-        std::uint16_t name = 0;
-        double value = 0;
-        std::uint64_t id = 0; // flow id for 's'/'t'/'f'.
-    };
+    ChunkSink sink(nullptr);
+    exportTo(sink);
+    return std::move(sink.buf);
+}
+
+bool
+Timeline::writeFile(const std::string &path)
+{
+    fileRecords_ = written_;
+    fileTracks_ = tracks_.size();
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    ChunkSink sink(f);
+    exportTo(sink);
+    sink.buf += '\n';
+    bool ok = sink.flush();
+    return std::fclose(f) == 0 && ok;
+}
+
+bool
+Timeline::unchangedSinceWrite() const
+{
+    return written_ == fileRecords_ && tracks_.size() == fileTracks_;
+}
+
+void
+Timeline::exportTo(ChunkSink &sink) const
+{
     struct SpanRec
     {
         Cycle begin;
@@ -383,11 +464,14 @@ Timeline::toJson() const
 
     const std::size_t count = recorded();
     const std::size_t oldest = written_ > ring_.size() ? head_ : 0;
+    const std::size_t numTracks = tracks_.size();
 
-    // Partition the surviving records per track (track ids are
-    // assigned in registration order, so this is deterministic).
-    std::vector<std::vector<SpanRec>> spansBy(tracks_.size());
-    std::vector<std::vector<Ev>> othersBy(tracks_.size());
+    // Segments: 2t is track t's B/E stream, 2t+1 its instants and
+    // counters, and the last one the legs of complete flows. Track
+    // ids follow registration order, so this is deterministic.
+    std::vector<std::vector<Ev>> segs(2 * numTracks + 1);
+    std::vector<Ev> &flowSeg = segs.back();
+    std::vector<std::vector<SpanRec>> spansBy(numTracks);
     std::vector<FlowLeg> flowLegs;
     for (std::size_t i = 0; i < count; ++i) {
         const Record &r = ring_[(oldest + i) % ring_.size()];
@@ -397,13 +481,12 @@ Timeline::toJson() const
                 SpanRec{r.begin, Cycle(r.extra), i, r.name});
             break;
           case RecKind::Instant:
-            othersBy[r.track].push_back(
-                Ev{r.begin, 'i', r.track, r.name, 0});
+            segs[2 * r.track + 1].push_back(
+                Ev{r.begin, 0, r.track, r.name, 'i'});
             break;
           case RecKind::Counter:
-            othersBy[r.track].push_back(
-                Ev{r.begin, 'C', r.track, 0,
-                   std::bit_cast<double>(r.extra)});
+            segs[2 * r.track + 1].push_back(
+                Ev{r.begin, r.extra, r.track, 0, 'C'});
             break;
           case RecKind::FlowStart:
           case RecKind::FlowStep:
@@ -416,9 +499,8 @@ Timeline::toJson() const
         }
     }
 
-    std::vector<Ev> evs;
-    evs.reserve(count * 2);
-    for (TrackId t = 0; t < tracks_.size(); ++t) {
+    std::vector<SpanRec> stack;
+    for (TrackId t = 0; t < numTracks; ++t) {
         // Spans on one track nest by construction; rebuild the B/E
         // stream with an explicit stack so that an inner span sharing
         // its begin cycle with its enclosing span still opens second
@@ -433,10 +515,11 @@ Timeline::toJson() const
                           return a.end > b.end;
                       return a.idx < b.idx;
                   });
-        std::vector<SpanRec> stack;
+        std::vector<Ev> &be = segs[2 * t];
+        be.reserve(2 * sp.size());
         for (const SpanRec &s : sp) {
             while (!stack.empty() && stack.back().end <= s.begin) {
-                evs.push_back(Ev{stack.back().end, 'E', t});
+                be.push_back(Ev{stack.back().end, 0, t, 0, 'E'});
                 stack.pop_back();
             }
             SpanRec cur = s;
@@ -445,15 +528,14 @@ Timeline::toJson() const
             // export Perfetto-rejectable.
             if (!stack.empty() && cur.end > stack.back().end)
                 cur.end = stack.back().end;
-            evs.push_back(Ev{cur.begin, 'B', t, cur.name});
+            be.push_back(Ev{cur.begin, 0, t, cur.name, 'B'});
             stack.push_back(cur);
         }
         while (!stack.empty()) {
-            evs.push_back(Ev{stack.back().end, 'E', t});
+            be.push_back(Ev{stack.back().end, 0, t, 0, 'E'});
             stack.pop_back();
         }
-        for (const Ev &e : othersBy[t])
-            evs.push_back(e);
+        std::vector<SpanRec>().swap(sp);
     }
     // Flow arrows: group legs by id and emit only complete flows —
     // at least one start and one end, start earliest and end latest
@@ -483,22 +565,26 @@ Timeline::toJson() const
         if (complete) {
             for (std::size_t k = i; k < j; ++k) {
                 const FlowLeg &l = flowLegs[k];
-                evs.push_back(Ev{l.ts, kFlowPh[l.kind], l.track,
-                                 l.name, 0, l.id});
+                flowSeg.push_back(
+                    Ev{l.ts, l.id, l.track, l.name, kFlowPh[l.kind]});
             }
         }
         i = j;
     }
-    // Tracks were appended in id order and each track's stream is
-    // already time-sorted, so a stable sort by timestamp alone keeps
-    // every per-track B/E ordering intact.
-    std::stable_sort(evs.begin(), evs.end(),
-                     [](const Ev &a, const Ev &b) {
-                         return a.ts < b.ts;
-                     });
+    std::vector<FlowLeg>().swap(flowLegs);
 
-    std::string out;
-    out.reserve(256 + evs.size() * 64);
+    // The output order is (ts, segment, position in segment): that
+    // of a stable sort by ts over the segments concatenated in
+    // index order. B/E streams come out of the stack walk sorted;
+    // the instant/counter streams are in emission order and the
+    // flow segment in id order, so those are stably sorted first.
+    auto byTs = [](const Ev &a, const Ev &b) { return a.ts < b.ts; };
+    for (std::vector<Ev> &seg : segs) {
+        if (!std::is_sorted(seg.begin(), seg.end(), byTs))
+            std::stable_sort(seg.begin(), seg.end(), byTs);
+    }
+
+    std::string &out = sink.buf;
     out += "{\"schema\":\"minnow-timeline-1\","
            "\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
     bool first = true;
@@ -549,9 +635,10 @@ Timeline::toJson() const
                "{\"sort_index\":";
         appendU64(out, tr.tid);
         out += "}}";
+        sink.poll();
     }
 
-    for (const Ev &e : evs) {
+    auto emit = [&](const Ev &e) {
         const Track &tr = tracks_[e.track];
         sep();
         out += "{\"ph\":\"";
@@ -581,7 +668,7 @@ Timeline::toJson() const
             out += ",\"name\":\"";
             appendEscaped(out, tr.name);
             out += "\",\"args\":{\"value\":";
-            appendNumber(out, e.value);
+            appendNumber(out, std::bit_cast<double>(e.arg));
             out += '}';
             break;
           case 's':
@@ -592,7 +679,7 @@ Timeline::toJson() const
             out += "\",\"cat\":\"";
             out += kCatNames[std::size_t(tr.cat)];
             out += "\",\"id\":";
-            appendU64(out, e.id);
+            appendU64(out, e.arg);
             if (e.ph == 'f')
                 out += ",\"bp\":\"e\"";
             break;
@@ -600,6 +687,32 @@ Timeline::toJson() const
             break;
         }
         out += '}';
+        sink.poll();
+    };
+
+    // Heap-merge the segments by (ts, segment index). The popped
+    // segment keeps emitting while its next event still orders
+    // before the heap's top; a drained segment is freed at once.
+    using Head = std::pair<Cycle, std::size_t>;
+    std::priority_queue<Head, std::vector<Head>, std::greater<>> heap;
+    for (std::size_t s = 0; s < segs.size(); ++s) {
+        if (!segs[s].empty())
+            heap.push({segs[s].front().ts, s});
+    }
+    std::vector<std::size_t> next(segs.size(), 0);
+    while (!heap.empty()) {
+        const std::size_t s = heap.top().second;
+        heap.pop();
+        std::vector<Ev> &seg = segs[s];
+        std::size_t &i = next[s];
+        do {
+            emit(seg[i++]);
+        } while (i < seg.size() &&
+                 (heap.empty() || Head{seg[i].ts, s} < heap.top()));
+        if (i < seg.size())
+            heap.push({seg[i].ts, s});
+        else
+            std::vector<Ev>().swap(seg);
     }
 
     out += "],\"otherData\":{\"droppedEvents\":";
@@ -609,20 +722,6 @@ Timeline::toJson() const
     out += ",\"capacity\":";
     appendU64(out, std::uint64_t(ring_.size()));
     out += "}}";
-    return out;
-}
-
-bool
-Timeline::writeFile(const std::string &path) const
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::string json = toJson();
-    bool ok = std::fwrite(json.data(), 1, json.size(), f) ==
-              json.size();
-    ok = std::fputc('\n', f) != EOF && ok;
-    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace minnow::timeline

@@ -26,6 +26,23 @@
  * only when it *completes*, dropping whole records can never leave an
  * unbalanced begin/end pair in the export.
  *
+ * The export streams. It splits the surviving records into
+ * segments — per track, the B/E stream rebuilt from its spans and
+ * the instant/counter stream; then one segment of complete flow
+ * legs — and heap-merges them by (ts, segment index) straight into
+ * a ~1 MiB chunk that is written to the file each time it fills.
+ * That order is exactly a stable sort by ts of the segments
+ * concatenated in index order. Export memory is the ring plus the
+ * segments (24 B per exported event; each track's span list is
+ * freed once its B/E segment is built, each segment once merged)
+ * plus one chunk; the trace text is never whole in memory.
+ * toJson() runs the same path into one string.
+ *
+ * The Machine writes the file once per run, before it snapshots the
+ * stats JSON, so the export's buffers and the stats string are
+ * never alive together; its destructor writes it again only if the
+ * trace changed since (see Machine::writeTimeline()).
+ *
  * Overhead contract: with --timeline unset no Timeline exists and
  * every emit site costs one pointer null-check; the sampler arms no
  * events and no stats group is registered.
@@ -253,8 +270,15 @@ class Timeline
     /** Chrome trace_event JSON (schema "minnow-timeline-1"). */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; false on I/O error. */
-    bool writeFile(const std::string &path) const;
+    /**
+     * Stream the export to @p path, then a newline: the bytes of
+     * toJson() + "\n". False on I/O error.
+     */
+    bool writeFile(const std::string &path);
+
+    /** True once writeFile() was called and nothing was recorded
+     *  or registered since: another write would repeat it. */
+    bool unchangedSinceWrite() const;
 
     /** Records currently held (<= capacity). */
     std::size_t recorded() const;
@@ -270,6 +294,8 @@ class Timeline
     std::uint64_t flowLegs() const { return flowRecs_; }
 
   private:
+    class ChunkSink;
+
     enum class RecKind : std::uint8_t
     {
         Span = 0,
@@ -316,6 +342,9 @@ class Timeline
         Cycle interval = 0;
     };
 
+    /** Format the export into @p sink (see the file comment). */
+    void exportTo(ChunkSink &sink) const;
+
     static void sampleEvent(void *arg);
     void pollProviders(Cycle at);
     void push(const Record &r);
@@ -342,6 +371,10 @@ class Timeline
 
     std::vector<Provider> providers_;
     std::unique_ptr<Sampler> sampler_;
+
+    /** written_ and tracks_.size() at the last writeFile(). */
+    std::uint64_t fileRecords_ = ~std::uint64_t(0);
+    std::size_t fileTracks_ = 0;
 
     /** Registry holding our "timeline" group (for dtor removal). */
     StatsRegistry *statsReg_ = nullptr;
