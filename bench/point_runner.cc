@@ -59,7 +59,7 @@ main(int argc, char **argv)
     harness::Config config = harness::parseConfig(configName);
 
     Point p{workload, config, args.threads, args.machine};
-    harness::RunSpec spec = specOf(p, args);
+    harness::RunSpec spec = specOf(p, args, 0);
     spec.checkpointOut = ckptOut;
     spec.checkpointIn = ckptIn;
     spec.checkpointAfter = ckptAfter;
@@ -69,7 +69,7 @@ main(int argc, char **argv)
     auto t1 = std::chrono::steady_clock::now();
     harness::ExperimentResult r = harness::runExperiment(w, spec);
     auto t2 = std::chrono::steady_clock::now();
-    logRun(args, p, r);
+    logRun(args, p, 0, r);
     if (r.run.interrupted)
         exitInterrupted(args, !ckptOut.empty());
 

@@ -18,14 +18,16 @@ timeline), or the first differing line of text.
   attribution   --attribution off vs on, its group stripped (5k)
   faults        two runs with the same --faults and --seed, where the
                 faults fired (DESIGN.md 5d)
-  host-par *    --host-par=1 vs 4: fig18 with --timeline, fig15, fig03
-                with timeouts and --diag-json, fig04 (5j)
+  host-par *    --host-par=1 vs 4: fig18 with --timeline and
+                --stats-interval (stats entries of several MB), fig15,
+                fig03 with timeouts and --diag-json, fig04 (5j)
   rob-control   negative control: --rob=200 must differ at the named
                 path, or the comparator is blind
   sigint-farm   SIGINT mid-farm, sent once the first point reports its
                 termination (--debug-flags=Monitor): exit 130 once, the
                 points that ran recorded in point order, some cut short
-  sigint-bsp    SIGINT in a BSP point: interrupted, not timed out
+  sigint-bsp    SIGINT in a BSP point, sent once its first superstep ends
+                (--debug-flags=Bsp): interrupted, not timed out
 
 No run may warn "witness mismatch". Rows run concurrently; under a
 TSan build they are the race detector's workload, since the point
@@ -44,7 +46,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -106,8 +107,8 @@ def stopped_in_point_order(outs):
 
 # A variant is (label, extra flags, expectations): rc (exit status,
 # default 0), restored (in the point JSON), warns/quiet (text stderr
-# must/must not hold), sigint (seconds to SIGINT, or the stderr text
-# to send it after), setup (run first,
+# must/must not hold), sigint (the stderr text to send SIGINT
+# after), setup (run first,
 # on the row directory), differs (path of the first difference). A
 # row check returns an error or None. point_runner's stdout holds host
 # seconds, so it is parsed, not compared.
@@ -139,7 +140,8 @@ HOST_PAR = [("--host-par=1", ["--host-par=1"], {}),
 ROWS = [
     row("host-par fig18", "fig18_mpki_credits",
         ["--workloads=sssp,bfs", "--threads=16",
-         "--credits-list=8,32,64,128", "--scale=0.1"], HOST_PAR,
+         "--credits-list=8,32,64,128", "--scale=0.1",
+         "--stats-interval=2000"], HOST_PAR,
         files=["stats.json", "timeline.json"]),
     row("sigint-farm", "fig16_overall_speedup",
         [f"--workloads={','.join(FIG16_WORKLOADS)}", "--threads=16",
@@ -148,10 +150,12 @@ ROWS = [
           {"sigint": "termination:", "rc": 130})],
         check=stopped_in_point_order),
     row("sigint-bsp", "point_runner",
-        ["--workload=sssp", "--config=bsp", "--scale=2", "--threads=16"],
-        [("SIGINT after 0.7 s", [],
-          {"sigint": 0.7, "rc": 130, "warns": "interrupted by signal",
-           "quiet": "timed out"})], files=[]),
+        ["--workload=sssp", "--config=bsp", "--scale=2", "--threads=16",
+         "--debug-flags=Bsp"],
+        [("SIGINT after the first superstep", [],
+          {"sigint": "superstep", "rc": 130,
+           "warns": "interrupted by signal", "quiet": "timed out"})],
+        files=[]),
     row("host-par fig15", "fig15_scalability",
         ["--workloads=sssp,bfs", "--threads=8", "--scale=0.1"], HOST_PAR),
     row("host-par fig03", "fig03_scheduler_zoo",
@@ -252,16 +256,13 @@ def run_variant(r, bench_dir, rowdir, i, fmt):
                             stderr=subprocess.PIPE, bufsize=0)
     head = b""
     sigint = want.get("sigint")
-    if isinstance(sigint, str):
+    if sigint:
         # Signal once the text appears, however slow the host: a
         # fixed delay can land before any point has started.
         while line := proc.stderr.readline():
             head += line
             if sigint.encode() in line:
                 break
-        proc.send_signal(signal.SIGINT)
-    elif sigint:
-        time.sleep(sigint)
         proc.send_signal(signal.SIGINT)
     stdout, stderr = proc.communicate(timeout=1200)
     err = (head + stderr).decode()

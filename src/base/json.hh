@@ -2,7 +2,8 @@
  * @file
  * The one JSON writer behind every machine-readable output (stats,
  * timeline, watchdog diagnostics), so all of them share a single
- * string and number grammar and diff byte-exactly across runs.
+ * string and number grammar and diff byte-exactly across runs, and
+ * the chunk every large document streams through (ChunkSink).
  *
  * Numbers follow the historical printf grammar exactly:
  *  - non-finite values print as 0 (JSON has no NaN/inf);
@@ -20,6 +21,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -96,6 +98,70 @@ appendKey(std::string &out, std::string_view key)
     out += '"';
     appendEscaped(out, key);
     out += "\":";
+}
+
+/**
+ * Where a streamed JSON document goes. With a FILE the writer
+ * formats into `buf`, a chunk of about kChunk bytes, and calls
+ * poll() between items; each time the chunk fills it is written
+ * out, so the document is never whole in memory. Without a FILE the
+ * whole document accumulates in `buf` (the toJson() forms).
+ */
+class ChunkSink
+{
+  public:
+    static constexpr std::size_t kChunk = std::size_t(1) << 20;
+
+    explicit ChunkSink(std::FILE *f) : f_(f)
+    {
+        if (f_)
+            buf.reserve(kChunk + 4096);
+    }
+
+    /** Write the chunk out once it is full (file sinks only). */
+    void
+    poll()
+    {
+        if (f_ && buf.size() >= kChunk)
+            flush();
+    }
+
+    /** Write out what is buffered; false once any write failed. */
+    bool
+    flush()
+    {
+        if (f_ && !buf.empty()) {
+            ok_ = std::fwrite(buf.data(), 1, buf.size(), f_) ==
+                      buf.size() &&
+                  ok_;
+            buf.clear();
+        }
+        return ok_;
+    }
+
+    std::string buf;
+
+  private:
+    std::FILE *f_;
+    bool ok_ = true;
+};
+
+/**
+ * Create @p path and stream a document into it: @p write formats it
+ * into a file ChunkSink. False if the file cannot be created or any
+ * write fails.
+ */
+template <class Write>
+bool
+writeFile(const std::string &path, Write &&write)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        return false;
+    ChunkSink sink(f);
+    write(sink);
+    bool ok = sink.flush();
+    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace minnow::json

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -201,19 +202,10 @@ appendStatJson(std::string &out, const Stat &s)
 
 } // anonymous namespace
 
-std::string
-StatsRegistry::toJson() const
+void
+StatsRegistry::writeJson(json::ChunkSink &sink) const
 {
-    // Reserve once for the intervals, which dominate (tens of MB at
-    // 64 cores) and would otherwise be copied by every regrowth; the
-    // 16 bytes allowed per number leave room for the groups.
-    std::size_t estimate = std::size_t(1) << 16;
-    for (const IntervalSample &is : samples_) {
-        estimate +=
-            48 + is.layout->prefixBytes + 16 * is.values.size();
-    }
-    std::string out;
-    out.reserve(estimate);
+    std::string &out = sink.buf;
     out += "{\"schema\":\"minnow-stats-1\",\"groups\":{";
     bool firstGroup = true;
     for (const auto &[gname, g] : groups_) {
@@ -228,6 +220,7 @@ StatsRegistry::toJson() const
                 out += ',';
             firstStat = false;
             appendStatJson(out, *s);
+            sink.poll();
         }
         out += '}';
     }
@@ -249,26 +242,30 @@ StatsRegistry::toJson() const
                     out += ',';
                 out += prefixes[i];
                 appendNumber(out, is.values[i]);
+                sink.poll();
             }
             out += "}}";
         }
         out += ']';
     }
     out += '}';
-    return out;
+}
+
+std::string
+StatsRegistry::toJson() const
+{
+    json::ChunkSink sink(nullptr);
+    writeJson(sink);
+    return std::move(sink.buf);
 }
 
 bool
 StatsRegistry::writeJsonFile(const std::string &path) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::string json = toJson();
-    bool ok = std::fwrite(json.data(), 1, json.size(), f) ==
-              json.size();
-    ok = std::fputc('\n', f) != EOF && ok;
-    return std::fclose(f) == 0 && ok;
+    return json::writeFile(path, [this](json::ChunkSink &sink) {
+        writeJson(sink);
+        sink.buf += '\n';
+    });
 }
 
 void

@@ -38,6 +38,11 @@ namespace minnow
 
 class EventQueue;
 
+namespace json
+{
+class ChunkSink;
+}
+
 /**
  * The stats group holding host time (sim/hostprof). Its values differ
  * from run to run, so checkpoints and interval samples leave it out.
@@ -473,10 +478,19 @@ class StatsRegistry
     /** Flatten every stat into "group.stat" keys of a report. */
     void flatten(StatsReport &out) const;
 
-    /** Serialize groups (+ interval samples) as a JSON document. */
+    /**
+     * Serialize groups (+ interval samples) as a JSON document
+     * (schema "minnow-stats-1") into @p sink, polling it after every
+     * stat and every sample value: a file sink holds at most about
+     * one chunk of the document at a time.
+     */
+    void writeJson(json::ChunkSink &sink) const;
+
+    /** writeJson() into one string. */
     std::string toJson() const;
 
-    /** Write toJson() to @p path; false on I/O error. */
+    /** Stream writeJson() to @p path, then a newline; false on I/O
+     *  error. */
     bool writeJsonFile(const std::string &path) const;
 
     /**

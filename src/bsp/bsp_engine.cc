@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "base/trace.hh"
 #include "runtime/sim_context.hh"
 #include "runtime/task.hh"
 
@@ -143,6 +144,9 @@ barrier(SimContext &ctx, BspShared &sh)
             }
             if (sh->frontier.empty())
                 sh->done = true;
+            DPRINTF(Bsp, "bsp", "superstep %llu done: frontier %zu",
+                    (unsigned long long)sh->supersteps->count(),
+                    sh->frontier.size());
             for (std::coroutine_handle<> w : sh->waiting)
                 sh->eq->schedule(sh->eq->now(), w);
             sh->waiting.clear();

@@ -46,16 +46,19 @@ runEventLoop(runtime::Machine &machine, const RunConfig &cfg)
     return false;
 }
 
-/** Collect a RunResult from machine state after the run. */
+/**
+ * Collect a RunResult from machine state after the run, and hand the
+ * registry to cfg.statsHook, if any.
+ */
 RunResult
 collectResult(runtime::Machine &machine, apps::App &app,
-              std::uint32_t threads)
+              const RunConfig &cfg)
 {
     RunResult r;
     r.workload = app.counters();
     r.tasks = r.workload.tasks;
 
-    for (std::uint32_t i = 0; i < threads; ++i) {
+    for (std::uint32_t i = 0; i < cfg.threads; ++i) {
         const cpu::CoreStats &cs = machine.cores[i]->stats();
         r.cycles = std::max(r.cycles, machine.cores[i]->drain());
         r.instructions += cs.uops;
@@ -73,13 +76,14 @@ collectResult(runtime::Machine &machine, apps::App &app,
                    (double(r.instructions) / 1000.0);
     }
 
-    // Write the trace before any stats snapshot exists, so the
-    // export's buffers are freed before the stats string is built.
+    // Write the trace before the stats document, so the export's
+    // buffers are freed before the hook formats the registry.
     machine.writeTimeline();
-    // Flatten the registry into the dotted-key view and snapshot
-    // the JSON form while every component is still alive.
+    // Flatten the registry into the dotted-key view and hand it to
+    // the hook while every component is still alive.
     machine.stats.flatten(r.report);
-    r.statsJson = machine.stats.toJson();
+    if (cfg.statsHook)
+        cfg.statsHook(machine.stats);
     return r;
 }
 
@@ -184,7 +188,7 @@ runWorkers(runtime::Machine &machine, apps::App &app,
              (unsigned long long)cfg.maxEvents);
     }
 
-    RunResult r = collectResult(machine, app, cfg.threads);
+    RunResult r = collectResult(machine, app, cfg);
     r.timedOut = timedOut;
     r.interrupted = interrupted;
     if (cfg.verify && !timedOut && !interrupted)

@@ -76,6 +76,15 @@ struct RunConfig
      * the rescue-checkpoint point for graceful SIGINT/SIGTERM.
      */
     std::function<void()> interruptHook;
+
+    /**
+     * Called once at result collection, after every other result is
+     * read and while every component's stats are still registered:
+     * the one point at which a run's "minnow-stats-1" document can
+     * be taken (the benches stream it to a file with
+     * StatsRegistry::writeJson). Null: no stats document is built.
+     */
+    std::function<void(const StatsRegistry &)> statsHook;
 };
 
 /** Outcome of one simulated run. */
@@ -102,15 +111,9 @@ struct RunResult
     apps::AppCounters workload;
 
     /** The StatsRegistry flattened to "group.stat" keys at collect
-     *  time (see StatsRegistry::flatten). */
+     *  time (see StatsRegistry::flatten); the JSON form goes to
+     *  RunConfig::statsHook. */
     StatsReport report;
-
-    /**
-     * JSON snapshot of the machine's StatsRegistry taken at collect
-     * time (schema "minnow-stats-1"; see DESIGN.md). Safe to keep
-     * after the machine is gone.
-     */
-    std::string statsJson;
 };
 
 /**

@@ -212,6 +212,7 @@ runExperiment(Workload &w, const RunSpec &spec)
     rc.threads = spec.threads;
     rc.verify = spec.verify;
     rc.maxEvents = spec.maxEvents;
+    rc.statsHook = spec.statsHook;
 
     // ---- checkpoint/restore wiring (DESIGN.md section 5i) ----
     // The harness owns the run-scoped sections the Machine cannot

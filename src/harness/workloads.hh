@@ -15,6 +15,7 @@
 #define MINNOW_HARNESS_WORKLOADS_HH
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -143,6 +144,10 @@ struct RunSpec
      */
     // LINT-OK(host-threading): lock-free signal flag, read-only here
     const std::atomic<int> *interruptFlag = nullptr;
+
+    /** Receives the run's stats registry (galois::RunConfig::
+     *  statsHook); null = no stats document is built. */
+    std::function<void(const StatsRegistry &)> statsHook;
 
     RunSpec() : machine(scaledMachine()) {}
 };

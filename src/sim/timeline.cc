@@ -369,54 +369,10 @@ struct Ev
 
 } // anonymous namespace
 
-/**
- * Where the export goes. With a FILE the text is formatted into a
- * chunk of about kChunk bytes that is written out each time it
- * fills; without one the whole export accumulates in `buf`.
- */
-class Timeline::ChunkSink
-{
-  public:
-    static constexpr std::size_t kChunk = std::size_t(1) << 20;
-
-    explicit ChunkSink(std::FILE *f) : f_(f)
-    {
-        if (f_)
-            buf.reserve(kChunk + 4096);
-    }
-
-    /** Write the chunk out once it is full (file sinks only). */
-    void
-    poll()
-    {
-        if (f_ && buf.size() >= kChunk)
-            flush();
-    }
-
-    /** Write out what is buffered; false once any write failed. */
-    bool
-    flush()
-    {
-        if (f_ && !buf.empty()) {
-            ok_ = std::fwrite(buf.data(), 1, buf.size(), f_) ==
-                      buf.size() &&
-                  ok_;
-            buf.clear();
-        }
-        return ok_;
-    }
-
-    std::string buf;
-
-  private:
-    std::FILE *f_;
-    bool ok_ = true;
-};
-
 std::string
 Timeline::toJson() const
 {
-    ChunkSink sink(nullptr);
+    json::ChunkSink sink(nullptr);
     exportTo(sink);
     return std::move(sink.buf);
 }
@@ -426,14 +382,10 @@ Timeline::writeFile(const std::string &path)
 {
     fileRecords_ = written_;
     fileTracks_ = tracks_.size();
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    ChunkSink sink(f);
-    exportTo(sink);
-    sink.buf += '\n';
-    bool ok = sink.flush();
-    return std::fclose(f) == 0 && ok;
+    return json::writeFile(path, [this](json::ChunkSink &sink) {
+        exportTo(sink);
+        sink.buf += '\n';
+    });
 }
 
 bool
@@ -443,7 +395,7 @@ Timeline::unchangedSinceWrite() const
 }
 
 void
-Timeline::exportTo(ChunkSink &sink) const
+Timeline::exportTo(json::ChunkSink &sink) const
 {
     struct SpanRec
     {

@@ -294,8 +294,6 @@ class Timeline
     std::uint64_t flowLegs() const { return flowRecs_; }
 
   private:
-    class ChunkSink;
-
     enum class RecKind : std::uint8_t
     {
         Span = 0,
@@ -343,7 +341,7 @@ class Timeline
     };
 
     /** Format the export into @p sink (see the file comment). */
-    void exportTo(ChunkSink &sink) const;
+    void exportTo(json::ChunkSink &sink) const;
 
     static void sampleEvent(void *arg);
     void pollProviders(Cycle at);

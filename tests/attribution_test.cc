@@ -161,6 +161,17 @@ TEST(AttributionLineage, PushEnqueueDequeueDrains)
 // Full-run contracts (harness-level).
 // ---------------------------------------------------------------
 
+/** Run @p spec on @p w; its stats document lands in @p stats. */
+harness::ExperimentResult
+runWithStats(harness::Workload &w, harness::RunSpec spec,
+             std::string &stats)
+{
+    spec.statsHook = [&stats](const StatsRegistry &s) {
+        stats = s.toJson();
+    };
+    return harness::runExperiment(w, spec);
+}
+
 harness::RunSpec
 attrSpec()
 {
@@ -179,9 +190,9 @@ TEST(AttributionRun, KillRescueDrainsWithoutIdLeaks)
     spec.machine.faultSpec =
         "engine_kill:core=0,at=5000;engine_stall:core=3,at=8000,"
         "dur=20000";
-    auto r = harness::runExperiment(w, spec);
+    std::string json;
+    auto r = runWithStats(w, spec, json);
     EXPECT_TRUE(r.run.verified);
-    const std::string &json = r.run.statsJson;
     EXPECT_GT(statValue(json, "lineageAssigned"), 0.0);
     // Every id assigned at a push is drained at a pop even when
     // kill/rescue reroutes items through the global queue and the
@@ -194,21 +205,22 @@ TEST(AttributionRun, KillRescueDrainsWithoutIdLeaks)
 TEST(AttributionRun, StatsByteIdenticalAcrossCheckpoint)
 {
     harness::Workload w = harness::makeWorkload("sssp", 0.05, 7);
-    auto cold = harness::runExperiment(w, attrSpec());
+    std::string coldStats, savedStats, replayedStats;
+    auto cold = runWithStats(w, attrSpec(), coldStats);
     ASSERT_TRUE(cold.run.verified);
 
     std::string path = tmpPath("anchor.ckpt");
     harness::RunSpec save = attrSpec();
     save.checkpointOut = path;
-    auto saved = harness::runExperiment(w, save);
-    EXPECT_EQ(cold.run.statsJson, saved.run.statsJson);
+    runWithStats(w, save, savedStats);
+    EXPECT_EQ(coldStats, savedStats);
 
     harness::RunSpec restore = attrSpec();
     restore.checkpointIn = path;
-    auto replayed = harness::runExperiment(w, restore);
+    auto replayed = runWithStats(w, restore, replayedStats);
     EXPECT_TRUE(replayed.restored);
     EXPECT_TRUE(replayed.run.verified);
-    EXPECT_EQ(cold.run.statsJson, replayed.run.statsJson);
+    EXPECT_EQ(coldStats, replayedStats);
     std::remove(path.c_str());
 }
 

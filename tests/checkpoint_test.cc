@@ -68,26 +68,44 @@ readBytes(const std::string &path)
     return out;
 }
 
-/** A small sssp/minnow-pf point; @p ckpt sets its checkpoint flags. */
+/**
+ * A small sssp/minnow-pf point; @p ckpt sets its checkpoint flags.
+ * Its stats document lands in @p stats, if given.
+ */
 harness::ExperimentResult
 runPoint(const std::function<void(harness::RunSpec &)> &ckpt = {},
-         const std::string &workload = "sssp")
+         const std::string &workload = "sssp",
+         std::string *stats = nullptr)
 {
     harness::Workload w = harness::makeWorkload(workload, 0.1, 2);
     harness::RunSpec spec;
     spec.config = harness::Config::MinnowPf;
     spec.threads = 2;
     spec.machine.numCores = 2;
+    if (stats) {
+        spec.statsHook = [stats](const StatsRegistry &s) {
+            *stats = s.toJson();
+        };
+    }
     if (ckpt)
         ckpt(spec);
     return harness::runExperiment(w, spec);
+}
+
+/** The stats of runPoint() of @p workload without checkpoint flags. */
+std::string
+coldStatsOf(const std::string &workload)
+{
+    std::string stats;
+    runPoint({}, workload, &stats);
+    return stats;
 }
 
 /** The stats of runPoint() without checkpoint flags. */
 const std::string &
 coldStats()
 {
-    static const std::string stats = runPoint().run.statsJson;
+    static const std::string stats = coldStatsOf("sssp");
     return stats;
 }
 
@@ -95,10 +113,10 @@ coldStats()
 void
 saveAnchorZero(const std::string &path)
 {
-    harness::ExperimentResult r = runPoint(
-        [&](harness::RunSpec &s) { s.checkpointOut = path; });
-    EXPECT_EQ(r.run.statsJson, coldStats())
-        << "saving perturbed the run";
+    std::string stats;
+    runPoint([&](harness::RunSpec &s) { s.checkpointOut = path; },
+             "sssp", &stats);
+    EXPECT_EQ(stats, coldStats()) << "saving perturbed the run";
 }
 
 } // anonymous namespace
@@ -429,10 +447,12 @@ TEST(CkptMachine, VersionOneFileIsRejectedAndColdStarts)
             << err;
 
         // The harness warns and runs cold.
+        std::string stats;
         harness::ExperimentResult res = runPoint(
-            [&](harness::RunSpec &s) { s.checkpointIn = path; });
+            [&](harness::RunSpec &s) { s.checkpointIn = path; }, "sssp",
+            &stats);
         EXPECT_FALSE(res.restored);
-        EXPECT_EQ(res.run.statsJson, coldStats());
+        EXPECT_EQ(stats, coldStats());
         std::remove(path.c_str());
     }
 }
@@ -488,11 +508,13 @@ TEST(CkptMeta, RoundtripAndWorkloadMismatchDegrades)
     // must warn and cold-start (never replay to a foreign anchor).
     std::string path = tmpPath("mismatch.ckpt");
     saveAnchorZero(path);
+    std::string stats;
     harness::ExperimentResult res = runPoint(
-        [&](harness::RunSpec &s) { s.checkpointIn = path; }, "bfs");
+        [&](harness::RunSpec &s) { s.checkpointIn = path; }, "bfs",
+        &stats);
     EXPECT_FALSE(res.restored);
     EXPECT_TRUE(res.run.verified);
-    EXPECT_EQ(res.run.statsJson, runPoint({}, "bfs").run.statsJson);
+    EXPECT_EQ(stats, coldStatsOf("bfs"));
     std::remove(path.c_str());
 }
 
@@ -503,14 +525,16 @@ TEST(CkptRestore, AnchorZeroIsWitnessCleanAndMatchesCold)
     // section identical, and the run ends with the cold run's stats.
     std::string path = tmpPath("anchor0.ckpt");
     saveAnchorZero(path);
+    std::string stats;
     testing::internal::CaptureStderr();
     harness::ExperimentResult res = runPoint(
-        [&](harness::RunSpec &s) { s.checkpointIn = path; });
+        [&](harness::RunSpec &s) { s.checkpointIn = path; }, "sssp",
+        &stats);
     std::string err = testing::internal::GetCapturedStderr();
     EXPECT_TRUE(res.restored);
     EXPECT_EQ(err, "");
     EXPECT_TRUE(res.run.verified);
-    EXPECT_EQ(res.run.statsJson, coldStats());
+    EXPECT_EQ(stats, coldStats());
     std::remove(path.c_str());
 }
 
@@ -567,10 +591,13 @@ TEST(CkptMachine, HostProfileLeavesMidRunCheckpointDeterministic)
         spec.machine.statsSampleInterval = 200;
         spec.checkpointOut = tmpPath(name);
         spec.checkpointAfter = 3000;
+        std::string stats;
+        spec.statsHook = [&stats](const StatsRegistry &s) {
+            stats = s.toJson();
+        };
         harness::ExperimentResult r = harness::runExperiment(w, spec);
         EXPECT_TRUE(r.run.verified);
-        EXPECT_NE(r.run.statsJson.find("\"hostprof\""),
-                  std::string::npos);
+        EXPECT_NE(stats.find("\"hostprof\""), std::string::npos);
         std::vector<std::uint8_t> bytes = readBytes(spec.checkpointOut);
         std::remove(spec.checkpointOut.c_str());
         return bytes;

@@ -445,9 +445,13 @@ TEST(EventQueue, WorkloadStatsJsonByteIdenticalAcrossRuns)
         spec.config = harness::Config::MinnowPf;
         spec.threads = 4;
         spec.machine.numCores = 4;
+        std::string json;
+        spec.statsHook = [&json](const StatsRegistry &s) {
+            json = s.toJson();
+        };
         auto r = harness::runExperiment(w, spec);
         EXPECT_TRUE(r.run.verified);
-        return r.run.statsJson;
+        return json;
     };
     std::string a = runOnce();
     std::string b = runOnce();

@@ -563,12 +563,16 @@ runKnobbedSssp(std::uint32_t dequeueBatch, bool specSlot,
     apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
     RunConfig cfg;
     cfg.threads = 4;
+    std::string json;
+    cfg.statsHook = [&json](const StatsRegistry &s) {
+        json = s.toJson();
+    };
     RunResult r = runMinnow(m, app, 3, cfg, es);
     EXPECT_FALSE(r.timedOut);
     EXPECT_TRUE(r.verified);
     if (verified)
         *verified = r.verified;
-    return r.statsJson;
+    return json;
 }
 
 TEST(MinnowInt, ExplicitDefaultKnobsMatchDefaultsBitForBit)

@@ -514,6 +514,55 @@ TEST(StatsRegistry, WriteJsonFileRoundTrips)
         doc.at("groups").at("sim").at("cycles").num, 77.0);
 }
 
+TEST(StatsRegistry, StreamedJsonMatchesToJsonAcrossChunks)
+{
+    // Several chunks of groups and interval samples: the file sink
+    // writes a chunk each time one fills, mid-group and mid-sample,
+    // and its bytes must still be exactly toJson()'s.
+    StatsRegistry reg;
+    std::vector<CounterStat *> counters;
+    for (int g = 0; g < 40; ++g) {
+        StatsGroup &grp = reg.group("core" + std::to_string(g));
+        grp.histogram("lat", "latency", 4, 16).sample(g * 3);
+        for (int s = 0; s < 50; ++s)
+            counters.push_back(
+                &grp.counter("stat\"" + std::to_string(s)));
+    }
+    for (int i = 0; i < 100; ++i) {
+        for (std::size_t c = 0; c < counters.size(); ++c)
+            *counters[c] += (c * 7919 + std::size_t(i)) % 1000;
+        reg.recordSample(Cycle(i) * 1000);
+    }
+    const std::string whole = reg.toJson();
+    ASSERT_GT(whole.size(), 3 * json::ChunkSink::kChunk);
+
+    auto readAll = [](const std::string &path) {
+        std::string text;
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        char buf[65536];
+        std::size_t n;
+        while (f && (n = std::fread(buf, 1, sizeof buf, f)) > 0)
+            text.append(buf, n);
+        if (f)
+            std::fclose(f);
+        std::remove(path.c_str());
+        return text;
+    };
+    std::string path = testing::TempDir() + "/minnow_stats_chunks.json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    json::ChunkSink sink(f);
+    reg.writeJson(sink);
+    EXPECT_LE(sink.buf.capacity(), json::ChunkSink::kChunk + 4096)
+        << "the chunk grew past one chunk";
+    EXPECT_TRUE(sink.flush());
+    std::fclose(f);
+    EXPECT_TRUE(readAll(path) == whole);
+
+    ASSERT_TRUE(reg.writeJsonFile(path));
+    EXPECT_TRUE(readAll(path) == whole + "\n");
+}
+
 //
 // base/json.hh against the printf formatter it replaced.
 //

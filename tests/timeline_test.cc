@@ -622,38 +622,47 @@ TEST(HistogramPercentile, BucketUpperEdges)
 // Full-run behaviour via the harness.
 // ---------------------------------------------------------------
 
-harness::ExperimentResult
-runOnce(const std::string &timelinePath)
+/** A small sssp/minnow-pf run of @p rs; returns its stats JSON. */
+std::string
+runStats(harness::RunSpec rs)
 {
     harness::Workload w = harness::makeWorkload("sssp", 0.02, 1);
-    harness::RunSpec rs;
     rs.config = harness::Config::MinnowPf;
     rs.threads = 4;
     rs.machine.numCores = 4;
+    std::string stats;
+    rs.statsHook = [&stats](const StatsRegistry &s) {
+        stats = s.toJson();
+    };
+    harness::runExperiment(w, rs);
+    return stats;
+}
+
+std::string
+runOnce(const std::string &timelinePath)
+{
+    harness::RunSpec rs;
     rs.machine.timelinePath = timelinePath;
-    return harness::runExperiment(w, rs);
+    return runStats(rs);
 }
 
 TEST(TimelineRun, DisabledEmitsNoGroupAndNoFile)
 {
-    harness::ExperimentResult r = runOnce("");
-    EXPECT_FALSE(r.run.statsJson.empty());
-    EXPECT_EQ(r.run.statsJson.find("\"timeline\":"),
-              std::string::npos);
+    std::string stats = runOnce("");
+    EXPECT_FALSE(stats.empty());
+    EXPECT_EQ(stats.find("\"timeline\":"), std::string::npos);
 }
 
 TEST(TimelineRun, EnabledRunsAreByteIdentical)
 {
     std::string a = "timeline_test_a.json";
     std::string b = "timeline_test_b.json";
-    harness::ExperimentResult ra = runOnce(a);
-    harness::ExperimentResult rb = runOnce(b);
+    std::string sa = runOnce(a);
+    runOnce(b);
 
     // The stats snapshot carries the timeline's record counters.
-    EXPECT_NE(ra.run.statsJson.find("\"timeline\":"),
-              std::string::npos);
-    EXPECT_NE(ra.run.statsJson.find("\"droppedEvents\":"),
-              std::string::npos);
+    EXPECT_NE(sa.find("\"timeline\":"), std::string::npos);
+    EXPECT_NE(sa.find("\"droppedEvents\":"), std::string::npos);
 
     std::string ja = readFile(a);
     std::string jb = readFile(b);
@@ -698,16 +707,10 @@ TEST(TimelineRun, CoexistsWithStatsIntervalSampler)
     // other alive forever and the run never terminated. Both armed
     // together must still drain.
     std::string path = "timeline_test_coexist.json";
-    harness::Workload w = harness::makeWorkload("sssp", 0.02, 1);
     harness::RunSpec rs;
-    rs.config = harness::Config::MinnowPf;
-    rs.threads = 4;
-    rs.machine.numCores = 4;
     rs.machine.timelinePath = path;
     rs.machine.statsSampleInterval = 5000;
-    harness::ExperimentResult r = harness::runExperiment(w, rs);
-    EXPECT_NE(r.run.statsJson.find("\"timeline\":"),
-              std::string::npos);
+    EXPECT_NE(runStats(rs).find("\"timeline\":"), std::string::npos);
     EXPECT_FALSE(readFile(path).empty());
     std::remove(path.c_str());
 }
