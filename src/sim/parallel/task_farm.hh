@@ -8,7 +8,8 @@
  * profiler, mutex-free panic-hook registry, see DESIGN.md 5j), so
  * each point's result is byte-identical to a serial run of the same
  * point; only wall-clock ordering differs, and callers print/record
- * results in point order after the join.
+ * results in point order, through the farm's in-order callback or
+ * after the join.
  *
  * A figure sweep of K points on N threads approaches N-fold
  * throughput without touching the determinism contract of any
@@ -30,9 +31,15 @@ namespace minnow::parallel
  * @p threads host threads (the calling thread participates; 0 or 1
  * runs everything inline in index order). Returns after every call
  * completed. @p fn must only touch state owned by its own index.
+ *
+ * @p inOrder, if given, is called once for every i in index order,
+ * as soon as fn(0) .. fn(i) have all returned: one call at a time,
+ * on whichever thread finished the last of them (serially, right
+ * after fn(i)). It may read what fn(0) .. fn(i) wrote.
  */
 void runTaskFarm(std::size_t n, std::uint32_t threads,
-                 const std::function<void(std::size_t)> &fn);
+                 const std::function<void(std::size_t)> &fn,
+                 const std::function<void(std::size_t)> &inOrder = {});
 
 } // namespace minnow::parallel
 

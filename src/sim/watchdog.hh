@@ -36,18 +36,11 @@ class Machine;
 } // namespace runtime
 
 /**
- * Build the "minnow-diag-1" diagnostic document: reason, cycle,
- * event-queue head, per-core pipeline state, monitor accounting, and
- * the machine's full "minnow-stats-1" registry snapshot under
- * "stats".
- */
-std::string diagnosticJson(runtime::Machine &machine,
-                           const std::string &reason);
-
-/**
- * Emit a human-readable summary of diagnosticJson() to stderr and,
- * when the machine's diagnosticPath is set, write the JSON document
- * there as well.
+ * Emit a human-readable diagnostic to stderr and, when the machine's
+ * diagnosticPath is set, write the "minnow-diag-1" document there:
+ * reason, cycle, event-queue head, per-core pipeline state, monitor
+ * accounting, and the machine's full "minnow-stats-1" registry
+ * snapshot under "stats".
  */
 void dumpDiagnostic(runtime::Machine &machine,
                     const std::string &reason);

@@ -39,5 +39,35 @@ TEST(TaskFarm, InlineWhenSerialPreservesIndexOrder)
         EXPECT_EQ(order[i], i);
 }
 
+TEST(TaskFarm, InOrderCallbackFollowsEveryEarlierTask)
+{
+    for (std::uint32_t threads : {1u, 3u}) {
+        std::vector<std::atomic<std::uint32_t>> finished(23);
+        std::vector<std::size_t> order;
+        parallel::runTaskFarm(
+            23, threads,
+            [&](std::size_t i) {
+                finished[i].store(1, std::memory_order_relaxed);
+            },
+            [&](std::size_t i) {
+                for (std::size_t j = 0; j <= i; ++j)
+                    EXPECT_EQ(finished[j].load(), 1u) << j;
+                order.push_back(i);
+            });
+        ASSERT_EQ(order.size(), 23u) << "threads=" << threads;
+        for (std::size_t i = 0; i < order.size(); ++i)
+            EXPECT_EQ(order[i], i) << "threads=" << threads;
+    }
+}
+
+TEST(TaskFarm, SerialInOrderCallbackRunsRightAfterItsTask)
+{
+    std::vector<int> trace;
+    parallel::runTaskFarm(
+        3, 1, [&](std::size_t i) { trace.push_back(int(i)); },
+        [&](std::size_t i) { trace.push_back(-1 - int(i)); });
+    EXPECT_EQ(trace, std::vector<int>({0, -1, 1, -2, 2, -3}));
+}
+
 } // anonymous namespace
 } // namespace minnow
