@@ -277,9 +277,10 @@ class StatsJsonLog
 
   private:
     /**
-     * Close the log on panic. Best effort, as every panic hook: with
-     * --host-par, a point finishing on another thread may be
-     * appending an entry meanwhile.
+     * Close the log on panic, on whichever thread panics. Best
+     * effort, as every panic hook: with --host-par, a point finishing
+     * on another thread may be appending an entry meanwhile (once
+     * closed, the log takes no more bytes).
      */
     static void
     panicHook(void *self)
@@ -291,6 +292,8 @@ class StatsJsonLog
     void
     write(const char *data, std::size_t n)
     {
+        if (closed_)
+            return;
         if (!f_ && !failed_) {
             f_ = std::fopen(path_.c_str(), "w");
             static const char kHead[] =

@@ -289,8 +289,8 @@ BENCHMARK(BM_OooCoreLoad);
 /**
  * One interval sample (StatsRegistry::recordSample) over the registry
  * of a 64-core machine: every core, cache and memory stat, formulas
- * included. Samples accumulate, so the iteration count is fixed to
- * bound the memory they hold.
+ * included. Samples accumulate in the registry's spool file (about
+ * 41 KB each), so the iteration count is fixed to bound its size.
  */
 void
 BM_StatsSample64(benchmark::State &state)

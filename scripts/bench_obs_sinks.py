@@ -2,7 +2,8 @@
 """Time the observability sinks one at a time on one figure point.
 
 Runs point_runner's observed sssp point (minnow-pf, 64 threads,
-scale 0.5, seed 1) with no sinks, with each sink alone (--stats-interval, --timeline,
+scale 0.5, seed 1, with --stats-json as perfbench runs it) with no
+sinks, with each sink alone (--stats-interval, --timeline,
 --attribution) and with all of them, and reports wall time and peak
 RSS per sink set. With --baseline, a second point_runner build is
 timed in alternating order on the same host, so the two columns
@@ -36,7 +37,7 @@ import time
 CHILD = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                      "perfbench", "child.py")
 POINT = ["--workload=sssp", "--config=minnow-pf", "--threads=64",
-         "--scale=0.5", "--seed=1"]
+         "--scale=0.5", "--seed=1", "--stats-json={tmp}/stats.json"]
 SINK_SETS = {
     "none": [],
     "interval": ["--stats-interval=2000"],
@@ -92,9 +93,8 @@ def main():
                 if rep % 2:
                     order.reverse()
                 for b in order:
-                    cmd = [builds[b]] + POINT + [
-                        f.format(tmp=tmp) for f in flags] + [
-                        f"--stats-json={tmp}/stats.json"]
+                    cmd = [builds[b]] + [
+                        f.format(tmp=tmp) for f in POINT + flags]
                     w, r = run_once(cmd, tmp)
                     walls[b][sink].append(w)
                     rss[b][sink].append(r)

@@ -22,7 +22,11 @@ struct PanicHookEntry
     int id;
     PanicHook fn;
     void *arg;
+    const void *thread; //!< threadTag of a Thread-scoped hook's thread.
 };
+
+/** Its address tells the threads apart for Thread-scoped hooks. */
+thread_local const char threadTag = 0;
 
 std::vector<PanicHookEntry> &
 panicHooks()
@@ -75,8 +79,10 @@ runPanicHooks()
             snapshot = panicHooks();
         }
         for (auto it = snapshot.rbegin(); it != snapshot.rend();
-             ++it)
-            it->fn(it->arg);
+             ++it) {
+            if (!it->thread || it->thread == &threadTag)
+                it->fn(it->arg);
+        }
     }
     // Flush every open stream (trace output included) so the log up
     // to the failure survives the abort.
@@ -138,11 +144,13 @@ clearWarnings()
 }
 
 int
-addPanicHook(PanicHook hook, void *arg)
+addPanicHook(PanicHook hook, void *arg, HookScope scope)
 {
     HooksGuard g;
     int id = nextPanicHookId++;
-    panicHooks().push_back(PanicHookEntry{id, hook, arg});
+    panicHooks().push_back(PanicHookEntry{
+        id, hook, arg,
+        scope == HookScope::Thread ? &threadTag : nullptr});
     return id;
 }
 

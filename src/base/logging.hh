@@ -55,10 +55,21 @@ void clearWarnings();
  * spirit: best effort, no throwing, no further panics (a panic from
  * inside a hook aborts immediately instead of recursing).
  *
+ * A Thread-scoped hook runs only for a panic (or flush) on the
+ * thread that registered it: with --host-par, state that another
+ * thread is still simulating must not be read from the panicking
+ * one. A Process-scoped hook runs on whichever thread panics.
+ *
  * @return Registration id for removePanicHook().
  */
 using PanicHook = void (*)(void *);
-int addPanicHook(PanicHook hook, void *arg);
+enum class HookScope
+{
+    Process,
+    Thread,
+};
+int addPanicHook(PanicHook hook, void *arg,
+                 HookScope scope = HookScope::Process);
 
 /** Deregister a hook by the id addPanicHook() returned. */
 void removePanicHook(int id);

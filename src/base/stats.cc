@@ -1,9 +1,16 @@
 #include "base/stats.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <utility>
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -225,26 +232,33 @@ StatsRegistry::writeJson(json::ChunkSink &sink) const
         out += '}';
     }
     out += '}';
-    if (!samples_.empty()) {
+    if (!runs_.empty()) {
         out += ",\"intervals\":[";
-        bool firstSample = true;
-        for (const IntervalSample &is : samples_) {
-            if (!firstSample)
-                out += ',';
-            firstSample = false;
-            out += "{\"cycle\":";
-            appendNumber(out, double(is.cycle));
-            out += ",\"values\":{";
-            const std::vector<std::string> &prefixes =
-                is.layout->prefixes;
-            for (std::size_t i = 0; i < is.values.size(); ++i) {
-                if (i)
-                    out += ',';
-                out += prefixes[i];
-                appendNumber(out, is.values[i]);
-                sink.poll();
+        std::vector<std::string> prefixes;
+        std::vector<double> row;
+        for (const SampleRun &r : runs_) {
+            prefixes = readKeys(r);
+            for (std::string &k : prefixes) {
+                std::string p;
+                json::appendKey(p, k);
+                k = std::move(p);
             }
-            out += "}}";
+            for (std::size_t j = 0; j < r.rows; ++j) {
+                readRow(r, j, row);
+                if (r.first + j)
+                    out += ',';
+                out += "{\"cycle\":";
+                appendNumber(out, double(std::bit_cast<Cycle>(row[0])));
+                out += ",\"values\":{";
+                for (std::size_t i = 0; i < r.width; ++i) {
+                    if (i)
+                        out += ',';
+                    out += prefixes[i];
+                    appendNumber(out, row[i + 1]);
+                    sink.poll();
+                }
+                out += "}}";
+            }
         }
         out += ']';
     }
@@ -299,31 +313,9 @@ StatsRegistry::sampleEvent(void *arg)
     }
 }
 
-namespace
-{
-
-/** A layout over @p keys (sorted, unique) without stat pointers. */
-std::shared_ptr<StatsRegistry::SampleLayout>
-makeLayout(std::vector<std::string> keys)
-{
-    auto l = std::make_shared<StatsRegistry::SampleLayout>();
-    l->prefixes.reserve(keys.size());
-    for (const std::string &k : keys) {
-        std::string p;
-        json::appendKey(p, k);
-        l->prefixBytes += p.size();
-        l->prefixes.push_back(std::move(p));
-    }
-    l->keys = std::move(keys);
-    return l;
-}
-
-} // anonymous namespace
-
 double
 StatsRegistry::IntervalSample::at(const std::string &key) const
 {
-    const std::vector<std::string> &keys = layout->keys;
     auto it = std::lower_bound(keys.begin(), keys.end(), key);
     fatal_if(it == keys.end() || *it != key,
              "interval sample at cycle %llu has no stat '%s'",
@@ -335,8 +327,10 @@ void
 StatsRegistry::checkpoint(ckpt::Ckpt &ck)
 {
     // The sampler is an event-queue daemon and is re-armed by the
-    // restored run itself; the layout is derived from the groups.
-    ck.transient("sampler_ generation_ layout_ layoutGeneration_");
+    // restored run itself; the layout is derived from the groups,
+    // and the spool is host state.
+    ck.transient("sampler_ generation_ layout_ layoutGeneration_ "
+                 "spoolFd_ spoolEnd_ spooled_ row_");
     std::uint64_t n = 0;
     for (const auto &[gname, g] : groups_) {
         (void)g;
@@ -365,44 +359,58 @@ StatsRegistry::checkpoint(ckpt::Ckpt &ck)
         if (!ck.ok())
             return;
     }
-    // Samples travel as key/value pairs, independent of the layout;
-    // on load, consecutive samples with the same keys share one
-    // layout again.
-    std::uint64_t ns = samples_.size();
+    // Samples travel as key/value pairs, independent of the spool's
+    // runs; on load, consecutive samples with the same keys form one
+    // run again.
+    std::uint64_t ns = sampleCount();
     ck.io(ns);
-    if (ck.loading())
-        samples_.resize(std::size_t(ns));
-    std::shared_ptr<const SampleLayout> prev;
-    for (std::size_t s = 0; s < samples_.size(); ++s) {
-        IntervalSample &is = samples_[s];
-        ck.io(is.cycle);
-        std::uint64_t nv = is.values.size();
-        ck.io(nv);
-        if (ck.saving()) {
-            for (std::size_t i = 0; i < is.values.size(); ++i) {
-                std::string k = is.layout->keys[i];
-                ck.io(k);
-                ck.io(is.values[i]);
+    std::vector<std::string> keys;
+    std::vector<double> row;
+    if (ck.saving()) {
+        for (const SampleRun &r : runs_) {
+            keys = readKeys(r);
+            for (std::size_t j = 0; j < r.rows; ++j) {
+                readRow(r, j, row);
+                Cycle cycle = std::bit_cast<Cycle>(row[0]);
+                std::uint64_t nv = r.width;
+                ck.io(cycle);
+                ck.io(nv);
+                for (std::size_t i = 0; i < r.width; ++i) {
+                    ck.io(keys[i]);
+                    ck.io(row[i + 1]);
+                }
             }
-            continue;
         }
-        std::vector<std::string> keys;
-        is.values.clear();
+        return;
+    }
+    // Loading replaces the samples taken so far.
+    runs_.clear();
+    spoolEnd_ = 0;
+    spooled_.reset();
+    for (std::uint64_t s = 0; s < ns; ++s) {
+        Cycle cycle = 0;
+        std::uint64_t nv = 0;
+        ck.io(cycle);
+        ck.io(nv);
+        keys.clear();
+        row.assign(1, std::bit_cast<double>(cycle));
         for (std::uint64_t i = 0; i < nv && ck.ok(); ++i) {
             std::string k;
             double v = 0;
             ck.io(k);
             ck.io(v);
             keys.push_back(std::move(k));
-            is.values.push_back(v);
+            row.push_back(v);
         }
-        if (!ck.ok()) {
-            samples_.resize(s); // keep only whole samples.
-            return;
+        if (!ck.ok())
+            return; // keep only whole samples.
+        if (!spooled_ || spooled_->keys != keys) {
+            auto l = std::make_shared<SampleLayout>();
+            l->keys = std::move(keys);
+            startRun(l->keys);
+            spooled_ = std::move(l);
         }
-        if (!prev || prev->keys != keys)
-            prev = makeLayout(std::move(keys));
-        is.layout = prev;
+        appendRow(row.data());
     }
 }
 
@@ -432,7 +440,8 @@ StatsRegistry::sampleLayout()
         keys.push_back(key);
         stats.push_back(s);
     }
-    std::shared_ptr<SampleLayout> l = makeLayout(std::move(keys));
+    auto l = std::make_shared<SampleLayout>();
+    l->keys = std::move(keys);
     l->stats = std::move(stats);
     layout_ = std::move(l);
     layoutGeneration_ = generation_;
@@ -443,13 +452,172 @@ void
 StatsRegistry::recordSample(Cycle now)
 {
     const std::shared_ptr<const SampleLayout> &layout = sampleLayout();
+    if (layout != spooled_) {
+        if (!spooled_ || spooled_->keys != layout->keys)
+            startRun(layout->keys);
+        spooled_ = layout;
+    }
+    row_.resize(layout->stats.size() + 1);
+    row_[0] = std::bit_cast<double>(now);
+    for (std::size_t i = 0; i < layout->stats.size(); ++i)
+        row_[i + 1] = layout->stats[i]->value();
+    appendRow(row_.data());
+}
+
+namespace
+{
+
+/** The unlinked spool file for interval samples; fatal() on error. */
+int
+createSpool()
+{
+    std::error_code ec;
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path(ec);
+    fatal_if(bool(ec),
+             "cannot create the interval-sample spool: no temporary"
+             " directory (%s); set TMPDIR to a writable directory",
+             ec.message().c_str());
+    std::string path = (dir / "minnow-samples-XXXXXX").string();
+    const int fd = ::mkostemp(path.data(), O_CLOEXEC);
+    fatal_if(fd < 0,
+             "cannot create the interval-sample spool in %s (%s);"
+             " set TMPDIR to a writable directory",
+             dir.c_str(), std::strerror(errno));
+    ::unlink(path.c_str());
+    return fd;
+}
+
+void
+spoolWrite(int fd, std::uint64_t at, const void *data, std::size_t n)
+{
+    const char *p = static_cast<const char *>(data);
+    while (n) {
+        const ssize_t w = ::pwrite(fd, p, n, off_t(at));
+        if (w < 0 && errno == EINTR)
+            continue;
+        fatal_if(w <= 0, "cannot write the interval-sample spool: %s",
+                 w < 0 ? std::strerror(errno) : "no space written");
+        p += w;
+        at += std::uint64_t(w);
+        n -= std::size_t(w);
+    }
+}
+
+void
+spoolRead(int fd, std::uint64_t at, void *data, std::size_t n)
+{
+    char *p = static_cast<char *>(data);
+    while (n) {
+        const ssize_t r = ::pread(fd, p, n, off_t(at));
+        if (r < 0 && errno == EINTR)
+            continue;
+        fatal_if(r <= 0, "cannot read the interval-sample spool: %s",
+                 r < 0 ? std::strerror(errno) : "short file");
+        p += r;
+        at += std::uint64_t(r);
+        n -= std::size_t(r);
+    }
+}
+
+} // anonymous namespace
+
+StatsRegistry::~StatsRegistry()
+{
+    if (spoolFd_ >= 0)
+        ::close(spoolFd_);
+}
+
+void
+StatsRegistry::startRun(const std::vector<std::string> &keys)
+{
+    if (spoolFd_ < 0)
+        spoolFd_ = createSpool();
+    std::uint64_t head[2] = {keys.size(), 0};
+    std::vector<std::uint32_t> lens;
+    lens.reserve(keys.size());
+    for (const std::string &k : keys) {
+        lens.push_back(std::uint32_t(k.size()));
+        head[1] += k.size();
+    }
+    std::string rec(reinterpret_cast<const char *>(head), sizeof head);
+    rec.append(reinterpret_cast<const char *>(lens.data()),
+               lens.size() * sizeof(std::uint32_t));
+    for (const std::string &k : keys)
+        rec += k;
+    SampleRun r;
+    r.layoutAt = spoolEnd_;
+    r.rowsAt = spoolEnd_ + rec.size();
+    r.width = keys.size();
+    r.first = sampleCount();
+    spoolWrite(spoolFd_, spoolEnd_, rec.data(), rec.size());
+    spoolEnd_ = r.rowsAt;
+    runs_.push_back(r);
+}
+
+void
+StatsRegistry::appendRow(const double *row)
+{
+    SampleRun &r = runs_.back();
+    const std::size_t bytes = (r.width + 1) * sizeof(double);
+    spoolWrite(spoolFd_, spoolEnd_, row, bytes);
+    spoolEnd_ += bytes;
+    ++r.rows;
+}
+
+std::vector<std::string>
+StatsRegistry::readKeys(const SampleRun &r) const
+{
+    std::uint64_t head[2];
+    spoolRead(spoolFd_, r.layoutAt, head, sizeof head);
+    std::vector<std::uint32_t> lens(static_cast<std::size_t>(head[0]));
+    std::string text(std::size_t(head[1]), '\0');
+    const std::uint64_t lensAt = r.layoutAt + sizeof head;
+    spoolRead(spoolFd_, lensAt, lens.data(),
+              lens.size() * sizeof(std::uint32_t));
+    spoolRead(spoolFd_, lensAt + lens.size() * sizeof(std::uint32_t),
+              text.data(), text.size());
+    std::vector<std::string> keys;
+    keys.reserve(lens.size());
+    std::size_t at = 0;
+    for (std::uint32_t len : lens) {
+        keys.emplace_back(text, at, len);
+        at += len;
+    }
+    return keys;
+}
+
+void
+StatsRegistry::readRow(const SampleRun &r, std::size_t j,
+                       std::vector<double> &row) const
+{
+    row.resize(r.width + 1);
+    spoolRead(spoolFd_, r.rowsAt + j * row.size() * sizeof(double),
+              row.data(), row.size() * sizeof(double));
+}
+
+std::size_t
+StatsRegistry::sampleCount() const
+{
+    return runs_.empty() ? 0 : runs_.back().first + runs_.back().rows;
+}
+
+StatsRegistry::IntervalSample
+StatsRegistry::sample(std::size_t i) const
+{
+    fatal_if(i >= sampleCount(), "no interval sample %zu (%zu taken)",
+             i, sampleCount());
+    auto it = std::upper_bound(
+        runs_.begin(), runs_.end(), i,
+        [](std::size_t n, const SampleRun &r) { return n < r.first; });
+    const SampleRun &r = *--it;
     IntervalSample is;
-    is.cycle = now;
-    is.layout = layout;
-    is.values.reserve(layout->stats.size());
-    for (const Stat *s : layout->stats)
-        is.values.push_back(s->value());
-    samples_.push_back(std::move(is));
+    is.layout = std::size_t(it - runs_.begin());
+    is.keys = readKeys(r);
+    readRow(r, i - r.first, is.values);
+    is.cycle = std::bit_cast<Cycle>(is.values.front());
+    is.values.erase(is.values.begin());
+    return is;
 }
 
 } // namespace minnow

@@ -426,33 +426,25 @@ class StatsRegistry
 {
   public:
     /**
-     * The key set of interval samples: every non-histogram stat
-     * outside "hostprof" as a sorted "group.stat" key, its escaped
-     * JSON object prefix, and (for layouts the sampler built) the
-     * stat behind it. Consecutive samples with an unchanged registry
-     * structure share one layout; stats[] is only read while the
-     * registry generation it was built at is current.
+     * One interval sample as read back from the spool (sample()):
+     * the sorted "group.stat" key of every non-histogram stat
+     * outside "hostprof", and its value at @p cycle.
      */
-    struct SampleLayout
-    {
-        std::vector<std::string> keys;
-        std::vector<std::string> prefixes; //!< "\"key\":" escaped.
-        std::vector<const Stat *> stats;   //!< empty when loaded.
-        std::size_t prefixBytes = 0;       //!< sum of prefix sizes.
-    };
-
-    /** One flattened snapshot captured by the sampling hook. */
     struct IntervalSample
     {
         Cycle cycle = 0;
-        std::shared_ptr<const SampleLayout> layout;
-        std::vector<double> values; //!< parallel to layout->keys.
+        /** Index of the sample's layout record: consecutive samples
+         *  over one key list share it. */
+        std::size_t layout = 0;
+        std::vector<std::string> keys;
+        std::vector<double> values; //!< parallel to keys.
 
         /** Value of @p key; fatal() when the sample lacks it. */
         double at(const std::string &key) const;
     };
 
     StatsRegistry() = default;
+    ~StatsRegistry();
     StatsRegistry(const StatsRegistry &) = delete;
     StatsRegistry &operator=(const StatsRegistry &) = delete;
 
@@ -504,14 +496,18 @@ class StatsRegistry
     /**
      * Take one interval sample at cycle @p now (the sampling
      * event's body; public so tests and micro-benchmarks can drive
-     * it directly).
+     * it directly). It is appended to the sample spool, an unlinked
+     * file in the host's temporary directory (TMPDIR, else /tmp)
+     * created by the first sample; fatal() if it cannot be created
+     * or written.
      */
     void recordSample(Cycle now);
 
-    const std::vector<IntervalSample> &samples() const
-    {
-        return samples_;
-    }
+    /** Interval samples taken (or restored) so far. */
+    std::size_t sampleCount() const;
+
+    /** Sample @p i (< sampleCount()), read back from the spool. */
+    IntervalSample sample(std::size_t i) const;
 
     /**
      * Serialize all counter/scalar/histogram values plus the interval
@@ -529,14 +525,54 @@ class StatsRegistry
         Cycle interval = 0;
     };
 
+    /**
+     * The current structure's sample key set: every non-histogram
+     * stat outside "hostprof" as a sorted "group.stat" key, and the
+     * stat behind it. Only read while the registry generation it
+     * was built at is current.
+     */
+    struct SampleLayout
+    {
+        std::vector<std::string> keys;
+        std::vector<const Stat *> stats;
+    };
+
+    /**
+     * Consecutive spooled samples over one key list: a layout record
+     * at layoutAt (u64 key count, u64 key bytes, u32 length per key,
+     * the keys' bytes) and then `rows` rows of 8 + 8 * width bytes
+     * (the cycle, then one double per key) from rowsAt.
+     */
+    struct SampleRun
+    {
+        std::uint64_t layoutAt = 0;
+        std::uint64_t rowsAt = 0;
+        std::size_t width = 0;
+        std::size_t first = 0; //!< index of the run's first sample.
+        std::size_t rows = 0;
+    };
+
     static void sampleEvent(void *arg);
 
     /** The sample layout of the current structure (rebuilt lazily). */
     const std::shared_ptr<const SampleLayout> &sampleLayout();
 
+    /** Append a layout record for @p keys and start a run on it. */
+    void startRun(const std::vector<std::string> &keys);
+
+    /** Append @p row (the cycle's bits, then the last run's width
+     *  values) to the last run. */
+    void appendRow(const double *row);
+
+    /** The keys of run @p r's layout record. */
+    std::vector<std::string> readKeys(const SampleRun &r) const;
+
+    /** Read sample row @p j of run @p r into @p row (cycle first). */
+    void readRow(const SampleRun &r, std::size_t j,
+                 std::vector<double> &row) const;
+
     std::map<std::string, std::unique_ptr<StatsGroup>> groups_;
     std::unique_ptr<Sampler> sampler_;
-    std::vector<IntervalSample> samples_;
 
     /**
      * Structure generation: bumped whenever a group is created or
@@ -547,6 +583,17 @@ class StatsRegistry
     std::uint64_t generation_ = 0;
     std::shared_ptr<const SampleLayout> layout_;
     std::uint64_t layoutGeneration_ = 0;
+
+    /**
+     * The interval samples live in the spool file, not in memory:
+     * only the runs' offsets stay here, plus one row buffer. spooled_
+     * is the layout whose keys the last layout record holds.
+     */
+    int spoolFd_ = -1;
+    std::uint64_t spoolEnd_ = 0;
+    std::vector<SampleRun> runs_;
+    std::shared_ptr<const SampleLayout> spooled_;
+    std::vector<double> row_;
 };
 
 } // namespace minnow

@@ -135,7 +135,10 @@ class Machine
         eq.setDiagnosticHook([this](const char *reason) {
             dumpDiagnostic(*this, reason);
         });
-        panicHookId_ = addPanicHook(&Machine::panicHook, this);
+        // Thread-scoped: with --host-par, a panic in another point
+        // must not serialize this registry while it simulates.
+        panicHookId_ = addPanicHook(&Machine::panicHook, this,
+                                    HookScope::Thread);
     }
 
     ~Machine()

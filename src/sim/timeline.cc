@@ -123,9 +123,11 @@ parseTracks(const std::string &csv)
     return mask ? mask : allCats();
 }
 
-Timeline::Timeline(std::size_t bufferCap, std::uint32_t catMask)
-    : catMask_(catMask), ring_(bufferCap ? bufferCap : 1)
+Timeline::Timeline(std::uint32_t bufferCap, std::uint32_t catMask)
+    : catMask_(catMask), cap_(bufferCap ? bufferCap : 1)
 {
+    // Reserved, not filled: pages are touched as records arrive.
+    ring_.reserve(cap_);
     simTrack_ = addTrack(Cat::Sim, Pid::Sim, 0, "sim");
 }
 
@@ -166,10 +168,13 @@ Timeline::registerCoreTracks(std::uint32_t numCores)
 void
 Timeline::push(const Record &r)
 {
-    if (written_ >= ring_.size())
+    if (ring_.size() < cap_) {
+        ring_.push_back(r);
+    } else {
         ++dropped_;
-    ring_[head_] = r;
-    head_ = (head_ + 1) % ring_.size();
+        ring_[head_] = r;
+        head_ = head_ + 1 == cap_ ? 0 : head_ + 1;
+    }
     ++written_;
 }
 
@@ -344,30 +349,14 @@ Timeline::registerStats(StatsRegistry &reg)
     g.formula("droppedEvents", "oldest records lost to ring wrap",
               [this] { return double(dropped_); });
     g.formula("bufferCapacity", "ring capacity in records",
-              [this] { return double(ring_.size()); });
+              [this] { return double(cap_); });
 }
 
 std::size_t
 Timeline::recorded() const
 {
-    return std::size_t(std::min<std::uint64_t>(written_,
-                                               ring_.size()));
+    return ring_.size();
 }
-
-namespace
-{
-
-/** One export event: ph selects the JSON shape. */
-struct Ev
-{
-    Cycle ts;
-    std::uint64_t arg; //!< counter value bits; flow id for s/t/f.
-    TrackId track;
-    std::uint16_t name;
-    char ph; //!< 'B', 'E', 'i', 'C', 's', 't' or 'f'.
-};
-
-} // anonymous namespace
 
 std::string
 Timeline::toJson() const
@@ -397,143 +386,124 @@ Timeline::unchangedSinceWrite() const
 void
 Timeline::exportTo(json::ChunkSink &sink) const
 {
-    struct SpanRec
-    {
-        Cycle begin;
-        Cycle end;
-        std::uint64_t idx; // emission order, tie-break.
-        std::uint16_t name;
-    };
-    struct FlowLeg
-    {
-        Cycle ts;
-        std::uint64_t id;
-        std::uint64_t idx;
-        TrackId track;
-        std::uint16_t name;
-        std::uint8_t kind; // 0 start, 1 step, 2 end.
-    };
-
-    const std::size_t count = recorded();
-    const std::size_t oldest = written_ > ring_.size() ? head_ : 0;
+    const std::size_t count = ring_.size();
     const std::size_t numTracks = tracks_.size();
-
-    // Segments: 2t is track t's B/E stream, 2t+1 its instants and
-    // counters, and the last one the legs of complete flows. Track
-    // ids follow registration order, so this is deterministic.
-    std::vector<std::vector<Ev>> segs(2 * numTracks + 1);
-    std::vector<Ev> &flowSeg = segs.back();
-    std::vector<std::vector<SpanRec>> spansBy(numTracks);
-    std::vector<FlowLeg> flowLegs;
-    for (std::size_t i = 0; i < count; ++i) {
-        const Record &r = ring_[(oldest + i) % ring_.size()];
+    // Segments: 2t is track t's spans (its B/E stream), 2t+1 its
+    // instants and counters, and the last one the legs of complete
+    // flows. Track ids follow registration order, so this is
+    // deterministic.
+    const std::size_t numSegs = 2 * numTracks + 1;
+    const std::size_t flowSeg = numSegs - 1;
+    auto segOf = [&](const Record &r) -> std::size_t {
         switch (RecKind(r.kind)) {
-          case RecKind::Span:
-            spansBy[r.track].push_back(
-                SpanRec{r.begin, Cycle(r.extra), i, r.name});
-            break;
+          case RecKind::Span: return 2 * std::size_t(r.track);
           case RecKind::Instant:
-            segs[2 * r.track + 1].push_back(
-                Ev{r.begin, 0, r.track, r.name, 'i'});
-            break;
-          case RecKind::Counter:
-            segs[2 * r.track + 1].push_back(
-                Ev{r.begin, r.extra, r.track, 0, 'C'});
-            break;
-          case RecKind::FlowStart:
-          case RecKind::FlowStep:
-          case RecKind::FlowEnd:
-            flowLegs.push_back(FlowLeg{
-                r.begin, r.extra, i, r.track, r.name,
-                std::uint8_t(std::uint8_t(r.kind) -
-                             std::uint8_t(RecKind::FlowStart))});
-            break;
+          case RecKind::Counter: return 2 * std::size_t(r.track) + 1;
+          default: return flowSeg;
+        }
+    };
+    // The oldest record sits at head_ (slot 0 until the ring wraps);
+    // age() is a slot's emission order among the surviving records.
+    auto age = [&](std::uint32_t p) {
+        return p >= head_ ? p - head_ : p + count - head_;
+    };
+
+    // One ring slot per record, grouped by segment with a counting
+    // sort so that each segment starts out in emission order: segment
+    // s is idx[start[s], start[s + 1]).
+    std::vector<std::uint32_t> start(numSegs + 1, 0);
+    for (const Record &r : ring_)
+        ++start[segOf(r) + 1];
+    for (std::size_t s = 0; s < numSegs; ++s)
+        start[s + 1] += start[s];
+    std::vector<std::uint32_t> idx(count);
+    {
+        std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+        auto place = [&](std::size_t from, std::size_t to) {
+            for (std::size_t p = from; p < to; ++p)
+                idx[fill[segOf(ring_[p])]++] = std::uint32_t(p);
+        };
+        place(head_, count);
+        place(0, head_);
+    }
+    auto seg = [&](std::size_t s) {
+        return std::pair(idx.begin() + start[s],
+                         idx.begin() + start[s + 1]);
+    };
+
+    for (TrackId t = 0; t < numTracks; ++t) {
+        // Spans on one track nest by construction. Sorted by begin,
+        // longer first, then emission order, the merge's stack walk
+        // below opens an inner span sharing its begin cycle with its
+        // enclosing span second and closes it first (a naive sort by
+        // timestamp alone would cross the pairs).
+        auto [sb, se] = seg(2 * t);
+        std::sort(sb, se, [&](std::uint32_t a, std::uint32_t b) {
+            const Record &x = ring_[a], &y = ring_[b];
+            if (x.begin != y.begin)
+                return x.begin < y.begin;
+            if (x.extra != y.extra)
+                return x.extra > y.extra;
+            return age(a) < age(b);
+        });
+        // Instants and counters: stably by ts.
+        auto [ob, oe] = seg(2 * t + 1);
+        auto byTs = [&](std::uint32_t a, std::uint32_t b) {
+            return ring_[a].begin < ring_[b].begin;
+        };
+        if (!std::is_sorted(ob, oe, byTs)) {
+            std::sort(ob, oe, [&](std::uint32_t a, std::uint32_t b) {
+                const Record &x = ring_[a], &y = ring_[b];
+                if (x.begin != y.begin)
+                    return x.begin < y.begin;
+                return age(a) < age(b);
+            });
         }
     }
 
-    std::vector<SpanRec> stack;
-    for (TrackId t = 0; t < numTracks; ++t) {
-        // Spans on one track nest by construction; rebuild the B/E
-        // stream with an explicit stack so that an inner span sharing
-        // its begin cycle with its enclosing span still opens second
-        // and closes first (a naive sort by timestamp alone would
-        // cross the pairs).
-        auto &sp = spansBy[t];
-        std::sort(sp.begin(), sp.end(),
-                  [](const SpanRec &a, const SpanRec &b) {
-                      if (a.begin != b.begin)
-                          return a.begin < b.begin;
-                      if (a.end != b.end)
-                          return a.end > b.end;
-                      return a.idx < b.idx;
-                  });
-        std::vector<Ev> &be = segs[2 * t];
-        be.reserve(2 * sp.size());
-        for (const SpanRec &s : sp) {
-            while (!stack.empty() && stack.back().end <= s.begin) {
-                be.push_back(Ev{stack.back().end, 0, t, 0, 'E'});
-                stack.pop_back();
-            }
-            SpanRec cur = s;
-            // Emit sites produce properly nested spans per track;
-            // clamp defensively so a buggy site can never make the
-            // export Perfetto-rejectable.
-            if (!stack.empty() && cur.end > stack.back().end)
-                cur.end = stack.back().end;
-            be.push_back(Ev{cur.begin, 0, t, cur.name, 'B'});
-            stack.push_back(cur);
-        }
-        while (!stack.empty()) {
-            be.push_back(Ev{stack.back().end, 0, t, 0, 'E'});
-            stack.pop_back();
-        }
-        std::vector<SpanRec>().swap(sp);
-    }
-    // Flow arrows: group legs by id and emit only complete flows —
+    // Flow arrows: group legs by id and keep only complete flows —
     // at least one start and one end, start earliest and end latest
     // after ordering by (ts, kind, emission order). A leg lost to
     // ring wrap (or a never-terminated flow) drops the whole id, so
     // the export can never contain a dangling 's'.
-    std::sort(flowLegs.begin(), flowLegs.end(),
-              [](const FlowLeg &a, const FlowLeg &b) {
-                  if (a.id != b.id)
-                      return a.id < b.id;
-                  if (a.ts != b.ts)
-                      return a.ts < b.ts;
-                  if (a.kind != b.kind)
-                      return a.kind < b.kind;
-                  return a.idx < b.idx;
-              });
-    static constexpr char kFlowPh[] = {'s', 't', 'f'};
-    for (std::size_t i = 0; i < flowLegs.size();) {
-        std::size_t j = i;
-        while (j < flowLegs.size() &&
-               flowLegs[j].id == flowLegs[i].id)
-            ++j;
-        bool complete = flowLegs[i].kind == 0 &&
-                        flowLegs[j - 1].kind == 2;
-        for (std::size_t k = i + 1; complete && k < j - 1; ++k)
-            complete = flowLegs[k].kind == 1;
-        if (complete) {
-            for (std::size_t k = i; k < j; ++k) {
-                const FlowLeg &l = flowLegs[k];
-                flowSeg.push_back(
-                    Ev{l.ts, l.id, l.track, l.name, kFlowPh[l.kind]});
-            }
+    {
+        auto [fb, fe] = seg(flowSeg);
+        std::sort(fb, fe, [&](std::uint32_t a, std::uint32_t b) {
+            const Record &x = ring_[a], &y = ring_[b];
+            if (x.extra != y.extra)
+                return x.extra < y.extra;
+            if (x.begin != y.begin)
+                return x.begin < y.begin;
+            if (x.kind != y.kind)
+                return x.kind < y.kind;
+            return age(a) < age(b);
+        });
+        auto kindOf = [&](auto it) { return RecKind(ring_[*it].kind); };
+        auto keep = fb;
+        for (auto i = fb; i != fe;) {
+            auto j = i;
+            while (j != fe && ring_[*j].extra == ring_[*i].extra)
+                ++j;
+            bool complete = kindOf(i) == RecKind::FlowStart &&
+                            kindOf(j - 1) == RecKind::FlowEnd;
+            for (auto k = i + 1; complete && k < j - 1; ++k)
+                complete = kindOf(k) == RecKind::FlowStep;
+            if (complete)
+                keep = keep == i ? j : std::copy(i, j, keep);
+            i = j;
         }
-        i = j;
-    }
-    std::vector<FlowLeg>().swap(flowLegs);
-
-    // The output order is (ts, segment, position in segment): that
-    // of a stable sort by ts over the segments concatenated in
-    // index order. B/E streams come out of the stack walk sorted;
-    // the instant/counter streams are in emission order and the
-    // flow segment in id order, so those are stably sorted first.
-    auto byTs = [](const Ev &a, const Ev &b) { return a.ts < b.ts; };
-    for (std::vector<Ev> &seg : segs) {
-        if (!std::is_sorted(seg.begin(), seg.end(), byTs))
-            std::stable_sort(seg.begin(), seg.end(), byTs);
+        start[numSegs] = std::uint32_t(keep - idx.begin());
+        // Stably by ts over the (id, ts, kind, emission) order.
+        std::sort(fb, keep, [&](std::uint32_t a, std::uint32_t b) {
+            const Record &x = ring_[a], &y = ring_[b];
+            if (x.begin != y.begin)
+                return x.begin < y.begin;
+            if (x.extra != y.extra)
+                return x.extra < y.extra;
+            if (x.kind != y.kind)
+                return x.kind < y.kind;
+            return age(a) < age(b);
+        });
     }
 
     std::string &out = sink.buf;
@@ -590,28 +560,31 @@ Timeline::exportTo(json::ChunkSink &sink) const
         sink.poll();
     }
 
-    auto emit = [&](const Ev &e) {
-        const Track &tr = tracks_[e.track];
+    // One event: ph selects the JSON shape; arg is a counter's value
+    // bits or a flow leg's id.
+    auto emit = [&](char ph, TrackId track, Cycle ts, std::uint16_t name,
+                    std::uint64_t arg) {
+        const Track &tr = tracks_[track];
         sep();
         out += "{\"ph\":\"";
-        out += e.ph;
+        out += ph;
         out += "\",\"pid\":";
         appendU64(out, tr.pid);
         out += ",\"tid\":";
         appendU64(out, tr.tid);
         out += ",\"ts\":";
-        appendU64(out, e.ts);
-        switch (e.ph) {
+        appendU64(out, ts);
+        switch (ph) {
           case 'B':
             out += ",\"name\":\"";
-            appendEscaped(out, kNameStrings[e.name]);
+            appendEscaped(out, kNameStrings[name]);
             out += "\",\"cat\":\"";
             out += kCatNames[std::size_t(tr.cat)];
             out += '"';
             break;
           case 'i':
             out += ",\"name\":\"";
-            appendEscaped(out, kNameStrings[e.name]);
+            appendEscaped(out, kNameStrings[name]);
             out += "\",\"cat\":\"";
             out += kCatNames[std::size_t(tr.cat)];
             out += "\",\"s\":\"t\"";
@@ -620,19 +593,19 @@ Timeline::exportTo(json::ChunkSink &sink) const
             out += ",\"name\":\"";
             appendEscaped(out, tr.name);
             out += "\",\"args\":{\"value\":";
-            appendNumber(out, std::bit_cast<double>(e.arg));
+            appendNumber(out, std::bit_cast<double>(arg));
             out += '}';
             break;
           case 's':
           case 't':
           case 'f':
             out += ",\"name\":\"";
-            appendEscaped(out, kNameStrings[e.name]);
+            appendEscaped(out, kNameStrings[name]);
             out += "\",\"cat\":\"";
             out += kCatNames[std::size_t(tr.cat)];
             out += "\",\"id\":";
-            appendU64(out, e.arg);
-            if (e.ph == 'f')
+            appendU64(out, arg);
+            if (ph == 'f')
                 out += ",\"bp\":\"e\"";
             break;
           default: // 'E' carries no name.
@@ -642,29 +615,70 @@ Timeline::exportTo(json::ChunkSink &sink) const
         sink.poll();
     };
 
+    // Merge cursors: pos[s] is segment s's next index, and open[t]
+    // holds the (clamped) end cycles of track t's open spans,
+    // innermost last. A B/E stream's next event is the innermost
+    // span's E when it ends by the next span's begin, else that
+    // span's B.
+    std::vector<std::uint32_t> pos(start.begin(), start.end() - 1);
+    std::vector<std::vector<Cycle>> open(numTracks);
+    auto isBE = [&](std::size_t s) { return s != flowSeg && s % 2 == 0; };
+    auto nextIsE = [&](std::size_t s) {
+        const std::vector<Cycle> &st = open[s / 2];
+        return !st.empty() && (pos[s] == start[s + 1] ||
+                               st.back() <= ring_[idx[pos[s]]].begin);
+    };
+    // The next event's ts in @p ts; false once segment s is drained.
+    auto peek = [&](std::size_t s, Cycle &ts) {
+        if (isBE(s) && nextIsE(s)) {
+            ts = open[s / 2].back();
+            return true;
+        }
+        if (pos[s] == start[s + 1])
+            return false;
+        ts = ring_[idx[pos[s]]].begin;
+        return true;
+    };
+    static constexpr char kPh[] = {'B', 'i', 'C', 's', 't', 'f'};
+    auto advance = [&](std::size_t s) {
+        if (isBE(s) && nextIsE(s)) {
+            std::vector<Cycle> &st = open[s / 2];
+            emit('E', TrackId(s / 2), st.back(), 0, 0);
+            st.pop_back();
+            return;
+        }
+        const Record &r = ring_[idx[pos[s]++]];
+        if (isBE(s)) {
+            // Emit sites produce properly nested spans per track;
+            // clamp defensively so a buggy site can never make the
+            // export Perfetto-rejectable.
+            std::vector<Cycle> &st = open[s / 2];
+            st.push_back(st.empty() ? Cycle(r.extra)
+                                    : std::min(Cycle(r.extra), st.back()));
+        }
+        emit(kPh[r.kind], r.track, r.begin, r.name, r.extra);
+    };
+
     // Heap-merge the segments by (ts, segment index). The popped
     // segment keeps emitting while its next event still orders
-    // before the heap's top; a drained segment is freed at once.
+    // before the heap's top.
     using Head = std::pair<Cycle, std::size_t>;
     std::priority_queue<Head, std::vector<Head>, std::greater<>> heap;
-    for (std::size_t s = 0; s < segs.size(); ++s) {
-        if (!segs[s].empty())
-            heap.push({segs[s].front().ts, s});
+    Cycle ts = 0;
+    for (std::size_t s = 0; s < numSegs; ++s) {
+        if (peek(s, ts))
+            heap.push({ts, s});
     }
-    std::vector<std::size_t> next(segs.size(), 0);
     while (!heap.empty()) {
         const std::size_t s = heap.top().second;
         heap.pop();
-        std::vector<Ev> &seg = segs[s];
-        std::size_t &i = next[s];
+        bool more;
         do {
-            emit(seg[i++]);
-        } while (i < seg.size() &&
-                 (heap.empty() || Head{seg[i].ts, s} < heap.top()));
-        if (i < seg.size())
-            heap.push({seg[i].ts, s});
-        else
-            std::vector<Ev>().swap(seg);
+            advance(s);
+            more = peek(s, ts);
+        } while (more && (heap.empty() || Head{ts, s} < heap.top()));
+        if (more)
+            heap.push({ts, s});
     }
 
     out += "],\"otherData\":{\"droppedEvents\":";
@@ -672,7 +686,7 @@ Timeline::exportTo(json::ChunkSink &sink) const
     out += ",\"recordedEvents\":";
     appendU64(out, std::uint64_t(count));
     out += ",\"capacity\":";
-    appendU64(out, std::uint64_t(ring_.size()));
+    appendU64(out, std::uint64_t(cap_));
     out += "}}";
 }
 

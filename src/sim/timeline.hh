@@ -20,23 +20,27 @@
  * buffer exports as Chrome trace_event JSON ("minnow-timeline-1")
  * loadable in Perfetto / chrome://tracing.
  *
- * Memory is bounded: the ring holds --timeline-buffer records (32 B
- * each); on wrap the oldest records are dropped and counted in
- * droppedEvents — never silently. Because a span becomes one record
- * only when it *completes*, dropping whole records can never leave an
- * unbalanced begin/end pair in the export.
+ * Memory is bounded: the ring holds --timeline-buffer records (24 B
+ * each). It is reserved at construction but grows only as records
+ * arrive, so a run that records little touches little; once full,
+ * the oldest records are dropped and counted in droppedEvents —
+ * never silently. Because a span becomes one record only when it
+ * *completes*, dropping whole records can never leave an unbalanced
+ * begin/end pair in the export.
  *
- * The export streams. It splits the surviving records into
- * segments — per track, the B/E stream rebuilt from its spans and
- * the instant/counter stream; then one segment of complete flow
- * legs — and heap-merges them by (ts, segment index) straight into
- * a ~1 MiB chunk that is written to the file each time it fills.
- * That order is exactly a stable sort by ts of the segments
- * concatenated in index order. Export memory is the ring plus the
- * segments (24 B per exported event; each track's span list is
- * freed once its B/E segment is built, each segment once merged)
- * plus one chunk; the trace text is never whole in memory.
- * toJson() runs the same path into one string.
+ * The export streams, and reads the ring without copying it. It
+ * groups one 4-byte ring index per surviving record into segments —
+ * per track its spans and its instants/counters; then the legs of
+ * complete flows — sorts each segment in place, and heap-merges
+ * them by (ts, segment index) straight into a ~1 MiB chunk that is
+ * written to the file each time it fills. A track's B/E stream is
+ * generated from its sorted spans during the merge, with a stack of
+ * the open spans' end cycles. That order is exactly a stable sort by
+ * ts of the segments (B/E stream before instants/counters per track)
+ * concatenated in index order. Export memory beyond the ring is the
+ * index array (4 B per record), the open-span stacks and one chunk;
+ * the trace text is never whole in memory. toJson() runs the same
+ * path into one string.
  *
  * The Machine writes the file once per run, before it snapshots the
  * stats JSON, so the export's buffers and the stats string are
@@ -152,10 +156,11 @@ class Timeline
 {
   public:
     /**
-     * @param bufferCap ring capacity in records (>= 1).
+     * @param bufferCap ring capacity in records (>= 1); 32 bits, as
+     *                  the export indexes the ring with 4-byte slots.
      * @param catMask   bitmask over Cat (see parseTracks()).
      */
-    Timeline(std::size_t bufferCap, std::uint32_t catMask);
+    Timeline(std::uint32_t bufferCap, std::uint32_t catMask);
 
     Timeline(const Timeline &) = delete;
     Timeline &operator=(const Timeline &) = delete;
@@ -283,7 +288,7 @@ class Timeline
     /** Records currently held (<= capacity). */
     std::size_t recorded() const;
 
-    std::size_t capacity() const { return ring_.size(); }
+    std::size_t capacity() const { return cap_; }
 
     /** Oldest records overwritten by ring wrap. */
     std::uint64_t dropped() const { return dropped_; }
@@ -304,7 +309,7 @@ class Timeline
         FlowEnd,
     };
 
-    /** One ring slot; 32 bytes. For Counter records `extra` holds
+    /** One ring slot; 24 bytes. For Counter records `extra` holds
      *  the value's bit pattern instead of an end cycle; for Flow
      *  records it holds the flow id. */
     struct Record
@@ -315,6 +320,7 @@ class Timeline
         std::uint16_t name = 0;
         std::uint8_t kind = 0;
     };
+    static_assert(sizeof(Record) == 24);
 
     struct Track
     {
@@ -352,8 +358,11 @@ class Timeline
     const Cycle *now_ = nullptr;
     std::uint32_t catMask_;
 
+    /** Grows to cap_ records, then wraps; the export only reads it
+     *  (~Machine may export it a second time). */
     std::vector<Record> ring_;
-    std::size_t head_ = 0;       //!< next write slot.
+    std::size_t cap_;            //!< --timeline-buffer, >= 1.
+    std::size_t head_ = 0;       //!< oldest record (0 until full).
     std::uint64_t written_ = 0;  //!< total records ever pushed.
     std::uint64_t dropped_ = 0;
     std::uint64_t spans_ = 0;

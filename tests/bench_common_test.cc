@@ -6,18 +6,22 @@
  * one copy chunk, farmed and serial runPoints giving the same bytes,
  * and that no spool file outlives its entry: a serial point's entry
  * is appended before the next point starts, and none is left after a
- * normal exit, an interrupted one or a panic. A spool that cannot be
- * written is fatal.
+ * normal exit, an interrupted one or a panic, and a panic in one
+ * farmed point leaves a valid log. A spool that cannot be written is
+ * fatal.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -223,6 +227,48 @@ TEST(StatsJsonLogDeathTest, PanickedBenchLeavesAValidLogAndNoSpool)
     for (int i = 0; i < 3; ++i)
         EXPECT_FALSE(exists(path + ".point" + std::to_string(i))) << i;
     std::remove(path.c_str());
+}
+
+TEST(StatsJsonLogDeathTest, FarmedPanicLeavesAValidLog)
+{
+    std::string path = "bench_common_test_farm_panic.json";
+    // The third of three farmed points panics in its prepare hook
+    // once the other two have started, so they are likely mid-run.
+    // Only the panicking thread's machine hooks run, with the log's,
+    // so no registry is serialized from another thread while it
+    // simulates: the process aborts (never SIGSEGV) and leaves a
+    // closed log, every time.
+    static std::atomic<int> started;
+    for (int run = 0; run < 20; ++run) {
+        EXPECT_EXIT(
+            {
+                bench::BenchArgs a = smallArgs(path, "3");
+                std::vector<bench::Point> points = smallPoints(a);
+                started = 0;
+                for (std::size_t i = 0; i < 2; ++i)
+                    points[i].prepare = [](harness::Workload &) {
+                        ++started;
+                    };
+                points[2].prepare = [](harness::Workload &) {
+                    while (started < 2)
+                        std::this_thread::yield();
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(3));
+                    panic("point 2 fails");
+                };
+                bench::runPoints(a, points);
+            },
+            testing::KilledBySignal(SIGABRT), "point 2 fails")
+            << "run " << run;
+        std::string log = readFile(path);
+        EXPECT_EQ(log.rfind("{\"schema\":\"minnow-bench-stats-1\""
+                            ",\"runs\":[", 0),
+                  0u)
+            << "run " << run;
+        EXPECT_EQ(log.rfind("]}\n"), log.size() - 3) << "run " << run;
+        EXPECT_EQ(log.find("\"workload\":\"bfs\""), std::string::npos);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(StatsJsonLogDeathTest, UnwritableSpoolIsFatal)

@@ -25,6 +25,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "apps/sssp.hh"
 #include "base/json.hh"
 #include "base/rng.hh"
@@ -471,10 +474,10 @@ TEST(StatsRegistry, SamplingRecordsIntervalsAndLetsQueueDrain)
 
     // The queue drained: the sampler must not keep the sim alive.
     EXPECT_TRUE(eq.empty());
-    ASSERT_GE(reg.samples().size(), 4u);
-    EXPECT_EQ(reg.samples()[0].cycle, 100u);
-    EXPECT_EQ(reg.samples()[1].cycle, 200u);
-    EXPECT_DOUBLE_EQ(reg.samples()[0].at("sim.work"), 42.0);
+    ASSERT_GE(reg.sampleCount(), 4u);
+    EXPECT_EQ(reg.sample(0).cycle, 100u);
+    EXPECT_EQ(reg.sample(1).cycle, 200u);
+    EXPECT_DOUBLE_EQ(reg.sample(0).at("sim.work"), 42.0);
 
     // Interval samples ride along in the JSON document.
     JsonParser p(reg.toJson());
@@ -769,6 +772,16 @@ intervalsOf(const std::string &json)
     return json.substr(at, json.size() - 1 - at);
 }
 
+/** Every interval sample of @p reg, read back from its spool. */
+std::vector<StatsRegistry::IntervalSample>
+samplesOf(const StatsRegistry &reg)
+{
+    std::vector<StatsRegistry::IntervalSample> out;
+    for (std::size_t i = 0; i < reg.sampleCount(); ++i)
+        out.push_back(reg.sample(i));
+    return out;
+}
+
 /** Samples both ways at the same instants on a machine's queue. */
 struct DualSampler
 {
@@ -817,15 +830,15 @@ TEST(StatsSampling, MatchesMapSamplerOn64Cores)
     ASSERT_TRUE(r.verified);
 
     ASSERT_GE(d.ref.size(), 4u);
-    ASSERT_EQ(m.stats.samples().size(), d.ref.size());
+    ASSERT_EQ(m.stats.sampleCount(), d.ref.size());
     EXPECT_GT(d.ref.back().second.size(), 1000u);
     std::string got = intervalsOf(m.stats.toJson());
     std::string want = mapIntervalsJson(d.ref);
     ASSERT_EQ(got.size(), want.size());
     EXPECT_TRUE(got == want);
     // An unchanged structure shares one layout across samples.
-    EXPECT_EQ(m.stats.samples().front().layout,
-              m.stats.samples().back().layout);
+    EXPECT_EQ(m.stats.sample(0).layout,
+              m.stats.sample(d.ref.size() - 1).layout);
 }
 
 void
@@ -864,22 +877,33 @@ TEST(StatsSampling, LayoutRebuiltAfterEachStructuralChange)
     reg.startSampling(eq, 100);
     eq.run();
 
-    const auto &s = reg.samples();
+    const std::vector<StatsRegistry::IntervalSample> s = samplesOf(reg);
     ASSERT_EQ(s.size(), 5u);
     using Keys = std::vector<std::string>;
-    ASSERT_EQ(s[0].layout->keys, (Keys{"a.x", "b.y"}));
+    ASSERT_EQ(s[0].keys, (Keys{"a.x", "b.y"}));
     EXPECT_EQ(s[0].at("b.y"), 2.0);
-    // freshGroup: same keys, but the value comes from the new stat.
-    ASSERT_EQ(s[1].layout->keys, (Keys{"a.x", "b.y"}));
-    EXPECT_NE(s[1].layout, s[0].layout);
+    // freshGroup: same keys, so one layout record, but the value
+    // comes from the new stat.
+    ASSERT_EQ(s[1].keys, (Keys{"a.x", "b.y"}));
+    EXPECT_EQ(s[1].layout, s[0].layout);
     EXPECT_EQ(s[1].at("b.y"), 7.0);
     // removeGroup.
-    ASSERT_EQ(s[2].layout->keys, (Keys{"b.y"}));
+    ASSERT_EQ(s[2].keys, (Keys{"b.y"}));
+    EXPECT_NE(s[2].layout, s[1].layout);
     // A stat added to an existing group.
-    ASSERT_EQ(s[3].layout->keys, (Keys{"b.w", "b.y"}));
+    ASSERT_EQ(s[3].keys, (Keys{"b.w", "b.y"}));
+    EXPECT_NE(s[3].layout, s[2].layout);
     EXPECT_EQ(s[3].at("b.w"), 3.0);
     // No change: the layout is shared.
     EXPECT_EQ(s[4].layout, s[3].layout);
+    // The export reads each row back under its own layout.
+    EXPECT_EQ(intervalsOf(reg.toJson()),
+              ",\"intervals\":["
+              "{\"cycle\":100,\"values\":{\"a.x\":1,\"b.y\":2}},"
+              "{\"cycle\":200,\"values\":{\"a.x\":1,\"b.y\":7}},"
+              "{\"cycle\":300,\"values\":{\"b.y\":7}},"
+              "{\"cycle\":400,\"values\":{\"b.w\":3,\"b.y\":7}},"
+              "{\"cycle\":500,\"values\":{\"b.w\":3,\"b.y\":7}}]");
 }
 
 TEST(StatsSampling, DuplicateJoinedKeyKeepsLastWriter)
@@ -888,9 +912,10 @@ TEST(StatsSampling, DuplicateJoinedKeyKeepsLastWriter)
     reg.group("a.b").counter("c") += 2; // "a.b" sorts after "a".
     reg.group("a").counter("b.c") += 1;
     reg.recordSample(10);
-    const auto &is = reg.samples().at(0);
+    ASSERT_EQ(reg.sampleCount(), 1u);
+    const StatsRegistry::IntervalSample is = reg.sample(0);
     ASSERT_EQ(is.values.size(), 1u);
-    EXPECT_EQ(is.layout->keys[0], "a.b.c");
+    EXPECT_EQ(is.keys[0], "a.b.c");
     EXPECT_EQ(is.at("a.b.c"), mapSample(reg).at("a.b.c"));
     EXPECT_EQ(is.at("a.b.c"), 2.0);
 }
@@ -934,9 +959,22 @@ TEST(StatsSampling, CheckpointRoundTripIsByteEqual)
         b.checkpoint(ck);
         ASSERT_TRUE(ck.ok()) << ck.error();
     }
+    // Both documents carry the samples, across the layout change at
+    // cycle 300, in the same text.
+    const std::string want =
+        ",\"intervals\":["
+        "{\"cycle\":100,\"values\":{\"core0.ipc \\\"q\\\"\":0.1,"
+        "\"core0.uops\":11,\"l2_0.ratio\":3.66666666667}},"
+        "{\"cycle\":200,\"values\":{\"core0.ipc \\\"q\\\"\":0.1,"
+        "\"core0.uops\":22,\"l2_0.ratio\":7.33333333333}},"
+        "{\"cycle\":300,\"values\":{\"core0.ipc \\\"q\\\"\":0.1,"
+        "\"core0.uops\":33,\"l2_0.ratio\":11,\"late.n\":5}},"
+        "{\"cycle\":400,\"values\":{\"core0.ipc \\\"q\\\"\":0.1,"
+        "\"core0.uops\":44,\"l2_0.ratio\":14.6666666667,\"late.n\":5}}]";
+    EXPECT_EQ(intervalsOf(a.toJson()), want);
     EXPECT_EQ(b.toJson(), a.toJson());
     // Consecutive samples with one key list share a layout again.
-    const auto &s = b.samples();
+    const std::vector<StatsRegistry::IntervalSample> s = samplesOf(b);
     ASSERT_EQ(s.size(), 4u);
     EXPECT_EQ(s[0].layout, s[1].layout);
     EXPECT_NE(s[1].layout, s[2].layout);
@@ -948,6 +986,42 @@ TEST(StatsSampling, CheckpointRoundTripIsByteEqual)
         b.checkpoint(ck);
     }
     EXPECT_EQ(again, bytes);
+
+    // A sample taken after the load continues the loaded layout.
+    b.recordSample(500);
+    ASSERT_EQ(b.sampleCount(), 5u);
+    EXPECT_EQ(b.sample(4).layout, s[3].layout);
+    EXPECT_EQ(intervalsOf(b.toJson()),
+              want.substr(0, want.size() - 1) +
+                  ",{\"cycle\":500,\"values\":{\"core0.ipc \\\"q\\\"\":"
+                  "0.1,\"core0.uops\":44,\"l2_0.ratio\":14.6666666667,"
+                  "\"late.n\":5}}]");
+}
+
+TEST(StatsSamplingDeathTest, UncreatableSpoolIsFatal)
+{
+    // The spool goes to TMPDIR. A directory that does not exist stops
+    // it for any user; a read-only one only where write permission
+    // is enforced (not for root).
+    const std::string ro = testing::TempDir() + "/minnow_stats_ro";
+    ::mkdir(ro.c_str(), 0755);
+    ASSERT_EQ(::chmod(ro.c_str(), 0555), 0);
+    std::vector<std::string> dirs = {ro + "/missing"};
+    if (::access(ro.c_str(), W_OK) != 0)
+        dirs.push_back(ro);
+    for (const std::string &dir : dirs) {
+        EXPECT_EXIT(
+            {
+                ::setenv("TMPDIR", dir.c_str(), 1);
+                StatsRegistry reg;
+                reg.group("sim").counter("n") += 1;
+                reg.recordSample(100);
+            },
+            testing::ExitedWithCode(1),
+            "cannot create the interval-sample spool")
+            << dir;
+    }
+    ::rmdir(ro.c_str());
 }
 
 } // anonymous namespace

@@ -92,12 +92,20 @@ TEST(TimelineRing, WrapDropsOldestAndCounts)
 
 TEST(TimelineRing, NoWrapWithinCapacity)
 {
+    StatsRegistry reg; // outlives the timeline, as a Machine's does.
     Timeline tl(16, timeline::allCats());
     TrackId t = tl.addTrack(Cat::Task, Pid::Cores, 0, "core0");
     for (Cycle i = 0; i < 10; ++i)
         tl.span(t, Name::Task, i, i + 1);
     EXPECT_EQ(tl.recorded(), 10u);
     EXPECT_EQ(tl.dropped(), 0u);
+    // The ring grows as records arrive; the cap is still reported.
+    EXPECT_EQ(tl.capacity(), 16u);
+    tl.registerStats(reg);
+    EXPECT_EQ(reg.find("timeline")->find("bufferCapacity")->value(),
+              16.0);
+    EXPECT_NE(tl.toJson().find("\"recordedEvents\":10,\"capacity\":16}"),
+              std::string::npos);
 }
 
 // ---------------------------------------------------------------
