@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks of the simulation substrate
  * itself: event queue throughput, coroutine spawn/await, cache
  * lookup/fill, NoC traversal, DRAM booking, the OOO core per-op cost,
- * and the stats sampler and JSON export. These bound the simulator's
+ * the stats sampler and JSON export, and input graph set-up (the
+ * CSR builder and the Zipf sampler). These bound the simulator's
  * host-side performance (how many simulated memory ops per
  * wall-second the experiment harness can drive).
  */
@@ -14,7 +15,10 @@
 #include <queue>
 #include <vector>
 
+#include "base/rng.hh"
 #include "cpu/ooo_core.hh"
+#include "graph/builder.hh"
+#include "graph/generators.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "runtime/machine.hh"
@@ -326,6 +330,55 @@ BM_StatsJsonExport(benchmark::State &state)
     state.SetBytesProcessed(std::int64_t(state.iterations() * bytes));
 }
 BENCHMARK(BM_StatsJsonExport);
+
+/**
+ * GraphBuilder::build on the g500 input (RMAT scale 14, edge factor
+ * 8), self-loops removed, symmetrized and deduplicated as rmatGraph
+ * does. The input is every arc of rmatGraph(14, 8, 1), both
+ * directions of each edge, so symmetrizing doubles each arc and
+ * dedup drops half of what it counts.
+ */
+void
+BM_GraphBuildRmat14(benchmark::State &state)
+{
+    graph::CsrGraph g = graph::rmatGraph(14, 8, 1);
+    std::vector<graph::RawEdge> edges;
+    for (NodeId u = 0; u < g.numNodes(); ++u) {
+        for (EdgeId e = g.edgeBegin(u); e < g.edgeEnd(u); ++e)
+            edges.push_back({u, g.edgeDst(e), g.edgeWeight(e)});
+    }
+    // Row-major input would leave each row presorted; shuffle it.
+    Rng rng(7);
+    for (std::size_t i = edges.size(); i > 1; --i)
+        std::swap(edges[i - 1], edges[rng.below(i)]);
+    for (auto _ : state) {
+        graph::GraphBuilder b(g.numNodes());
+        b.reserve(edges.size());
+        for (const graph::RawEdge &e : edges)
+            b.addEdge(e.src, e.dst, e.weight);
+        graph::CsrGraph built =
+            b.removeSelfLoops().symmetrize().dedup().build(true);
+        benchmark::DoNotOptimize(built.numEdges());
+    }
+    state.SetItemsProcessed(std::int64_t(state.iterations() *
+                                         edges.size()));
+}
+BENCHMARK(BM_GraphBuildRmat14);
+
+/** One Zipf(0.9) draw over 30000 values, the cc input's popularity
+ *  sampler at scale 1. */
+void
+BM_ZipfSample(benchmark::State &state)
+{
+    graph::ZipfSampler zipf(30000, 0.9);
+    Rng rng(11);
+    std::uint64_t sum = 0;
+    for (auto _ : state)
+        sum += zipf.sample(rng);
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfSample);
 
 } // anonymous namespace
 

@@ -330,7 +330,7 @@ StatsRegistry::checkpoint(ckpt::Ckpt &ck)
     // restored run itself; the layout is derived from the groups,
     // and the spool is host state.
     ck.transient("sampler_ generation_ layout_ layoutGeneration_ "
-                 "spoolFd_ spoolEnd_ spooled_ row_");
+                 "spoolFd_ spoolEnd_ spooled_ row_ self_");
     std::uint64_t n = 0;
     for (const auto &[gname, g] : groups_) {
         (void)g;
@@ -478,13 +478,20 @@ createSpool()
              "cannot create the interval-sample spool: no temporary"
              " directory (%s); set TMPDIR to a writable directory",
              ec.message().c_str());
-    std::string path = (dir / "minnow-samples-XXXXXX").string();
-    const int fd = ::mkostemp(path.data(), O_CLOEXEC);
+    // An O_TMPFILE file never has a name, so no exit can leave it
+    // behind. Only where the file system refuses one does the spool
+    // get a name, removed as soon as the file is open.
+    int fd = ::open(dir.c_str(), O_TMPFILE | O_RDWR | O_CLOEXEC, 0600);
+    if (fd < 0 && (errno == EOPNOTSUPP || errno == EISDIR)) {
+        std::string path = (dir / "minnow-samples-XXXXXX").string();
+        fd = ::mkostemp(path.data(), O_CLOEXEC);
+        if (fd >= 0)
+            ::unlink(path.c_str());
+    }
     fatal_if(fd < 0,
              "cannot create the interval-sample spool in %s (%s);"
              " set TMPDIR to a writable directory",
              dir.c_str(), std::strerror(errno));
-    ::unlink(path.c_str());
     return fd;
 }
 

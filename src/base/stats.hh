@@ -594,6 +594,60 @@ class StatsRegistry
     std::vector<SampleRun> runs_;
     std::shared_ptr<const SampleLayout> spooled_;
     std::vector<double> row_;
+
+    /** Liveness token: StatsClaims hold it weakly, so they see the
+     *  registry is gone once it has been destroyed. */
+    std::shared_ptr<StatsRegistry *> self_ =
+        std::make_shared<StatsRegistry *>(this);
+
+    friend class StatsClaim;
+};
+
+/**
+ * A component's hold on the group it registered into a registry it
+ * does not own. Destroying the claim (or assigning another to it)
+ * removes the group, so formulas capturing the component cannot
+ * outlive it; if the registry died first there is nothing to remove,
+ * and the claim does nothing. Declare the claim as the component's
+ * last member, so it is destroyed first.
+ */
+class StatsClaim
+{
+  public:
+    StatsClaim() = default;
+    StatsClaim(StatsRegistry &reg, std::string group)
+        : reg_(reg.self_), group_(std::move(group))
+    {
+    }
+
+    ~StatsClaim() { release(); }
+
+    StatsClaim(StatsClaim &&) noexcept = default;
+
+    StatsClaim &
+    operator=(StatsClaim &&o) noexcept
+    {
+        if (this != &o) {
+            release();
+            reg_ = std::move(o.reg_);
+            group_ = std::move(o.group_);
+        }
+        return *this;
+    }
+
+    /** Remove the group now, if its registry is alive; the claim
+     *  then holds nothing. */
+    void
+    release()
+    {
+        if (auto reg = reg_.lock())
+            (*reg)->removeGroup(group_);
+        reg_.reset();
+    }
+
+  private:
+    std::weak_ptr<StatsRegistry *> reg_;
+    std::string group_;
 };
 
 } // namespace minnow

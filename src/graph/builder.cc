@@ -7,44 +7,17 @@
 namespace minnow::graph
 {
 
-GraphBuilder &
-GraphBuilder::symmetrize()
+template <class Fn>
+void
+GraphBuilder::forEachArc(Fn &&fn) const
 {
-    std::size_t n = edges_.size();
-    edges_.reserve(2 * n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const RawEdge &e = edges_[i];
-        edges_.push_back({e.dst, e.src, e.weight});
+    for (const RawEdge &e : edges_) {
+        if (dropSelfLoops_ && e.src == e.dst)
+            continue;
+        fn(e.src, e.dst, e.weight);
+        if (symmetrize_)
+            fn(e.dst, e.src, e.weight);
     }
-    return *this;
-}
-
-GraphBuilder &
-GraphBuilder::removeSelfLoops()
-{
-    std::erase_if(edges_,
-                  [](const RawEdge &e) { return e.src == e.dst; });
-    return *this;
-}
-
-GraphBuilder &
-GraphBuilder::dedup()
-{
-    std::sort(edges_.begin(), edges_.end(),
-              [](const RawEdge &a, const RawEdge &b) {
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  if (a.dst != b.dst)
-                      return a.dst < b.dst;
-                  return a.weight < b.weight;
-              });
-    edges_.erase(std::unique(edges_.begin(), edges_.end(),
-                             [](const RawEdge &a, const RawEdge &b) {
-                                 return a.src == b.src &&
-                                        a.dst == b.dst;
-                             }),
-                 edges_.end());
-    return *this;
 }
 
 CsrGraph
@@ -55,27 +28,56 @@ GraphBuilder::build(bool keepWeights)
                  "edge (%u,%u) out of range for %u nodes", e.src,
                  e.dst, numNodes_);
     }
-    std::sort(edges_.begin(), edges_.end(),
-              [](const RawEdge &a, const RawEdge &b) {
-                  if (a.src != b.src)
-                      return a.src < b.src;
-                  return a.dst < b.dst;
-              });
 
-    std::vector<std::uint64_t> rowPtr(numNodes_ + 1, 0);
-    for (const RawEdge &e : edges_)
-        rowPtr[e.src + 1] += 1;
-    for (NodeId v = 0; v < numNodes_; ++v)
-        rowPtr[v + 1] += rowPtr[v];
+    // Row degrees, then their inclusive prefix sums: rowPtr[v] is
+    // the end of row v until the scatter counts it down to the
+    // row's start.
+    std::vector<std::uint64_t> rowPtr(std::size_t(numNodes_) + 1, 0);
+    forEachArc([&](NodeId row, NodeId, std::uint32_t) { ++rowPtr[row]; });
+    for (std::size_t v = 1; v < rowPtr.size(); ++v)
+        rowPtr[v] += rowPtr[v - 1];
 
-    std::vector<NodeId> dst(edges_.size());
-    std::vector<std::uint32_t> weight;
-    if (keepWeights)
-        weight.resize(edges_.size());
-    for (std::size_t i = 0; i < edges_.size(); ++i) {
-        dst[i] = edges_[i].dst;
+    const std::uint64_t arcs = rowPtr.back();
+    std::vector<NodeId> dst(arcs);
+    std::vector<std::uint32_t> weight(keepWeights ? arcs : 0);
+    forEachArc([&](NodeId row, NodeId d, std::uint32_t w) {
+        const std::uint64_t at = --rowPtr[row];
+        dst[at] = d;
         if (keepWeights)
-            weight[i] = edges_[i].weight;
+            weight[at] = w;
+    });
+    edges_ = std::vector<RawEdge>();
+
+    // Sort each row by (dst, weight); with dedup keep the first arc
+    // to each dst. Rows only move left, so this works in place.
+    std::vector<std::uint64_t> keys; // one row, dst << 32 | weight.
+    std::uint64_t out = 0;
+    for (NodeId v = 0; v < numNodes_; ++v) {
+        const std::uint64_t begin = rowPtr[v];
+        const std::uint64_t end = rowPtr[v + 1];
+        rowPtr[v] = out;
+        keys.clear();
+        for (std::uint64_t i = begin; i < end; ++i)
+            keys.push_back(std::uint64_t(dst[i]) << 32 |
+                           (keepWeights ? weight[i] : 0));
+        std::sort(keys.begin(), keys.end());
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (dedup_ && i > 0 && keys[i] >> 32 == keys[i - 1] >> 32)
+                continue;
+            dst[out] = NodeId(keys[i] >> 32);
+            if (keepWeights)
+                weight[out] = std::uint32_t(keys[i]);
+            ++out;
+        }
+    }
+    rowPtr.back() = out;
+    if (out != arcs) {
+        dst.resize(out);
+        dst.shrink_to_fit();
+        if (keepWeights) {
+            weight.resize(out);
+            weight.shrink_to_fit();
+        }
     }
     return CsrGraph(std::move(rowPtr), std::move(dst),
                     std::move(weight));

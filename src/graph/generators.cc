@@ -12,44 +12,36 @@
 namespace minnow::graph
 {
 
-namespace
+ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
 {
+    fatal_if(n == 0, "Zipf sampler needs at least one value");
+    cdf_.resize(n);
+    double acc = 0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        acc += 1.0 / std::pow(double(i + 1), alpha);
+        cdf_[i] = acc;
+    }
+    total_ = acc;
+}
 
-/**
- * Sampler for a Zipf(alpha) distribution over [0, n) using the
- * inverse-CDF over precomputed cumulative weights. O(log n) per
- * draw, fully deterministic.
- */
-class ZipfSampler
+std::uint64_t
+ZipfSampler::sample(Rng &rng) const
 {
-  public:
-    ZipfSampler(std::uint64_t n, double alpha)
-    {
-        cdf_.resize(n);
-        double acc = 0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            acc += 1.0 / std::pow(double(i + 1), alpha);
-            cdf_[i] = acc;
-        }
-        total_ = acc;
+    // std::lower_bound's index for the draw, clamped to the last
+    // value, with the halving step as a multiply instead of a
+    // data-dependent branch.
+    const double u = rng.real() * total_;
+    const double *first = cdf_.data();
+    std::size_t len = cdf_.size();
+    while (len > 1) {
+        const std::size_t half = len / 2;
+        first += half * std::size_t(first[half] < u);
+        len -= half;
     }
-
-    std::uint64_t
-    sample(Rng &rng) const
-    {
-        double u = rng.real() * total_;
-        auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-        if (it == cdf_.end())
-            return cdf_.size() - 1;
-        return std::uint64_t(it - cdf_.begin());
-    }
-
-  private:
-    std::vector<double> cdf_;
-    double total_ = 0;
-};
-
-} // anonymous namespace
+    const std::size_t at =
+        std::size_t(first - cdf_.data()) + std::size_t(*first < u);
+    return std::min(at, cdf_.size() - 1);
+}
 
 CsrGraph
 gridGraph(std::uint32_t width, std::uint32_t height,
@@ -59,6 +51,7 @@ gridGraph(std::uint32_t width, std::uint32_t height,
     Rng rng(seed);
     NodeId n = width * height;
     GraphBuilder b(n);
+    b.reserve(2 * std::size_t(n) - width - height);
     auto id = [&](std::uint32_t x, std::uint32_t y) {
         return NodeId(y * width + x);
     };
@@ -85,6 +78,7 @@ randomGraph(NodeId n, double avgDegree, std::uint64_t seed)
     auto undirected =
         std::uint64_t(std::llround(double(n) * avgDegree / 2.0));
     GraphBuilder b(n);
+    b.reserve(undirected);
     for (std::uint64_t i = 0; i < undirected; ++i) {
         NodeId u = NodeId(rng.below(n));
         NodeId v = NodeId(rng.below(n));
@@ -100,28 +94,28 @@ rmatGraph(std::uint32_t scale, std::uint32_t edgeFactor,
 {
     fatal_if(scale == 0 || scale > 28, "unreasonable RMAT scale %u",
              scale);
+    fatal_if(a < 0 || b < 0 || c < 0,
+             "RMAT quadrant probabilities must be non-negative");
     Rng rng(seed);
     NodeId n = NodeId(1) << scale;
     std::uint64_t m = std::uint64_t(edgeFactor) << scale;
     GraphBuilder builder(n);
+    builder.reserve(m);
+    const double ab = a + b;
+    const double abc = a + b + c;
     for (std::uint64_t i = 0; i < m; ++i) {
         NodeId u = 0, v = 0;
         for (std::uint32_t bit = 0; bit < scale; ++bit) {
             double r = rng.real();
             // Quadrants: a = (0,0), b = (0,1), c = (1,0), d = (1,1).
-            std::uint32_t ubit = 0, vbit = 0;
-            if (r < a) {
-                // top-left.
-            } else if (r < a + b) {
-                vbit = 1;
-            } else if (r < a + b + c) {
-                ubit = 1;
-            } else {
-                ubit = 1;
-                vbit = 1;
-            }
-            u = (u << 1) | ubit;
-            v = (v << 1) | vbit;
+            // a <= ab <= abc, so the count of bounds r reaches is
+            // the quadrant: an if-else chain's three comparisons,
+            // without its unpredictable branches.
+            std::uint32_t q = std::uint32_t(!(r < a)) +
+                              std::uint32_t(!(r < ab)) +
+                              std::uint32_t(!(r < abc));
+            u = (u << 1) | (q >> 1);
+            v = (v << 1) | (q & 1);
         }
         builder.addEdge(u, v, std::uint32_t(rng.range(1, 255)));
     }
@@ -136,6 +130,9 @@ powerLawGraph(NodeId n, double avgDegree, double alpha,
     Rng rng(seed);
     ZipfSampler popularity(n, alpha);
     GraphBuilder b(n);
+    // The mean out-degree is at most avgDegree; the slack covers
+    // the heavy tail's spread (unwritten capacity costs no RSS).
+    b.reserve(std::size_t(double(n) * avgDegree * 1.25) + 64);
 
     // Out-degrees follow a (discrete) Pareto distribution with tail
     // exponent 1 + alpha, rescaled to the requested mean and capped
@@ -174,6 +171,7 @@ wattsStrogatz(NodeId n, std::uint32_t k, double beta,
     fatal_if(n <= k, "Watts-Strogatz needs n > k");
     Rng rng(seed);
     GraphBuilder b(n);
+    b.reserve(std::size_t(n) * (k / 2));
     for (NodeId v = 0; v < n; ++v) {
         for (std::uint32_t j = 1; j <= k / 2; ++j) {
             NodeId u = NodeId((v + j) % n);
@@ -199,6 +197,8 @@ bipartiteGraph(NodeId nLeft, NodeId nRight, double avgLeftDegree,
     ZipfSampler popularity(nRight, alpha);
     NodeId n = nLeft + nRight;
     GraphBuilder b(n);
+    b.reserve(std::size_t(double(nLeft) *
+                          std::max(1.0, std::ceil(avgLeftDegree))));
     auto scramble = [nRight](std::uint64_t x) {
         return NodeId(hashMix(x) % nRight);
     };

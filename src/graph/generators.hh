@@ -23,11 +23,35 @@
 #define MINNOW_GRAPH_GENERATORS_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/csr.hh"
 
+namespace minnow
+{
+class Rng;
+} // namespace minnow
+
 namespace minnow::graph
 {
+
+/**
+ * Sampler for a Zipf(alpha) distribution over [0, n) using the
+ * inverse CDF over precomputed cumulative weights: O(log n) per draw
+ * by a branch-free binary search, fully deterministic.
+ */
+class ZipfSampler
+{
+  public:
+    ZipfSampler(std::uint64_t n, double alpha);
+
+    /** One draw: consumes one rng.real(). */
+    std::uint64_t sample(Rng &rng) const;
+
+  private:
+    std::vector<double> cdf_;
+    double total_ = 0;
+};
 
 /**
  * 4-connected W x H grid with uniform random weights in

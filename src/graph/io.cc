@@ -141,7 +141,7 @@ writeBinary(const CsrGraph &g, const std::string &path)
     std::fwrite(header, sizeof(header), 1, file.f);
     std::fwrite(&weighted, sizeof(weighted), 1, file.f);
     std::vector<std::uint64_t> rowPtr(g.numNodes() + 1);
-    for (NodeId v = 0; v <= g.numNodes() - 1; ++v)
+    for (NodeId v = 0; v < g.numNodes(); ++v)
         rowPtr[v] = g.edgeBegin(v);
     rowPtr[g.numNodes()] = g.numEdges();
     std::fwrite(rowPtr.data(), sizeof(std::uint64_t), rowPtr.size(),
@@ -154,8 +154,10 @@ writeBinary(const CsrGraph &g, const std::string &path)
         if (g.weighted())
             weight[e] = g.edgeWeight(e);
     }
-    std::fwrite(dst.data(), sizeof(NodeId), dst.size(), file.f);
-    if (g.weighted()) {
+    // An empty vector's data() may be null, which fwrite rejects.
+    if (!dst.empty())
+        std::fwrite(dst.data(), sizeof(NodeId), dst.size(), file.f);
+    if (!weight.empty()) {
         std::fwrite(weight.data(), sizeof(std::uint32_t),
                     weight.size(), file.f);
     }
@@ -180,10 +182,10 @@ readBinary(const std::string &path)
                         rowPtr.size(), file.f) != rowPtr.size(),
              "truncated binary graph %s", path.c_str());
     std::vector<NodeId> dst(m);
-    fatal_if(std::fread(dst.data(), sizeof(NodeId), m, file.f) != m,
+    fatal_if(m && std::fread(dst.data(), sizeof(NodeId), m, file.f) != m,
              "truncated binary graph %s", path.c_str());
     std::vector<std::uint32_t> weight;
-    if (weighted) {
+    if (weighted && m) {
         weight.resize(m);
         fatal_if(std::fread(weight.data(), sizeof(std::uint32_t), m,
                             file.f) != m,

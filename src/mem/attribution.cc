@@ -256,7 +256,7 @@ Attribution::taskDequeued(CoreId core, std::uint64_t lineage,
 void
 Attribution::registerStats(StatsRegistry &reg)
 {
-    statsReg_ = &reg;
+    statsClaim_ = StatsClaim(reg, "attribution");
     StatsGroup &g = reg.freshGroup("attribution");
 
     g.formula("timely", "prefetches consumed after the fill landed",
@@ -396,7 +396,7 @@ Attribution::checkpoint(ckpt::Ckpt &ck)
     ck.io(lineageDequeued_);
     ck.transient("now_ tl_ numCores_ window_ issueToFill_ fillToUse_"
                  " issueToUse_ pushToEnqueue_ enqueueToDequeue_"
-                 " dequeueToFirstMiss_ statsReg_");
+                 " dequeueToFirstMiss_ statsClaim_");
 }
 
 } // namespace minnow::mem

@@ -90,14 +90,6 @@ class Attribution
     Attribution(const Attribution &) = delete;
     Attribution &operator=(const Attribution &) = delete;
 
-    ~Attribution()
-    {
-        // The "attribution" formulas capture `this`; drop them
-        // before the tracker dies (the registry may outlive us).
-        if (statsReg_)
-            statsReg_->removeGroup("attribution");
-    }
-
     /** Clock used when a hook site has no cycle of its own. */
     void bindClock(const Cycle *now) { now_ = now; }
 
@@ -285,8 +277,8 @@ class Attribution
     HistogramStat *enqueueToDequeue_ = nullptr;
     HistogramStat *dequeueToFirstMiss_ = nullptr;
 
-    /** Registry holding our "attribution" group (dtor removal). */
-    StatsRegistry *statsReg_ = nullptr;
+    /** The "attribution" group: its formulas capture `this`. */
+    StatsClaim statsClaim_;
 };
 
 } // namespace minnow::mem

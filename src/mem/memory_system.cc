@@ -572,7 +572,7 @@ MemorySystem::registerCoreStats(StatsGroup &g, CoreId i)
 void
 MemorySystem::registerStats(StatsRegistry &reg)
 {
-    statsReg_ = &reg;
+    statsClaim_ = StatsClaim(reg, "mem");
     StatsGroup &g = reg.group("mem");
     // Totals are recomputed per formula evaluation; that is O(cores)
     // work paid only at dump/sample time.
@@ -661,7 +661,7 @@ MemorySystem::checkpoint(ckpt::Ckpt &ck)
     ck.io(stats_);
     ck.io(pfLinesTracked_);
     ck.transient("cfg_ bankMod_ creditHook_ attr_ faults_ hwPrefetchers_"
-                 " oracle_ pfScratch_ inPrefetchIssue_ statsReg_");
+                 " oracle_ pfScratch_ inPrefetchIssue_ statsClaim_");
 }
 
 bool

@@ -136,14 +136,6 @@ class MemorySystem
   public:
     explicit MemorySystem(const MachineConfig &cfg);
 
-    ~MemorySystem()
-    {
-        // The "mem" formulas capture `this`; drop them before the
-        // hierarchy dies (the registry may outlive us).
-        if (statsReg_)
-            statsReg_->removeGroup("mem");
-    }
-
     MemorySystem(const MemorySystem &) = delete;
     MemorySystem &operator=(const MemorySystem &) = delete;
 
@@ -291,8 +283,8 @@ class MemorySystem
     std::vector<Addr> pfScratch_;
     bool inPrefetchIssue_ = false;
     std::uint64_t pfLinesTracked_ = 0;
-    /** Registry holding our "mem" group (for dtor removal). */
-    StatsRegistry *statsReg_ = nullptr;
+    /** The "mem" group: its formulas capture `this`. */
+    StatsClaim statsClaim_;
 };
 
 } // namespace minnow::mem

@@ -37,7 +37,7 @@ class TaskProbe
      */
     TaskProbe(StatsRegistry &reg, const Cycle *now,
               timeline::Timeline *tl, mem::Attribution *attr)
-        : reg_(reg), now_(now), tl_(tl), attr_(attr)
+        : now_(now), tl_(tl), attr_(attr), statsClaim_(reg, "tasks")
     {
         static constexpr const char *kNames[kNum] = {
             "popWait", "dequeue", "execute", "push",
@@ -67,9 +67,6 @@ class TaskProbe
 
     TaskProbe(const TaskProbe &) = delete;
     TaskProbe &operator=(const TaskProbe &) = delete;
-
-    /** The formulas capture the histograms; drop them with us. */
-    ~TaskProbe() { reg_.removeGroup("tasks"); }
 
     /** @p core parked with no work from @p start and woke with work. */
     void
@@ -135,11 +132,12 @@ class TaskProbe
             tl_->span(tl_->coreTaskTrack(core), span, start, end);
     }
 
-    StatsRegistry &reg_;
     const Cycle *now_;
     timeline::Timeline *tl_;
     mem::Attribution *attr_;
     HistogramStat *hist_[kNum] = {};
+    /** The "tasks" group: its formulas capture the histograms. */
+    StatsClaim statsClaim_;
 };
 
 } // namespace minnow::runtime

@@ -285,7 +285,7 @@ FaultInjector::swallowCreditReturn(CoreId core)
 void
 FaultInjector::registerStats(StatsRegistry &reg)
 {
-    statsReg_ = &reg;
+    statsClaim_ = StatsClaim(reg, "faults");
     StatsGroup &g = reg.freshGroup("faults");
     g.formula("clauses", "parsed fault clauses in the spec",
               [this] { return double(clauses_.size()); });

@@ -118,14 +118,6 @@ class FaultInjector
     /** Parse spec (fatal() on malformed input) and seed the stream. */
     FaultInjector(const std::string &spec, std::uint64_t seed);
 
-    ~FaultInjector()
-    {
-        // The "faults" formulas capture `this`; drop them before the
-        // injector dies (the registry may outlive us).
-        if (statsReg_)
-            statsReg_->removeGroup("faults");
-    }
-
     /** Bind the simulated clock (EventQueue::nowRef) for windows. */
     void bindClock(const Cycle *now) { now_ = now; }
 
@@ -175,7 +167,7 @@ class FaultInjector
     {
         rng_.checkpoint(ck);
         ck.io(stats_);
-        ck.transient("spec_ clauses_ now_ tl_ statsReg_");
+        ck.transient("spec_ clauses_ now_ tl_ statsClaim_");
     }
 
   private:
@@ -191,8 +183,8 @@ class FaultInjector
     const Cycle *now_ = nullptr;
     timeline::Timeline *tl_ = nullptr;
     FaultStats stats_;
-    /** Registry holding our "faults" group (for dtor removal). */
-    StatsRegistry *statsReg_ = nullptr;
+    /** The "faults" group: its formulas capture `this`. */
+    StatsClaim statsClaim_;
 };
 
 } // namespace minnow

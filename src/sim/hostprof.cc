@@ -84,7 +84,7 @@ HostProfiler::exit()
 void
 HostProfiler::registerStats(StatsRegistry &reg)
 {
-    statsReg_ = &reg;
+    statsClaim_ = StatsClaim(reg, kHostTimeGroup);
     StatsGroup &g = reg.group(kHostTimeGroup);
     g.formula("events", "events executed by the event queue",
               [this] { return double(events_); });

@@ -61,10 +61,6 @@ class HostProfiler
     ~HostProfiler()
     {
         deactivate();
-        // The "hostprof" formulas capture `this`; drop them before
-        // the profiler dies (the registry may outlive us).
-        if (statsReg_)
-            statsReg_->removeGroup(kHostTimeGroup);
     }
     HostProfiler(const HostProfiler &) = delete;
     HostProfiler &operator=(const HostProfiler &) = delete;
@@ -150,8 +146,8 @@ class HostProfiler
 
     StatHistogram occupancy_;
 
-    /** Registry holding our "hostprof" group (for dtor removal). */
-    StatsRegistry *statsReg_ = nullptr;
+    /** The "hostprof" group: its formulas capture `this`. */
+    StatsClaim statsClaim_;
 };
 
 /**

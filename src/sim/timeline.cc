@@ -334,7 +334,7 @@ Timeline::pollProviders(Cycle at)
 void
 Timeline::registerStats(StatsRegistry &reg)
 {
-    statsReg_ = &reg;
+    statsClaim_ = StatsClaim(reg, "timeline");
     StatsGroup &g = reg.freshGroup("timeline");
     g.formula("events", "total records emitted",
               [this] { return double(written_); });

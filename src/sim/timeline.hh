@@ -165,14 +165,6 @@ class Timeline
     Timeline(const Timeline &) = delete;
     Timeline &operator=(const Timeline &) = delete;
 
-    ~Timeline()
-    {
-        // The "timeline" formulas capture `this`; drop them before
-        // the timeline dies (the registry may outlive us).
-        if (statsReg_)
-            statsReg_->removeGroup("timeline");
-    }
-
     /** Clock used to stamp counter samples (the EventQueue's now). */
     void bindClock(const Cycle *now) { now_ = now; }
 
@@ -383,8 +375,8 @@ class Timeline
     std::uint64_t fileRecords_ = ~std::uint64_t(0);
     std::size_t fileTracks_ = 0;
 
-    /** Registry holding our "timeline" group (for dtor removal). */
-    StatsRegistry *statsReg_ = nullptr;
+    /** The "timeline" group: its formulas capture `this`. */
+    StatsClaim statsClaim_;
 };
 
 } // namespace minnow::timeline

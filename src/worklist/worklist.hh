@@ -61,11 +61,7 @@ constexpr std::uint32_t kItemBytes = 16;
 class Worklist
 {
   public:
-    virtual ~Worklist()
-    {
-        if (statsReg_)
-            statsReg_->removeGroup("worklist");
-    }
+    virtual ~Worklist() = default;
 
     /**
      * Attach this worklist's observability group ("worklist") to the
@@ -77,7 +73,7 @@ class Worklist
     StatsGroup &
     attachStats(StatsRegistry &reg)
     {
-        statsReg_ = &reg;
+        statsClaim_ = StatsClaim(reg, "worklist");
         StatsGroup &g = reg.freshGroup("worklist");
         g.formula("size", "tasks currently queued",
                   [this] { return double(size()); });
@@ -125,11 +121,11 @@ class Worklist
     virtual void
     checkpoint(ckpt::Ckpt &ck)
     {
-        ck.transient("statsReg_");
+        ck.transient("statsClaim_");
     }
 
   private:
-    StatsRegistry *statsReg_ = nullptr;
+    StatsClaim statsClaim_;
 };
 
 } // namespace minnow::worklist

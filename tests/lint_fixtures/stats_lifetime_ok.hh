@@ -1,6 +1,7 @@
 // Conforming twin of stats_lifetime_bad.hh: zero findings. Shows
-// both sanctioned shapes: the attach/remove pattern (worklist.hh)
-// and registration into a registry the class owns by value.
+// the sanctioned shapes: a StatsClaim member (worklist.hh), the
+// attach/remove pattern, and registration into a registry the class
+// owns by value.
 
 #ifndef FIXTURE_STATS_LIFETIME_OK_HH
 #define FIXTURE_STATS_LIFETIME_OK_HH
@@ -15,6 +16,26 @@ class StatsRegistry
   public:
     StatsGroup &freshGroup(const char *name);
     void removeGroup(const char *name);
+};
+
+class StatsClaim
+{
+  public:
+    StatsClaim(StatsRegistry &reg, const char *name);
+};
+
+// The claim member's destructor removes the group.
+class ClaimingComponent
+{
+  public:
+    explicit ClaimingComponent(StatsRegistry &reg)
+        : statsClaim_(reg, "claiming")
+    {
+        reg.freshGroup("claiming");
+    }
+
+  private:
+    StatsClaim statsClaim_;
 };
 
 class TidyComponent

@@ -19,6 +19,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <memory>
@@ -296,6 +298,33 @@ TEST(StatsRegistry, FreshGroupReplacesAndRemoveDrops)
 //
 // Formula evaluation.
 //
+
+TEST(StatsClaim, RemovesItsGroupWhenDestroyedOrReplaced)
+{
+    StatsRegistry reg;
+    reg.group("a").counter("n") += 1;
+    reg.group("b").counter("n") += 1;
+    {
+        StatsClaim claim(reg, "a");
+        StatsClaim moved(std::move(claim));
+        EXPECT_NE(reg.find("a"), nullptr);
+        moved = StatsClaim(reg, "b"); // releases "a" first.
+        EXPECT_EQ(reg.find("a"), nullptr);
+        EXPECT_NE(reg.find("b"), nullptr);
+    }
+    EXPECT_EQ(reg.find("b"), nullptr);
+}
+
+TEST(StatsClaim, OutlivingItsRegistryDoesNothing)
+{
+    StatsClaim claim;
+    {
+        StatsRegistry reg;
+        reg.group("g").counter("n") += 1;
+        claim = StatsClaim(reg, "g");
+    }
+    claim.release(); // the registry is gone: must not touch it.
+}
 
 TEST(StatsRegistry, FormulaTracksLiveCountersLazily)
 {
@@ -996,6 +1025,43 @@ TEST(StatsSampling, CheckpointRoundTripIsByteEqual)
                   ",{\"cycle\":500,\"values\":{\"core0.ipc \\\"q\\\"\":"
                   "0.1,\"core0.uops\":44,\"l2_0.ratio\":14.6666666667,"
                   "\"late.n\":5}}]");
+}
+
+TEST(StatsSampling, SpoolLeavesNoFileInTmpdir)
+{
+    // The spool has no name in TMPDIR at any time, so no way of
+    // ending the process can leave one behind.
+    std::string dir = testing::TempDir() + "/minnow_spool_XXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    const char *old = std::getenv("TMPDIR");
+    const std::string saved = old ? old : "";
+    ::setenv("TMPDIR", dir.c_str(), 1);
+    auto entries = [&] {
+        std::vector<std::string> names;
+        for (const auto &e : std::filesystem::directory_iterator(dir))
+            names.push_back(e.path().filename().string());
+        return names;
+    };
+    {
+        EventQueue eq;
+        StatsRegistry reg;
+        std::uint64_t work = 0;
+        reg.group("sim").formula("work", "",
+                                 [&] { return double(work); });
+        for (Cycle t = 10; t <= 500; t += 10)
+            eq.schedule(t, nopEvent, &work);
+        reg.startSampling(eq, 100);
+        eq.run();
+        ASSERT_GE(reg.sampleCount(), 4u);
+        EXPECT_EQ(entries(), std::vector<std::string>{}); // spool open.
+        EXPECT_NE(reg.toJson().find("\"intervals\""), std::string::npos);
+    }
+    EXPECT_EQ(entries(), std::vector<std::string>{});
+    if (old)
+        ::setenv("TMPDIR", saved.c_str(), 1);
+    else
+        ::unsetenv("TMPDIR");
+    std::filesystem::remove_all(dir);
 }
 
 TEST(StatsSamplingDeathTest, UncreatableSpoolIsFatal)

@@ -108,6 +108,16 @@ TEST(TimelineRing, NoWrapWithinCapacity)
               std::string::npos);
 }
 
+TEST(TimelineRing, RegistryDeclaredAfterTimelineDiesFirst)
+{
+    // The registry is destroyed before the timeline that registered
+    // into it; the timeline must then leave the dead registry alone.
+    Timeline tl(16, timeline::allCats());
+    StatsRegistry reg;
+    tl.registerStats(reg);
+    EXPECT_NE(reg.find("timeline"), nullptr);
+}
+
 // ---------------------------------------------------------------
 // Category filtering.
 // ---------------------------------------------------------------

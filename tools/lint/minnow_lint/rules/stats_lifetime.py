@@ -15,10 +15,12 @@ the project call graph (C's methods plus free functions, depth <= 6
 — since the ProjectModel landed this follows helper chains of any
 realistic depth, where the old rule stopped after one level and
 flagged a removeGroup two helpers deep as missing;
-tests/lint_fixtures/stats_deep_ok.hh pins that).
+tests/lint_fixtures/stats_deep_ok.hh pins that) — or hold a
+by-value `StatsClaim` data member, whose destructor removes the group
+unless the registry has already died.
 
-The conforming pattern is worklist/worklist.hh: attachStats() stores
-the registry pointer, ~Worklist() calls removeGroup.
+The conforming pattern is worklist/worklist.hh: attachStats() makes
+a StatsClaim on the group before registering it.
 """
 
 from ..scan import receiver_chain, type_mentions
@@ -26,7 +28,8 @@ from ..scan import receiver_chain, type_mentions
 RULE_ID = "stats-lifetime"
 
 DOC = ("StatsRegistry group registrations into an external registry "
-       "need a removeGroup reachable from the destructor")
+       "need a StatsClaim member or a removeGroup reachable from the "
+       "destructor")
 
 _REGISTER = {"group", "freshGroup"}
 
@@ -43,6 +46,17 @@ def _own_registry_members(entry):
             if not tix:
                 own.add(m.name)
     return own
+
+
+def _holds_claim(entry):
+    """Does the class hold a StatsClaim by value (its destructor
+    removes the claimed group)?"""
+    for _path, m in entry["members"]:
+        if type_mentions(m.type_tokens, {"StatsClaim"}) and not any(
+                t.kind == "punct" and t.text in ("*", "&")
+                for t in m.type_tokens):
+            return True
+    return False
 
 
 def _registration_sites(entry):
@@ -105,15 +119,17 @@ def check_project(project):
             external.append((path, line, chain))
         if not external:
             continue
-        if _removal_reachable(project, entry, name):
+        if _holds_claim(entry) or \
+                _removal_reachable(project, entry, name):
             continue
         for path, line, chain in external:
             findings.append(
                 (path, line, RULE_ID,
                  "'%s' registers a stats group into an external "
-                 "registry ('%s') but no removeGroup() is reachable "
-                 "from ~%s; formulas capturing this object will "
-                 "dangle when it dies before the registry (see "
-                 "worklist.hh attachStats for the pattern)"
+                 "registry ('%s') but holds no StatsClaim and no "
+                 "removeGroup() is reachable from ~%s; formulas "
+                 "capturing this object will dangle when it dies "
+                 "before the registry (see worklist.hh attachStats "
+                 "for the pattern)"
                  % (name, ".".join(chain), name)))
     return findings
