@@ -93,6 +93,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,9 +156,11 @@ installSignalHandlers()
  * through a shared_ptr, so every run of the process lands in one
  * file. The destructor closes, so a bench needs no explicit final
  * call. A panic hook closes the file too, so a crashed bench leaves a
- * valid log of the runs it recorded. add() and close() are called
- * one at a time (runPoints records in order through the farm); only
- * the spools are written in parallel.
+ * valid log of the runs it recorded. runPoints records in order
+ * through the farm, so add() runs one call at a time, but the hook
+ * closes on whichever thread panics, maybe while another thread is
+ * inside add(): the log's mutex makes each add() and close() whole,
+ * so an entry is either all in the log or not in it.
  */
 class StatsJsonLog
 {
@@ -210,6 +213,8 @@ class StatsJsonLog
         Cycle cycles, std::uint64_t instructions, double l2Mpki,
         std::size_t i)
     {
+        // No panic or fatal below, so the hook cannot deadlock on mu_.
+        const std::lock_guard<std::mutex> lock(mu_);
         char buf[64];
         std::string e = runs_++ ? "," : "";
         e += "{\"workload\":\"";
@@ -261,6 +266,7 @@ class StatsJsonLog
     void
     close()
     {
+        const std::lock_guard<std::mutex> lock(mu_);
         if (closed_)
             return;
         write("]}\n", 3);
@@ -277,9 +283,9 @@ class StatsJsonLog
 
   private:
     /**
-     * Close the log on panic, on whichever thread panics. Best
-     * effort, as every panic hook: with --host-par, a point finishing
-     * on another thread may be appending an entry meanwhile (once
+     * Close the log on panic, on whichever thread panics. With
+     * --host-par, a point finishing on another thread may be
+     * appending an entry meanwhile: close() waits for it to end (once
      * closed, the log takes no more bytes).
      */
     static void
@@ -288,7 +294,10 @@ class StatsJsonLog
         static_cast<StatsJsonLog *>(self)->close();
     }
 
-    /** Append @p n bytes, opening the file and its prefix first. */
+    /**
+     * Append @p n bytes, opening the file and its prefix first. The
+     * caller holds mu_.
+     */
     void
     write(const char *data, std::size_t n)
     {
@@ -307,6 +316,7 @@ class StatsJsonLog
 
     std::string path_;
     int panicHookId_;
+    std::mutex mu_; //!< guards everything below.
     std::FILE *f_ = nullptr;
     std::size_t runs_ = 0;
     bool failed_ = false; //!< an open or write failed: warn at close.

@@ -152,7 +152,7 @@ class App
      * graph has its own checkpoint section).
      */
     virtual void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(counters_);
         ck.transient("graph_ splitThreshold_");

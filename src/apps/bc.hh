@@ -47,7 +47,7 @@ class BcApp : public App
     bool referenceIsBipartite() const;
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         App::checkpoint(ck);
         ck.io(color_);

@@ -40,7 +40,7 @@ class CcApp : public App
     std::vector<NodeId> referenceLabels() const;
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         App::checkpoint(ck);
         ck.io(label_);

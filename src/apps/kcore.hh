@@ -49,7 +49,7 @@ class KcoreApp : public App
     std::vector<std::uint8_t> referenceCore() const;
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         App::checkpoint(ck);
         ck.io(k_);

@@ -48,7 +48,7 @@ class MisApp : public App
     std::vector<std::uint8_t> referenceSet() const;
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         App::checkpoint(ck);
         ck.io(in_);

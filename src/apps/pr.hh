@@ -58,7 +58,7 @@ class PrApp : public App
     }
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         App::checkpoint(ck);
         ck.io(alpha_);

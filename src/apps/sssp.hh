@@ -74,7 +74,7 @@ class SsspApp : public App
     }
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         App::checkpoint(ck);
         ck.io(source_);

@@ -45,7 +45,7 @@ class TcApp : public App
     std::uint64_t referenceTriangles() const;
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         App::checkpoint(ck);
         ck.io(triangles_);

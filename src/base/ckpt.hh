@@ -1,11 +1,17 @@
 /**
  * @file
- * Direction-tagged serialization visitor for checkpoint/restore.
+ * Save-only serialization visitor for checkpoint witnesses, and the
+ * decoder for the two sections a restore reads back.
  *
- * Components expose one `checkpoint(ckpt::Ckpt &ck)` method that
- * both saves and loads: `ck.io(member_)` appends the member's bytes
- * in save mode and reads them back in load mode, so the two
- * directions cannot drift apart. Members that are deliberately NOT
+ * Components expose one `checkpoint(ckpt::Ckpt &ck) const` method;
+ * `ck.io(member_)` appends the member's bytes. Saves go one way: the
+ * simulator's hot state lives in coroutine frames, which cannot be
+ * serialized, so a restore never loads a component. It rebuilds the
+ * machine cold, replays to the saved {cycle, executed} anchor and
+ * re-serializes every section to compare its bytes with the file
+ * (DESIGN.md section 5i). A save is a witness of the run it is taken
+ * in, so checkpoint() is const: the compiler proves that saving
+ * cannot change the run. Members that are deliberately NOT
  * serialized (host pointers, caches of derived state, coroutine
  * frames) must be declared with `ck.transient("a_ b_ c_")` — a
  * runtime no-op that exists so the minnow-lint S1 rule
@@ -17,10 +23,11 @@
  * sim/checkpoint.hh. This split keeps base/ components (Rng,
  * SimAlloc, StatsRegistry) free of sim/ includes.
  *
- * Load-mode errors (underrun, oversized length prefix) never throw
- * or crash: the first error latches into error() and every
- * subsequent read yields zeroes, so callers check ok() once at the
- * end.
+ * Only the config fingerprint and the harness's meta section are
+ * read back, through Decoder. Their bytes come from a file, so the
+ * decoder never throws or crashes on them: the first underrun or
+ * oversized length latches into error() and every later read yields
+ * zero, so callers check ok() once at the end.
  */
 
 #ifndef MINNOW_BASE_CKPT_HH
@@ -36,63 +43,11 @@
 namespace minnow::ckpt
 {
 
-/** Serialization visitor; make with Ckpt::saver / Ckpt::loader. */
+/** Serialization visitor: every io() appends to one byte buffer. */
 class Ckpt
 {
   public:
-    /** Save mode: io() appends to @p out. */
-    static Ckpt
-    saver(std::vector<std::uint8_t> *out)
-    {
-        Ckpt ck;
-        ck.out_ = out;
-        return ck;
-    }
-
-    /** Load mode: io() consumes from @p data / @p len. */
-    static Ckpt
-    loader(const std::uint8_t *data, std::size_t len)
-    {
-        Ckpt ck;
-        ck.in_ = data;
-        ck.len_ = len;
-        return ck;
-    }
-
-    bool saving() const { return out_ != nullptr; }
-    bool loading() const { return out_ == nullptr; }
-
-    bool ok() const { return err_.empty(); }
-    const std::string &error() const { return err_; }
-
-    /** Latch the first error; later io() calls become no-ops. */
-    void
-    fail(const std::string &why)
-    {
-        if (err_.empty())
-            err_ = why;
-    }
-
-    /** Raw bytes, both directions. Zero-fills @p p on load error. */
-    void
-    bytes(void *p, std::size_t n)
-    {
-        if (saving()) {
-            const auto *b = static_cast<const std::uint8_t *>(p);
-            out_->insert(out_->end(), b, b + n);
-            return;
-        }
-        if (!ok() || pos_ + n > len_) {
-            fail("checkpoint payload underrun (need " +
-                 std::to_string(n) + " bytes at offset " +
-                 std::to_string(pos_) + " of " +
-                 std::to_string(len_) + ")");
-            std::memset(p, 0, n);
-            return;
-        }
-        std::memcpy(p, in_ + pos_, n);
-        pos_ += n;
-    }
+    explicit Ckpt(std::vector<std::uint8_t> &out) : out_(&out) {}
 
     /**
      * Padding guard: a type whose object representation includes
@@ -108,7 +63,12 @@ class Ckpt
         std::has_unique_object_representations_v<T> ||
         std::is_floating_point_v<T>;
 
-    /** Per-element visitor detection (see the vector overload). */
+    /**
+     * Per-element visitor detection. It finds a non-const
+     * checkpoint() too, which io() then fails to call on its const
+     * argument: a visitor that could change its object is a
+     * compile error, not a silent fall-back to the byte copy.
+     */
     template <typename T>
     static constexpr bool kHasCheckpoint =
         requires(T &t, Ckpt &ck) { t.checkpoint(ck); };
@@ -118,7 +78,7 @@ class Ckpt
         requires(std::is_trivially_copyable_v<T> &&
                  !kHasCheckpoint<T>)
     void
-    io(T &v)
+    io(const T &v)
     {
         static_assert(kPadFree<T>,
                       "type has padding bytes; serialize it per"
@@ -130,20 +90,122 @@ class Ckpt
     template <typename T>
         requires kHasCheckpoint<T>
     void
-    io(T &v)
+    io(const T &v)
     {
         v.checkpoint(*this);
     }
 
+    /** A u64 length, then the characters. */
     void
-    io(std::string &s)
+    io(const std::string &s)
     {
-        std::uint64_t n = s.size();
-        io(n);
-        if (saving()) {
-            bytes(s.data(), s.size());
+        io(std::uint64_t(s.size()));
+        bytes(s.data(), s.size());
+    }
+
+    /** Contiguous trivially-copyable vectors go as one byte blob. */
+    template <typename T>
+        requires(std::is_trivially_copyable_v<T> &&
+                 !kHasCheckpoint<T>)
+    void
+    io(const std::vector<T> &v)
+    {
+        static_assert(kPadFree<T>,
+                      "element type has padding bytes; give it a"
+                      " checkpoint() method");
+        io(std::uint64_t(v.size()));
+        if (!v.empty())
+            bytes(v.data(), v.size() * sizeof(T));
+    }
+
+    /**
+     * Vectors of element types with their own checkpoint() visitor
+     * (used for structs whose layout includes padding: the visitor
+     * writes each member, so no uninitialized bytes leak into the
+     * stream) go as a u64 count, then element by element.
+     */
+    template <typename T>
+        requires kHasCheckpoint<T>
+    void
+    io(const std::vector<T> &v)
+    {
+        each(v);
+    }
+
+    template <typename T>
+    void
+    io(const std::deque<T> &d)
+    {
+        each(d);
+    }
+
+    /**
+     * Declare members intentionally not serialized. Accepts several
+     * space-separated member names per call; the S1 lint rule
+     * treats each word as covered. Runtime no-op.
+     */
+    void transient(const char *) const {}
+
+  private:
+    void
+    bytes(const void *p, std::size_t n)
+    {
+        const auto *b = static_cast<const std::uint8_t *>(p);
+        out_->insert(out_->end(), b, b + n);
+    }
+
+    template <typename Seq>
+    void
+    each(const Seq &s)
+    {
+        io(std::uint64_t(s.size()));
+        for (const auto &e : s)
+            io(e);
+    }
+
+    std::vector<std::uint8_t> *out_;
+};
+
+/**
+ * Reads back the integers, doubles and strings that Ckpt::io wrote,
+ * from a payload that came from a file. It does not copy the
+ * payload, which must outlive it.
+ */
+class Decoder
+{
+  public:
+    Decoder(const std::uint8_t *data, std::size_t len)
+        : in_(data), len_(len)
+    {
+    }
+
+    bool ok() const { return err_.empty(); }
+    const std::string &error() const { return err_; }
+
+    /** An integer or a double; zero once the payload has failed. */
+    template <typename T>
+        requires std::is_arithmetic_v<T>
+    void
+    read(T &v)
+    {
+        if (!ok() || sizeof v > len_ - pos_) {
+            fail("checkpoint payload underrun (need " +
+                 std::to_string(sizeof v) + " bytes at offset " +
+                 std::to_string(pos_) + " of " +
+                 std::to_string(len_) + ")");
+            v = T{};
             return;
         }
+        std::memcpy(&v, in_ + pos_, sizeof v);
+        pos_ += sizeof v;
+    }
+
+    /** A u64 length, then the characters; empty on failure. */
+    void
+    read(std::string &s)
+    {
+        std::uint64_t n = 0;
+        read(n);
         if (!ok() || n > len_ - pos_) {
             fail("checkpoint string length " + std::to_string(n) +
                  " overruns payload");
@@ -155,96 +217,17 @@ class Ckpt
         pos_ += std::size_t(n);
     }
 
-    /** Contiguous trivially-copyable vectors go as one byte blob. */
-    template <typename T>
-        requires(std::is_trivially_copyable_v<T> &&
-                 !kHasCheckpoint<T>)
-    void
-    io(std::vector<T> &v)
-    {
-        static_assert(kPadFree<T>,
-                      "element type has padding bytes; give it a"
-                      " checkpoint() method");
-        std::uint64_t n = v.size();
-        io(n);
-        if (loading()) {
-            // Division form: `pos_ + n * sizeof(T)` wraps for a
-            // corrupt length prefix and would defeat the check.
-            if (!ok() || n > (len_ - pos_) / sizeof(T)) {
-                fail("checkpoint vector length " +
-                     std::to_string(n) + " overruns payload");
-                v.clear();
-                return;
-            }
-            v.resize(std::size_t(n));
-        }
-        if (n)
-            bytes(v.data(), std::size_t(n) * sizeof(T));
-    }
-
-    /**
-     * Vectors of element types with their own checkpoint() visitor
-     * (used for structs whose layout includes padding: the visitor
-     * writes each member, so no uninitialized bytes leak into the
-     * stream).
-     */
-    template <typename T>
-        requires kHasCheckpoint<T>
-    void
-    io(std::vector<T> &v)
-    {
-        std::uint64_t n = v.size();
-        io(n);
-        if (loading()) {
-            if (!ok() || n > len_ - pos_) {
-                fail("checkpoint vector length " +
-                     std::to_string(n) + " overruns payload");
-                v.clear();
-                return;
-            }
-            v.resize(std::size_t(n));
-        }
-        for (T &e : v)
-            e.checkpoint(*this);
-    }
-
-    template <typename T>
-        requires(std::is_trivially_copyable_v<T> &&
-                 !kHasCheckpoint<T>)
-    void
-    io(std::deque<T> &d)
-    {
-        static_assert(kPadFree<T>,
-                      "element type has padding bytes; give it a"
-                      " checkpoint() method");
-        std::uint64_t n = d.size();
-        io(n);
-        if (loading()) {
-            if (!ok() || n > (len_ - pos_) / sizeof(T)) {
-                fail("checkpoint deque length " + std::to_string(n) +
-                     " overruns payload");
-                d.clear();
-                return;
-            }
-            d.resize(std::size_t(n));
-        }
-        for (auto &e : d)
-            io(e);
-    }
-
-    /**
-     * Declare members intentionally not serialized. Accepts several
-     * space-separated member names per call; the S1 lint rule
-     * treats each word as covered. Runtime no-op.
-     */
-    void transient(const char *) {}
-
   private:
-    Ckpt() = default;
+    /** Latch the first error; later reads yield zero. */
+    void
+    fail(const std::string &why)
+    {
+        if (err_.empty())
+            err_ = why;
+    }
 
-    std::vector<std::uint8_t> *out_ = nullptr;
-    const std::uint8_t *in_ = nullptr;
-    std::size_t len_ = 0;
+    const std::uint8_t *in_;
+    std::size_t len_;
     std::size_t pos_ = 0;
     std::string err_;
 };

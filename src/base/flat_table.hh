@@ -74,13 +74,13 @@ emptyKey(const std::pair<std::uint32_t, std::uint64_t> &)
 
 /** Keys serialize per member: a pair carries padding bytes. */
 inline void
-ioKey(ckpt::Ckpt &ck, std::uint64_t &k)
+ioKey(ckpt::Ckpt &ck, std::uint64_t k)
 {
     ck.io(k);
 }
 
 inline void
-ioKey(ckpt::Ckpt &ck, std::pair<std::uint32_t, std::uint64_t> &k)
+ioKey(ckpt::Ckpt &ck, const std::pair<std::uint32_t, std::uint64_t> &k)
 {
     ck.io(k.first);
     ck.io(k.second);
@@ -202,45 +202,26 @@ class FlatTable
     /**
      * Serialize as a count then (key, value) pairs sorted by key;
      * values go through ck.io (their own checkpoint() if they have
-     * padding). Symmetric: loading rebuilds the table by insertion.
+     * padding). The order is the keys', not the slots', so two
+     * tables holding the same entries save the same bytes whatever
+     * their insertion history.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
-        // The entries are the state; the slot layout is rebuilt by
-        // insertion on load.
+        // The entries are the state; the slot layout is not.
         ck.transient("slots_ mask_ count_");
-        std::uint64_t n = count_;
-        ck.io(n);
-        if (ck.saving()) {
-            std::vector<std::pair<K, V>> entries;
-            entries.reserve(count_);
-            forEach([&](const K &k, const V &v) {
-                entries.emplace_back(k, v);
-            });
-            std::sort(entries.begin(), entries.end(),
-                      [](const auto &a, const auto &b) {
-                          return a.first < b.first;
-                      });
-            for (auto &[k, v] : entries) {
-                flat_detail::ioKey(ck, k);
-                ck.io(v);
-            }
-            return;
-        }
-        clear();
-        for (std::uint64_t i = 0; i < n && ck.ok(); ++i) {
-            K k{};
-            V v{};
+        std::vector<std::pair<K, V>> entries;
+        entries.reserve(count_);
+        forEach([&](const K &k, const V &v) { entries.emplace_back(k, v); });
+        std::sort(entries.begin(), entries.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
+        ck.io(std::uint64_t(count_));
+        for (const auto &[k, v] : entries) {
             flat_detail::ioKey(ck, k);
             ck.io(v);
-            if (!ck.ok())
-                break;
-            if (k == kEmpty) {
-                ck.fail("checkpoint table key is the empty sentinel");
-                break;
-            }
-            put(k, v);
         }
     }
 

@@ -83,7 +83,7 @@ class Rng
 
     /** Serialize the full generator state. */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(state_);
     }

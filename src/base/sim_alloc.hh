@@ -86,14 +86,11 @@ class SimAlloc
 
     /** Serialize the cursor and the named memory map. */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(cursor_);
-        std::uint64_t n = regions_.size();
-        ck.io(n);
-        if (ck.loading())
-            regions_.resize(std::size_t(n));
-        for (auto &r : regions_) {
+        ck.io(std::uint64_t(regions_.size()));
+        for (const SimRegion &r : regions_) {
             ck.io(r.name);
             ck.io(r.base);
             ck.io(r.bytes);

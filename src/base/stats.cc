@@ -83,31 +83,15 @@ StatsGroup::find(const std::string &name) const
 }
 
 void
-StatsGroup::checkpoint(ckpt::Ckpt &ck)
+StatsGroup::checkpoint(ckpt::Ckpt &ck) const
 {
     // name_ and index_ are identity, recreated at registration time;
-    // only values travel, guarded by per-stat names.
+    // each value travels after its stat's name.
     ck.transient("name_ index_ generation_");
-    std::uint64_t n = stats_.size();
-    ck.io(n);
-    if (ck.loading() && n != stats_.size()) {
-        ck.fail("stats group '" + name_ + "' has " +
-                std::to_string(stats_.size()) +
-                " stats but the checkpoint holds " + std::to_string(n));
-        return;
-    }
-    for (auto &s : stats_) {
-        std::string statName = s->name();
-        ck.io(statName);
-        if (ck.loading() && statName != s->name()) {
-            ck.fail("stats group '" + name_ + "': expected stat '" +
-                    s->name() + "' but the checkpoint holds '" +
-                    statName + "'");
-            return;
-        }
+    ck.io(std::uint64_t(stats_.size()));
+    for (const auto &s : stats_) {
+        ck.io(s->name());
         s->checkpoint(ck);
-        if (!ck.ok())
-            return;
     }
 }
 
@@ -324,93 +308,36 @@ StatsRegistry::IntervalSample::at(const std::string &key) const
 }
 
 void
-StatsRegistry::checkpoint(ckpt::Ckpt &ck)
+StatsRegistry::checkpoint(ckpt::Ckpt &ck) const
 {
-    // The sampler is an event-queue daemon and is re-armed by the
-    // restored run itself; the layout is derived from the groups,
-    // and the spool is host state.
+    // The sampler is an event-queue daemon, the layout is derived
+    // from the groups, and the spool is host state.
     ck.transient("sampler_ generation_ layout_ layoutGeneration_ "
                  "spoolFd_ spoolEnd_ spooled_ row_ self_");
-    std::uint64_t n = 0;
+    ck.io(std::uint64_t(std::count_if(
+        groups_.begin(), groups_.end(),
+        [](const auto &g) { return !isHostTimeGroup(g.first); })));
     for (const auto &[gname, g] : groups_) {
-        (void)g;
-        if (!isHostTimeGroup(gname))
-            ++n;
-    }
-    std::uint64_t local = n;
-    ck.io(n);
-    if (ck.loading() && n != local) {
-        ck.fail("checkpoint holds " + std::to_string(n) +
-                " stats groups but the registry has " +
-                std::to_string(local));
-        return;
-    }
-    for (auto &[gname, g] : groups_) {
         if (isHostTimeGroup(gname))
             continue;
-        std::string name = gname;
-        ck.io(name);
-        if (ck.loading() && name != gname) {
-            ck.fail("expected stats group '" + gname +
-                    "' but the checkpoint holds '" + name + "'");
-            return;
-        }
+        ck.io(gname);
         g->checkpoint(ck);
-        if (!ck.ok())
-            return;
     }
     // Samples travel as key/value pairs, independent of the spool's
-    // runs; on load, consecutive samples with the same keys form one
-    // run again.
-    std::uint64_t ns = sampleCount();
-    ck.io(ns);
-    std::vector<std::string> keys;
+    // runs.
+    ck.io(std::uint64_t(sampleCount()));
     std::vector<double> row;
-    if (ck.saving()) {
-        for (const SampleRun &r : runs_) {
-            keys = readKeys(r);
-            for (std::size_t j = 0; j < r.rows; ++j) {
-                readRow(r, j, row);
-                Cycle cycle = std::bit_cast<Cycle>(row[0]);
-                std::uint64_t nv = r.width;
-                ck.io(cycle);
-                ck.io(nv);
-                for (std::size_t i = 0; i < r.width; ++i) {
-                    ck.io(keys[i]);
-                    ck.io(row[i + 1]);
-                }
+    for (const SampleRun &r : runs_) {
+        const std::vector<std::string> keys = readKeys(r);
+        for (std::size_t j = 0; j < r.rows; ++j) {
+            readRow(r, j, row);
+            ck.io(std::bit_cast<Cycle>(row[0]));
+            ck.io(std::uint64_t(r.width));
+            for (std::size_t i = 0; i < r.width; ++i) {
+                ck.io(keys[i]);
+                ck.io(row[i + 1]);
             }
         }
-        return;
-    }
-    // Loading replaces the samples taken so far.
-    runs_.clear();
-    spoolEnd_ = 0;
-    spooled_.reset();
-    for (std::uint64_t s = 0; s < ns; ++s) {
-        Cycle cycle = 0;
-        std::uint64_t nv = 0;
-        ck.io(cycle);
-        ck.io(nv);
-        keys.clear();
-        row.assign(1, std::bit_cast<double>(cycle));
-        for (std::uint64_t i = 0; i < nv && ck.ok(); ++i) {
-            std::string k;
-            double v = 0;
-            ck.io(k);
-            ck.io(v);
-            keys.push_back(std::move(k));
-            row.push_back(v);
-        }
-        if (!ck.ok())
-            return; // keep only whole samples.
-        if (!spooled_ || spooled_->keys != keys) {
-            auto l = std::make_shared<SampleLayout>();
-            l->keys = std::move(keys);
-            startRun(l->keys);
-            spooled_ = std::move(l);
-        }
-        appendRow(row.data());
     }
 }
 

@@ -167,11 +167,11 @@ class Stat
 
     /**
      * Serialize the stat's *value* (not its identity: name, desc
-     * and kind are recreated by the registering component, and the
-     * registry verifies them against the checkpoint's section).
+     * and kind are recreated by the registering component; its group
+     * writes the name before the value).
      */
     virtual void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.transient("name_ desc_ kind_");
     }
@@ -207,7 +207,7 @@ class ScalarStat : public Stat
 
     double value() const override { return v_; }
 
-    void checkpoint(ckpt::Ckpt &ck) override { ck.io(v_); }
+    void checkpoint(ckpt::Ckpt &ck) const override { ck.io(v_); }
 
   private:
     double v_ = 0;
@@ -239,7 +239,7 @@ class CounterStat : public Stat
     std::uint64_t count() const { return v_; }
     double value() const override { return double(v_); }
 
-    void checkpoint(ckpt::Ckpt &ck) override { ck.io(v_); }
+    void checkpoint(ckpt::Ckpt &ck) const override { ck.io(v_); }
 
   private:
     std::uint64_t v_ = 0;
@@ -266,7 +266,7 @@ class FormulaStat : public Stat
     double value() const override;
 
     /** Formulas hold no state: they re-derive from their inputs. */
-    void checkpoint(ckpt::Ckpt &ck) override { ck.transient("fn_"); }
+    void checkpoint(ckpt::Ckpt &ck) const override { ck.transient("fn_"); }
 
   private:
     Fn fn_;
@@ -345,7 +345,7 @@ class HistogramStat : public Stat
     }
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         ck.io(width_);
         ck.io(counts_);
@@ -392,11 +392,11 @@ class StatsGroup
     }
 
     /**
-     * Serialize every stat's value in registration order, guarded by
-     * the stat names so a structural mismatch is an error rather
-     * than a silent misload.
+     * Serialize every stat's name and value in registration order,
+     * so the witness sees a structural change as well as a changed
+     * value.
      */
-    void checkpoint(ckpt::Ckpt &ck);
+    void checkpoint(ckpt::Ckpt &ck) const;
 
   private:
     friend class StatsRegistry;
@@ -503,7 +503,7 @@ class StatsRegistry
      */
     void recordSample(Cycle now);
 
-    /** Interval samples taken (or restored) so far. */
+    /** Interval samples taken so far. */
     std::size_t sampleCount() const;
 
     /** Sample @p i (< sampleCount()), read back from the spool. */
@@ -515,7 +515,7 @@ class StatsRegistry
      * is skipped: its values are nondeterministic by design and would
      * break byte-identical restore comparisons.
      */
-    void checkpoint(ckpt::Ckpt &ck);
+    void checkpoint(ckpt::Ckpt &ck) const;
 
   private:
     struct Sampler

@@ -145,21 +145,14 @@ class SegmentedWindow
     /** Segments held (tests). */
     std::size_t segments() const { return segs_.size(); }
 
-    /** Serialize segments (count, then each) and cursors; symmetric. */
+    /** Serialize segments (count, then each) and cursors. */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
-        std::uint64_t n = segs_.size();
-        ck.io(n);
-        if (ck.loading())
-            segs_.clear();
-        for (std::uint64_t i = 0; i < n && ck.ok(); ++i) {
-            Segment seg = ck.saving() ? segs_.at(std::size_t(i))
-                                      : Segment{};
-            ck.io(seg.end);
-            ck.io(seg.time);
-            if (ck.loading() && ck.ok())
-                segs_.push_back(seg);
+        ck.io(std::uint64_t(segs_.size()));
+        for (std::size_t i = 0; i < segs_.size(); ++i) {
+            ck.io(segs_.at(i).end);
+            ck.io(segs_.at(i).time);
         }
         ck.io(head_);
         ck.io(tail_);
@@ -196,7 +189,7 @@ struct SpecTaskSlot
     // Per-member: the bool is followed by padding, which must not
     // leak into a checkpoint stream.
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(valid);
         ck.io(seq);
@@ -292,11 +285,12 @@ class OooCore
 
     /**
      * Serialize the analytic pipeline state: RNG, frontend cursors,
-     * occupancy windows, phase accounting, stats, and the spec slot.
-     * Symmetric — everything here is value state.
+     * occupancy windows, phase accounting, stats, and the spec slot:
+     * everything here is value state, so the witness compares all of
+     * it.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         rng_.checkpoint(ck);
         ck.io(feCycle_);

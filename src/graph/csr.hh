@@ -136,7 +136,7 @@ class CsrGraph
      * named by the witness.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(rowPtr_);
         ck.io(dst_);

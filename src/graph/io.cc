@@ -1,5 +1,6 @@
 #include "graph/io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -56,6 +57,10 @@ readDimacs(const std::string &path)
             fatal_if(std::sscanf(line, "p sp %llu %llu", &pn, &pm) !=
                          2,
                      "bad DIMACS header in %s", path.c_str());
+            fatal_if(pn >= kInvalidNode,
+                     "DIMACS header in %s claims %llu nodes; at most %u"
+                     " fit a NodeId",
+                     path.c_str(), pn, kInvalidNode - 1);
             n = NodeId(pn);
             m = pm;
             builder = GraphBuilder(n);
@@ -167,16 +172,35 @@ CsrGraph
 readBinary(const std::string &path)
 {
     File file(path, "rb");
-    std::uint64_t header[3] = {};
+    // magic, node count, edge count, weighted flag.
+    std::uint64_t header[4] = {};
     fatal_if(std::fread(header, sizeof(header), 1, file.f) != 1,
              "truncated binary graph %s", path.c_str());
     fatal_if(header[0] != kBinaryMagic, "%s is not a minnow binary"
              " graph", path.c_str());
-    std::uint64_t weighted = 0;
-    fatal_if(std::fread(&weighted, sizeof(weighted), 1, file.f) != 1,
-             "truncated binary graph %s", path.c_str());
-    NodeId n = NodeId(header[1]);
-    std::uint64_t m = header[2];
+    const std::uint64_t n = header[1], m = header[2];
+    const bool weighted = header[3] != 0;
+    fatal_if(n >= kInvalidNode,
+             "binary graph %s claims %llu nodes; at most %u fit a NodeId",
+             path.c_str(), (unsigned long long)n, kInvalidNode - 1);
+
+    // The header is untrusted: it must account for the file's exact
+    // length before any array is sized from it.
+    long bytes = -1;
+    if (std::fseek(file.f, 0, SEEK_END) == 0)
+        bytes = std::ftell(file.f);
+    fatal_if(bytes < 0 || std::fseek(file.f, sizeof(header), SEEK_SET),
+             "cannot measure binary graph %s", path.c_str());
+    const std::uint64_t arrays = std::uint64_t(bytes) - sizeof(header);
+    const std::uint64_t rowBytes = 8 * (n + 1);
+    const std::uint64_t edgeBytes = weighted ? 8 : 4;
+    fatal_if(arrays < rowBytes || (arrays - rowBytes) / edgeBytes != m ||
+                 (arrays - rowBytes) % edgeBytes,
+             "binary graph %s is %ld bytes, but its header claims %llu"
+             " nodes and %llu%s edges",
+             path.c_str(), bytes, (unsigned long long)n,
+             (unsigned long long)m, weighted ? " weighted" : "");
+
     std::vector<std::uint64_t> rowPtr(n + 1);
     fatal_if(std::fread(rowPtr.data(), sizeof(std::uint64_t),
                         rowPtr.size(), file.f) != rowPtr.size(),
@@ -191,6 +215,24 @@ readBinary(const std::string &path)
                             file.f) != m,
                  "truncated binary graph %s", path.c_str());
     }
+
+    fatal_if(rowPtr[0] != 0, "binary graph %s: rowPtr[0] is %llu, not 0",
+             path.c_str(), (unsigned long long)rowPtr[0]);
+    auto down = std::is_sorted_until(rowPtr.begin(), rowPtr.end());
+    fatal_if(down != rowPtr.end(),
+             "binary graph %s: rowPtr decreases after node %zu",
+             path.c_str(), std::size_t(down - rowPtr.begin() - 1));
+    fatal_if(rowPtr[n] != m,
+             "binary graph %s: rowPtr ends at %llu, not at its %llu"
+             " edges",
+             path.c_str(), (unsigned long long)rowPtr[n],
+             (unsigned long long)m);
+    auto bad = std::find_if(dst.begin(), dst.end(),
+                            [n](NodeId d) { return d >= n; });
+    fatal_if(bad != dst.end(),
+             "binary graph %s: edge %zu points to node %u of %llu",
+             path.c_str(), std::size_t(bad - dst.begin()), *bad,
+             (unsigned long long)n);
     return CsrGraph(std::move(rowPtr), std::move(dst),
                     std::move(weight));
 }

@@ -259,17 +259,15 @@ runExperiment(Workload &w, const RunSpec &spec)
             warn("cannot restore %s (%s); cold-starting",
                  spec.checkpointIn.c_str(), err.c_str());
         } else if (const ckpt::Section *ms = reader.find("meta")) {
-            ckpt::Ckpt ck = ckpt::Ckpt::loader(ms->bytes.data(),
-                                               ms->bytes.size());
-            meta.checkpoint(ck);
+            std::string bad = meta.decode(ms->bytes);
             std::uint32_t wantThreads =
                 spec.config == Config::SerialRelaxed
                     ? 1
                     : spec.threads;
-            if (!ck.ok()) {
+            if (!bad.empty()) {
                 warn("checkpoint %s meta section is malformed (%s);"
                      " cold-starting",
-                     spec.checkpointIn.c_str(), ck.error().c_str());
+                     spec.checkpointIn.c_str(), bad.c_str());
             } else if (meta.workload != w.name ||
                        meta.scale != w.scale ||
                        meta.seed != w.seed ||

@@ -71,7 +71,7 @@ struct CkptMeta
     std::uint32_t threads = 0;
 
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(cycle);
         ck.io(executed);
@@ -80,6 +80,24 @@ struct CkptMeta
         ck.io(seed);
         ck.io(config);
         ck.io(threads);
+    }
+
+    /**
+     * Read a saved meta section back, field for field as
+     * checkpoint() wrote it. @return "" or the decoder's diagnostic.
+     */
+    std::string
+    decode(const std::vector<std::uint8_t> &payload)
+    {
+        ckpt::Decoder d(payload.data(), payload.size());
+        d.read(cycle);
+        d.read(executed);
+        d.read(workload);
+        d.read(scale);
+        d.read(seed);
+        d.read(config);
+        d.read(threads);
+        return d.error();
     }
 };
 

@@ -51,27 +51,15 @@ Attribution::Window::take(const Key &k, Cycle c, Cycle window)
 }
 
 void
-Attribution::Window::checkpoint(ckpt::Ckpt &ck)
+Attribution::Window::checkpoint(ckpt::Ckpt &ck) const
 {
     at.checkpoint(ck);
-    std::uint64_t m = fifo.size();
-    ck.io(m);
-    if (ck.loading())
-        fifo.clear();
-    for (std::uint64_t i = 0; i < m && ck.ok(); ++i) {
-        Cycle cyc = 0;
-        std::uint32_t core = 0;
-        Addr lnum = 0;
-        if (ck.saving()) {
-            cyc = fifo.at(std::size_t(i)).first;
-            core = fifo.at(std::size_t(i)).second.first;
-            lnum = fifo.at(std::size_t(i)).second.second;
-        }
+    ck.io(std::uint64_t(fifo.size()));
+    for (std::size_t i = 0; i < fifo.size(); ++i) {
+        const auto &[cyc, key] = fifo.at(i);
         ck.io(cyc);
-        ck.io(core);
-        ck.io(lnum);
-        if (ck.loading())
-            fifo.push_back({cyc, Key{core, lnum}});
+        ck.io(key.first);
+        ck.io(key.second);
     }
 }
 
@@ -378,7 +366,7 @@ Attribution::registerStats(StatsRegistry &reg)
 }
 
 void
-Attribution::checkpoint(ckpt::Ckpt &ck)
+Attribution::checkpoint(ckpt::Ckpt &ck) const
 {
     tracked_.checkpoint(ck);
     victims_.checkpoint(ck);

@@ -64,7 +64,7 @@ struct AttrClassCounts
     std::uint64_t polluting = 0;
 
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(timely);
         ck.io(late);
@@ -170,9 +170,9 @@ class Attribution
 
     /**
      * Serialize all tracker state (ordered containers, so the bytes
-     * are deterministic). Symmetric.
+     * are deterministic) for the restore witness.
      */
-    void checkpoint(ckpt::Ckpt &ck);
+    void checkpoint(ckpt::Ckpt &ck) const;
 
   private:
     /** Map key: (core, line number). */
@@ -187,7 +187,7 @@ class Attribution
         std::uint8_t hw = 0;
 
         void
-        checkpoint(ckpt::Ckpt &ck)
+        checkpoint(ckpt::Ckpt &ck) const
         {
             ck.io(issue);
             ck.io(fill);
@@ -204,7 +204,7 @@ class Attribution
         std::uint32_t pushCore = 0;
 
         void
-        checkpoint(ckpt::Ckpt &ck)
+        checkpoint(ckpt::Ckpt &ck) const
         {
             ck.io(pushCycle);
             ck.io(enqueueCycle);
@@ -219,7 +219,7 @@ class Attribution
         std::uint8_t active = 0; //!< lineage != 0 task running.
 
         void
-        checkpoint(ckpt::Ckpt &ck)
+        checkpoint(ckpt::Ckpt &ck) const
         {
             ck.io(dequeueCycle);
             ck.io(active);
@@ -238,7 +238,7 @@ class Attribution
         /** Remove and report a live entry for @p k at cycle @p c. */
         bool take(const Key &k, Cycle c, Cycle window);
 
-        void checkpoint(ckpt::Ckpt &ck);
+        void checkpoint(ckpt::Ckpt &ck) const;
     };
 
     void charge(CoreId core,

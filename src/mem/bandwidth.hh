@@ -85,10 +85,10 @@ class BandwidthMeter
     // Per-member: Slot carries 4 padding bytes after `used`, which
     // must not leak into a checkpoint stream.
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(capacity_);
-        for (Slot &s : slots_) {
+        for (const Slot &s : slots_) {
             ck.io(s.epoch);
             ck.io(s.used);
         }

@@ -181,10 +181,10 @@ class CacheArray
     /**
      * Serialize the full array state: frame words and recency words
      * in bulk, plus the ready-cycle side array (empty until the
-     * array's first setReadyAt()). Symmetric.
+     * array's first setReadyAt()).
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(assoc_);
         ck.io(sets_);
@@ -192,8 +192,6 @@ class CacheArray
         ck.io(frames_);
         ck.io(order_);
         ck.io(readyAt_);
-        if (ck.loading() && !consistent())
-            ck.fail("cache array geometry mismatch");
     }
 
   private:
@@ -211,15 +209,6 @@ class CacheArray
         ~((std::uint64_t(1) << kFlagBits) - 1) | kValid;
 
     std::uint32_t setOf(Addr lnum) const { return lnum & setMask_; }
-
-    /** The vectors' sizes match the geometry (checked after a load). */
-    bool
-    consistent() const
-    {
-        return frames_.size() == std::size_t(sets_) * assoc_ &&
-               order_.size() == sets_ &&
-               (readyAt_.empty() || readyAt_.size() == frames_.size());
-    }
 
     bool
     flag(Frame f, std::uint64_t bit) const

@@ -81,7 +81,7 @@ class Dram
      * covered by the machine-level config fingerprint.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(accesses_);
         ck.io(queueCycles_);

@@ -637,21 +637,11 @@ MemorySystem::registerStats(StatsRegistry &reg)
 }
 
 void
-MemorySystem::checkpoint(ckpt::Ckpt &ck)
+MemorySystem::checkpoint(ckpt::Ckpt &ck) const
 {
-    auto ioArrays = [&ck](std::vector<CacheArray> &v) {
-        std::uint64_t n = v.size();
-        ck.io(n);
-        if (ck.loading() && n != v.size()) {
-            ck.fail("cache array count mismatch");
-            return;
-        }
-        for (CacheArray &a : v)
-            a.checkpoint(ck);
-    };
-    ioArrays(l1_);
-    ioArrays(l2_);
-    ioArrays(l3_);
+    ck.io(l1_);
+    ck.io(l2_);
+    ck.io(l3_);
 
     directory_.checkpoint(ck);
     atomicBusy_.checkpoint(ck);

@@ -212,12 +212,13 @@ class MemorySystem
     /**
      * Serialize the hierarchy: every cache array, the directory and
      * atomic serialization points (sorted by line for determinism),
-     * NoC/DRAM meters and per-core counters. Symmetric. Hardware
-     * prefetcher tables are transient: deterministic replay retrains
-     * them, and any divergence they could cause shows up in the cache
-     * and stats sections of the witness.
+     * NoC/DRAM meters and per-core counters, as the witness a
+     * replayed restore is compared against. Hardware prefetcher
+     * tables are transient: deterministic replay retrains them, and
+     * any divergence they could cause shows up in the cache and
+     * stats sections of the witness.
      */
-    void checkpoint(ckpt::Ckpt &ck);
+    void checkpoint(ckpt::Ckpt &ck) const;
 
   private:
     /** Directory entry for a line cached somewhere on chip. */
@@ -229,7 +230,7 @@ class MemorySystem
         // Per-member: 4 tail padding bytes must not leak into a
         // checkpoint stream.
         void
-        checkpoint(ckpt::Ckpt &ck)
+        checkpoint(ckpt::Ckpt &ck) const
         {
             ck.io(sharers);
             ck.io(owner);

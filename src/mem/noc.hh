@@ -59,7 +59,7 @@ class Noc
      * config, covered by the machine-level config fingerprint.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(messages_);
         ck.io(totalHops_);

@@ -1524,13 +1524,8 @@ MinnowEngine::prefetchEdgeThreadlet(EdgeId e, EdgeId endEdge,
 }
 
 void
-MinnowEngine::checkpoint(ckpt::Ckpt &ck)
+MinnowEngine::checkpoint(ckpt::Ckpt &ck) const
 {
-    if (ck.loading()) {
-        ck.fail("minnow engine sections are replay-validated, not"
-                " loadable");
-        return;
-    }
     ck.io(core_);
     ck.io(localQ_);
     ck.io(localBucket_);
@@ -1542,12 +1537,11 @@ MinnowEngine::checkpoint(ckpt::Ckpt &ck)
     ck.io(creditsFree_);
     ck.io(cuBusyUntil_);
     ck.io(daemonRunning_);
-    std::uint64_t npf = pendingPrefetch_.size();
-    ck.io(npf);
-    for (std::uint64_t i = 0; i < npf; ++i) {
-        auto entry = pendingPrefetch_.at(std::size_t(i));
-        ck.io(entry.first);
-        ck.io(entry.second);
+    ck.io(std::uint64_t(pendingPrefetch_.size()));
+    for (std::size_t i = 0; i < pendingPrefetch_.size(); ++i) {
+        const auto &[item, seq] = pendingPrefetch_.at(i);
+        ck.io(item);
+        ck.io(seq);
     }
     ck.io(insertSeq_);
     ck.io(consumedSeq_);

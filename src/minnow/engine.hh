@@ -243,11 +243,11 @@ class MinnowEngine
     /**
      * Witness serialization of the engine's deterministic state:
      * local queue, resource pools, spill buffer, spec slots and
-     * counters, in a fixed order. Save-only (coroutine state is
-     * rebuilt by deterministic replay; restore validates by
-     * re-serializing and comparing CRCs — DESIGN.md section 5i).
+     * counters, in a fixed order. Coroutine state is rebuilt by
+     * deterministic replay; a restore validates it by re-serializing
+     * and comparing bytes (DESIGN.md section 5i).
      */
-    void checkpoint(ckpt::Ckpt &ck);
+    void checkpoint(ckpt::Ckpt &ck) const;
 
     const EngineStats &stats() const { return stats_; }
     std::uint32_t localQueueSize() const
@@ -489,7 +489,7 @@ class MinnowEngine
         // Per-member: 7 padding bytes after the bool must not leak
         // into a checkpoint stream.
         void
-        checkpoint(ckpt::Ckpt &ck)
+        checkpoint(ckpt::Ckpt &ck) const
         {
             ck.io(inFlight);
             ck.io(seq);

@@ -103,11 +103,11 @@ class MinnowGlobalQueue
 
     /**
      * Serialize the full logical content (sorted bucket order, items
-     * in queue order) plus counters. Symmetric: the deques hold
-     * values, not pointers, so this section loads as well as saves.
+     * in queue order) plus counters: the deques hold values, not
+     * pointers, so the witness compares the queue itself.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(lg_);
         ck.io(packages_);
@@ -116,34 +116,14 @@ class MinnowGlobalQueue
         ck.io(spillCount_);
         ck.io(fillCount_);
         ck.io(softwarePops_);
-        std::uint64_t nb = buckets_.size();
-        ck.io(nb);
-        if (ck.saving()) {
-            for (auto &[key, b] : buckets_) {
-                std::int64_t k = key;
-                ck.io(k);
-                std::uint64_t ns = b.sub.size();
-                ck.io(ns);
-                for (SubList &sl : b.sub) {
-                    ck.io(sl.base);
-                    ck.io(sl.itemsBase);
-                    ck.io(sl.items);
-                }
-            }
-        } else {
-            buckets_.clear();
-            for (std::uint64_t i = 0; i < nb && ck.ok(); ++i) {
-                std::int64_t k = 0;
-                ck.io(k);
-                Bucket &b = buckets_[k];
-                std::uint64_t ns = 0;
-                ck.io(ns);
-                b.sub.resize(std::size_t(ns));
-                for (SubList &sl : b.sub) {
-                    ck.io(sl.base);
-                    ck.io(sl.itemsBase);
-                    ck.io(sl.items);
-                }
+        ck.io(std::uint64_t(buckets_.size()));
+        for (const auto &[key, b] : buckets_) {
+            ck.io(key);
+            ck.io(std::uint64_t(b.sub.size()));
+            for (const SubList &sl : b.sub) {
+                ck.io(sl.base);
+                ck.io(sl.itemsBase);
+                ck.io(sl.items);
             }
         }
         ck.transient("alloc_");

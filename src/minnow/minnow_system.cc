@@ -71,8 +71,9 @@ MinnowSystem::MinnowSystem(Machine *machine,
             [this] { return double(global_.size()); });
     }
     // Checkpoint sections for the run-scoped scheduler state: the
-    // software global queue (symmetric) and each engine (save-only
-    // witness; see DESIGN.md section 5i).
+    // software global queue and each engine. Like every section they
+    // are witnesses, compared with a replayed run's (DESIGN.md
+    // section 5i).
     machine->addCkptHook("globalq", [this](ckpt::Ckpt &ck) {
         global_.checkpoint(ck);
     });

@@ -242,13 +242,12 @@ class Machine
 
     /** Serialize every component into @p w, one section each. */
     void
-    checkpointSections(ckpt::Writer &w)
+    checkpointSections(ckpt::Writer &w) const
     {
         {
             std::vector<std::uint8_t> buf;
-            ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
-            std::string fp = configFingerprint();
-            ck.io(fp);
+            ckpt::Ckpt ck(buf);
+            ck.io(configFingerprint());
             w.add("config", std::move(buf));
         }
         w.add("alloc", ckpt::serialize(alloc));
@@ -264,9 +263,9 @@ class Machine
         w.add("stats", ckpt::serialize(stats));
         if (attribution)
             w.add("attribution", ckpt::serialize(*attribution));
-        for (auto &[name, fn] : ckptHooks_) {
+        for (const auto &[name, fn] : ckptHooks_) {
             std::vector<std::uint8_t> buf;
-            ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
+            ckpt::Ckpt ck(buf);
             fn(ck);
             w.add(name, std::move(buf));
         }
@@ -278,7 +277,7 @@ class Machine
      * error description.
      */
     std::string
-    save(const std::string &path)
+    save(const std::string &path) const
     {
         ckpt::Writer w;
         checkpointSections(w);
@@ -302,13 +301,12 @@ class Machine
         const ckpt::Section *cs = r.find("config");
         if (!cs)
             return "checkpoint has no config section";
-        ckpt::Ckpt ck =
-            ckpt::Ckpt::loader(cs->bytes.data(), cs->bytes.size());
+        ckpt::Decoder d(cs->bytes.data(), cs->bytes.size());
         std::string fp;
-        ck.io(fp);
-        if (!ck.ok())
+        d.read(fp);
+        if (!d.ok())
             return "checkpoint config section is malformed: " +
-                   ck.error();
+                   d.error();
         if (fp != configFingerprint()) {
             return "checkpoint was taken under a different machine"
                    " configuration";
@@ -322,7 +320,7 @@ class Machine
      * of mismatched or missing sections (empty = state identical).
      */
     std::vector<std::string>
-    validateAgainst(const ckpt::Reader &r)
+    validateAgainst(const ckpt::Reader &r) const
     {
         ckpt::Writer w;
         checkpointSections(w);

@@ -216,7 +216,7 @@ class WorkMonitor
      * and termination hooks are rebuilt by the restored run itself.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(workers_);
         ck.io(pending_);

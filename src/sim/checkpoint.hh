@@ -35,9 +35,14 @@
  * misload).
  *
  * Section payloads are produced by per-component
- * `checkpoint(ckpt::Ckpt &)` visitors (base/ckpt.hh). What is and
- * is not serialized — and why a restore is nevertheless
- * byte-identical — is documented in DESIGN.md section 5i.
+ * `checkpoint(ckpt::Ckpt &) const` visitors (base/ckpt.hh), and they
+ * go one way: a restore replays to the saved anchor and compares
+ * freshly serialized sections with these (Machine::validateAgainst),
+ * so no component is ever loaded from a file. Only the config
+ * fingerprint and the harness's meta section are read back, through
+ * ckpt::Decoder. What is and is not serialized — and why a restore
+ * is nevertheless byte-identical — is documented in DESIGN.md
+ * section 5i.
  */
 
 #ifndef MINNOW_SIM_CHECKPOINT_HH
@@ -125,10 +130,10 @@ class Reader
 /** Serialize one component into a byte buffer via its visitor. */
 template <typename T>
 std::vector<std::uint8_t>
-serialize(T &component)
+serialize(const T &component)
 {
     std::vector<std::uint8_t> buf;
-    Ckpt ck = Ckpt::saver(&buf);
+    Ckpt ck(buf);
     component.checkpoint(ck);
     return buf;
 }

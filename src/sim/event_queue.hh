@@ -245,17 +245,11 @@ class EventQueue
      * do not travel.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(now_);
-        std::uint64_t v = size_;
-        ck.io(v);
-        if (ck.loading())
-            size_ = std::size_t(v);
-        v = daemons_;
-        ck.io(v);
-        if (ck.loading())
-            daemons_ = std::size_t(v);
+        ck.io(std::uint64_t(size_));
+        ck.io(std::uint64_t(daemons_));
         ck.io(executed_);
         ck.transient("buckets_ occupied_ far_ cursor_ farSeq_"
                      " stopped_ running_ diagHook_ prof_"

@@ -160,10 +160,11 @@ class FaultInjector
     /**
      * Serialize the RNG stream position and injection counters. The
      * parsed clauses are construction-time config covered by the
-     * machine-level config fingerprint; symmetric.
+     * machine-level config fingerprint, so the witness leaves them
+     * out.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         rng_.checkpoint(ck);
         ck.io(stats_);

@@ -50,7 +50,7 @@ struct Chunk
     }
 
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(base);
         ck.io(bucket);
@@ -110,13 +110,11 @@ class ChunkPool
      * pool's pointers are rebuilt by deterministic replay.
      */
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(chunkSize_);
-        std::uint64_t total = chunks_.size();
-        std::uint64_t freed = freeList_.size();
-        ck.io(total);
-        ck.io(freed);
+        ck.io(std::uint64_t(chunks_.size()));
+        ck.io(std::uint64_t(freeList_.size()));
         ck.transient("alloc_");
     }
 
@@ -129,10 +127,9 @@ class ChunkPool
 
 /** Serialize a maybe-null live chunk (witness helper). */
 inline void
-checkpointChunkPtr(ckpt::Ckpt &ck, Chunk *c)
+checkpointChunkPtr(ckpt::Ckpt &ck, const Chunk *c)
 {
-    std::uint8_t present = c != nullptr;
-    ck.io(present);
+    ck.io(std::uint8_t(c != nullptr));
     if (c)
         c->checkpoint(ck);
 }

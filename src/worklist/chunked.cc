@@ -183,32 +183,23 @@ ChunkedWorklist::pop(SimContext &ctx, WorkItem &out)
 }
 
 void
-ChunkedWorklist::checkpoint(ckpt::Ckpt &ck)
+ChunkedWorklist::checkpoint(ckpt::Ckpt &ck) const
 {
-    if (ck.loading()) {
-        ck.fail("chunked worklist sections are replay-validated, not"
-                " loadable");
-        return;
-    }
     Worklist::checkpoint(ck);
-    std::uint8_t pol = policy_ == Policy::Lifo;
-    ck.io(pol);
+    ck.io(std::uint8_t(policy_ == Policy::Lifo));
     ck.io(packages_);
     ck.io(coresPerPkg_);
     pool_.checkpoint(ck);
     ck.io(seedRotor_);
-    std::uint64_t np = pkgs_.size();
-    ck.io(np);
-    for (PerPackage &p : pkgs_) {
+    ck.io(std::uint64_t(pkgs_.size()));
+    for (const PerPackage &p : pkgs_) {
         ck.io(p.headLine);
-        std::uint64_t nc = p.list.size();
-        ck.io(nc);
-        for (Chunk *c : p.list)
+        ck.io(std::uint64_t(p.list.size()));
+        for (const Chunk *c : p.list)
             c->checkpoint(ck);
     }
-    std::uint64_t nw = workers_.size();
-    ck.io(nw);
-    for (PerWorker &w : workers_) {
+    ck.io(std::uint64_t(workers_.size()));
+    for (const PerWorker &w : workers_) {
         checkpointChunkPtr(ck, w.pushChunk);
         checkpointChunkPtr(ck, w.popChunk);
     }

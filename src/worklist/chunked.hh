@@ -64,7 +64,7 @@ class ChunkedWorklist : public Worklist
         return policy_ == Policy::Fifo ? "cfifo" : "clifo";
     }
 
-    void checkpoint(ckpt::Ckpt &ck) override;
+    void checkpoint(ckpt::Ckpt &ck) const override;
 
   private:
     struct PerPackage

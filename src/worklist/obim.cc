@@ -308,13 +308,8 @@ ObimWorklist::pop(SimContext &ctx, WorkItem &out)
 }
 
 void
-ObimWorklist::checkpoint(ckpt::Ckpt &ck)
+ObimWorklist::checkpoint(ckpt::Ckpt &ck) const
 {
-    if (ck.loading()) {
-        ck.fail("obim worklist sections are replay-validated, not"
-                " loadable");
-        return;
-    }
     Worklist::checkpoint(ck);
     ck.io(lg_);
     ck.io(packages_);
@@ -324,30 +319,23 @@ ObimWorklist::checkpoint(ckpt::Ckpt &ck)
     ck.io(minLine_);
     ck.io(mapLock_);
     ck.io(seedRotorForInitial_);
-    std::uint64_t nb = buckets_.size();
-    ck.io(nb);
-    for (auto &[key, gb] : buckets_) {
-        std::int64_t k = key;
-        ck.io(k);
+    ck.io(std::uint64_t(buckets_.size()));
+    for (const auto &[key, gb] : buckets_) {
+        ck.io(key);
         ck.io(gb.descBase);
-        std::uint64_t np = gb.perPkg.size();
-        ck.io(np);
-        for (auto &dq : gb.perPkg) {
-            std::uint64_t nc = dq.size();
-            ck.io(nc);
-            for (Chunk *c : dq)
+        ck.io(std::uint64_t(gb.perPkg.size()));
+        for (const auto &dq : gb.perPkg) {
+            ck.io(std::uint64_t(dq.size()));
+            for (const Chunk *c : dq)
                 c->checkpoint(ck);
         }
     }
-    std::uint64_t nw = workers_.size();
-    ck.io(nw);
-    for (PerWorker &w : workers_) {
+    ck.io(std::uint64_t(workers_.size()));
+    for (const PerWorker &w : workers_) {
         ck.io(w.curBucket);
-        std::uint64_t npc = w.pushChunks.size();
-        ck.io(npc);
-        for (auto &[b, c] : w.pushChunks) {
-            std::int64_t bk = b;
-            ck.io(bk);
+        ck.io(std::uint64_t(w.pushChunks.size()));
+        for (const auto &[b, c] : w.pushChunks) {
+            ck.io(b);
             checkpointChunkPtr(ck, c);
         }
         checkpointChunkPtr(ck, w.popChunk);

@@ -64,7 +64,7 @@ class ObimWorklist : public Worklist
     /** Adds the live minimum-bucket hint as a counter track. */
     void registerTimeline(timeline::Timeline &tl) override;
 
-    void checkpoint(ckpt::Ckpt &ck) override;
+    void checkpoint(ckpt::Ckpt &ck) const override;
 
   private:
     static constexpr std::int64_t kNoBucket =

@@ -35,7 +35,7 @@ class StrictPriorityWorklist : public Worklist
     std::string name() const override { return "strict"; }
 
     void
-    checkpoint(ckpt::Ckpt &ck) override
+    checkpoint(ckpt::Ckpt &ck) const override
     {
         ck.io(heap_);
         ck.io(lockLine_);

@@ -119,7 +119,7 @@ class Worklist
      * DESIGN.md section 5i).
      */
     virtual void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.transient("statsClaim_");
     }

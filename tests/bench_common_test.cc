@@ -7,14 +7,15 @@
  * and that no spool file outlives its entry: a serial point's entry
  * is appended before the next point starts, and none is left after a
  * normal exit, an interrupted one or a panic, and a panic in one
- * farmed point leaves a valid log. A spool that cannot be written is
- * fatal.
+ * farmed point leaves a valid log, even while another point's entry
+ * is being appended. A spool that cannot be written is fatal.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -52,6 +53,42 @@ bool
 exists(const std::string &path)
 {
     return std::ifstream(path).good();
+}
+
+/**
+ * Whether @p json closes everything it opens, in order, with no
+ * value missing before a close: a log closed in the middle of an
+ * entry ends in '"stats":]}' or inside a bracket or string of the
+ * entry's stats.
+ */
+bool
+wellFormed(const std::string &json)
+{
+    std::string open;
+    char prev = 0; // the last character outside strings and blanks.
+    bool inString = false;
+    for (std::size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (inString) {
+            if (c == '\\')
+                ++i;
+            else if (c == '"')
+                inString = false;
+            continue;
+        }
+        if (c == '}' || c == ']') {
+            if (open.empty() || open.back() != (c == '}' ? '{' : '[') ||
+                prev == ':' || prev == ',')
+                return false;
+            open.pop_back();
+        } else if (c == '{' || c == '[') {
+            open.push_back(c);
+        }
+        inString = c == '"';
+        if (!std::isspace(static_cast<unsigned char>(c)))
+            prev = c;
+    }
+    return open.empty() && !inString;
 }
 
 TEST(StatsJsonLog, TwoRunsAndAnEmptyStatsString)
@@ -266,8 +303,45 @@ TEST(StatsJsonLogDeathTest, FarmedPanicLeavesAValidLog)
                   0u)
             << "run " << run;
         EXPECT_EQ(log.rfind("]}\n"), log.size() - 3) << "run " << run;
+        EXPECT_TRUE(wellFormed(log)) << "run " << run;
         EXPECT_EQ(log.find("\"workload\":\"bfs\""), std::string::npos);
         std::remove(path.c_str());
+    }
+}
+
+TEST(StatsJsonLogDeathTest, PanicWhileAnEntryIsAppendedWaitsForIt)
+{
+    std::string path = "bench_common_test_append_panic.json";
+    // The third point panics as soon as the first point's entry has
+    // started to go into the log (its first byte opens the file);
+    // copying the entry's stats takes a while, so the panic hook
+    // closes the log on one thread while another is appending. The
+    // log must still end after whole entries.
+    for (int run = 0; run < 5; ++run) {
+        EXPECT_EXIT(
+            {
+                bench::BenchArgs a = smallArgs(path, "3");
+                std::vector<bench::Point> points = smallPoints(a);
+                points[2].prepare = [path](harness::Workload &) {
+                    auto give = std::chrono::steady_clock::now() +
+                                std::chrono::seconds(10);
+                    while (!exists(path) &&
+                           std::chrono::steady_clock::now() < give)
+                        std::this_thread::yield();
+                    panic("point 2 fails");
+                };
+                bench::runPoints(a, points);
+            },
+            testing::KilledBySignal(SIGABRT), "point 2 fails")
+            << "run " << run;
+        std::string log = readFile(path);
+        EXPECT_NE(log.find("\"workload\":\"sssp\""), std::string::npos)
+            << "run " << run << ": the panic came before any entry";
+        EXPECT_EQ(log.rfind("]}\n"), log.size() - 3) << "run " << run;
+        EXPECT_TRUE(wellFormed(log)) << "run " << run;
+        std::remove(path.c_str());
+        for (int i = 0; i < 3; ++i)
+            std::remove((path + ".point" + std::to_string(i)).c_str());
     }
 }
 

@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -282,75 +283,100 @@ TEST(CkptVisitor, ScalarStringVectorRoundtrip)
 {
     std::vector<std::uint8_t> buf;
     {
-        ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
-        std::uint64_t a = 0x1122334455667788ull;
-        double d = 2.5;
-        bool b = true;
-        std::string s = "hello";
-        std::vector<std::uint32_t> v = {1, 2, 3};
+        ckpt::Ckpt ck(buf);
+        const std::uint64_t a = 0x1122334455667788ull;
+        const double d = 2.5;
+        const bool b = true;
+        const std::string s = "hello";
+        const std::vector<std::uint32_t> v = {1, 2, 3};
+        const std::deque<std::uint16_t> q = {7, 8};
         ck.io(a);
         ck.io(d);
         ck.io(b);
         ck.io(s);
         ck.io(v);
-        ASSERT_TRUE(ck.ok());
+        ck.io(q);
     }
-    ckpt::Ckpt ck = ckpt::Ckpt::loader(buf.data(), buf.size());
+    // Scalars as themselves; strings, vectors and deques as a u64
+    // count, then their elements.
+    EXPECT_EQ(buf.size(), 8u + 8 + 1 + (8 + 5) + (8 + 3 * 4) + (8 + 2 * 2));
+    ckpt::Decoder d(buf.data(), buf.size());
     std::uint64_t a = 0;
-    double d = 0;
+    double dv = 0;
     bool b = false;
     std::string s;
-    std::vector<std::uint32_t> v;
-    ck.io(a);
-    ck.io(d);
-    ck.io(b);
-    ck.io(s);
-    ck.io(v);
-    ASSERT_TRUE(ck.ok()) << ck.error();
+    std::uint64_t vn = 0, qn = 0;
+    std::uint32_t v[3] = {};
+    std::uint16_t q[2] = {};
+    d.read(a);
+    d.read(dv);
+    d.read(b);
+    d.read(s);
+    d.read(vn);
+    for (std::uint32_t &e : v)
+        d.read(e);
+    d.read(qn);
+    for (std::uint16_t &e : q)
+        d.read(e);
+    ASSERT_TRUE(d.ok()) << d.error();
     EXPECT_EQ(a, 0x1122334455667788ull);
-    EXPECT_EQ(d, 2.5);
+    EXPECT_EQ(dv, 2.5);
     EXPECT_TRUE(b);
     EXPECT_EQ(s, "hello");
-    EXPECT_EQ(v, (std::vector<std::uint32_t>{1, 2, 3}));
+    EXPECT_EQ(vn, 3u);
+    EXPECT_EQ(v[2], 3u);
+    EXPECT_EQ(qn, 2u);
+    EXPECT_EQ(q[1], 8u);
 }
 
-TEST(CkptVisitor, UnderrunLatchesErrorAndZeroFills)
+TEST(CkptDecoder, UnderrunLatchesErrorAndZeroFills)
 {
     std::vector<std::uint8_t> buf;
     {
-        ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
-        std::uint32_t a = 7;
-        ck.io(a);
+        ckpt::Ckpt ck(buf);
+        ck.io(std::uint32_t(7));
+        ck.io(std::string("abc"));
     }
-    ckpt::Ckpt ck = ckpt::Ckpt::loader(buf.data(), buf.size());
+    ckpt::Decoder d(buf.data(), 4 + 8);
     std::uint32_t a = 0;
+    std::string s = "keep?";
     std::uint64_t b = 99;
-    ck.io(a);
-    ck.io(b); // 8 bytes from a 4-byte payload: underrun.
+    d.read(a);
+    d.read(s); // the length fits, its 3 characters do not.
     EXPECT_EQ(a, 7u);
-    EXPECT_EQ(b, 0u) << "underrun reads must zero-fill";
-    EXPECT_FALSE(ck.ok());
-    EXPECT_NE(ck.error().find("underrun"), std::string::npos);
-    // Later reads stay zero-filled, first error is kept.
-    std::uint32_t c = 5;
-    ck.io(c);
+    EXPECT_EQ(s, "");
+    EXPECT_FALSE(d.ok());
+    EXPECT_NE(d.error().find("overruns payload"), std::string::npos);
+    // Later reads are zero-filled, and the first error is kept.
+    d.read(b);
+    EXPECT_EQ(b, 0u) << "reads after an error must zero-fill";
+    EXPECT_NE(d.error().find("overruns payload"), std::string::npos);
+
+    ckpt::Decoder e(buf.data(), 4);
+    std::uint64_t c = 5;
+    e.read(a);
+    e.read(c); // 8 bytes from a 4-byte payload: underrun.
     EXPECT_EQ(c, 0u);
+    EXPECT_FALSE(e.ok());
+    EXPECT_NE(e.error().find("underrun"), std::string::npos);
 }
 
-TEST(CkptVisitor, OversizedVectorLengthIsRejected)
+TEST(CkptDecoder, OversizedStringLengthIsRejected)
 {
     std::vector<std::uint8_t> buf;
     {
-        ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
-        std::uint64_t bogus = ~std::uint64_t(0) / 2;
-        ck.io(bogus);
+        ckpt::Ckpt ck(buf);
+        ck.io(~std::uint64_t(0) / 2);
+        ck.io(std::uint64_t(0));
     }
-    ckpt::Ckpt ck = ckpt::Ckpt::loader(buf.data(), buf.size());
-    std::vector<std::uint64_t> v;
-    ck.io(v);
-    EXPECT_FALSE(ck.ok());
-    EXPECT_TRUE(v.empty());
-    EXPECT_NE(ck.error().find("overruns payload"),
+    ckpt::Decoder d(buf.data(), buf.size());
+    std::string s = "stale";
+    d.read(s);
+    EXPECT_FALSE(d.ok());
+    EXPECT_TRUE(s.empty());
+    EXPECT_NE(d.error().find("string length " +
+                             std::to_string(~std::uint64_t(0) / 2) +
+                             " overruns payload"),
               std::string::npos);
 }
 
@@ -492,17 +518,22 @@ TEST(CkptMeta, RoundtripAndWorkloadMismatchDegrades)
     meta.threads = 8;
     std::vector<std::uint8_t> buf;
     {
-        ckpt::Ckpt ck = ckpt::Ckpt::saver(&buf);
+        ckpt::Ckpt ck(buf);
         meta.checkpoint(ck);
     }
     harness::CkptMeta got;
-    ckpt::Ckpt ck = ckpt::Ckpt::loader(buf.data(), buf.size());
-    got.checkpoint(ck);
-    ASSERT_TRUE(ck.ok());
+    ASSERT_EQ(got.decode(buf), "");
     EXPECT_EQ(got.cycle, 12345u);
     EXPECT_EQ(got.executed, 67890u);
     EXPECT_EQ(got.workload, "sssp");
+    EXPECT_EQ(got.scale, 0.25);
+    EXPECT_EQ(got.seed, 3u);
     EXPECT_EQ(got.config, "minnow-pf");
+    EXPECT_EQ(got.threads, 8u);
+    // A section cut short is malformed, never half read.
+    buf.pop_back();
+    EXPECT_NE(harness::CkptMeta{}.decode(buf).find("underrun"),
+              std::string::npos);
 
     // An sssp checkpoint offered to a bfs run on the same machine
     // must warn and cold-start (never replay to a foreign anchor).
@@ -606,4 +637,64 @@ TEST(CkptMachine, HostProfileLeavesMidRunCheckpointDeterministic)
     std::vector<std::uint8_t> b = saveOnce("hostprof_b.ckpt");
     ASSERT_FALSE(a.empty());
     EXPECT_TRUE(a == b) << "checkpoints differ";
+}
+
+TEST(CkptMachine, MidRunCheckpointWithSamplesAndAttributionIsDeterministic)
+{
+    // Two runs built alike save the same bytes at the same mid-run
+    // anchor with interval sampling on (the "stats" section carries
+    // the samples, read back from the host spool) and attribution on
+    // (its own section); a third run restores from one of them with
+    // a clean witness and ends as the saving runs did.
+    auto spec = [](const std::string &name) {
+        harness::RunSpec s;
+        s.config = harness::Config::MinnowPf;
+        s.threads = 4;
+        s.machine.numCores = 4;
+        s.machine.attribution = true;
+        s.machine.statsSampleInterval = 500;
+        s.checkpointOut = tmpPath(name);
+        s.checkpointAfter = 3000;
+        return s;
+    };
+    auto run = [](harness::RunSpec s, std::string *stats) {
+        harness::Workload w = harness::makeWorkload("sssp", 0.05, 1);
+        s.statsHook = [stats](const StatsRegistry &r) {
+            *stats = r.toJson();
+        };
+        harness::ExperimentResult r = harness::runExperiment(w, s);
+        EXPECT_TRUE(r.run.verified);
+        return r;
+    };
+    std::string statsA, statsB, statsR;
+    harness::RunSpec a = spec("samples_attr_a.ckpt");
+    harness::RunSpec b = spec("samples_attr_b.ckpt");
+    run(a, &statsA);
+    run(b, &statsB);
+    std::vector<std::uint8_t> bytesA = readBytes(a.checkpointOut);
+    ASSERT_FALSE(bytesA.empty());
+    EXPECT_TRUE(bytesA == readBytes(b.checkpointOut))
+        << "checkpoints differ";
+    EXPECT_EQ(statsA, statsB);
+    EXPECT_NE(statsA.find("\"intervals\":[{"), std::string::npos);
+    EXPECT_NE(statsA.find("\"attribution\""), std::string::npos);
+
+    ckpt::Reader saved;
+    ASSERT_EQ(saved.openFile(a.checkpointOut), "");
+    ASSERT_NE(saved.find("attribution"), nullptr);
+    harness::CkptMeta meta;
+    ASSERT_EQ(meta.decode(saved.find("meta")->bytes), "");
+    EXPECT_GT(meta.cycle, 0u) << "the anchor is mid-run";
+
+    harness::RunSpec r = spec("samples_attr_r.ckpt");
+    r.checkpointOut.clear();
+    r.checkpointAfter = 0;
+    r.checkpointIn = a.checkpointOut;
+    testing::internal::CaptureStderr();
+    harness::ExperimentResult res = run(r, &statsR);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_TRUE(res.restored);
+    EXPECT_EQ(statsR, statsA);
+    std::remove(a.checkpointOut.c_str());
+    std::remove(b.checkpointOut.c_str());
 }

@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/ckpt.hh"
 #include "base/rng.hh"
 #include "cpu/ooo_core.hh"
 #include "mem/memory_system.hh"
@@ -95,19 +94,6 @@ TEST(SegmentedWindow, WrapsAndGrowsLikeAReferenceList)
     }
     EXPECT_EQ(w.tail(), tail);
     EXPECT_GT(maxSegs, 8u); // grew past the first ring buffer.
-
-    // A checkpoint of a wrapped window restores the same answers.
-    std::vector<std::uint8_t> buf;
-    ckpt::Ckpt sv = ckpt::Ckpt::saver(&buf);
-    w.checkpoint(sv);
-    SegmentedWindow r;
-    ckpt::Ckpt ld = ckpt::Ckpt::loader(buf.data(), buf.size());
-    r.checkpoint(ld);
-    ASSERT_TRUE(ld.ok());
-    EXPECT_EQ(r.segments(), w.segments());
-    EXPECT_EQ(r.tail(), w.tail());
-    for (std::uint64_t q = query; q < tail; q += 1 + q % 3)
-        ASSERT_EQ(r.timeAt(q), w.timeAt(q));
 }
 
 TEST(SegmentedWindow, BeyondTailIsZero)

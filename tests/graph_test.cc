@@ -411,6 +411,96 @@ TEST(Io, EdgeListSymmetrize)
     std::remove(path.c_str());
 }
 
+/**
+ * A binary graph file: the header (magic, @p n, @p m, unweighted),
+ * then @p rowPtr and @p dst as given, whatever the header says.
+ */
+std::string
+writeRawBinary(const std::string &name, std::uint64_t n, std::uint64_t m,
+               const std::vector<std::uint64_t> &rowPtr,
+               const std::vector<NodeId> &dst)
+{
+    const std::string path = testing::TempDir() + "/" + name;
+    std::ofstream out(path, std::ios::binary);
+    const std::uint64_t header[4] = {0x4d494e4e4f575247ull, n, m, 0};
+    out.write(reinterpret_cast<const char *>(header), sizeof header);
+    out.write(reinterpret_cast<const char *>(rowPtr.data()),
+              std::streamsize(rowPtr.size() * sizeof(std::uint64_t)));
+    out.write(reinterpret_cast<const char *>(dst.data()),
+              std::streamsize(dst.size() * sizeof(NodeId)));
+    return path;
+}
+
+TEST(IoDeath, BinaryNodeCountBeyondNodeIdIsFatal)
+{
+    // n + 1 would wrap to 0 in a NodeId.
+    const std::string path =
+        writeRawBinary("mg_bad_n.bin", 0xFFFFFFFFull, 0, {0, 0, 0}, {});
+    EXPECT_EXIT(readBinary(path), testing::ExitedWithCode(1),
+                "mg_bad_n.bin claims 4294967295 nodes; at most"
+                " 4294967294 fit a NodeId");
+    std::remove(path.c_str());
+}
+
+TEST(IoDeath, BinaryHeaderThatDisagreesWithTheLengthIsFatal)
+{
+    // 72 bytes whose header claims 2^40 edges: nothing is allocated.
+    const std::string path = writeRawBinary(
+        "mg_bad_m.bin", 1, std::uint64_t(1) << 40, {0, 0},
+        std::vector<NodeId>(6, 0));
+    EXPECT_EXIT(readBinary(path), testing::ExitedWithCode(1),
+                "mg_bad_m.bin is 72 bytes, but its header claims 1"
+                " nodes and 1099511627776 edges");
+    std::remove(path.c_str());
+}
+
+TEST(IoDeath, BinaryRowPtrNotStartingAtZeroIsFatal)
+{
+    const std::string path =
+        writeRawBinary("mg_bad_r0.bin", 2, 1, {1, 1, 1}, {0});
+    EXPECT_EXIT(readBinary(path), testing::ExitedWithCode(1),
+                "mg_bad_r0.bin: rowPtr\\[0\\] is 1, not 0");
+    std::remove(path.c_str());
+}
+
+TEST(IoDeath, BinaryDecreasingRowPtrIsFatal)
+{
+    const std::string path =
+        writeRawBinary("mg_bad_rd.bin", 3, 2, {0, 2, 1, 2}, {0, 1});
+    EXPECT_EXIT(readBinary(path), testing::ExitedWithCode(1),
+                "mg_bad_rd.bin: rowPtr decreases after node 1");
+    std::remove(path.c_str());
+}
+
+TEST(IoDeath, BinaryRowPtrNotEndingAtTheEdgeCountIsFatal)
+{
+    const std::string path =
+        writeRawBinary("mg_bad_rn.bin", 2, 2, {0, 1, 1}, {0, 1});
+    EXPECT_EXIT(readBinary(path), testing::ExitedWithCode(1),
+                "mg_bad_rn.bin: rowPtr ends at 1, not at its 2 edges");
+    std::remove(path.c_str());
+}
+
+TEST(IoDeath, BinaryEdgeToAMissingNodeIsFatal)
+{
+    const std::string path =
+        writeRawBinary("mg_bad_dst.bin", 2, 1, {0, 1, 1}, {2});
+    EXPECT_EXIT(readBinary(path), testing::ExitedWithCode(1),
+                "mg_bad_dst.bin: edge 0 points to node 2 of 2");
+    std::remove(path.c_str());
+}
+
+TEST(IoDeath, DimacsNodeCountBeyondNodeIdIsFatal)
+{
+    // 2^32 nodes used to truncate silently to 0.
+    const std::string path = testing::TempDir() + "/mg_bad_n.gr";
+    std::ofstream(path) << "p sp 4294967296 0\n";
+    EXPECT_EXIT(readDimacs(path), testing::ExitedWithCode(1),
+                "mg_bad_n.gr claims 4294967296 nodes; at most"
+                " 4294967294 fit a NodeId");
+    std::remove(path.c_str());
+}
+
 /** FNV-1a over @p n bytes, continuing from @p h. */
 std::uint64_t
 fnv1a(const void *data, std::size_t n,

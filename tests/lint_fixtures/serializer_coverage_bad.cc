@@ -8,7 +8,7 @@ namespace fixture
 {
 
 void
-SplitComponent::checkpoint(ckpt::Ckpt &ck)
+SplitComponent::checkpoint(ckpt::Ckpt &ck) const
 {
     ck.io(saved_);
 }

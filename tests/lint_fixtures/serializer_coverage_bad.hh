@@ -17,7 +17,7 @@ class DriftedComponent
 {
   public:
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(cursor_);
         ck.transient("scratch_");
@@ -26,8 +26,8 @@ class DriftedComponent
   private:
     unsigned long long cursor_ = 0;
     void *scratch_ = nullptr;
-    // finding: added after the visitor was written; a restored
-    // object would silently keep the constructed value.
+    // finding: added after the visitor was written; the restore
+    // witness would not see it diverge.
     unsigned long long addedLater_ = 0;
 };
 
@@ -35,7 +35,7 @@ class DriftedComponent
 class SplitComponent
 {
   public:
-    void checkpoint(ckpt::Ckpt &ck);
+    void checkpoint(ckpt::Ckpt &ck) const;
 
   private:
     unsigned long long saved_ = 0;

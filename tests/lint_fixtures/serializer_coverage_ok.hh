@@ -16,12 +16,12 @@ class CoveredComponent
 {
   public:
     void
-    checkpoint(ckpt::Ckpt &ck)
+    checkpoint(ckpt::Ckpt &ck) const
     {
         ck.io(cursor_);
         ck.io(history_);
-        // Host pointers and derived caches are rebuilt, never
-        // serialized — but the decision must be visible.
+        // Host pointers and derived caches are not part of the
+        // witness — but the decision must be visible.
         ck.transient("scratch_ cachedSum_");
     }
 

@@ -1,11 +1,13 @@
 """S1 `serializer-coverage`: checkpointed classes must cover members.
 
-A class that defines a `checkpoint(ckpt::Ckpt &)` visitor promises
-that its complete value state round-trips through a checkpoint.
-The failure mode this rule targets is silent drift: a later change
-adds a data member, forgets the visitor, and restores start from a
-half-loaded object — worse than a crash, because the witness only
-catches members that affect serialized state downstream.
+A class that defines a `checkpoint(ckpt::Ckpt &) const` visitor
+promises that its complete value state is in the checkpoint. Saves
+go one way: a restore replays to the saved anchor and compares the
+replayed machine's sections with the file's byte for byte, so each
+section is a witness. The failure mode this rule targets is silent
+drift: a later change adds a data member and forgets the visitor,
+and a member the witness omits lets a divergence in it go unseen,
+unless it happens to change some other serialized state downstream.
 
 Rule: for every class C that defines a method named `checkpoint`,
 every non-static data member of C must be *named* inside some
@@ -96,7 +98,7 @@ def check(unit):
             findings.append(
                 (path, mem.line, RULE_ID,
                  "'%s::%s' is not serialized by checkpoint() nor "
-                 "declared ck.transient(\"%s\"); a restored object "
-                 "would silently keep its constructed value"
+                 "declared ck.transient(\"%s\"); the restore "
+                 "witness would not see it diverge"
                  % (name, mem.name, mem.name)))
     return findings
