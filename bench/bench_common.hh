@@ -39,8 +39,8 @@
  * SIGINT/SIGTERM stop every running point at its next event
  * boundary; once all have stopped, the points that ran are recorded,
  * --stats-json is closed, the panic hooks are flushed and the bench
- * exits 128+signal. (point_runner also
- * writes a rescue checkpoint; its checkpoint flags are its own.)
+ * exits 128+signal. (point_runner's checkpoint flags are its
+ * own.)
  *
  * Robustness knobs (also via applyOptions; see DESIGN.md "Fault
  * model"):
@@ -445,13 +445,12 @@ logRun(const BenchArgs &a, const Point &p, std::size_t i,
  * from success.
  */
 [[noreturn]] inline void
-exitInterrupted(const BenchArgs &a, bool rescueWritten = false)
+exitInterrupted(const BenchArgs &a)
 {
     std::fprintf(stderr,
                  "interrupted by signal %d: stopped at an event"
-                 " boundary, output flushed%s\n",
-                 int(gStopSignal),
-                 rescueWritten ? ", rescue checkpoint written" : "");
+                 " boundary, output flushed\n",
+                 int(gStopSignal));
     if (a.statsJson)
         a.statsJson->close();
     flushPanicHooks();

@@ -6,31 +6,23 @@
  * scripts/check_equivalence.py runs it for its checkpoint,
  * attribution, negative-control and BSP-interrupt rows, and the
  * benchmark ledger (perfbench/) times it. It accepts every common
- * bench flag, plus the checkpoint flags, which only this binary has,
- * so one invocation can save a checkpoint and a later one can replay
- * to it.
+ * bench flag, plus the checkpoint flags, which only this binary has.
  *
  * Extra flags beyond bench_common:
  *   --workload=<name>  required: one of the harness workloads.
  *   --config=<name>    scheduler config (default minnow-pf).
  *   --json=<path>      write the result JSON to a file instead of
  *                      stdout.
- *   --checkpoint-out=<path>   write a checkpoint at the
- *                      --checkpoint-after anchor (also written as a
- *                      rescue on SIGINT/SIGTERM).
- *   --checkpoint-in=<path>    replay to the checkpoint's anchor and
- *                      witness-validate there; any validation
- *                      failure warns and degrades to a cold start,
- *                      never wrong results. Exclusive with
- *                      --checkpoint-out.
+ *   --checkpoint-out=<path>   write a checkpoint witness at the
+ *                      --checkpoint-after anchor.
  *   --checkpoint-after=<N>    anchor cycle (default 0): save at the
  *                      first event boundary at or after cycle N;
  *                      0 saves before the first event.
- * See DESIGN.md section 5i.
+ * A witness is checked by saving it twice and comparing the files;
+ * nothing reads one back (DESIGN.md section 5i).
  *
- * The result includes "restored" (the checkpoint validated and the
- * replay reached its anchor) and hostSeconds (wall-clock for
- * workload build + simulation).
+ * The result includes hostSeconds (wall-clock for workload build +
+ * simulation).
  */
 
 #include <chrono>
@@ -52,7 +44,6 @@ main(int argc, char **argv)
         opts.getString("config", "minnow-pf");
     std::string jsonPath = opts.getString("json", "");
     std::string ckptOut = opts.getString("checkpoint-out", "");
-    std::string ckptIn = opts.getString("checkpoint-in", "");
     Cycle ckptAfter = opts.getUint("checkpoint-after", 0);
     opts.rejectUnused();
     fatal_if(workload.empty(), "point_runner needs --workload=");
@@ -61,7 +52,6 @@ main(int argc, char **argv)
     Point p{workload, config, args.threads, args.machine};
     harness::RunSpec spec = specOf(p, args, 0);
     spec.checkpointOut = ckptOut;
-    spec.checkpointIn = ckptIn;
     spec.checkpointAfter = ckptAfter;
 
     auto t0 = std::chrono::steady_clock::now();
@@ -71,7 +61,7 @@ main(int argc, char **argv)
     auto t2 = std::chrono::steady_clock::now();
     logRun(args, p, 0, r);
     if (r.run.interrupted)
-        exitInterrupted(args, !ckptOut.empty());
+        exitInterrupted(args);
 
     auto secs = [](auto a, auto b) {
         return std::chrono::duration<double>(b - a).count();
@@ -93,8 +83,6 @@ main(int argc, char **argv)
          (r.run.timedOut ? "true" : "false");
     j += std::string(",\"verified\":") +
          (r.run.verified ? "true" : "false");
-    j += std::string(",\"restored\":") +
-         (r.restored ? "true" : "false");
     std::snprintf(buf, sizeof buf,
                   ",\"buildSeconds\":%.6f,\"simSeconds\":%.6f,"
                   "\"hostSeconds\":%.6f",

@@ -9,12 +9,16 @@ byte for byte. When one does not, both sides are parsed and the first
 difference in document order is named: a JSON key path with both
 values and the count of differing leaves (plus the runs[i]
 workload/config/credits of stats, or both traceEvents[i] of a
-timeline), or the first differing line of text.
+timeline), or the first differing line of text. A row may also name
+pairs of checkpoint witnesses its runs save; each pair must be byte
+for byte alike, and when it is not, the container's section table is
+walked to name the first differing section and the byte in it.
 
-  ckpt *        point_runner saves at anchor 0 and at cycles/3,
-                restores both, and restores a file with one flipped
-                byte (must warn "CRC mismatch"); all match the cold
-                run, and only the two restores report "restored" (5i)
+  ckpt *        point_runner saves at anchor 0 twice and at cycles/3
+                twice, each save in its own process: every run's
+                stats and timeline match the run without checkpoint
+                flags, and the two witnesses at each anchor are
+                byte-identical (DESIGN.md 5i)
   attribution   --attribution off vs on, its group stripped (5k)
   faults        two runs with the same --faults and --seed, where the
                 faults fired (DESIGN.md 5d)
@@ -22,16 +26,16 @@ timeline), or the first differing line of text.
                 --stats-interval (stats entries of several MB), fig15,
                 fig03 with timeouts and --diag-json, fig04 (5j)
   rob-control   negative control: --rob=200 must differ at the named
-                path, or the comparator is blind
+                path, and its anchor-0 witness first in section
+                config, or the comparators are blind
   sigint-farm   SIGINT mid-farm, sent once the first point reports its
                 termination (--debug-flags=Monitor): exit 130 once, the
                 points that ran recorded in point order, some cut short
   sigint-bsp    SIGINT in a BSP point, sent once its first superstep ends
                 (--debug-flags=Bsp): interrupted, not timed out
 
-No run may warn "witness mismatch". Rows run concurrently; under a
-TSan build they are the race detector's workload, since the point
-farm is the simulator's only threaded code.
+Rows run concurrently; under a TSan build they are the race detector's
+workload, since the point farm is the simulator's only threaded code.
 
 Usage: check_equivalence.py <bench-binary-directory> [row-prefix ...]
 Prefixes pick the rows whose names start with one (ctest: one test per
@@ -43,6 +47,7 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -58,16 +63,11 @@ FAULTS = ("engine_stall:core=0,at=20000,dur=40000;"
           "drop_prefetch:p=0.3")
 FIG16_WORKLOADS = ["sssp", "bfs", "pr"]
 ABSENT = "<absent>"  # a key, list item or line only one side has
+CKPT_MAGIC = b"minnow-ckpt-4\n"
 
 
 class Divergence(Exception):
     """A row failed; the message names where."""
-
-
-def corrupt(rowdir):
-    blob = bytearray(Path(rowdir, "a0.ckpt").read_bytes())
-    blob[len(blob) // 2] ^= 0x40
-    Path(rowdir, "bad.ckpt").write_bytes(blob)
 
 
 def marked(marker=None):
@@ -106,34 +106,39 @@ def stopped_in_point_order(outs):
 
 
 # A variant is (label, extra flags, expectations): rc (exit status,
-# default 0), restored (in the point JSON), warns/quiet (text stderr
-# must/must not hold), sigint (the stderr text to send SIGINT
-# after), setup (run first,
-# on the row directory), differs (path of the first difference). A
-# row check returns an error or None. point_runner's stdout holds host
-# seconds, so it is parsed, not compared.
+# default 0), warns/quiet (text stderr must/must not hold), sigint
+# (the stderr text to send SIGINT after), differs (path of the first
+# difference). A row check returns an error or None. A witness pair
+# is (file, file, section): two checkpoints the variants save in the
+# row directory, which must be byte-identical, or, when section is
+# set, must first differ in that section. point_runner's stdout holds
+# host seconds, so it is parsed, not compared.
 def row(name, binary, args, variants, files=("stats.json",), check=None,
-        strip=None):
+        strip=None, witnesses=()):
     compared = [*files, *(["stdout"] if binary != "point_runner" else [])]
     return {"name": name, "binary": binary, "args": args,
             "variants": variants, "files": list(files),
-            "compared": compared, "check": check, "strip": strip}
+            "compared": compared, "check": check, "strip": strip,
+            "witnesses": list(witnesses)}
 
 
+def save(label, ckpt, *flags):
+    """A variant that saves a witness to @ckpt in the row directory."""
+    return (label, [f"--checkpoint-out=../{ckpt}", *flags], {})
+
+
+# One run without checkpoint flags, then each anchor saved twice,
+# each save in its own process.
 CKPT_LEGS = [
-    ("cold", [], {"restored": False}),
-    ("save at anchor 0", ["--checkpoint-out=../a0.ckpt"],
-     {"restored": False}),
-    ("save at cycles/3",
-     ["--checkpoint-out=../a3.ckpt", "--checkpoint-after={third}"],
-     {"restored": False}),
-    ("restore at anchor 0", ["--checkpoint-in=../a0.ckpt"],
-     {"restored": True}),
-    ("restore at cycles/3", ["--checkpoint-in=../a3.ckpt"],
-     {"restored": True}),
-    ("corrupt file", ["--checkpoint-in=../bad.ckpt"],
-     {"restored": False, "warns": "CRC mismatch", "setup": corrupt}),
+    ("cold", [], {}),
+    save("save at anchor 0", "a0.1.ckpt"),
+    save("save at anchor 0 again", "a0.2.ckpt"),
+    save("save at cycles/3", "a3.1.ckpt", "--checkpoint-after={third}"),
+    save("save at cycles/3 again", "a3.2.ckpt",
+         "--checkpoint-after={third}"),
 ]
+CKPT_WITNESSES = [("a0.1.ckpt", "a0.2.ckpt", None),
+                  ("a3.1.ckpt", "a3.2.ckpt", None)]
 HOST_PAR = [("--host-par=1", ["--host-par=1"], {}),
             ("--host-par=4", ["--host-par=4"], {})]
 
@@ -168,13 +173,14 @@ ROWS = [
         ["--workload=sssp", "--config=minnow-pf", *CKPT_POINT,
          "--stats-interval=500"], CKPT_LEGS,
         files=["stats.json", "timeline.json"],
-        check=marked(b'"intervals":[')),
+        check=marked(b'"intervals":['), witnesses=CKPT_WITNESSES),
     row("ckpt pr/obim", "point_runner",
         ["--workload=pr", "--config=obim", *CKPT_POINT], CKPT_LEGS,
-        check=marked()),
+        check=marked(), witnesses=CKPT_WITNESSES),
     row("ckpt sssp/minnow-pf --attribution", "point_runner",
         ["--workload=sssp", "--config=minnow-pf", *CKPT_POINT,
-         "--attribution"], CKPT_LEGS, check=marked(b'"attribution":{')),
+         "--attribution"], CKPT_LEGS, check=marked(b'"attribution":{'),
+        witnesses=CKPT_WITNESSES),
     row("attribution", "point_runner",
         ["--workload=sssp", "--config=minnow-pf", "--scale=0.05",
          "--threads=8", "--cores=8", "--seed=7"],
@@ -187,9 +193,10 @@ ROWS = [
     row("rob-control", "point_runner",
         ["--workload=sssp", "--config=minnow-pf", "--scale=0.1",
          "--seed=7"],
-        [("default", [], {}),
-         ("--rob=200", ["--rob=200"],
-          {"differs": "runs[0].stats.groups.core45.robStallCycles"})]),
+        [save("default", "default.ckpt"),
+         ("--rob=200", ["--rob=200", "--checkpoint-out=../rob200.ckpt"],
+          {"differs": "runs[0].stats.groups.core45.robStallCycles"})],
+        witnesses=[("default.ckpt", "rob200.ckpt", "config")]),
 ]
 
 
@@ -240,13 +247,85 @@ def first_difference(name, a, b):
         f" {len(diffs)} leaf(s) differ"
 
 
+def ckpt_sections(blob):
+    """[(name, payload)] of a checkpoint image (sim/checkpoint.hh):
+    the magic, a u32 section count, then per section a u32 name
+    length, the name, a u64 payload length, the payload and a u32
+    CRC; a u32 file CRC closes the image. Integers are little-endian.
+    """
+    if not blob.startswith(CKPT_MAGIC):
+        raise ValueError(f"does not start with {CKPT_MAGIC!r}")
+    pos = len(CKPT_MAGIC)
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(blob) - 4:
+            raise ValueError(f"truncated at byte {pos}")
+        pos += n
+        return blob[pos - n:pos]
+
+    out = []
+    for _ in range(struct.unpack("<I", take(4))[0]):
+        name = take(struct.unpack("<I", take(4))[0]).decode()
+        out.append((name, take(struct.unpack("<Q", take(8))[0])))
+        take(4)
+    if pos != len(blob) - 4:
+        raise ValueError(f"{len(blob) - 4 - pos} bytes after the last"
+                         " section")
+    return out
+
+
+def witness_difference(a, b):
+    """(section, where) two checkpoint images @a, @b first differ in,
+    or None when they are byte-identical."""
+    if a == b:
+        return None
+    sa, sb = ckpt_sections(a), ckpt_sections(b)
+    for i in range(max(len(sa), len(sb))):
+        na, pa = sa[i] if i < len(sa) else (ABSENT, b"")
+        nb, pb = sb[i] if i < len(sb) else (ABSENT, b"")
+        if na != nb:
+            return na, f"section {i} is {na!r} vs {nb!r}"
+        if pa != pb:
+            j = next((j for j, (x, y) in enumerate(zip(pa, pb))
+                      if x != y), min(len(pa), len(pb)))
+            return na, f"section {na!r} first differs at byte {j}" \
+                f" (of {len(pa)} vs {len(pb)} B)"
+    return ABSENT, "sections equal, CRC bytes differ"
+
+
+def check_witnesses(r, rowdir):
+    """Compare row @r's witness pairs; return notes or raise."""
+    notes = []
+    for fa, fb, want in r["witnesses"]:
+        missing = [f for f in (fa, fb) if not Path(rowdir, f).exists()]
+        if missing:
+            raise Divergence(f"{r['name']}: no run saved {missing}")
+        a, b = (Path(rowdir, f).read_bytes() for f in (fa, fb))
+        try:
+            diff = witness_difference(a, b)
+        except ValueError as e:
+            raise Divergence(f"{r['name']}: {fa} or {fb} is no"
+                             f" checkpoint: {e}")
+        if want is None and diff:
+            raise Divergence(f"{r['name']}: witness {fa} vs {fb}:"
+                             f" {diff[1]}")
+        if want is not None and (not diff or diff[0] != want):
+            raise Divergence(
+                f"{r['name']}: witness {fa} vs {fb} must first differ in"
+                f" section {want!r}, found"
+                f" {f'{diff[0]!r}: {diff[1]}' if diff else 'no difference'}"
+                ": the section walker is blind")
+        notes.append(f"{fa} vs {fb}: {diff[1]}, as it must" if diff
+                     else f"{fa} = {fb} ({len(a)} B)")
+    return notes
+
+
 def run_variant(r, bench_dir, rowdir, i, fmt):
     """Run variant @i of row @r; return its outputs by artifact."""
     label, flags, want = r["variants"][i]
     vdir = os.path.join(rowdir, str(i))
     os.mkdir(vdir)
-    if want.get("setup"):
-        want["setup"](rowdir)
     cmd = [os.path.join(bench_dir, r["binary"]), *r["args"],
            *(f.format(**fmt) for f in flags),
            *(f"{FILE_FLAGS[f]}={f}" for f in r["files"])]
@@ -271,8 +350,6 @@ def run_variant(r, bench_dir, rowdir, i, fmt):
     if proc.returncode != want.get("rc", 0):
         raise Divergence(f"{tag} exited {proc.returncode}, expected"
                          f" {want.get('rc', 0)}: {last}")
-    if "witness mismatch" in err:
-        raise Divergence(f"{tag}: witness mismatch:\n{err}")
     if want.get("warns", "") not in err:
         raise Divergence(f"{tag} did not warn '{want['warns']}':\n{err}")
     if want.get("quiet") and want["quiet"] in err:
@@ -284,11 +361,6 @@ def run_variant(r, bench_dir, rowdir, i, fmt):
     out |= {"stdout": stdout, "stderr": err, "doc": None}
     if r["binary"] == "point_runner" and proc.returncode == 0:
         out["doc"] = json.loads(stdout)
-        if "restored" in want and \
-                out["doc"]["restored"] != want["restored"]:
-            raise Divergence(f"{tag} reported restored="
-                             f"{out['doc']['restored']}, expected"
-                             f" {want['restored']}: {last}")
     for name in r["compared"]:
         if not out[name]:
             raise Divergence(f"{tag} wrote an empty {name}")
@@ -334,6 +406,7 @@ def check_row(r, bench_dir, tmp):
         elif diffs:
             raise Divergence(f"{r['name']}: {label} vs"
                              f" {r['variants'][0][0]}: {diffs[0]}")
+    notes += check_witnesses(r, rowdir)
     sizes = "".join(f", {n} {len(outs[0][n])} B" for n in names)
     return f"{r['name']} OK ({len(outs)} variant(s){sizes})" + \
         "".join(f"\n  {n}" for n in notes)

@@ -1,17 +1,15 @@
 /**
  * @file
- * Save-only serialization visitor for checkpoint witnesses, and the
- * decoder for the two sections a restore reads back.
+ * Save-only serialization visitor for checkpoint witnesses.
  *
  * Components expose one `checkpoint(ckpt::Ckpt &ck) const` method;
  * `ck.io(member_)` appends the member's bytes. Saves go one way: the
  * simulator's hot state lives in coroutine frames, which cannot be
- * serialized, so a restore never loads a component. It rebuilds the
- * machine cold, replays to the saved {cycle, executed} anchor and
- * re-serializes every section to compare its bytes with the file
- * (DESIGN.md section 5i). A save is a witness of the run it is taken
- * in, so checkpoint() is const: the compiler proves that saving
- * cannot change the run. Members that are deliberately NOT
+ * serialized, so nothing is ever loaded from a checkpoint. A
+ * checkpoint is a witness of the run it is taken in; two processes
+ * that save at the same anchor must write the same bytes (DESIGN.md
+ * section 5i). checkpoint() is const, so the compiler proves that
+ * saving cannot change the run. Members that are deliberately NOT
  * serialized (host pointers, caches of derived state, coroutine
  * frames) must be declared with `ck.transient("a_ b_ c_")` — a
  * runtime no-op that exists so the minnow-lint S1 rule
@@ -22,19 +20,12 @@
  * container format (magic, section table, CRCs) lives in
  * sim/checkpoint.hh. This split keeps base/ components (Rng,
  * SimAlloc, StatsRegistry) free of sim/ includes.
- *
- * Only the config fingerprint and the harness's meta section are
- * read back, through Decoder. Their bytes come from a file, so the
- * decoder never throws or crashes on them: the first underrun or
- * oversized length latches into error() and every later read yields
- * zero, so callers check ok() once at the end.
  */
 
 #ifndef MINNOW_BASE_CKPT_HH
 #define MINNOW_BASE_CKPT_HH
 
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <string>
 #include <type_traits>
@@ -164,72 +155,6 @@ class Ckpt
     }
 
     std::vector<std::uint8_t> *out_;
-};
-
-/**
- * Reads back the integers, doubles and strings that Ckpt::io wrote,
- * from a payload that came from a file. It does not copy the
- * payload, which must outlive it.
- */
-class Decoder
-{
-  public:
-    Decoder(const std::uint8_t *data, std::size_t len)
-        : in_(data), len_(len)
-    {
-    }
-
-    bool ok() const { return err_.empty(); }
-    const std::string &error() const { return err_; }
-
-    /** An integer or a double; zero once the payload has failed. */
-    template <typename T>
-        requires std::is_arithmetic_v<T>
-    void
-    read(T &v)
-    {
-        if (!ok() || sizeof v > len_ - pos_) {
-            fail("checkpoint payload underrun (need " +
-                 std::to_string(sizeof v) + " bytes at offset " +
-                 std::to_string(pos_) + " of " +
-                 std::to_string(len_) + ")");
-            v = T{};
-            return;
-        }
-        std::memcpy(&v, in_ + pos_, sizeof v);
-        pos_ += sizeof v;
-    }
-
-    /** A u64 length, then the characters; empty on failure. */
-    void
-    read(std::string &s)
-    {
-        std::uint64_t n = 0;
-        read(n);
-        if (!ok() || n > len_ - pos_) {
-            fail("checkpoint string length " + std::to_string(n) +
-                 " overruns payload");
-            s.clear();
-            return;
-        }
-        s.assign(reinterpret_cast<const char *>(in_ + pos_),
-                 std::size_t(n));
-        pos_ += std::size_t(n);
-    }
-
-  private:
-    /** Latch the first error; later reads yield zero. */
-    void
-    fail(const std::string &why)
-    {
-        if (err_.empty())
-            err_ = why;
-    }
-
-    const std::uint8_t *in_;
-    std::size_t len_;
-    std::size_t pos_ = 0;
-    std::string err_;
 };
 
 } // namespace minnow::ckpt

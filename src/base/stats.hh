@@ -513,7 +513,7 @@ class StatsRegistry
      * Serialize all counter/scalar/histogram values plus the interval
      * samples, in sorted group order. The host-time "hostprof" group
      * is skipped: its values are nondeterministic by design and would
-     * break byte-identical restore comparisons.
+     * break byte-identical witness comparisons.
      */
     void checkpoint(ckpt::Ckpt &ck) const;
 

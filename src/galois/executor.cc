@@ -16,7 +16,7 @@ namespace
 {
 
 /**
- * Drive machine.eq.run() honoring the RunConfig checkpoint hooks:
+ * Drive machine.eq.run() honoring the RunConfig checkpoint hook:
  * stop-trigger mid-run hook with remaining-budget resume.
  * @return true if a signal interrupted the run cleanly.
  */
@@ -24,7 +24,7 @@ bool
 runEventLoop(runtime::Machine &machine, const RunConfig &cfg)
 {
     if (cfg.stopAt)
-        machine.eq.setStopTrigger(cfg.stopAtCycle, cfg.stopAtExec);
+        machine.eq.setStopTrigger(cfg.stopAtCycle);
     std::uint64_t budget = cfg.maxEvents;
     for (;;) {
         std::uint64_t used = machine.eq.run(budget);
@@ -38,12 +38,7 @@ runEventLoop(runtime::Machine &machine, const RunConfig &cfg)
         }
         break;
     }
-    if (machine.eq.interrupted()) {
-        if (cfg.interruptHook)
-            cfg.interruptHook();
-        return true;
-    }
-    return false;
+    return machine.eq.interrupted();
 }
 
 /**

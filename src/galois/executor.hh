@@ -54,28 +54,19 @@ struct RunConfig
      */
     std::uint64_t maxEvents = 400'000'000;
 
-    // ----- checkpoint/restore plumbing (DESIGN.md section 5i) -----
+    // ----- checkpoint witness plumbing (DESIGN.md section 5i) -----
 
     /**
      * When stopAt is set, the executor arms
-     * EventQueue::setStopTrigger(stopAtCycle, stopAtExec) and calls
-     * midRunHook once the trigger fires — after eq.run() returns,
-     * so on the normalized between-events state — then resumes the
-     * run with its remaining event budget. Drives
-     * --checkpoint-after saves and restore-replay witness
-     * validation; an anchor of {0, 0} fires before the first event.
+     * EventQueue::setStopTrigger(stopAtCycle) and calls midRunHook
+     * once the trigger fires — after eq.run() returns, so on the
+     * normalized between-events state — then resumes the run with
+     * its remaining event budget. Drives --checkpoint-after saves;
+     * an anchor of 0 fires before the first event.
      */
     bool stopAt = false;
     Cycle stopAtCycle = 0;
-    std::uint64_t stopAtExec = 0;
     std::function<void()> midRunHook;
-
-    /**
-     * Invoked once when a signal interrupted the run, while all
-     * run-scoped state (worklists, Minnow engines) is still live —
-     * the rescue-checkpoint point for graceful SIGINT/SIGTERM.
-     */
-    std::function<void()> interruptHook;
 
     /**
      * Called once at result collection, after every other result is

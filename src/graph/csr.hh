@@ -129,11 +129,10 @@ class CsrGraph
     static constexpr std::uint32_t kEdgeBytes = 16;
 
     /**
-     * Serialize topology and simulated layout. A restore regenerates
-     * the graph and only compares it with this section: generators
-     * are deterministic, so a regenerated graph matches the
-     * checkpoint's section byte for byte, and one that does not is
-     * named by the witness.
+     * Serialize topology and simulated layout. Generators are
+     * deterministic, so two runs of one point save this section
+     * byte for byte alike, and a graph that differs is named by the
+     * witness comparison.
      */
     void
     checkpoint(ckpt::Ckpt &ck) const

@@ -214,13 +214,10 @@ runExperiment(Workload &w, const RunSpec &spec)
     rc.maxEvents = spec.maxEvents;
     rc.statsHook = spec.statsHook;
 
-    // ---- checkpoint/restore wiring (DESIGN.md section 5i) ----
+    // ---- checkpoint witness wiring (DESIGN.md section 5i) ----
     // The harness owns the run-scoped sections the Machine cannot
     // see: the anchor ("meta", read live at serialize time), the
-    // input graph (so a restore names a regenerated graph that
-    // differs from the saved one) and the app state. Registered
-    // unconditionally so save-run and restore-run emit identical
-    // section sequences.
+    // input graph and the app state.
     machine.addCkptHook("meta", [&](ckpt::Ckpt &ck) {
         CkptMeta m;
         m.cycle = machine.eq.now();
@@ -238,89 +235,23 @@ runExperiment(Workload &w, const RunSpec &spec)
     machine.addCkptHook(
         "app", [&](ckpt::Ckpt &ck) { w.app->checkpoint(ck); });
 
-    // Restoring and saving both need the one stop trigger.
-    fatal_if(!spec.checkpointIn.empty() && !spec.checkpointOut.empty(),
-             "cannot combine checkpoint-in with checkpoint-out");
-    bool isBsp = spec.config == Config::Bsp ||
-                 spec.config == Config::BspBucketed;
-    if (isBsp &&
-        (!spec.checkpointOut.empty() || !spec.checkpointIn.empty()))
-        warn("checkpointing is not supported for BSP configs;"
-             " ignoring checkpoint flags");
-
-    // Restore side: verify the file belongs to this exact machine
-    // build and workload; any failure degrades to a plain cold run.
-    ckpt::Reader reader;
-    CkptMeta meta;
-    bool restoring = false;
-    if (!isBsp && !spec.checkpointIn.empty()) {
-        std::string err = machine.restore(spec.checkpointIn, reader);
-        if (!err.empty()) {
-            warn("cannot restore %s (%s); cold-starting",
-                 spec.checkpointIn.c_str(), err.c_str());
-        } else if (const ckpt::Section *ms = reader.find("meta")) {
-            std::string bad = meta.decode(ms->bytes);
-            std::uint32_t wantThreads =
-                spec.config == Config::SerialRelaxed
-                    ? 1
-                    : spec.threads;
-            if (!bad.empty()) {
-                warn("checkpoint %s meta section is malformed (%s);"
-                     " cold-starting",
-                     spec.checkpointIn.c_str(), bad.c_str());
-            } else if (meta.workload != w.name ||
-                       meta.scale != w.scale ||
-                       meta.seed != w.seed ||
-                       meta.config != configName(spec.config) ||
-                       meta.threads != wantThreads) {
-                warn("checkpoint %s was taken for a different"
-                     " experiment (%s/%s/%u threads);"
-                     " cold-starting",
-                     spec.checkpointIn.c_str(),
-                     meta.workload.c_str(), meta.config.c_str(),
-                     meta.threads);
-            } else {
-                restoring = true;
-            }
+    bool saved = false;
+    if (!spec.checkpointOut.empty()) {
+        if (spec.config == Config::Bsp ||
+            spec.config == Config::BspBucketed) {
+            warn("checkpointing is not supported for BSP configs;"
+                 " ignoring checkpoint flags");
         } else {
-            warn("checkpoint %s has no meta section; cold-starting",
-                 spec.checkpointIn.c_str());
+            rc.stopAt = true;
+            rc.stopAtCycle = spec.checkpointAfter;
+            rc.midRunHook = [&] {
+                saved = true;
+                std::string err = machine.save(spec.checkpointOut);
+                if (!err.empty())
+                    warn("failed to write checkpoint %s: %s",
+                         spec.checkpointOut.c_str(), err.c_str());
+            };
         }
-    }
-
-    auto saveNow = [&](const char *what) {
-        std::string err = machine.save(spec.checkpointOut);
-        if (!err.empty())
-            warn("failed to write %s checkpoint %s: %s", what,
-                 spec.checkpointOut.c_str(), err.c_str());
-    };
-    if (restoring) {
-        // Replay deterministically to the saved anchor, then prove
-        // the replayed state matches the checkpoint byte-for-byte.
-        rc.stopAt = true;
-        rc.stopAtCycle = meta.cycle;
-        rc.stopAtExec = meta.executed;
-        rc.midRunHook = [&] {
-            out.restored = true;
-            std::vector<std::string> bad =
-                machine.validateAgainst(reader);
-            if (bad.empty())
-                return;
-            std::string names;
-            for (const std::string &n : bad)
-                names += (names.empty() ? "" : ", ") + n;
-            warn("restore witness mismatch in section(s) %s;"
-                 " continuing with the replayed state",
-                 names.c_str());
-        };
-    } else if (!isBsp && !spec.checkpointOut.empty()) {
-        rc.stopAt = true;
-        rc.stopAtCycle = spec.checkpointAfter;
-        rc.stopAtExec = 0;
-        rc.midRunHook = [&] { saveNow("anchor"); };
-        // SIGINT/SIGTERM: the executor calls this while run-scoped
-        // state is still live, so the rescue file is complete.
-        rc.interruptHook = [&] { saveNow("interrupt rescue"); };
     }
 
     switch (spec.config) {
@@ -371,6 +302,9 @@ runExperiment(Workload &w, const RunSpec &spec)
         break;
       }
     }
+    if (rc.stopAt && !saved && !out.run.interrupted)
+        warn("no checkpoint written: the run ended before cycle %llu",
+             (unsigned long long)spec.checkpointAfter);
     return out;
 }
 

@@ -8,7 +8,9 @@
  *
  * Every bench binary is a thin driver over this harness, so the
  * workload definitions and configuration names are identical across
- * all tables and figures.
+ * all tables and figures. A run can save one checkpoint witness at
+ * a chosen cycle (RunSpec::checkpointOut); nothing reads it back
+ * (DESIGN.md section 5i).
  */
 
 #ifndef MINNOW_HARNESS_WORKLOADS_HH
@@ -57,8 +59,8 @@ Workload makeWorkload(const std::string &name, double scale = 1.0,
 
 /**
  * The "meta" checkpoint section: which run produced the file and
- * where its anchor sits. A restore replays deterministically to
- * (cycle, executed) and witness-validates there.
+ * where its anchor sits, so two witnesses of different points or
+ * anchors differ here even where the machine state agrees.
  */
 struct CkptMeta
 {
@@ -82,23 +84,6 @@ struct CkptMeta
         ck.io(threads);
     }
 
-    /**
-     * Read a saved meta section back, field for field as
-     * checkpoint() wrote it. @return "" or the decoder's diagnostic.
-     */
-    std::string
-    decode(const std::vector<std::uint8_t> &payload)
-    {
-        ckpt::Decoder d(payload.data(), payload.size());
-        d.read(cycle);
-        d.read(executed);
-        d.read(workload);
-        d.read(scale);
-        d.read(seed);
-        d.read(config);
-        d.read(threads);
-        return d.error();
-    }
 };
 
 /** Scheduler/hardware configurations runnable by the harness. */
@@ -127,8 +112,6 @@ struct ExperimentResult
     galois::RunResult run;
     minnowengine::EngineStats engines; //!< Minnow configs only.
     Cycle serialBaselineCycles = 0;    //!< when requested.
-    /** The checkpoint validated and the replay reached its anchor. */
-    bool restored = false;
 };
 
 /** Options for one experiment run. */
@@ -140,14 +123,11 @@ struct RunSpec
     bool verify = true;
     std::uint64_t maxEvents = 400'000'000;
 
-    /** Write a checkpoint here ("" = off); see checkpointAfter. */
-    std::string checkpointOut;
     /**
-     * Replay to this checkpoint's anchor and witness-validate there
-     * ("" = off). Exclusive with checkpointOut: both need the one
-     * stop trigger.
+     * Write a checkpoint witness here ("" = off); see
+     * checkpointAfter and DESIGN.md section 5i.
      */
-    std::string checkpointIn;
+    std::string checkpointOut;
     /**
      * Anchor of the saved checkpoint: the first event boundary at or
      * after this cycle. 0 = before the first event.
@@ -157,8 +137,7 @@ struct RunSpec
     /**
      * Signal-handler flag for graceful SIGINT/SIGTERM (null = off):
      * the event loop polls it and stops cleanly at an event
-     * boundary; a rescue checkpoint is written when checkpointOut
-     * is set.
+     * boundary.
      */
     // LINT-OK(host-threading): lock-free signal flag, read-only here
     const std::atomic<int> *interruptFlag = nullptr;

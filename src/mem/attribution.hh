@@ -170,7 +170,7 @@ class Attribution
 
     /**
      * Serialize all tracker state (ordered containers, so the bytes
-     * are deterministic) for the restore witness.
+     * are deterministic) for the checkpoint witness.
      */
     void checkpoint(ckpt::Ckpt &ck) const;
 

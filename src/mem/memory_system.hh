@@ -212,11 +212,10 @@ class MemorySystem
     /**
      * Serialize the hierarchy: every cache array, the directory and
      * atomic serialization points (sorted by line for determinism),
-     * NoC/DRAM meters and per-core counters, as the witness a
-     * replayed restore is compared against. Hardware prefetcher
-     * tables are transient: deterministic replay retrains them, and
-     * any divergence they could cause shows up in the cache and
-     * stats sections of the witness.
+     * NoC/DRAM meters and per-core counters, as the checkpoint
+     * witness. Hardware prefetcher tables are transient: any
+     * divergence they could cause shows up in the cache and stats
+     * sections of the witness.
      */
     void checkpoint(ckpt::Ckpt &ck) const;
 

@@ -68,8 +68,6 @@ Noc::traverse(std::uint32_t src, std::uint32_t dst, Cycle start)
     const Cycle perHop = params_.cyclesPerHop;
     const Cycle ideal = start + Cycle(xHops + yHops) * perHop;
     totalHops_ += xHops + yHops;
-    if (!params_.modelContention)
-        return ideal;
 
     // X first, then Y (dimension-ordered routing avoids deadlock).
     // Each hop books the link leaving its tile: one tile east or

@@ -134,9 +134,7 @@ MinnowEngine::MinnowEngine(runtime::Machine *machine, CoreId core,
         lbWl = lb > 1 ? lb / 2 : lb;
     loadBufWlFree_ = lbWl;
     loadBufPfFree_ = lb - lbWl;
-    prefetchWindow_ = params_.prefetchWindow
-        ? params_.prefetchWindow
-        : std::max(4u, params_.prefetchCredits / 4);
+    prefetchWindow_ = std::max(4u, params_.prefetchCredits / 4);
 
     // Pre-size the hot-path waiter rings to their structural bounds
     // so steady-state park/wake cycles never touch the allocator.

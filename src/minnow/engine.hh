@@ -243,9 +243,8 @@ class MinnowEngine
     /**
      * Witness serialization of the engine's deterministic state:
      * local queue, resource pools, spill buffer, spec slots and
-     * counters, in a fixed order. Coroutine state is rebuilt by
-     * deterministic replay; a restore validates it by re-serializing
-     * and comparing bytes (DESIGN.md section 5i).
+     * counters, in a fixed order. Coroutine state is not saved
+     * (DESIGN.md section 5i).
      */
     void checkpoint(ckpt::Ckpt &ck) const;
 
@@ -469,6 +468,9 @@ class MinnowEngine
     std::uint64_t insertSeq_ = 0;
     std::uint64_t consumedSeq_ = 0;
     std::uint32_t activePrefetchTasks_ = 0;
+    // Cap on active prefetchTask threadlets, max(4, credits/4): it
+    // bounds how far past the local-queue head the prefetcher works,
+    // so credits recycle just in time.
     std::uint32_t prefetchWindow_ = 8;
 
     // The one spill path: enqueue overflow, work sharing and

@@ -72,8 +72,8 @@ MinnowSystem::MinnowSystem(Machine *machine,
     }
     // Checkpoint sections for the run-scoped scheduler state: the
     // software global queue and each engine. Like every section they
-    // are witnesses, compared with a replayed run's (DESIGN.md
-    // section 5i).
+    // are witnesses, compared with a second run's saved at the same
+    // anchor (DESIGN.md section 5i).
     machine->addCkptHook("globalq", [this](ckpt::Ckpt &ck) {
         global_.checkpoint(ck);
     });

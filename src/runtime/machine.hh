@@ -194,12 +194,12 @@ class Machine
     }
 
     // -----------------------------------------------------------
-    // Checkpoint/restore (DESIGN.md section 5i).
+    // Checkpoint witness (DESIGN.md section 5i).
     // -----------------------------------------------------------
 
     /**
      * Register a run-scoped checkpoint section (worklist, app,
-     * graph, resume meta — components the Machine does not own).
+     * graph, anchor meta — components the Machine does not own).
      * Sections are emitted in registration order; re-registering a
      * name replaces the previous hook.
      */
@@ -221,9 +221,9 @@ class Machine
     /**
      * Everything that pins a checkpoint to one machine build: the
      * hardware description, the model-visible knobs describe() (the
-     * Table 3 printout) leaves out, and the fault spec/seed. A
-     * checkpoint taken under a different fingerprint is rejected
-     * (the harness then degrades to cold start).
+     * Table 3 printout) leaves out, and the fault spec/seed. It is
+     * the first section of every checkpoint, so two witnesses of
+     * differently configured machines differ first at "config".
      */
     std::string
     configFingerprint() const
@@ -282,57 +282,6 @@ class Machine
         ckpt::Writer w;
         checkpointSections(w);
         return w.writeFile(path);
-    }
-
-    /**
-     * Open @p path into @p r and verify it belongs to this machine:
-     * container magic/version/CRCs (Reader::openFile) plus the
-     * config fingerprint. On success the harness reads the anchor
-     * from the meta section of @p r, replays to it and
-     * witness-validates every section with validateAgainst().
-     * @return "" or a diagnostic.
-     */
-    std::string
-    restore(const std::string &path, ckpt::Reader &r)
-    {
-        std::string err = r.openFile(path);
-        if (!err.empty())
-            return err;
-        const ckpt::Section *cs = r.find("config");
-        if (!cs)
-            return "checkpoint has no config section";
-        ckpt::Decoder d(cs->bytes.data(), cs->bytes.size());
-        std::string fp;
-        d.read(fp);
-        if (!d.ok())
-            return "checkpoint config section is malformed: " +
-                   d.error();
-        if (fp != configFingerprint()) {
-            return "checkpoint was taken under a different machine"
-                   " configuration";
-        }
-        return "";
-    }
-
-    /**
-     * Witness validation: re-serialize the live state and compare
-     * byte-for-byte against the sections in @p r. @return the names
-     * of mismatched or missing sections (empty = state identical).
-     */
-    std::vector<std::string>
-    validateAgainst(const ckpt::Reader &r) const
-    {
-        ckpt::Writer w;
-        checkpointSections(w);
-        std::vector<std::string> bad;
-        for (const ckpt::Section &s : w.sections()) {
-            const ckpt::Section *o = r.find(s.name);
-            if (!o)
-                bad.push_back(s.name + " (missing)");
-            else if (o->bytes != s.bytes)
-                bad.push_back(s.name);
-        }
-        return bad;
     }
 
     MachineConfig cfg;

@@ -213,7 +213,7 @@ class WorkMonitor
 
     /**
      * Serialize the work/idle accounting. Parked coroutine handles
-     * and termination hooks are rebuilt by the restored run itself.
+     * and termination hooks are host state and are not saved.
      */
     void
     checkpoint(ckpt::Ckpt &ck) const

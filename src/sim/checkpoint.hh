@@ -12,37 +12,24 @@
  *       u32        CRC32 of the payload
  *     u32          CRC32 of everything above (file CRC)
  *
- * All integers are little-endian host order (checkpoints are a
- * same-host replay witness, not an interchange format; the
- * magic pins the version so a layout change bumps the digit and old
- * files are rejected, never misread). Version 2 changed the cache
- * array, memory directory and core frontend payloads (DESIGN.md 5m).
- * Version 3 dropped the push/credit coalescing state from the minnow
- * engine sections and added the offload, engine-sharing, work-
- * sharing and hardware-prefetcher knobs to the config fingerprint
- * (DESIGN.md 5h). Version 4 dropped the checkpoint-kind byte from
- * the harness's meta section: every checkpoint is a replay anchor
- * (DESIGN.md 5i).
+ * All integers are little-endian host order (a checkpoint is a
+ * same-host witness of one run, not an interchange format; the
+ * magic pins the version, so a layout change bumps the digit).
+ * Version 2 changed the cache array, memory directory and core
+ * frontend payloads (DESIGN.md 5m). Version 3 dropped the
+ * push/credit coalescing state from the minnow engine sections and
+ * added the offload, engine-sharing, work-sharing and hardware-
+ * prefetcher knobs to the config fingerprint (DESIGN.md 5h).
+ * Version 4 dropped the checkpoint-kind byte from the harness's meta
+ * section.
  *
- * Integrity: the trailing file CRC is verified over the whole
- * buffer BEFORE any length field is trusted, so a corrupted section
- * table can never steer a read out of bounds; per-section CRCs then
- * localize which component's payload changed. CRC32 detects every
- * burst error up to 32 bits, so any single corrupted byte is
- * guaranteed to be caught. Truncation is caught by explicit bounds
- * checks. Every failure is reported as an error string (the caller
- * warns and degrades to cold start — never a crash, never a silent
- * misload).
- *
+ * The format is written, never read back: a witness is checked by
+ * saving it twice, in two processes at the same anchor, and
+ * comparing the files byte for byte (DESIGN.md section 5i). When two
+ * files differ, scripts/check_equivalence.py walks this section
+ * table to name the first differing section and the offset in it.
  * Section payloads are produced by per-component
- * `checkpoint(ckpt::Ckpt &) const` visitors (base/ckpt.hh), and they
- * go one way: a restore replays to the saved anchor and compares
- * freshly serialized sections with these (Machine::validateAgainst),
- * so no component is ever loaded from a file. Only the config
- * fingerprint and the harness's meta section are read back, through
- * ckpt::Decoder. What is and is not serialized — and why a restore
- * is nevertheless byte-identical — is documented in DESIGN.md
- * section 5i.
+ * `checkpoint(ckpt::Ckpt &) const` visitors (base/ckpt.hh).
  */
 
 #ifndef MINNOW_SIM_CHECKPOINT_HH
@@ -95,33 +82,6 @@ class Writer
      * @return "" on success, else a one-line error description.
      */
     std::string writeFile(const std::string &path) const;
-
-  private:
-    std::vector<Section> sections_;
-};
-
-/** Opens and fully validates a checkpoint file. */
-class Reader
-{
-  public:
-    /**
-     * Read @p path, verify magic/version, file CRC, section bounds
-     * and per-section CRCs. @return "" on success, else a specific
-     * diagnostic naming what failed. After a failure the reader
-     * holds no sections.
-     */
-    std::string openFile(const std::string &path);
-
-    /** Validate an in-memory image (testing, and openFile's core). */
-    std::string decode(const std::vector<std::uint8_t> &buf);
-
-    /** Section by name; nullptr when absent. */
-    const Section *find(const std::string &name) const;
-
-    const std::vector<Section> &sections() const
-    {
-        return sections_;
-    }
 
   private:
     std::vector<Section> sections_;

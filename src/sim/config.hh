@@ -69,7 +69,6 @@ struct NocParams
     std::uint32_t meshWidth = 8;     //!< tiles per row/column.
     std::uint32_t cyclesPerHop = 3;
     std::uint32_t linkBits = 512;    //!< payload bits per cycle per link.
-    bool modelContention = true;
 };
 
 /** DRAM channel model (Table 3: 12-channel DDR4-2400 CL17). */
@@ -107,14 +106,6 @@ struct MinnowParams
 
     /** Refill the local queue from the global worklist below this. */
     std::uint32_t refillThreshold = 16;
-
-    /**
-     * Maximum concurrently-active prefetchTask threadlets per
-     * engine; bounds how far beyond the local-queue head the
-     * prefetcher works so credits recycle just-in-time. 0 scales it
-     * with the credit budget (max(4, credits/4)).
-     */
-    std::uint32_t prefetchWindow = 0;
 
     /**
      * Work sharing: when workers idle and nothing is stealable, a

@@ -118,8 +118,7 @@ EventQueue::pollTriggers()
     // nothing, so a run with the trigger armed executes the same
     // event sequence as one without — the caller can run() again to
     // continue bit-identically.
-    if (stopTriggerArmed_ && now_ >= stopAtCycle_ &&
-        executed_ >= stopAtExec_) {
+    if (stopTriggerArmed_ && now_ >= stopAtCycle_) {
         stopTriggerArmed_ = false;
         stopTriggerFired_ = true;
         triggersArmed_ = interruptSource_ != nullptr;

@@ -157,26 +157,18 @@ class EventQueue
     std::uint64_t executed() const { return executed_; }
 
     /**
-     * One-shot: stop run() at the first event boundary where both
-     * now() >= @p when and executed() >= @p execCount. The check
-     * runs at the top of the run loop — between events, never from
-     * inside one, and scheduling nothing — so arming it perturbs no
-     * event ordering, sequence numbers, or daemon accounting, and
-     * the caller may simply call run() again to continue.
-     *
-     * The two-coordinate condition makes the stop point exactly
-     * reproducible: a replay arms (savedCycle, savedExec) from the
-     * checkpoint and halts at the identical boundary, including the
-     * clock-advance position within the loop (cycle alone is
-     * ambiguous while the clock catches up to the anchor;
-     * executed-count alone fires before pending clock advances).
-     * The `--checkpoint-after=N` save side arms (N, 0).
+     * One-shot: stop run() at the first event boundary where
+     * now() >= @p when. The check runs at the top of the run loop —
+     * between events, never from inside one, and scheduling
+     * nothing — so arming it perturbs no event ordering, sequence
+     * numbers, or daemon accounting, and the caller may simply call
+     * run() again to continue. The `--checkpoint-after=N` save arms
+     * it at N; 0 fires before the first event.
      */
     void
-    setStopTrigger(Cycle when, std::uint64_t execCount)
+    setStopTrigger(Cycle when)
     {
         stopAtCycle_ = when;
-        stopAtExec_ = execCount;
         stopTriggerArmed_ = true;
         stopTriggerFired_ = false;
         triggersArmed_ = true;
@@ -192,11 +184,11 @@ class EventQueue
      * Point the run loop at a signal-handler flag (null detaches).
      * The flag is polled every 1024 events; when it becomes nonzero,
      * run() returns at the next event boundary with interrupted()
-     * true so the caller can flush stats and write a rescue
-     * checkpoint. Polling at event boundaries keeps the interrupted
-     * prefix of the run bit-identical to an uninterrupted one. The
-     * flag is atomic because the handler and the --host-par farm
-     * threads polling it are different host threads.
+     * true so the caller can flush its output. Polling at event
+     * boundaries keeps the interrupted prefix of the run
+     * bit-identical to an uninterrupted one. The flag is atomic
+     * because the handler and the --host-par farm threads polling it
+     * are different host threads.
      */
     void
     // LINT-OK(host-threading): lock-free signal flag, read-only here
@@ -237,10 +229,10 @@ class EventQueue
      * Serialize the deterministic scheduling coordinates: the
      * clock, pending/daemon counts and the executed-event count.
      * The events themselves (bucket and heap contents) hold
-     * coroutine addresses and cannot be serialized; a restore
-     * replays deterministically to the same coordinates instead,
-     * and this section is the witness it is compared against
-     * (DESIGN.md section 5i). The intra-bucket drain position and
+     * coroutine addresses and cannot be serialized; two runs that
+     * save at the same anchor reach the same coordinates, and this
+     * section is the witness they are compared by (DESIGN.md
+     * section 5i). The intra-bucket drain position and
      * the overflow tie-break are queue layout, not coordinates, and
      * do not travel.
      */
@@ -254,7 +246,7 @@ class EventQueue
         ck.transient("buckets_ occupied_ far_ cursor_ farSeq_"
                      " stopped_ running_ diagHook_ prof_"
                      " interrupted_ interruptSource_ triggersArmed_"
-                     " stopAtCycle_ stopAtExec_ stopTriggerArmed_"
+                     " stopAtCycle_ stopTriggerArmed_"
                      " stopTriggerFired_");
     }
 
@@ -346,7 +338,6 @@ class EventQueue
     // LINT-OK(host-threading): see setInterruptSource
     const std::atomic<int> *interruptSource_ = nullptr;
     Cycle stopAtCycle_ = 0;
-    std::uint64_t stopAtExec_ = 0;
     bool stopTriggerArmed_ = false;
     bool stopTriggerFired_ = false;
 };

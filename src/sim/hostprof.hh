@@ -68,7 +68,7 @@ class HostProfiler
     /**
      * Make this the process-wide active profiler picked up by
      * HostProfScope. Nesting-safe: the previously active profiler
-     * (if any) is restored by deactivate().
+     * (if any) becomes active again on deactivate().
      */
     void activate();
 

@@ -107,7 +107,7 @@ class ChunkPool
     /**
      * Witness serialization: pool shape only. Chunk *contents* are
      * serialized by the worklist that owns the live chunks; the
-     * pool's pointers are rebuilt by deterministic replay.
+     * pool's pointers are host state and are not saved.
      */
     void
     checkpoint(ckpt::Ckpt &ck) const

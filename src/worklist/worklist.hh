@@ -113,10 +113,8 @@ class Worklist
 
     /**
      * Witness serialization of the worklist's logical content, in
-     * deterministic order. Save-only for chunk-based lists (their
-     * pointer structure is rebuilt by deterministic replay; a
-     * restore validates by re-serializing and comparing CRCs —
-     * DESIGN.md section 5i).
+     * deterministic order. Chunk-based lists save their logical
+     * content, not their pointer structure (DESIGN.md section 5i).
      */
     virtual void
     checkpoint(ckpt::Ckpt &ck) const

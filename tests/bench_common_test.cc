@@ -25,6 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_common.hh"
 
 namespace minnow
@@ -33,6 +35,18 @@ namespace
 {
 
 using bench::StatsJsonLog;
+
+/**
+ * A file name of its own under the test temp directory: the pid
+ * keeps parallel runs of this binary from one directory apart. The
+ * death tests compute it before they fork, so parent and child agree.
+ */
+std::string
+tmpPath(const std::string &name)
+{
+    return testing::TempDir() + "bench_common_test_" +
+           std::to_string(::getpid()) + "_" + name;
+}
 
 std::string
 readFile(const std::string &path)
@@ -93,7 +107,7 @@ wellFormed(const std::string &json)
 
 TEST(StatsJsonLog, TwoRunsAndAnEmptyStatsString)
 {
-    std::string path = "bench_common_test_stats.json";
+    std::string path = tmpPath("stats.json");
     {
         StatsJsonLog log(path);
         writeFile(log.spoolPath(0), "{\"sim\":{\"cycles\":1200}}");
@@ -131,7 +145,7 @@ TEST(StatsJsonLog, TwoRunsAndAnEmptyStatsString)
 
 TEST(StatsJsonLog, EmptyLogStillWrites)
 {
-    std::string path = "bench_common_test_empty.json";
+    std::string path = tmpPath("empty.json");
     {
         StatsJsonLog log(path);
     }
@@ -142,7 +156,7 @@ TEST(StatsJsonLog, EmptyLogStillWrites)
 
 TEST(StatsJsonLog, EntryLargerThanOneChunkIsCopiedWhole)
 {
-    std::string path = "bench_common_test_large.json";
+    std::string path = tmpPath("large.json");
     // 2.5 chunks of varying bytes, so a dropped or repeated chunk
     // shows.
     std::string stats = "{\"big\":\"";
@@ -198,7 +212,7 @@ TEST(StatsJsonLog, FarmedAndSerialPointsWriteTheSameBytes)
     std::vector<std::string> files;
     for (const char *hostPar : {"1", "3"}) {
         std::string path =
-            std::string("bench_common_test_par") + hostPar + ".json";
+            tmpPath(std::string("par") + hostPar + ".json");
         {
             bench::BenchArgs a = smallArgs(path, hostPar);
             std::vector<bench::Point> points = smallPoints(a);
@@ -223,7 +237,7 @@ TEST(StatsJsonLog, FarmedAndSerialPointsWriteTheSameBytes)
 
 TEST(StatsJsonLog, SerialPointIsAppendedBeforeTheNextStarts)
 {
-    std::string path = "bench_common_test_serial.json";
+    std::string path = tmpPath("serial.json");
     {
         bench::BenchArgs a = smallArgs(path, "1");
         std::vector<bench::Point> points = smallPoints(a);
@@ -244,7 +258,7 @@ TEST(StatsJsonLog, SerialPointIsAppendedBeforeTheNextStarts)
 
 TEST(StatsJsonLogDeathTest, PanickedBenchLeavesAValidLogAndNoSpool)
 {
-    std::string path = "bench_common_test_panic.json";
+    std::string path = tmpPath("panic.json");
     // The third point panics before its run; the first two are
     // recorded by then, and the panic hook closes the log.
     EXPECT_DEATH(
@@ -268,7 +282,7 @@ TEST(StatsJsonLogDeathTest, PanickedBenchLeavesAValidLogAndNoSpool)
 
 TEST(StatsJsonLogDeathTest, FarmedPanicLeavesAValidLog)
 {
-    std::string path = "bench_common_test_farm_panic.json";
+    std::string path = tmpPath("farm_panic.json");
     // The third of three farmed points panics in its prepare hook
     // once the other two have started, so they are likely mid-run.
     // Only the panicking thread's machine hooks run, with the log's,
@@ -305,13 +319,16 @@ TEST(StatsJsonLogDeathTest, FarmedPanicLeavesAValidLog)
         EXPECT_EQ(log.rfind("]}\n"), log.size() - 3) << "run " << run;
         EXPECT_TRUE(wellFormed(log)) << "run " << run;
         EXPECT_EQ(log.find("\"workload\":\"bfs\""), std::string::npos);
+        // The aborted points' spools are not the test's subject.
         std::remove(path.c_str());
+        for (int i = 0; i < 3; ++i)
+            std::remove((path + ".point" + std::to_string(i)).c_str());
     }
 }
 
 TEST(StatsJsonLogDeathTest, PanicWhileAnEntryIsAppendedWaitsForIt)
 {
-    std::string path = "bench_common_test_append_panic.json";
+    std::string path = tmpPath("append_panic.json");
     // The third point panics as soon as the first point's entry has
     // started to go into the log (its first byte opens the file);
     // copying the entry's stats takes a while, so the panic hook
@@ -350,7 +367,7 @@ TEST(StatsJsonLogDeathTest, UnwritableSpoolIsFatal)
     EXPECT_EXIT(
         {
             bench::BenchArgs a =
-                smallArgs("no_such_dir/stats.json", "1");
+                smallArgs(tmpPath("no_such_dir/stats.json"), "1");
             std::vector<bench::Point> points = smallPoints(a);
             points.erase(points.begin() + 1, points.end());
             bench::runPoints(a, points);
@@ -360,7 +377,7 @@ TEST(StatsJsonLogDeathTest, UnwritableSpoolIsFatal)
 
 TEST(StatsJsonLogDeathTest, InterruptedBenchLeavesItsRunsAndNoSpool)
 {
-    std::string path = "bench_common_test_sigint.json";
+    std::string path = tmpPath("sigint.json");
     // The third point's prepare hook raises the stop flag as a
     // signal would: the first two points finish and are recorded,
     // the third never starts, and the bench exits 128+SIGINT.

@@ -91,7 +91,7 @@ void
 TaintSinks::stampRestore()
 {
     // finding: checkpoint-serialized state must not depend on the
-    // host clock, or restores diverge run to run.
+    // host clock, or witnesses differ run to run.
     bootStamp_ = wallTicks();
 }
 

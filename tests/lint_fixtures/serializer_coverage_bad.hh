@@ -26,7 +26,7 @@ class DriftedComponent
   private:
     unsigned long long cursor_ = 0;
     void *scratch_ = nullptr;
-    // finding: added after the visitor was written; the restore
+    // finding: added after the visitor was written; the checkpoint
     // witness would not see it diverge.
     unsigned long long addedLater_ = 0;
 };

@@ -19,7 +19,7 @@ value would steer simulated behavior:
     Stat-typed declarations): stats JSON is byte-diffed across runs;
   - checkpoint-serialized members (anything a `checkpoint()` body
     names outside `transient(...)` strings): a host value written
-    there changes restored state run to run.
+    there changes the checkpoint witness run to run.
 
 Taint propagates through simple local assignment (`auto t = f();`
 then `t` is tainted for the rest of the body — linear, not
@@ -231,7 +231,7 @@ def check_project(project):
                     findings.append(
                         (fi.path, t.line, RULE_ID,
                          "host-derived value (%s) is written into "
-                         "%s '%s' in '%s'; exported/restored state "
+                         "%s '%s' in '%s'; exported/witnessed state "
                          "must not depend on host timing"
                          % (why, what, target, fi.qual)))
     return findings

@@ -2,9 +2,9 @@
 
 A class that defines a `checkpoint(ckpt::Ckpt &) const` visitor
 promises that its complete value state is in the checkpoint. Saves
-go one way: a restore replays to the saved anchor and compares the
-replayed machine's sections with the file's byte for byte, so each
-section is a witness. The failure mode this rule targets is silent
+go one way: nothing reads a checkpoint back; two runs that save at
+the same anchor are compared byte for byte, so each section is a
+witness. The failure mode this rule targets is silent
 drift: a later change adds a data member and forgets the visitor,
 and a member the witness omits lets a divergence in it go unseen,
 unless it happens to change some other serialized state downstream.
@@ -98,7 +98,7 @@ def check(unit):
             findings.append(
                 (path, mem.line, RULE_ID,
                  "'%s::%s' is not serialized by checkpoint() nor "
-                 "declared ck.transient(\"%s\"); the restore "
+                 "declared ck.transient(\"%s\"); the checkpoint "
                  "witness would not see it diverge"
                  % (name, mem.name, mem.name)))
     return findings
