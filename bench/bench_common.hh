@@ -21,16 +21,6 @@
  * ...). The credit-sweep benches (18/19/20) additionally take
  * --credits-list=a,b to override the swept credit counts.
  *
- * Offload round-trip knobs (applyOptions; see DESIGN.md section 5h):
- *   --dequeue-batch=<k>  one engine round-trip returns up to k tasks
- *                        (default 1: single-task calls, bit-for-bit
- *                        with earlier builds).
- *   --spec-slot          engine speculatively delivers the next task
- *                        into a core-side slot so a hitting dequeue
- *                        skips the round-trip entirely.
- *   offload_breakdown additionally takes --batch-list=a,b and
- *   --json=<path> (schema "minnow-offload-1").
- *
  * Host parallelism (DESIGN.md section 5j):
  *   --host-par=<n>    run a bench's independent points on n host
  *                     threads (default 1). Every output — stdout,
@@ -88,6 +78,7 @@
 #define MINNOW_BENCH_BENCH_COMMON_HH
 
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -345,8 +336,9 @@ parseArgs(const Options &opts, double defaultScale = 1.0,
 {
     BenchArgs a;
     a.scale = opts.getDouble("scale", defaultScale);
-    a.threads =
-        std::uint32_t(opts.getUint("threads", defaultThreads));
+    fatal_if(!std::isfinite(a.scale) || a.scale <= 0,
+             "--scale=%g must be a finite number above 0", a.scale);
+    a.threads = opts.getU32("threads", defaultThreads);
     a.seed = opts.getUint("seed", 1);
     a.maxEvents = opts.getUint("max-events", a.maxEvents);
     std::string dbg = opts.getString("debug-file", "");
@@ -356,7 +348,7 @@ parseArgs(const Options &opts, double defaultScale = 1.0,
     std::string sj = opts.getString("stats-json", "");
     if (!sj.empty())
         a.statsJson = std::make_shared<StatsJsonLog>(sj);
-    a.hostPar = std::uint32_t(opts.getUint("host-par", 1));
+    a.hostPar = opts.getU32("host-par", 1);
     fatal_if(a.hostPar == 0, "--host-par must be at least 1");
     installSignalHandlers();
     a.machine.applyOptions(opts);

@@ -29,8 +29,7 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    std::uint32_t threads =
-        std::uint32_t(opts.getUint("threads", 16));
+    std::uint32_t threads = opts.getU32("threads", 16);
     opts.rejectUnused();
 
     graph::CsrGraph g = graph::randomGraph(20000, 4.0, 11);

@@ -56,30 +56,30 @@ main(int argc, char **argv)
         else
             g = graph::readEdgeList(in, symmetrize);
     } else if (kind == "grid") {
-        auto side = std::uint32_t(opts.getUint("side", 256));
-        auto maxw = std::uint32_t(opts.getUint("max-weight", 100));
+        auto side = opts.getU32("side", 256);
+        auto maxw = opts.getU32("max-weight", 100);
         g = graph::gridGraph(side, side, maxw, seed);
     } else if (kind == "random") {
-        NodeId n = NodeId(opts.getUint("nodes", 100000));
+        NodeId n = opts.getU32("nodes", 100000);
         double d = opts.getDouble("degree", 4.0);
         g = graph::randomGraph(n, d, seed);
     } else if (kind == "rmat") {
-        auto sc = std::uint32_t(opts.getUint("rmat-scale", 16));
-        auto ef = std::uint32_t(opts.getUint("edge-factor", 8));
+        auto sc = opts.getU32("rmat-scale", 16);
+        auto ef = opts.getU32("edge-factor", 8);
         g = graph::rmatGraph(sc, ef, seed);
     } else if (kind == "powerlaw") {
-        NodeId n = NodeId(opts.getUint("nodes", 100000));
+        NodeId n = opts.getU32("nodes", 100000);
         double d = opts.getDouble("degree", 8.0);
         double a = opts.getDouble("alpha", 0.9);
         g = graph::powerLawGraph(n, d, a, seed, symmetrize);
     } else if (kind == "ws") {
-        NodeId n = NodeId(opts.getUint("nodes", 100000));
-        auto k = std::uint32_t(opts.getUint("k", 10));
+        NodeId n = opts.getU32("nodes", 100000);
+        auto k = opts.getU32("k", 10);
         double beta = opts.getDouble("beta", 0.05);
         g = graph::wattsStrogatz(n, k, beta, seed);
     } else if (kind == "bipartite") {
-        NodeId l = NodeId(opts.getUint("left", 60000));
-        NodeId r = NodeId(opts.getUint("right", 40000));
+        NodeId l = opts.getU32("left", 60000);
+        NodeId r = opts.getU32("right", 40000);
         double d = opts.getDouble("degree", 4.0);
         double a = opts.getDouble("alpha", 0.8);
         g = graph::bipartiteGraph(l, r, d, a, seed);

@@ -29,9 +29,8 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    std::uint32_t threads =
-        std::uint32_t(opts.getUint("threads", 16));
-    std::uint32_t side = std::uint32_t(opts.getUint("side", 100));
+    std::uint32_t threads = opts.getU32("threads", 16);
+    std::uint32_t side = opts.getU32("side", 100);
     std::uint64_t seed = opts.getUint("seed", 1);
     opts.rejectUnused();
 

@@ -33,11 +33,9 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    std::uint32_t side = std::uint32_t(opts.getUint("side", 120));
-    std::uint32_t queries =
-        std::uint32_t(opts.getUint("queries", 3));
-    std::uint32_t threads =
-        std::uint32_t(opts.getUint("threads", 16));
+    std::uint32_t side = opts.getU32("side", 120);
+    std::uint32_t queries = opts.getU32("queries", 3);
+    std::uint32_t threads = opts.getU32("threads", 16);
     std::string grPath = opts.getString("gr", "");
     opts.rejectUnused();
 

@@ -57,9 +57,8 @@ int
 main(int argc, char **argv)
 {
     Options opts(argc, argv);
-    NodeId users = NodeId(opts.getUint("users", 20000));
-    std::uint32_t threads =
-        std::uint32_t(opts.getUint("threads", 32));
+    NodeId users = opts.getU32("users", 20000);
+    std::uint32_t threads = opts.getU32("threads", 32);
     bool useMinnow = opts.getBool("minnow", true);
     opts.rejectUnused();
 

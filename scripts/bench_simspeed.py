@@ -29,9 +29,6 @@ conservative >= 1.05x micro speedup (wired into ctest so sim-speed
 regressions fail loudly without flaking on noisy CI hosts); the
 attribution overhead ceiling applies in both modes.
 
-The offload_breakdown gates on simulated values (k=4 dequeue P95
-below k=1, specHits > 0) live in check_stats_json.py.
-
 Usage:
   bench_simspeed.py [--build-dir DIR] [--micro PATH] [--fig PATH]
                     [--runner PATH] [--out BENCH_simspeed.json]

@@ -22,27 +22,13 @@ derived coverage and pollution rates, lineage conservation (every
 assigned lineage dequeued, none live at exit), and the six latency
 histograms with P50/P95/P99), all numeric and non-negative.
 
-Every "minnow<N>" engine group must satisfy the spec-slot
-conservation invariant specDeposits == specHits + specReclaims
-(DESIGN.md 5h). The point runs twice: once with the default offload
-protocol and once with --dequeue-batch=4 --spec-slot, so the bundled
-dequeue path and the speculative slot are exercised end to end; the
-second run must show bundled tasks and spec deposits.
-
-offload_breakdown's --dequeue-batch sweep then gates two simulated
-values: k=4 bundling must pull the worker dequeue P95 strictly below
-the k=1 value (the round-trip amortization the batched-dequeue path
-exists for), and the k=4 spec-slot point must record specHits > 0.
-
 Usage: check_stats_json.py <path-to-fig18-binary>
-                           <path-to-offload_breakdown-binary>
                            <path-to-point_runner-binary>
 Exit status 0 on success; prints the first failure otherwise.
 """
 
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -130,26 +116,6 @@ def check_minnow_pf_groups(groups, i):
     for g in engines:
         if "creditStalls" not in groups[g]:
             fail(f"runs[{i}]: group {g} lacks creditStalls")
-
-
-ENGINE_GROUP = re.compile(r"minnow\d+$")
-
-
-def check_spec_conservation(groups, i):
-    """specDeposits == specHits + specReclaims on every engine."""
-    engines = [g for g in groups if ENGINE_GROUP.match(g)]
-    for g in engines:
-        e = groups[g]
-        for key in ("specDeposits", "specHits", "specReclaims"):
-            if key not in e:
-                fail(f"runs[{i}]: group {g} lacks {key}")
-        if e["specDeposits"] != e["specHits"] + e["specReclaims"]:
-            fail(
-                f"runs[{i}]: {g}.specDeposits {e['specDeposits']} != "
-                f"specHits {e['specHits']} + specReclaims "
-                f"{e['specReclaims']}"
-            )
-    return engines
 
 
 def check_attribution_group(groups, i):
@@ -257,8 +223,8 @@ def run_point(cmd):
             fail(f"cannot parse {out}: {e}")
 
 
-def run_fig18(bench, extra):
-    """Run the fig18 point with @extra flags; return the stats doc."""
+def run_fig18(bench):
+    """Run the fig18 point; return the stats doc."""
     with tempfile.TemporaryDirectory() as tmp:
         trace = os.path.join(tmp, "trace.json")
         return run_point([
@@ -271,7 +237,6 @@ def run_fig18(bench, extra):
             "--host-profile=true",
             "--attribution",
             f"--timeline={trace}",
-            *extra,
         ])
 
 
@@ -287,100 +252,35 @@ def check_executors(runner):
             check_tasks_group(run, check_run_entry(run, i), i)
 
 
-def check_doc(doc, label):
-    """Validate one stats document; return its engine-group totals."""
+def check_doc(doc):
+    """Validate the fig18 stats document; return its run count."""
     if doc.get("schema") != "minnow-bench-stats-1":
-        fail(f"{label}: top-level schema != minnow-bench-stats-1")
+        fail("top-level schema != minnow-bench-stats-1")
     runs = doc.get("runs")
     if not isinstance(runs, list) or not runs:
-        fail(f"{label}: runs missing or empty")
+        fail("runs missing or empty")
 
     saw_pf = False
-    totals = {"dequeueBundleTasks": 0, "specDeposits": 0}
     for i, run in enumerate(runs):
         groups = check_run_entry(run, i)
         check_tasks_group(run, groups, i)
-        for g in check_spec_conservation(groups, i):
-            for key in totals:
-                totals[key] += groups[g].get(key, 0)
         if run["config"] == "minnow-pf":
             saw_pf = True
             check_minnow_pf_groups(groups, i)
             check_observability_groups(groups, i)
             check_attribution_group(groups, i)
     if not saw_pf:
-        fail(f"{label}: no minnow-pf run in the sweep output")
-    return len(runs), totals
-
-
-def check_offload(offload):
-    """k=4 dequeue P95 below k=1, and a delivering spec slot.
-
-    k=1 pops pay a full engine round-trip per task, so a meaningful
-    share of them wait >= one dequeue histogram bucket; k=4 bundles
-    amortize the round-trip and must pull the P95 strictly below the
-    k=1 value on the same workload point.
-    """
-    with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "offload.json")
-        cmd = [
-            offload,
-            "--workloads=sssp",
-            "--scale=0.05",
-            "--threads=4",
-            "--cores=4",
-            "--seed=42",
-            "--batch-list=1,2,4,8,4s",
-            f"--json={out}",
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=600)
-        if proc.returncode != 0:
-            fail(f"offload_breakdown exited {proc.returncode}:"
-                 f"\n{proc.stdout}\n{proc.stderr}")
-        with open(out) as f:
-            doc = json.load(f)
-    points = {(p["batch"], p.get("specSlot", False)): p
-              for p in doc.get("points", [])}
-    k1, k4 = points.get((1, False)), points.get((4, False))
-    spec = points.get((4, True))
-    if not k1 or not k4:
-        fail("offload_breakdown output missing the k=1/k=4 points")
-    if not spec:
-        fail("offload_breakdown output missing the k=4 spec-slot"
-             " point (--batch-list '4s' entry)")
-    for p in (k1, k4, spec):
-        if p["timedOut"]:
-            fail(f"offload point k={p['batch']} timed out")
-    if k4["dequeueP95"] >= k1["dequeueP95"]:
-        fail(f"dequeue batching regression: k=4 dequeueP95"
-             f" {k4['dequeueP95']} not below k=1's"
-             f" {k1['dequeueP95']}")
-    if spec["specHits"] <= 0:
-        fail("spec-slot point recorded zero specHits: the core-side"
-             " slot is not delivering (or the sweep lost the"
-             " --spec-slot plumbing again)")
-    return k1["dequeueP95"], k4["dequeueP95"], spec["specHits"]
+        fail("no minnow-pf run in the sweep output")
+    return len(runs)
 
 
 def main():
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 3:
         fail("usage: check_stats_json.py <fig18-binary>"
-             " <offload_breakdown-binary> <point_runner-binary>")
-    bench = sys.argv[1]
-
-    nruns, _ = check_doc(run_fig18(bench, []), "default")
-    bundled = ["--dequeue-batch=4", "--spec-slot"]
-    nb, totals = check_doc(run_fig18(bench, bundled), " ".join(bundled))
-    for key, total in totals.items():
-        if total <= 0:
-            fail(f"{' '.join(bundled)}: no engine recorded {key}")
-
-    check_executors(sys.argv[3])
-    p95_k1, p95_k4, hits = check_offload(sys.argv[2])
-    print(f"check_stats_json: OK ({nruns} + {nb} runs validated;"
-          f" dequeueP95 k=1 {p95_k1:.0f} -> k=4 {p95_k4:.0f},"
-          f" specHits {hits:.0f})")
+             " <point_runner-binary>")
+    nruns = check_doc(run_fig18(sys.argv[1]))
+    check_executors(sys.argv[2])
+    print(f"check_stats_json: OK ({nruns} runs validated)")
 
 
 if __name__ == "__main__":

@@ -201,38 +201,6 @@ capacity), which costs Minnow work-distribution efficiency on the
 burst-synchronous g500.
 """
 
-# Hand-written subsections appended AFTER a section's measured
-# block (extra context that is not a paper figure of its own).
-POST = {}
-
-POST["fig16_overall_speedup"] = """\
-### Offload round-trip breakdown (beyond the paper)
-
-The fixed per-dequeue round-trip (doorbell + delivery hop, 10 cycles
-each way) is a real tax at our scale; `bench/offload_breakdown`
-splits it per engine call and sweeps `--dequeue-batch` (sssp,
-scale 0.1, 4 threads/cores, seed 42 — the sweep recorded in
-`BENCH_simspeed.json` and gated in ctest):
-
-```
-k  cycles  engine-calls  doorbell/call  wait/call  dequeueP95
-1  182128  4314          10.0           44.9       127
-2  164105  2500          10.0           66.0       127
-4  163882  1873          10.0           74.3        63
-8  164441  1580          10.0           69.3        63
-```
-
-Bundling amortizes the fixed legs over up to k tasks: k=4 cuts
-engine calls 2.3x, shifts the worker dequeue P95 from 127 to 63
-cycles, and takes ~10% off the makespan; beyond k=4 the bundle
-starts draining the local queue faster than the fill daemon refills
-it (wait/call grows), so returns flatten. `--spec-slot` removes the
-round-trip entirely on hits and composes with bundling; defaults
-(k=1, no slot) remain bit-identical to the pre-knob engine
-(`MinnowInt.ExplicitDefaultKnobsMatchDefaultsBitForBit`).
-"""
-
-
 PROSE["fig17_imp_comparison"] = """\
 ## Fig. 17 — vs stride and IMP
 
@@ -546,8 +514,6 @@ it per commit).
         out.append("```")
         out.append(body)
         out.append("```\n")
-        if name in POST:
-            out.append(POST[name].rstrip() + "\n")
 
     out.append(EPILOGUE.rstrip())
 

@@ -1,6 +1,9 @@
 #include "base/options.hh"
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -77,12 +80,33 @@ Options::getUint(const std::string &key, std::uint64_t dflt) const
     if (it == values_.end())
         return dflt;
     used_.insert(key);
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-    fatal_if(end == it->second.c_str() || *end != '\0',
+    const char *text = it->second.c_str();
+    // strtoull accepts a sign (and wraps a negative value) and
+    // saturates on overflow; neither is a valid unsigned option.
+    char sign = text[std::strspn(text, " \t\n\v\f\r")];
+    fatal_if(sign == '-' || sign == '+',
              "option --%s=%s is not an unsigned integer", key.c_str(),
-             it->second.c_str());
+             text);
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t v = std::strtoull(text, &end, 0);
+    fatal_if(end == text || *end != '\0',
+             "option --%s=%s is not an unsigned integer", key.c_str(),
+             text);
+    fatal_if(errno == ERANGE, "option --%s=%s is out of range",
+             key.c_str(), text);
     return v;
+}
+
+std::uint32_t
+Options::getU32(const std::string &key, std::uint32_t dflt) const
+{
+    std::uint64_t v = getUint(key, dflt);
+    fatal_if(v > std::numeric_limits<std::uint32_t>::max(),
+             "option --%s=%llu is out of range (at most %u)",
+             key.c_str(), (unsigned long long)v,
+             std::numeric_limits<std::uint32_t>::max());
+    return std::uint32_t(v);
 }
 
 double

@@ -34,8 +34,15 @@ class Options
     std::string getString(const std::string &key,
                           const std::string &dflt) const;
     std::int64_t getInt(const std::string &key, std::int64_t dflt) const;
+    /**
+     * Unsigned integer (decimal, 0x hex or 0 octal). A sign, or a
+     * value past 2^64-1, is fatal rather than wrapped or saturated.
+     */
     std::uint64_t getUint(const std::string &key,
                           std::uint64_t dflt) const;
+    /** getUint for a 32-bit field: a value past 2^32-1 is fatal. */
+    std::uint32_t getU32(const std::string &key,
+                         std::uint32_t dflt) const;
     double getDouble(const std::string &key, double dflt) const;
     bool getBool(const std::string &key, bool dflt) const;
 

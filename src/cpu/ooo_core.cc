@@ -362,19 +362,4 @@ OooCore::branch(BranchKind kind, Cycle dep)
     return resolve;
 }
 
-void
-OooCore::specDeposit(std::uint64_t seq, std::int64_t priority,
-                     std::uint64_t payload, std::uint64_t lineage)
-{
-    panic_if(specSlot_.valid,
-             "core %u: spec-slot double deposit (seq %llu over %llu)",
-             id_, (unsigned long long)seq,
-             (unsigned long long)specSlot_.seq);
-    specSlot_.valid = true;
-    specSlot_.seq = seq;
-    specSlot_.priority = priority;
-    specSlot_.payload = payload;
-    specSlot_.lineage = lineage;
-}
-
 } // namespace minnow::cpu

@@ -170,35 +170,6 @@ class SegmentedWindow
     std::uint64_t tail_ = 0;
 };
 
-/**
- * Core-side slot for speculative next-task delivery (--spec-slot).
- * The Minnow engine deposits the predicted next task here so the
- * common-case pop is a local hit instead of an engine round-trip.
- * Plain POD fields (not worklist::WorkItem) keep the cpu layer free
- * of worklist dependencies; seq tags the deposit so rescue/kill can
- * invalidate in-flight deliveries.
- */
-struct SpecTaskSlot
-{
-    bool valid = false;
-    std::uint64_t seq = 0;
-    std::int64_t priority = 0;
-    std::uint64_t payload = 0;
-    std::uint64_t lineage = 0; //!< attribution id (0 = untracked).
-
-    // Per-member: the bool is followed by padding, which must not
-    // leak into a checkpoint stream.
-    void
-    checkpoint(ckpt::Ckpt &ck) const
-    {
-        ck.io(valid);
-        ck.io(seq);
-        ck.io(priority);
-        ck.io(payload);
-        ck.io(lineage);
-    }
-};
-
 /** The per-core OOO timing model. */
 class OooCore
 {
@@ -260,19 +231,6 @@ class OooCore
      */
     void bindTimeline(timeline::Timeline *tl, std::uint32_t track);
 
-    /**
-     * Deposit a speculative next task (engine side). Panics if the
-     * slot is already valid — the engine must keep at most one
-     * deposit outstanding per core.
-     */
-    void specDeposit(std::uint64_t seq, std::int64_t priority,
-                     std::uint64_t payload, std::uint64_t lineage);
-
-    /** Drop any deposited task (rescue/kill reclaim path). */
-    void specInvalidate() { specSlot_.valid = false; }
-
-    const SpecTaskSlot &specSlot() const { return specSlot_; }
-
     CoreId id() const { return id_; }
     const CoreStats &stats() const { return stats_; }
     void resetStats() { stats_ = CoreStats{}; }
@@ -285,9 +243,8 @@ class OooCore
 
     /**
      * Serialize the analytic pipeline state: RNG, frontend cursors,
-     * occupancy windows, phase accounting, stats, and the spec slot:
-     * everything here is value state, so the witness compares all of
-     * it.
+     * occupancy windows, phase accounting and stats: everything here
+     * is value state, so the witness compares all of it.
      */
     void
     checkpoint(ckpt::Ckpt &ck) const
@@ -308,7 +265,6 @@ class OooCore
         ck.io(phase_);
         ck.io(stats_);
         ck.io(tlPhaseStart_);
-        ck.io(specSlot_);
         ck.transient("id_ params_ width_ memory_ tl_ tlTrack_");
     }
 
@@ -360,8 +316,6 @@ class OooCore
     timeline::Timeline *tl_ = nullptr; //!< phase-span sink (or null).
     std::uint32_t tlTrack_ = 0;
     Cycle tlPhaseStart_ = 0; //!< frontier when phase_ was entered.
-
-    SpecTaskSlot specSlot_; //!< engine-deposited next task.
 };
 
 } // namespace minnow::cpu

@@ -5,7 +5,6 @@
  */
 
 #include <optional>
-#include <vector>
 
 #include "base/logging.hh"
 #include "galois/executor.hh"
@@ -61,26 +60,11 @@ minnowWorker(SimContext &ctx, MinnowEngine &eng, apps::App &app,
              EngineSink &sink)
 {
     runtime::TaskProbe *probe = ctx.machine().tasks.get();
-    // Dequeue bundling (--dequeue-batch): one engine round-trip
-    // returns up to k tasks; the rest of the bundle is consumed with
-    // a couple of local instructions per pop.
-    const std::uint32_t batch = ctx.machine().cfg.minnow.dequeueBatch;
-    std::vector<worklist::WorkItem> bundle;
-    std::size_t bundleNext = 0;
     for (;;) {
         ctx.core().setPhase(cpu::Phase::Worklist);
         Cycle dqStart = ctx.eq().now();
-        std::optional<worklist::WorkItem> item;
-        if (bundleNext < bundle.size()) {
-            item = bundle[bundleNext++];
-            ctx.compute(2);
-            co_await ctx.sync();
-        } else {
-            bundle.clear();
-            bundleNext = 0;
-            if (co_await eng.dequeue(ctx, bundle, batch) > 0)
-                item = bundle[bundleNext++];
-        }
+        std::optional<worklist::WorkItem> item =
+            co_await eng.dequeue(ctx);
         if (!item)
             break;
         probe->dequeued(ctx.id(), item->lineage, dqStart);

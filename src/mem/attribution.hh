@@ -15,7 +15,7 @@
  *
  *  - Task lineage: a compact id assigned at push time rides the
  *    WorkItem through worklist push -> engine fill/spill ->
- *    dequeue/spec-slot delivery, yielding a per-task critical-path
+ *    dequeue delivery, yielding a per-task critical-path
  *    split (parent-push -> enqueue -> dequeue -> first demand miss)
  *    and push->pop flow arrows in the timeline trace.
  *

@@ -290,17 +290,8 @@ MinnowEngine::registerStats()
           " injection", &EngineStats::prefetchDropped);
     count("creditsLost", "credit returns lost to fault injection",
           &EngineStats::creditsLost);
-    count("dequeueBundleTasks", "tasks returned in dequeue bundles",
-          &EngineStats::dequeueBundleTasks);
     count("creditHandoffs", "credit returns handed straight to a"
           " waiter", &EngineStats::creditHandoffs);
-    count("specDeposits", "speculative task deliveries launched"
-          " (each ends as a specHit or a specReclaim)",
-          &EngineStats::specDeposits);
-    count("specHits", "dequeues served by the core-side spec slot",
-          &EngineStats::specHits);
-    count("specReclaims", "spec-slot tasks reclaimed to the global"
-          " queue", &EngineStats::specReclaims);
     g.formula("cuBusyCycles", "control-unit busy cycles",
               [this] { return double(stats_.cuBusyCycles); });
     g.formula("dqDoorbellCycles",
@@ -577,7 +568,7 @@ MinnowEngine::insertLocal(WorkItem item)
 }
 
 WorkItem
-MinnowEngine::popLocalRaw()
+MinnowEngine::popLocal()
 {
     HostProfScope hp(HostClass::Engine);
     panic_if(localQ_.empty(), "pop from empty local queue");
@@ -594,15 +585,8 @@ MinnowEngine::popLocalRaw()
     if (localQ_.empty())
         localBucket_ = MinnowGlobalQueue::kNoBucket;
     // Always nudge: besides refills, the daemon also reevaluates
-    // its work-sharing condition on every pop.
+    // its work sharing condition on every pop.
     nudgeDaemon();
-    return item;
-}
-
-WorkItem
-MinnowEngine::popLocal()
-{
-    WorkItem item = popLocalRaw();
     machine_->monitor.takeWork(1, false);
     return item;
 }
@@ -619,9 +603,6 @@ MinnowEngine::deliverToBlocked()
             eq_.now() + params_.localQueueLatency,
             w.handle);
     }
-    // Any local-queue surplus beyond the blocked workers can ride
-    // ahead into free core-side slots (no-op unless --spec-slot).
-    trySpecDeposit();
 }
 
 void
@@ -632,89 +613,6 @@ MinnowEngine::nudgeDaemon()
             std::exchange(parkedDaemon_, nullptr);
         eq_.schedule(eq_.now(), h);
     }
-}
-
-// ---- Speculative next-task delivery (--spec-slot) ----
-
-void
-MinnowEngine::trySpecDeposit()
-{
-    if (!params_.specSlot || spec_.empty() || faulted() ||
-        !blockedWorkers_.empty())
-        return;
-    std::uint32_t n = std::uint32_t(spec_.size());
-    for (std::uint32_t i = 0; i < n && !localQ_.empty(); ++i) {
-        std::uint32_t idx = (specNext_ + i) % n;
-        if (spec_[idx].inFlight ||
-            machine_->cores[core_ + idx]->specSlot().valid)
-            continue;
-        // The task stays pending (non-stealable) in the monitor
-        // until the slot is consumed, so termination cannot fire
-        // while it is in flight.
-        WorkItem item = popLocalRaw();
-        spec_[idx].inFlight = true;
-        std::uint64_t seq = ++spec_[idx].seq;
-        specNext_ = (idx + 1) % n;
-        // Counted at launch so the conservation invariant
-        // (specDeposits == specHits + specReclaims) covers deposits
-        // invalidated mid-flight too.
-        stats_.specDeposits += 1;
-        adoptThreadlet(specDepositTask(idx, item, seq));
-    }
-}
-
-CoTask<void>
-MinnowEngine::specDepositTask(std::uint32_t idx, WorkItem item,
-                              std::uint64_t seq)
-{
-    co_await WaitAt{&eq_,
-                    eq_.now() + params_.localQueueLatency};
-    spec_[idx].inFlight = false;
-    if (faulted() || spec_[idx].seq != seq) {
-        // Rescue/kill invalidated us mid-flight: the task goes to
-        // the global queue with the rest of the rescued work.
-        global_->pushInitial(item);
-        stats_.specReclaims += 1;
-        machine_->monitor.transferWork(1, true);
-        if (machine_->timeline) {
-            machine_->timeline->instant(tlEngine_,
-                                        timeline::Name::SpecReclaim,
-                                        eq_.now());
-        }
-        co_return;
-    }
-    if (!blockedWorkers_.empty()) {
-        // A worker parked while the deposit was in flight. Landing
-        // in the slot now would strand both (the worker blocks
-        // engine-side, the task sits core-side); deliver directly,
-        // like deliverToBlocked does. The delivery did its job, so
-        // it counts as a hit.
-        BlockedWorker w = blockedWorkers_.front();
-        blockedWorkers_.pop_front();
-        *w.slot = item;
-        stats_.specHits += 1;
-        machine_->monitor.takeWork(1, false);
-        machine_->monitor.exitIdle();
-        eq_.schedule(
-            eq_.now() + params_.localQueueLatency,
-            w.handle);
-        co_return;
-    }
-    machine_->cores[core_ + idx]->specDeposit(seq, item.priority,
-                                              item.payload,
-                                              item.lineage);
-    if (machine_->timeline) {
-        machine_->timeline->instant(tlEngine_,
-                                    timeline::Name::SpecDeposit,
-                                    eq_.now());
-    }
-}
-
-CoTask<void>
-MinnowEngine::specConsumedTask(Cycle when)
-{
-    co_await WaitAt{&eq_, when};
-    trySpecDeposit();
 }
 
 void
@@ -821,23 +719,6 @@ MinnowEngine::rescueLocalTasks()
         global_->pushInitial(spillBuf_.front());
         spillBuf_.pop_front();
         ++n;
-    }
-    // Spec slots (--spec-slot): reclaim deposited tasks and
-    // invalidate in-flight deposits (those reclaim themselves on
-    // arrival when they see the bumped sequence).
-    for (std::uint32_t i = 0; i < std::uint32_t(spec_.size()); ++i) {
-        spec_[i].seq += 1;
-        cpu::OooCore &oc = *machine_->cores[core_ + i];
-        if (oc.specSlot().valid) {
-            global_->pushInitial(takeSpecSlot(oc));
-            stats_.specReclaims += 1;
-            ++n;
-            if (machine_->timeline) {
-                machine_->timeline->instant(
-                    tlEngine_, timeline::Name::SpecReclaim,
-                    eq_.now());
-            }
-        }
     }
     localBucket_ = MinnowGlobalQueue::kNoBucket;
     // Queued prefetch requests refer to tasks this engine no longer
@@ -1002,38 +883,10 @@ struct BlockAwait
 
 } // anonymous namespace
 
-WorkItem
-MinnowEngine::takeSpecSlot(cpu::OooCore &oc)
-{
-    const cpu::SpecTaskSlot &s = oc.specSlot();
-    WorkItem item{s.priority, s.payload, s.lineage};
-    oc.specInvalidate();
-    return item;
-}
-
-CoTask<std::uint32_t>
-MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
-                      std::uint32_t max)
+CoTask<std::optional<WorkItem>>
+MinnowEngine::dequeue(SimContext &ctx)
 {
     PhaseGuard guard(ctx, cpu::Phase::Worklist);
-    // Bundle accounting: a single-task pop is not a bundle.
-    const bool bundled = max > 1;
-    // Speculative slot (--spec-slot): the engine may have deposited
-    // the next task core-side already — then the pop is a handful
-    // of local instructions, no engine round-trip at all.
-    if (params_.specSlot && ctx.core().specSlot().valid) {
-        out.push_back(takeSpecSlot(ctx.core()));
-        stats_.dequeues += 1;
-        stats_.specHits += 1;
-        machine_->monitor.takeWork(1, false);
-        ctx.compute(2);
-        co_await ctx.sync();
-        // Slot-free notification travels back off the critical path;
-        // the engine refills the slot when it lands.
-        adoptThreadlet(specConsumedTask(
-            eq_.now() + params_.localQueueLatency));
-        co_return 1;
-    }
     stats_.dequeues += 1;
     ctx.compute(1);
     Cycle dqStart = ctx.now();
@@ -1044,49 +897,25 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
     if (faulted()) {
         // Killed or stalled engine: degrade to the software
         // worklist path (the baseline scheduler).
-        co_return co_await dequeueFallback(ctx, out);
+        co_return co_await dequeueFallback(ctx);
     }
 
     if (!localQ_.empty()) {
-        // One round-trip, up to max tasks off the local-queue head.
         stats_.dequeueLocalHits += 1;
-        std::uint32_t got = 0;
-        do {
-            out.push_back(popLocal());
-            ++got;
-        } while (got < max && !localQ_.empty());
-        if (bundled)
-            stats_.dequeueBundleTasks += got;
-        DPRINTF(Engine, "engine", "[%u] dequeue hit n=%u", core_, got);
-        trySpecDeposit();
-        co_return got;
-    }
-    if (params_.specSlot && ctx.core().specSlot().valid) {
-        // A deposit landed while our pop doorbell was in flight (the
-        // core checked the slot before sending it). Consume it here
-        // instead of parking — parking would strand both the task
-        // (core-side, valid) and the worker (engine-side, blocked).
-        out.push_back(takeSpecSlot(ctx.core()));
-        stats_.specHits += 1;
-        machine_->monitor.takeWork(1, false);
-        co_await ctx.waitUntil(eq_.now() +
-                               params_.localQueueLatency);
-        ctx.core().idleUntil(eq_.now());
-        stats_.dqDeliverCycles += params_.localQueueLatency;
-        if (bundled)
-            stats_.dequeueBundleTasks += 1;
-        co_return 1;
+        WorkItem item = popLocal();
+        DPRINTF(Engine, "engine", "[%u] dequeue hit", core_);
+        co_return item;
     }
     DPRINTF(Engine, "engine", "[%u] dequeue blocks", core_);
     if (machine_->monitor.terminated())
-        co_return 0;
+        co_return std::nullopt;
 
     // Block until the engine delivers a task or the run terminates.
     stats_.dequeueBlocks += 1;
     ctx.core().setPhase(cpu::Phase::Idle);
     machine_->monitor.enterIdle();
     if (machine_->monitor.terminated())
-        co_return 0;
+        co_return std::nullopt;
     nudgeDaemon();
 
     std::optional<WorkItem> slot;
@@ -1102,35 +931,31 @@ MinnowEngine::dequeue(SimContext &ctx, std::vector<WorkItem> &out,
         // Released by fault injection, not termination: this worker
         // rejoins the run on the software worklist path.
         machine_->monitor.exitIdle();
-        co_return co_await dequeueFallback(ctx, out);
+        co_return co_await dequeueFallback(ctx);
     }
     if (!slot)
-        co_return 0;
+        co_return std::nullopt;
     machine_->tasks->popWait(ctx.id(), parkStart);
     Cycle total = eq_.now() - dqStart;
     stats_.dqDeliverCycles += params_.localQueueLatency;
     if (total >= 2 * Cycle(params_.localQueueLatency))
         stats_.dqWaitCycles +=
             total - 2 * Cycle(params_.localQueueLatency);
-    out.push_back(*slot);
-    if (bundled)
-        stats_.dequeueBundleTasks += 1;
-    co_return 1;
+    co_return slot;
 }
 
-CoTask<std::uint32_t>
-MinnowEngine::dequeueFallback(SimContext &ctx,
-                              std::vector<WorkItem> &out)
+CoTask<std::optional<WorkItem>>
+MinnowEngine::dequeueFallback(SimContext &ctx)
 {
     runtime::WorkMonitor &mon = machine_->monitor;
     for (;;) {
         if (mon.terminated())
-            co_return 0;
+            co_return std::nullopt;
         if (!faulted()) {
             // The engine recovered while we were on the software
             // path: go back through the accelerator interface (it
             // may hold freshly filled tasks for us).
-            co_return co_await dequeue(ctx, out, 1);
+            co_return co_await dequeue(ctx);
         }
         if (global_->size() > 0) {
             WorkItem item;
@@ -1139,8 +964,7 @@ MinnowEngine::dequeueFallback(SimContext &ctx,
             if (got) {
                 mon.takeWork(1, true);
                 stats_.fallbackPops += 1;
-                out.push_back(item);
-                co_return 1;
+                co_return item;
             }
             continue;
         }
@@ -1157,7 +981,7 @@ MinnowEngine::dequeueFallback(SimContext &ctx,
         ctx.core().idleUntil(eq_.now());
         ctx.core().setPhase(cpu::Phase::Worklist);
         if (!more)
-            co_return 0;
+            co_return std::nullopt;
         machine_->tasks->popWait(ctx.id(), parkStart);
     }
 }
@@ -1279,7 +1103,7 @@ MinnowEngine::fillDaemon()
             // the computation. Flush our excess back to the global
             // worklist (a partial minnow_flush the programmable
             // engine issues on its own).
-            if (params_.workSharing && mon.stealable() == 0 &&
+            if (mon.stealable() == 0 &&
                 mon.idleWorkers() > 0 &&
                 localQ_.size() > params_.refillThreshold) {
                 std::uint32_t excess =
@@ -1547,8 +1371,6 @@ MinnowEngine::checkpoint(ckpt::Ckpt &ck) const
     ck.io(prefetchWindow_);
     ck.io(spillBuf_);
     ck.io(spillDrainActive_);
-    ck.io(spec_);
-    ck.io(specNext_);
     ck.io(stats_);
     ck.io(dead_);
     ck.io(stallUntil_);

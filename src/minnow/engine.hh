@@ -126,17 +126,11 @@ struct EngineStats
     std::uint64_t prefetchDropped = 0; //!< injected prefetch drops.
     std::uint64_t creditsLost = 0;     //!< injected lost returns.
 
-    // Dequeue bundling (--dequeue-batch) and the speculative
-    // core-side slot (--spec-slot).
-    std::uint64_t dequeueBundleTasks = 0; //!< tasks in k>1 bundles.
     std::uint64_t creditHandoffs = 0; //!< returns given to a waiter.
-    std::uint64_t specDeposits = 0;   //!< spec deliveries launched.
-    std::uint64_t specHits = 0;       //!< pops served by deliveries.
-    std::uint64_t specReclaims = 0;   //!< deliveries reclaimed.
 
-    // Dequeue round-trip cycle split (bench/offload_breakdown). No
-    // separate NoC hop is modeled on the core<->engine path; the
-    // doorbell/delivery legs are the localQueueLatency hops.
+    // Dequeue round-trip cycle split. No separate NoC hop is modeled
+    // on the core<->engine path; the doorbell/delivery legs are the
+    // localQueueLatency hops.
     Cycle dqDoorbellCycles = 0; //!< core->engine call legs.
     Cycle dqWaitCycles = 0;     //!< parked waiting for a task.
     Cycle dqDeliverCycles = 0;  //!< engine->core delivery legs.
@@ -163,16 +157,11 @@ class MinnowEngine
                                   WorkItem item);
 
     /**
-     * minnow_dequeue: pop up to @p max tasks (at least 1) in one
-     * core<->engine round-trip, appended to @p out; blocks until
-     * one arrives or global termination. A bundle (--dequeue-batch)
-     * is drawn from the local-queue head, so it carries the same
-     * one-bucket priority slack a chunked OBIM has. Returns the
-     * number of tasks appended; 0 means global termination.
+     * minnow_dequeue: pop one task in one core<->engine round-trip;
+     * blocks until one arrives. nullopt means global termination.
      */
-    runtime::CoTask<std::uint32_t>
-    dequeue(runtime::SimContext &ctx, std::vector<WorkItem> &out,
-            std::uint32_t max);
+    runtime::CoTask<std::optional<WorkItem>>
+    dequeue(runtime::SimContext &ctx);
 
     /** minnow_flush: spill the whole local queue (context switch). */
     runtime::CoTask<void> flush(runtime::SimContext &ctx);
@@ -189,20 +178,6 @@ class MinnowEngine
 
     /** Start the background fill daemon threadlet. */
     void startDaemon();
-
-    /**
-     * Tell the engine how many of its attached cores actually run
-     * workers (the last shared engine may be partial). This enables
-     * the --spec-slot deposit path: without it the engine never
-     * deposits, so a task cannot land in the slot of a core no
-     * worker will ever pop. Called by MinnowSystem before the run.
-     */
-    void
-    setActiveCores(std::uint32_t n)
-    {
-        spec_.assign(n, SpecState{});
-        specNext_ = 0;
-    }
 
     /** Termination hook: release a blocked core with nullopt. */
     void onTerminate();
@@ -242,9 +217,9 @@ class MinnowEngine
 
     /**
      * Witness serialization of the engine's deterministic state:
-     * local queue, resource pools, spill buffer, spec slots and
-     * counters, in a fixed order. Coroutine state is not saved
-     * (DESIGN.md section 5i).
+     * local queue, resource pools, spill buffer and counters, in a
+     * fixed order. Coroutine state is not saved (DESIGN.md section
+     * 5i).
      */
     void checkpoint(ckpt::Ckpt &ck) const;
 
@@ -304,14 +279,6 @@ class MinnowEngine
     /** Pop the local queue head (front-end FSM). */
     WorkItem popLocal();
 
-    /**
-     * popLocal without the monitor take: spec-slot deposits keep
-     * their task pending (non-stealable) until a core consumes it,
-     * so a deposit in flight can never let the run terminate under
-     * it.
-     */
-    WorkItem popLocalRaw();
-
     /** Hand a task to a core blocked in dequeue. */
     void deliverToBlocked();
 
@@ -352,22 +319,6 @@ class MinnowEngine
     /** Front-end FSM: enqueue decision at accelerator-call arrival. */
     runtime::CoTask<void> enqueueArrival(WorkItem item, Cycle when);
 
-    // ---- Speculative next-task delivery (--spec-slot) ----
-
-    /** Deposit local-queue heads into free attached-core slots. */
-    void trySpecDeposit();
-
-    /** In-flight deposit: lands in the slot after a latency hop. */
-    runtime::CoTask<void> specDepositTask(std::uint32_t idx,
-                                          WorkItem item,
-                                          std::uint64_t seq);
-
-    /** Slot-consumed notification arriving back at the engine. */
-    runtime::CoTask<void> specConsumedTask(Cycle when);
-
-    /** Take the task out of @p oc's spec slot (which must be valid). */
-    static WorkItem takeSpecSlot(cpu::OooCore &oc);
-
     // ---- Fault machinery ----
 
     /** Waits until the clause fires, then kills/stalls the engine. */
@@ -375,13 +326,11 @@ class MinnowEngine
 
     /**
      * Degraded-mode dequeue: pop one task off the software global
-     * queue directly into @p out, re-entering the accelerator path
-     * (with max = 1) if the engine recovers. Returns dequeue()'s
-     * count.
+     * queue, re-entering the accelerator path if the engine
+     * recovers. Returns what dequeue() returns.
      */
-    runtime::CoTask<std::uint32_t>
-    dequeueFallback(runtime::SimContext &ctx,
-                    std::vector<WorkItem> &out);
+    runtime::CoTask<std::optional<WorkItem>>
+    dequeueFallback(runtime::SimContext &ctx);
 
     /**
      * Flush local + spill-buffered tasks to the global queue (they
@@ -478,27 +427,6 @@ class MinnowEngine
     // to the global queue in same-bucket batches.
     std::deque<WorkItem> spillBuf_;
     bool spillDrainActive_ = false;
-
-    // Speculative delivery (--spec-slot): per active attached core,
-    // whether a deposit is in flight and the invalidation sequence
-    // that rescue/kill bumps to cancel it mid-flight. Sized by
-    // setActiveCores(); empty disables deposits entirely.
-    struct SpecState
-    {
-        bool inFlight = false;
-        std::uint64_t seq = 0;
-
-        // Per-member: 7 padding bytes after the bool must not leak
-        // into a checkpoint stream.
-        void
-        checkpoint(ckpt::Ckpt &ck) const
-        {
-            ck.io(inFlight);
-            ck.io(seq);
-        }
-    };
-    std::vector<SpecState> spec_;
-    std::uint32_t specNext_ = 0; //!< round-robin deposit cursor.
 
     // Timeline track and stat bookkeeping. Declared before
     // threadlets_/faultTasks_ on purpose (enforced by the

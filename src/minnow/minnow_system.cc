@@ -28,11 +28,6 @@ MinnowSystem::MinnowSystem(Machine *machine,
         engines_.push_back(std::make_unique<MinnowEngine>(
             machine, CoreId(e * coresPerEngine_), &global_,
             program));
-        // Spec-slot deposits may only target cores that run workers
-        // (the last shared engine can be partial).
-        std::uint32_t lo = e * coresPerEngine_;
-        std::uint32_t hi = std::min(engines, lo + coresPerEngine_);
-        engines_.back()->setActiveCores(hi - lo);
     }
     // Route L2 prefetch-bit credit returns to the owning engine.
     machine->memory.setCreditHook(
@@ -165,11 +160,7 @@ MinnowSystem::totals() const
         t.fallbackPops += s.fallbackPops;
         t.prefetchDropped += s.prefetchDropped;
         t.creditsLost += s.creditsLost;
-        t.dequeueBundleTasks += s.dequeueBundleTasks;
         t.creditHandoffs += s.creditHandoffs;
-        t.specDeposits += s.specDeposits;
-        t.specHits += s.specHits;
-        t.specReclaims += s.specReclaims;
         t.dqDoorbellCycles += s.dqDoorbellCycles;
         t.dqWaitCycles += s.dqWaitCycles;
         t.dqDeliverCycles += s.dqDeliverCycles;

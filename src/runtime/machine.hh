@@ -45,11 +45,10 @@ class Machine
   public:
     explicit Machine(const MachineConfig &config,
                      std::uint64_t seed = 1)
-        : cfg(config),
+        : cfg(validated(config)),
           memory(config),
           monitor(&eq, config.numCores)
     {
-        cfg.validate();
         trace::setCycleSource(&eq.nowRef());
         if (!cfg.timelinePath.empty()) {
             timeline = std::make_unique<::minnow::timeline::Timeline>(
@@ -228,13 +227,8 @@ class Machine
     std::string
     configFingerprint() const
     {
-        const MinnowParams &mn = cfg.minnow;
-        return cfg.describe() +
-               "\ndequeueBatch=" + std::to_string(mn.dequeueBatch) +
-               " specSlot=" + std::to_string(mn.specSlot) +
-               " coresPerEngine=" +
-               std::to_string(mn.coresPerEngine) +
-               " workSharing=" + std::to_string(mn.workSharing) +
+        return cfg.describe() + "\ncoresPerEngine=" +
+               std::to_string(cfg.minnow.coresPerEngine) +
                " prefetcher=" + std::to_string(int(cfg.prefetcher)) +
                "\nfaults=" + cfg.faultSpec +
                " faultSeed=" + std::to_string(cfg.faultSeed);
@@ -338,6 +332,18 @@ class Machine
     std::unique_ptr<HostProfiler> hostprof;
 
   private:
+    /**
+     * @p c after MachineConfig::validate(). It initializes `cfg`, the
+     * first member, so a bad config is fatal before any component
+     * is built from it.
+     */
+    static const MachineConfig &
+    validated(const MachineConfig &c)
+    {
+        c.validate();
+        return c;
+    }
+
     /**
      * panic() post-mortem: best-effort stats snapshot so invariant
      * failures leave inspectable state (cfg.panicStatsPath).

@@ -13,15 +13,17 @@
  *     u32          CRC32 of everything above (file CRC)
  *
  * All integers are little-endian host order (a checkpoint is a
- * same-host witness of one run, not an interchange format; the
- * magic pins the version, so a layout change bumps the digit).
+ * same-host witness of one run, not an interchange format).
  * Version 2 changed the cache array, memory directory and core
  * frontend payloads (DESIGN.md 5m). Version 3 dropped the
  * push/credit coalescing state from the minnow engine sections and
- * added the offload, engine-sharing, work-sharing and hardware-
+ * added the offload, engine-sharing, work sharing and hardware-
  * prefetcher knobs to the config fingerprint (DESIGN.md 5h).
  * Version 4 dropped the checkpoint-kind byte from the harness's meta
- * section.
+ * section. Since nothing reads a file back, the digit now pins only
+ * the container: a payload change, such as the speculative task slot
+ * leaving the core and engine sections, leaves it at 4, as a witness
+ * is only ever compared with one saved by the same build.
  *
  * The format is written, never read back: a witness is checked by
  * saving it twice, in two processes at the same anchor, and

@@ -1,6 +1,7 @@
 #include "sim/config.hh"
 
 #include <cstdio>
+#include <utility>
 
 #include "base/bits.hh"
 #include "base/logging.hh"
@@ -16,24 +17,34 @@ MachineConfig::validate() const
     fatal_if(numCores > noc.meshWidth * noc.meshWidth,
              "%u cores do not fit on a %ux%u mesh", numCores,
              noc.meshWidth, noc.meshWidth);
-    for (const CacheParams *c : {&l1d, &l2, &l3Bank}) {
-        fatal_if(c->sizeBytes == 0, "cache size must be nonzero");
-        fatal_if(c->sizeBytes % (c->assoc * kLineBytes) != 0,
-                 "cache size %llu not divisible by assoc*line",
-                 (unsigned long long)c->sizeBytes);
-        fatal_if(!isPow2(c->sets()), "cache set count must be pow2");
+    for (auto [c, flag] : {std::pair{&l1d, "l1d-bytes"},
+                           std::pair{&l2, "l2-bytes"},
+                           std::pair{&l3Bank, "l3-bank-bytes"}}) {
+        unsigned long long bytes = c->sizeBytes;
+        fatal_if(bytes == 0, "cache size must be nonzero (--%s=0)",
+                 flag);
+        fatal_if(bytes % (c->assoc * kLineBytes) != 0,
+                 "cache size --%s=%llu is not a multiple of"
+                 " assoc*line (%u B)", flag, bytes,
+                 c->assoc * kLineBytes);
+        fatal_if(!isPow2(c->sets()),
+                 "cache size --%s=%llu gives %u sets, not a power"
+                 " of two", flag, bytes, c->sets());
     }
     fatal_if(core.robEntries == 0 || core.lqEntries == 0 ||
-             core.sqEntries == 0, "core windows must be nonzero");
-    fatal_if(dram.channels == 0, "need at least one DRAM channel");
+             core.sqEntries == 0,
+             "core windows must be nonzero (--rob=%u --lq=%u --sq=%u)",
+             core.robEntries, core.lqEntries, core.sqEntries);
+    fatal_if(dram.channels == 0,
+             "need at least one DRAM channel (--mem-channels=0)");
     fatal_if(minnow.enabled && minnow.localQueueEntries == 0,
-             "Minnow local queue must be nonzero");
+             "Minnow local queue must be nonzero (--localq=0)");
+    fatal_if(minnow.enabled && minnow.loadBufferEntries == 0,
+             "Minnow load buffer must be nonzero (--loadbuf=0)");
     fatal_if(minnow.prefetchEnabled && !minnow.enabled,
              "prefetching requires Minnow engines");
     fatal_if(minnow.prefetchEnabled && minnow.prefetchCredits == 0,
              "prefetching requires at least one credit");
-    fatal_if(minnow.enabled && minnow.dequeueBatch == 0,
-             "--dequeue-batch must be at least 1");
     fatal_if(watchdogInterval != 0 && watchdogChecks == 0,
              "watchdog needs at least one stale check to trip");
     fatal_if(!timelinePath.empty() && timelineBufferCap == 0,
@@ -45,12 +56,11 @@ MachineConfig::validate() const
 void
 MachineConfig::applyOptions(const Options &opts)
 {
-    numCores = std::uint32_t(opts.getUint("cores", numCores));
-    core.robEntries =
-        std::uint32_t(opts.getUint("rob", core.robEntries));
-    core.rsEntries = std::uint32_t(opts.getUint("rs", core.rsEntries));
-    core.lqEntries = std::uint32_t(opts.getUint("lq", core.lqEntries));
-    core.sqEntries = std::uint32_t(opts.getUint("sq", core.sqEntries));
+    numCores = opts.getU32("cores", numCores);
+    core.robEntries = opts.getU32("rob", core.robEntries);
+    core.rsEntries = opts.getU32("rs", core.rsEntries);
+    core.lqEntries = opts.getU32("lq", core.lqEntries);
+    core.sqEntries = opts.getU32("sq", core.sqEntries);
     core.perfectBranches =
         opts.getBool("perfect-branches", core.perfectBranches);
     core.atomicFences = opts.getBool("fences", core.atomicFences);
@@ -58,56 +68,48 @@ MachineConfig::applyOptions(const Options &opts)
     l1d.sizeBytes = opts.getUint("l1d-bytes", l1d.sizeBytes);
     l2.sizeBytes = opts.getUint("l2-bytes", l2.sizeBytes);
     l3Bank.sizeBytes = opts.getUint("l3-bank-bytes", l3Bank.sizeBytes);
-    dram.channels =
-        std::uint32_t(opts.getUint("mem-channels", dram.channels));
+    dram.channels = opts.getU32("mem-channels", dram.channels);
 
-    statsSampleInterval = std::uint32_t(
-        opts.getUint("stats-interval", statsSampleInterval));
+    statsSampleInterval =
+        opts.getU32("stats-interval", statsSampleInterval);
     hostProfile = opts.getBool("host-profile", hostProfile);
 
     // Causal attribution layer (DESIGN.md 5k). Model-visible (the
     // tracker serializes into checkpoints), so it enters
     // describe()/configFingerprint().
     attribution = opts.getBool("attribution", attribution);
-    attributionWindow = std::uint32_t(
-        opts.getUint("attribution-window", attributionWindow));
+    attributionWindow =
+        opts.getU32("attribution-window", attributionWindow);
 
     // Simulated-time timeline tracing (sim/timeline.hh).
     timelinePath = opts.getString("timeline", timelinePath);
-    timelineBufferCap = std::uint32_t(
-        opts.getUint("timeline-buffer", timelineBufferCap));
+    timelineBufferCap =
+        opts.getU32("timeline-buffer", timelineBufferCap);
     timelineTracks = opts.getString("timeline-tracks", timelineTracks);
-    timelineInterval = std::uint32_t(
-        opts.getUint("timeline-interval", timelineInterval));
+    timelineInterval =
+        opts.getU32("timeline-interval", timelineInterval);
 
     // Robustness knobs: fault injection and the hang watchdog. The
     // injector reuses the benches' --seed so a fault run replays
     // from the same command line.
     faultSpec = opts.getString("faults", faultSpec);
     faultSeed = opts.getUint("seed", faultSeed);
-    watchdogInterval = std::uint32_t(
-        opts.getUint("watchdog", watchdogInterval));
-    watchdogChecks = std::uint32_t(
-        opts.getUint("watchdog-checks", watchdogChecks));
+    watchdogInterval = opts.getU32("watchdog", watchdogInterval);
+    watchdogChecks = opts.getU32("watchdog-checks", watchdogChecks);
     diagnosticPath = opts.getString("diag-json", diagnosticPath);
     panicStatsPath = opts.getString("panic-stats", panicStatsPath);
 
     minnow.enabled = opts.getBool("minnow", minnow.enabled);
     minnow.prefetchEnabled =
         opts.getBool("minnow-prefetch", minnow.prefetchEnabled);
-    minnow.prefetchCredits = std::uint32_t(
-        opts.getUint("credits", minnow.prefetchCredits));
-    minnow.localQueueEntries = std::uint32_t(
-        opts.getUint("localq", minnow.localQueueEntries));
-    minnow.loadBufferEntries = std::uint32_t(
-        opts.getUint("loadbuf", minnow.loadBufferEntries));
-    minnow.workSharing =
-        opts.getBool("work-sharing", minnow.workSharing);
-    minnow.coresPerEngine = std::uint32_t(
-        opts.getUint("cores-per-engine", minnow.coresPerEngine));
-    minnow.dequeueBatch = std::uint32_t(
-        opts.getUint("dequeue-batch", minnow.dequeueBatch));
-    minnow.specSlot = opts.getBool("spec-slot", minnow.specSlot);
+    minnow.prefetchCredits =
+        opts.getU32("credits", minnow.prefetchCredits);
+    minnow.localQueueEntries =
+        opts.getU32("localq", minnow.localQueueEntries);
+    minnow.loadBufferEntries =
+        opts.getU32("loadbuf", minnow.loadBufferEntries);
+    minnow.coresPerEngine =
+        opts.getU32("cores-per-engine", minnow.coresPerEngine);
 
     std::string pf = opts.getString("prefetcher", "");
     if (pf == "stride") {

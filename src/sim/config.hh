@@ -108,15 +108,6 @@ struct MinnowParams
     std::uint32_t refillThreshold = 16;
 
     /**
-     * Work sharing: when workers idle and nothing is stealable, a
-     * busy engine flushes its local-queue excess to the global
-     * worklist (a self-issued partial minnow_flush). Rescues the
-     * tail of bursty runs whose frontier is small relative to
-     * aggregate local-queue capacity.
-     */
-    bool workSharing = true;
-
-    /**
      * Cores per engine (Section 4: "Cores may share a single Minnow
      * engine to reduce resources"). 1 = the paper's evaluated
      * dedicated-engine design. A shared engine attaches to its
@@ -124,24 +115,6 @@ struct MinnowParams
      * so control-unit and local-queue contention emerge naturally.
      */
     std::uint32_t coresPerEngine = 1;
-
-    /**
-     * Dequeue bundling: one core->engine round-trip returns up to
-     * this many tasks (same priority relaxation as chunked OBIM —
-     * the bundle is drawn from the local-queue head). 1 = the
-     * paper's single-task pop. Every value takes the same
-     * MinnowEngine::dequeue path; bundles are counted in
-     * dequeueBundleTasks only when this exceeds 1.
-     */
-    std::uint32_t dequeueBatch = 1;
-
-    /**
-     * Speculative next-task delivery: the engine deposits the
-     * predicted next task into a core-side slot (OooCore) so the
-     * common-case pop is a local hit; kill/stall/rescue reclaim the
-     * slot back to the global worklist.
-     */
-    bool specSlot = false;
 };
 
 /** Which (if any) hardware L2 prefetcher the baseline cores use. */

@@ -45,8 +45,6 @@ constexpr const char *kNameStrings[std::size_t(Name::kNum)] = {
     "watchdogTrip",
     "diagnostic",
     "creditHandoff",
-    "specDeposit",
-    "specReclaim",
     "lineage",
     "prefetch",
 };

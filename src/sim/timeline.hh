@@ -135,8 +135,6 @@ enum class Name : std::uint16_t
     WatchdogTrip,
     Diagnostic,
     CreditHandoff, //!< credit returned straight to a waiter.
-    SpecDeposit,   //!< engine deposited a task in a core slot.
-    SpecReclaim,   //!< spec-slot task reclaimed by rescue/kill.
     LineageFlow,   //!< parent push -> child dequeue flow arrow.
     PrefetchFlow,  //!< prefetch issue -> fill -> demand-use arrow.
     kNum,

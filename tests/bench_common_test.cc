@@ -207,6 +207,19 @@ smallArgs(const std::string &statsPath, const std::string &hostPar)
                  "--host-par=" + hostPar}));
 }
 
+TEST(ParseArgsDeath, NonPositiveOrNanScaleIsFatal)
+{
+    // Each would silently run the smallest graph, and point_runner
+    // would print "scale":nan, which is not JSON.
+    for (const char *value : {"nan", "-1", "0"}) {
+        Options opts({std::string("--scale=") + value});
+        EXPECT_EXIT(bench::parseArgs(opts), testing::ExitedWithCode(1),
+                    std::string("--scale=") + value +
+                        " must be a finite number above 0")
+            << value;
+    }
+}
+
 TEST(StatsJsonLog, FarmedAndSerialPointsWriteTheSameBytes)
 {
     std::vector<std::string> files;

@@ -283,14 +283,8 @@ TEST(CkptMachine, DifferentConfigIsRejected)
                           std::function<void(MachineConfig &)>>>
         changes = {
             {"cores", [](MachineConfig &c) { c.numCores = 4; }},
-            {"dequeue-batch",
-             [](MachineConfig &c) { c.minnow.dequeueBatch = 4; }},
-            {"spec-slot",
-             [](MachineConfig &c) { c.minnow.specSlot = true; }},
             {"cores-per-engine",
              [](MachineConfig &c) { c.minnow.coresPerEngine = 2; }},
-            {"work-sharing",
-             [](MachineConfig &c) { c.minnow.workSharing = false; }},
             {"prefetcher",
              [](MachineConfig &c) {
                  c.prefetcher = PrefetcherKind::Stride;

@@ -163,15 +163,12 @@ TEST(FaultSpec, WindowsAndTargets)
 RunResult
 runSsspWithFaults(std::uint32_t threads, bool prefetch,
                   const std::string &spec, EngineStats *es = nullptr,
-                  std::unique_ptr<Machine> *keepAlive = nullptr,
-                  bool specSlot = false, std::uint32_t dequeueBatch = 1)
+                  std::unique_ptr<Machine> *keepAlive = nullptr)
 {
     graph::CsrGraph g = graph::gridGraph(24, 24, 100, 1);
     apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
     MachineConfig cfg = minnowConfig(std::max(threads, 2u), prefetch);
     cfg.faultSpec = spec;
-    cfg.minnow.specSlot = specSlot;
-    cfg.minnow.dequeueBatch = dequeueBatch;
     auto m = std::make_unique<Machine>(cfg);
     g.assignAddresses(m->alloc, 32);
     app.reset();
@@ -215,13 +212,25 @@ TEST(FaultRun, KillingSeveralEnginesStillDrainsAllWork)
 
 TEST(FaultRun, EngineStallDegradesThenRecovers)
 {
+    // A stall releases the engine's blocked worker to the software
+    // path. The stall at cycle 0 catches it parked on the path with
+    // nothing to pop, so the recovery sends it back into dequeue from
+    // inside the fallback; the second stall makes it pop tasks off
+    // the software path (fallbackPops). No task may be lost.
     EngineStats es;
+    std::unique_ptr<Machine> m;
     RunResult r = runSsspWithFaults(
-        8, true, "engine_stall:core=0,at=3000,dur=30000", &es);
+        8, true,
+        "engine_stall:core=0,at=0,dur=3000;"
+        "engine_stall:core=0,at=6000,dur=20000",
+        &es, &m);
     EXPECT_FALSE(r.timedOut);
     EXPECT_TRUE(r.verified);
-    EXPECT_EQ(es.faultStalls, 1u);
+    EXPECT_TRUE(m->monitor.terminated());
+    EXPECT_EQ(m->monitor.pending(), 0u);
+    EXPECT_EQ(es.faultStalls, 2u);
     EXPECT_EQ(es.faultKills, 0u);
+    EXPECT_GT(es.fallbackPops, 0u);
 }
 
 TEST(FaultRun, CreditStarvationDoesNotLoseWork)
@@ -290,9 +299,7 @@ TEST(EngineDegradation, InjectedKillReleasesBlockedWorker)
                      minnowengine::MinnowEngine &eng,
                      std::optional<worklist::WorkItem> &out,
                      bool &set) -> runtime::CoTask<void> {
-        std::vector<worklist::WorkItem> got;
-        if (co_await eng.dequeue(ctx, got, 1) > 0)
-            out = got.front();
+        out = co_await eng.dequeue(ctx);
         set = true;
     };
     runtime::CoTask<void> t = driver(ctx, eng, result, resultSet);
@@ -381,46 +388,6 @@ TEST(EngineDegradation, OverlappingRescuesAreIdempotent)
     EXPECT_EQ(eng.localQueueSize(), 0u);
     EXPECT_EQ(m.monitor.pending(), 3u);
     EXPECT_EQ(m.monitor.stealable(), 3u);
-}
-
-TEST(FaultRun, SpecSlotKillConservesAllWork)
-{
-    // Killing an engine while --spec-slot may have a deposit in
-    // flight (or parked in a core slot) must reclaim it: the run
-    // still verifies and every deposit is either consumed or
-    // reclaimed.
-    EngineStats es;
-    std::unique_ptr<Machine> m;
-    RunResult r = runSsspWithFaults(4, true,
-                                    "engine_kill:core=1,at=20000",
-                                    &es, &m, /*specSlot=*/true);
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_TRUE(r.verified);
-    EXPECT_EQ(m->monitor.pending(), 0u);
-    EXPECT_EQ(es.faultKills, 1u);
-    EXPECT_EQ(es.specDeposits, es.specHits + es.specReclaims);
-}
-
-TEST(FaultRun, BundledSpecSlotStallFallsBackAndReenters)
-{
-    // A stall under --dequeue-batch=4 --spec-slot sends the engine's
-    // worker to the software path (fallback pops) and, once the
-    // window closes, back through the one dequeue path at max = 1.
-    // No task may be lost and every spec deposit must still end as
-    // a hit or a reclaim.
-    EngineStats es;
-    std::unique_ptr<Machine> m;
-    RunResult r = runSsspWithFaults(
-        8, true, "engine_stall:core=0,at=3000,dur=30000", &es, &m,
-        /*specSlot=*/true, /*dequeueBatch=*/4);
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_TRUE(r.verified);
-    EXPECT_TRUE(m->monitor.terminated());
-    EXPECT_EQ(m->monitor.pending(), 0u);
-    EXPECT_EQ(es.faultStalls, 1u);
-    EXPECT_GT(es.fallbackPops, 0u);
-    EXPECT_GT(es.dequeueBundleTasks, 0u);
-    EXPECT_EQ(es.specDeposits, es.specHits + es.specReclaims);
 }
 
 TEST(EngineCredits, StarvedReturnWakesWaiterExactlyOnce)

@@ -50,16 +50,6 @@ minnowConfig(std::uint32_t cores, bool prefetch)
     return cfg;
 }
 
-// Single-task pop: the one dequeue path at max = 1.
-CoTask<std::optional<worklist::WorkItem>>
-popOne(SimContext &ctx, MinnowEngine &eng)
-{
-    std::vector<worklist::WorkItem> out;
-    if (co_await eng.dequeue(ctx, out, 1) == 0)
-        co_return std::nullopt;
-    co_return out.front();
-}
-
 TEST(GlobalQueue, FunctionalSeedAndMinBucket)
 {
     SimAlloc alloc;
@@ -86,14 +76,14 @@ TEST(Engine, EnqueueDequeueRoundTrip)
         co_await eng.enqueue(ctx, {5, 100});
         co_await eng.enqueue(ctx, {6, 101});
         for (int i = 0; i < 2; ++i) {
-            auto item = co_await popOne(ctx, eng);
+            auto item = co_await eng.dequeue(ctx);
             EXPECT_TRUE(item.has_value());
             if (!item)
                 co_return;
             out.push_back(*item);
         }
         // Third dequeue: queue empty, worker idles, run terminates.
-        auto item = co_await popOne(ctx, eng);
+        auto item = co_await eng.dequeue(ctx);
         EXPECT_FALSE(item.has_value());
     };
     std::vector<worklist::WorkItem> got;
@@ -129,17 +119,17 @@ TEST(Engine, LowerPriorityTaskSpills)
         co_await ctx.waitUntil(ctx.eq().now() + 5000);
         EXPECT_EQ(eng.localQueueSize() + q.size(), 2u);
         // Drain: local first, then the engine refills from global.
-        auto a = co_await popOne(ctx, eng);
+        auto a = co_await eng.dequeue(ctx);
         EXPECT_TRUE(a.has_value());
         if (!a)
             co_return;
         EXPECT_EQ(a->payload, 10u);
-        auto b = co_await popOne(ctx, eng);
+        auto b = co_await eng.dequeue(ctx);
         EXPECT_TRUE(b.has_value());
         if (!b)
             co_return;
         EXPECT_EQ(b->payload, 11u);
-        auto c = co_await popOne(ctx, eng);
+        auto c = co_await eng.dequeue(ctx);
         EXPECT_FALSE(c.has_value());
     };
     CoTask<void> t = driver(ctx, eng, q);
@@ -168,7 +158,7 @@ TEST(Engine, LocalQueueOverflowSpills)
             co_await eng.enqueue(ctx, {0, std::uint64_t(i)});
         int got = 0;
         for (;;) {
-            auto item = co_await popOne(ctx, eng);
+            auto item = co_await eng.dequeue(ctx);
             if (!item)
                 break;
             ++got;
@@ -203,7 +193,7 @@ TEST(Engine, BlockedDequeueIsDeliveredByFill)
     auto consumer = [](SimContext &ctx, MinnowEngine &eng,
                        int &delivered) -> CoTask<void> {
         for (;;) {
-            auto item = co_await popOne(ctx, eng);
+            auto item = co_await eng.dequeue(ctx);
             if (!item)
                 break;
             ++delivered;
@@ -217,7 +207,7 @@ TEST(Engine, BlockedDequeueIsDeliveredByFill)
             co_await eng.enqueue(ctx, {0, std::uint64_t(i)});
         // Drain own share.
         for (;;) {
-            auto item = co_await popOne(ctx, eng);
+            auto item = co_await eng.dequeue(ctx);
             if (!item)
                 break;
         }
@@ -232,91 +222,6 @@ TEST(Engine, BlockedDequeueIsDeliveredByFill)
     EXPECT_GT(delivered, 0) << "blocked worker must receive spilled"
                                " work through its fill daemon";
     EXPECT_TRUE(m.monitor.terminated());
-}
-
-TEST(Engine, DequeueBatchMatchesSingletonPops)
-{
-    // One k-task bundle call and k singleton calls must hand the
-    // worker the same task set — bundling only amortizes the
-    // round-trip, it must not invent, lose, or reorder work across
-    // bucket boundaries beyond the usual chunked-OBIM slack.
-    auto drain = [](std::uint32_t max) {
-        Machine m(minnowConfig(2, false));
-        m.monitor.reset(1);
-        MinnowGlobalQueue q(&m.alloc, 3);
-        PrefetchProgram prog;
-        MinnowEngine eng(&m, 0, &q, prog);
-        SimContext ctx(&m, 0);
-        std::vector<worklist::WorkItem> got;
-        std::uint64_t calls = 0;
-        auto driver = [](SimContext &ctx, MinnowEngine &eng,
-                         std::uint32_t max,
-                         std::vector<worklist::WorkItem> &out,
-                         std::uint64_t &calls) -> CoTask<void> {
-            for (std::uint64_t i = 0; i < 8; ++i)
-                co_await eng.enqueue(ctx, {std::int64_t(i % 4),
-                                           100 + i});
-            for (;;) {
-                calls += 1;
-                if (co_await eng.dequeue(ctx, out, max) == 0)
-                    break;
-            }
-        };
-        CoTask<void> t = driver(ctx, eng, max, got, calls);
-        t.start();
-        m.eq.run();
-        EXPECT_TRUE(t.done());
-        EXPECT_TRUE(m.monitor.terminated());
-        std::vector<std::uint64_t> payloads;
-        for (const auto &item : got)
-            payloads.push_back(item.payload);
-        std::sort(payloads.begin(), payloads.end());
-        return std::make_pair(payloads, calls);
-    };
-    auto [single, singleCalls] = drain(1);
-    auto [bundled, bundleCalls] = drain(4);
-    EXPECT_EQ(single, bundled);
-    ASSERT_EQ(single.size(), 8u);
-    EXPECT_LT(bundleCalls, singleCalls)
-        << "bundling must shrink the number of engine round-trips";
-}
-
-TEST(Engine, SpecSlotDeliversAndConservesTasks)
-{
-    MachineConfig cfg = minnowConfig(2, false);
-    cfg.minnow.specSlot = true;
-    Machine m(cfg);
-    m.monitor.reset(1);
-    MinnowGlobalQueue q(&m.alloc, 3);
-    PrefetchProgram prog;
-    MinnowEngine eng(&m, 0, &q, prog);
-    eng.setActiveCores(1);
-    SimContext ctx(&m, 0);
-
-    int got = 0;
-    auto driver = [](SimContext &ctx, MinnowEngine &eng,
-                     int &got) -> CoTask<void> {
-        for (std::uint64_t i = 0; i < 12; ++i)
-            co_await eng.enqueue(ctx, {0, i});
-        for (;;) {
-            auto item = co_await popOne(ctx, eng);
-            if (!item)
-                break;
-            ++got;
-        }
-    };
-    CoTask<void> t = driver(ctx, eng, got);
-    t.start();
-    m.eq.run();
-    ASSERT_TRUE(t.done());
-    EXPECT_EQ(got, 12);
-    EXPECT_TRUE(m.monitor.terminated());
-    const EngineStats &es = eng.stats();
-    EXPECT_GT(es.specDeposits, 0u)
-        << "a drain loop must trigger speculative deposits";
-    // Every deposit is either consumed by the core or reclaimed;
-    // none may evaporate.
-    EXPECT_EQ(es.specDeposits, es.specHits + es.specReclaims);
 }
 
 TEST(EngineCredits, WakeRecyclesCreditWithoutDoubleCount)
@@ -543,75 +448,6 @@ TEST(MinnowInt, DeterministicAcrossRuns)
         return runMinnow(m, app, 3, cfg).cycles;
     };
     EXPECT_EQ(once(), once());
-}
-
-// One full run with a given knob setting, returning the machine's
-// entire stats snapshot so byte-identity checks catch any drift.
-static std::string
-runKnobbedSssp(std::uint32_t dequeueBatch, bool specSlot,
-               bool explicitDefaults = true,
-               EngineStats *es = nullptr, bool *verified = nullptr)
-{
-    graph::CsrGraph g = graph::gridGraph(20, 20, 100, 1);
-    MachineConfig mc = minnowConfig(4, true);
-    if (explicitDefaults) {
-        mc.minnow.dequeueBatch = dequeueBatch;
-        mc.minnow.specSlot = specSlot;
-    }
-    Machine m(mc);
-    g.assignAddresses(m.alloc);
-    apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
-    RunConfig cfg;
-    cfg.threads = 4;
-    std::string json;
-    cfg.statsHook = [&json](const StatsRegistry &s) {
-        json = s.toJson();
-    };
-    RunResult r = runMinnow(m, app, 3, cfg, es);
-    EXPECT_FALSE(r.timedOut);
-    EXPECT_TRUE(r.verified);
-    if (verified)
-        *verified = r.verified;
-    return json;
-}
-
-TEST(MinnowInt, ExplicitDefaultKnobsMatchDefaultsBitForBit)
-{
-    // --dequeue-batch=1 (and no --spec-slot) must be the exact
-    // pre-knob engine: the full stats snapshot, not just the cycle
-    // count, is byte-identical to a default-config run.
-    std::string dflt = runKnobbedSssp(1, false,
-                                      /*explicitDefaults=*/false);
-    std::string expl = runKnobbedSssp(1, false);
-    EXPECT_EQ(dflt, expl);
-}
-
-TEST(MinnowInt, OffloadKnobsAreDeterministicAcrossRuns)
-{
-    // Seeded determinism holds under each knob in isolation: two
-    // identical runs give byte-identical stats snapshots.
-    EXPECT_EQ(runKnobbedSssp(4, false), runKnobbedSssp(4, false));
-    EXPECT_EQ(runKnobbedSssp(1, true), runKnobbedSssp(1, true));
-}
-
-TEST(MinnowInt, BatchedDequeueVerifiesAndBundles)
-{
-    EngineStats es;
-    runKnobbedSssp(4, false, true, &es);
-    EXPECT_GT(es.dequeueBundleTasks, 0u);
-    EXPECT_GT(es.dequeueBundleTasks, es.dequeues)
-        << "bundles must deliver more tasks than round-trips";
-}
-
-TEST(MinnowInt, SpecSlotVerifiesAndConservesDeposits)
-{
-    EngineStats es;
-    runKnobbedSssp(1, true, true, &es);
-    EXPECT_GT(es.specDeposits, 0u);
-    EXPECT_GT(es.specHits, 0u)
-        << "speculative delivery must convert some pops into hits";
-    EXPECT_EQ(es.specDeposits, es.specHits + es.specReclaims)
-        << "every deposit is consumed or reclaimed, never lost";
 }
 
 TEST(Area, MatchesPaperHeadlines)

@@ -18,14 +18,13 @@ namespace
 {
 
 harness::ExperimentResult
-runSssp(harness::Config config, std::uint32_t dequeueBatch = 1)
+runSssp(harness::Config config)
 {
     harness::Workload w = harness::makeWorkload("sssp", 0.05, 42);
     harness::RunSpec rs;
     rs.config = config;
     rs.threads = 4;
     rs.machine.numCores = 4;
-    rs.machine.minnow.dequeueBatch = dequeueBatch;
     harness::ExperimentResult r = harness::runExperiment(w, rs);
     EXPECT_FALSE(r.run.timedOut);
     EXPECT_TRUE(r.run.verified);
@@ -69,21 +68,6 @@ TEST(TaskProbe, DefinitionsHoldAcrossExecutors)
     EXPECT_EQ(total(bsp, "dequeue"), 0);
     EXPECT_EQ(total(bsp, "push"), 0);
     EXPECT_EQ(total(bsp, "popWait"), 0);
-}
-
-TEST(TaskProbe, BatchedDequeueShiftsDequeueDown)
-{
-    // The dequeue metric measures the worker-side pop latency the
-    // dequeue bundling exists to amortize: k=4 must pull the P95
-    // strictly below the one-round-trip-per-pop k=1 value.
-    auto dequeueP95 = [](std::uint32_t k) {
-        return runSssp(harness::Config::MinnowPf, k)
-            .run.report.get("tasks.dequeueP95");
-    };
-    double k1 = dequeueP95(1);
-    double k4 = dequeueP95(4);
-    EXPECT_LT(k4, k1)
-        << "bundled dequeues must shift the dequeue tail down";
 }
 
 } // namespace

@@ -450,7 +450,7 @@ TEST(TimelineExport, TiesMatchReferenceOrder)
     r.span(a, Name::Dequeue, 100, 150);
     // An instant and a counter on track a tied with its B/E at 100,
     // and one instant recorded out of time order.
-    r.instant(a, Name::SpecDeposit, 300);
+    r.instant(a, Name::EngineRecover, 300);
     r.counter(a, 100, 4.0);
     r.instant(a, Name::CreditHandoff, 100);
     r.counter(c, 100, 2.5);

@@ -77,16 +77,82 @@ TEST(OptionsDeath, UnknownOptionRejected)
 
 TEST(OptionsDeath, RetiredFlagsRejected)
 {
-    // Retired flags (host sharding, push/credit coalescing): the
+    // Retired flags (host sharding, push/credit coalescing, dequeue
+    // bundling, the speculative task slot, work sharing off): the
     // benches' parse path (MachineConfig::applyOptions, then
     // rejectUnused) must refuse them rather than silently ignore
     // them.
-    for (const char *flag : {"--shards=4", "--push-batch=4"}) {
+    for (const char *flag :
+         {"--shards=4", "--push-batch=4", "--dequeue-batch=4",
+          "--spec-slot", "--work-sharing=0"}) {
         Options opts({flag});
         MachineConfig cfg;
         cfg.applyOptions(opts);
         EXPECT_EXIT(opts.rejectUnused(), testing::ExitedWithCode(1),
                     std::string("unknown option ") + flag);
+    }
+}
+
+/** A 4-core machine configured from @p flag, as the benches do. */
+MachineConfig
+configWith(const std::string &flag)
+{
+    MachineConfig cfg = scaledMachine();
+    cfg.numCores = 4;
+    cfg.minnow.enabled = true;
+    cfg.minnow.prefetchEnabled = true;
+    cfg.applyOptions(Options({flag}));
+    return cfg;
+}
+
+TEST(ConfigDeath, ZeroDramChannelsIsFatalBeforeBuild)
+{
+    // Validated before the memory system is built: its DRAM channel
+    // divisor would divide by zero.
+    MachineConfig cfg = configWith("--mem-channels=0");
+    EXPECT_EXIT(runtime::Machine m(cfg), testing::ExitedWithCode(1),
+                "need at least one DRAM channel \\(--mem-channels=0\\)");
+}
+
+TEST(ConfigDeath, BadCacheSizesAreFatalBeforeBuild)
+{
+    for (const char *flag :
+         {"--l2-bytes=0", "--l1d-bytes=1", "--l3-bank-bytes=0"}) {
+        MachineConfig cfg = configWith(flag);
+        EXPECT_EXIT(runtime::Machine m(cfg),
+                    testing::ExitedWithCode(1),
+                    std::string("cache size.*") + (flag + 2))
+            << flag;
+    }
+}
+
+TEST(ConfigDeath, ZeroLoadBufferIsFatal)
+{
+    MachineConfig cfg = configWith("--loadbuf=0");
+    EXPECT_EXIT(runtime::Machine m(cfg), testing::ExitedWithCode(1),
+                "load buffer must be nonzero \\(--loadbuf=0\\)");
+}
+
+TEST(OptionsDeath, SignedOrOverflowingUintIsFatal)
+{
+    // strtoull wraps -1 to 2^64-1 and saturates past it; neither may
+    // become seed 18446744073709551615.
+    Options neg({"--seed=-1"});
+    EXPECT_EXIT(neg.getUint("seed", 1), testing::ExitedWithCode(1),
+                "--seed=-1 is not an unsigned integer");
+    Options big({"--seed=99999999999999999999"});
+    EXPECT_EXIT(big.getUint("seed", 1), testing::ExitedWithCode(1),
+                "--seed=99999999999999999999 is out of range");
+}
+
+TEST(OptionsDeath, NarrowingPast32BitsIsFatal)
+{
+    // Narrowed silently, --credits=4294967297 would run with 1 credit
+    // and --rob=4294967296 with a zero window.
+    for (const char *flag : {"--credits=4294967297", "--rob=4294967296"}) {
+        EXPECT_EXIT(configWith(flag), testing::ExitedWithCode(1),
+                    std::string(flag) + " is out of range")
+            << flag;
     }
 }
 
@@ -148,8 +214,7 @@ TEST(EngineFlush, SpillsLocalQueueToGlobal)
         EXPECT_GE(q.spills() - spillsBefore, before);
         // Drain everything back through the normal protocol.
         int got = 0;
-        std::vector<worklist::WorkItem> bundle;
-        while (co_await eng.dequeue(ctx, bundle, 1) > 0)
+        while (co_await eng.dequeue(ctx))
             ++got;
         EXPECT_EQ(got, 8);
     };
