@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared driver code for the per-figure/table bench binaries.
+ * Shared driver code for the figure binaries, eval and point_runner.
  *
  * Every bench accepts:
  *   --scale=<f>     input scale factor (default per bench)
@@ -66,12 +66,13 @@
  *   --timeline-interval=<n>  counter-track sampling period in cycles
  *                        (default 1024; 0 disables sampling).
  *
- * Driver shape: a bench declares its points (workload, config,
- * threads, machine) as a std::vector<Point>, calls runPoints() and
- * renders its table from the results, which come back in
- * declaration order. Each bench prints the paper's rows/series as a
- * fixed-width table, with the paper's published value alongside
- * where one exists, so shape comparisons are one glance.
+ * Driver shape: a figure (figure.hh) declares its points (workload,
+ * config, threads, machine, scale, seed, budget) as a
+ * std::vector<Point> and renders its table from the results, which
+ * runPoints() returns in declaration order. Each figure prints the
+ * paper's rows/series as a fixed-width table, with the paper's
+ * published value alongside where one exists, so shape comparisons
+ * are one glance.
  */
 
 #ifndef MINNOW_BENCH_BENCH_COMMON_HH
@@ -368,13 +369,19 @@ makeWorkload(const std::string &name, const BenchArgs &a)
     return harness::makeWorkload(name, a.scale, a.seed);
 }
 
-/** One simulation point of a bench. */
+/**
+ * One simulation point of a bench: everything its run depends on.
+ * Two points without a prepare hook that compare equal field by
+ * field (sameRun) have the same result.
+ */
 struct Point
 {
-    Point(std::string workload_, harness::Config config_,
-          std::uint32_t threads_, const MachineConfig &machine_)
+    /** A point of the bench's @p a: its machine, scale, seed, budget. */
+    Point(const BenchArgs &a, std::string workload_,
+          harness::Config config_, std::uint32_t threads_)
         : workload(std::move(workload_)), config(config_),
-          threads(threads_), machine(machine_)
+          threads(threads_), machine(a.machine), scale(a.scale),
+          seed(a.seed), maxEvents(a.maxEvents)
     {
     }
 
@@ -382,18 +389,27 @@ struct Point
     harness::Config config;
     std::uint32_t threads;
     MachineConfig machine;
+    double scale;            //!< input scale factor (--scale).
+    std::uint64_t seed;      //!< generator seed (--seed).
+    std::uint64_t maxEvents; //!< event budget (--max-events).
 
     /**
-     * Adjusts or reads the workload before the run (fig03's OBIM
-     * bucket interval, abl_task_split's splitting app, table2's
-     * input description). A point that has one always runs on a
-     * workload built for it alone.
+     * Adjusts the workload before the run (fig03's OBIM bucket
+     * interval, abl_task_split's splitting app). A point that has
+     * one always runs on a workload built for it alone.
      */
     std::function<void(harness::Workload &)> prepare;
-
-    /** Config name in --stats-json ("" = harness::configName). */
-    std::string statsConfig;
 };
+
+/** @p p and @p q run alike, so one run gives both their result. */
+inline bool
+sameRun(const Point &p, const Point &q)
+{
+    return !p.prepare && !q.prepare && p.workload == q.workload &&
+           p.config == q.config && p.threads == q.threads &&
+           p.scale == q.scale && p.seed == q.seed &&
+           p.maxEvents == q.maxEvents && p.machine == q.machine;
+}
 
 /**
  * The RunSpec of the bench's point @p i, polling the bench's stop
@@ -406,7 +422,7 @@ specOf(const Point &p, const BenchArgs &a, std::size_t i)
     spec.config = p.config;
     spec.threads = p.threads;
     spec.machine = p.machine;
-    spec.maxEvents = a.maxEvents;
+    spec.maxEvents = p.maxEvents;
     spec.interruptFlag = &gStopRequested;
     if (a.statsJson)
         spec.statsHook = a.statsJson->spooler(i);
@@ -420,11 +436,8 @@ logRun(const BenchArgs &a, const Point &p, std::size_t i,
 {
     if (!a.statsJson)
         return;
-    a.statsJson->add(p.workload,
-                     p.statsConfig.empty()
-                         ? harness::configName(p.config)
-                         : p.statsConfig,
-                     p.threads, a.scale, a.seed,
+    a.statsJson->add(p.workload, harness::configName(p.config),
+                     p.threads, p.scale, p.seed,
                      p.machine.minnow.prefetchCredits, r.run.timedOut,
                      r.run.verified, r.run.cycles, r.run.instructions,
                      r.run.l2Mpki, i);
@@ -463,17 +476,19 @@ checkVerified(const harness::ExperimentResult &r,
 
 /**
  * Run every point, each on a fresh machine, and return the results
- * in declaration order.
+ * in declaration order. Each point carries its own scale, seed and
+ * event budget; @p a gives the farm's width and the --stats-json log.
  *
  * --host-par=N farms the points over N host threads; each farmed
  * point then builds a private workload from the same deterministic
  * generator. A serial run builds each workload once and reuses it
- * for consecutive points of that workload (a run resets the app and
- * reassigns addresses, so reuse changes no result); a point with a
- * prepare hook gets a workload of its own. Every output is
- * byte-identical at any --host-par because it is recorded in point
- * order. A point's --stats-json entry is appended, and its spool
- * file (StatsJsonLog) deleted, by the farm's in-order callback: as
+ * for consecutive points of that workload, scale and seed (a run
+ * resets the app and reassigns addresses, so reuse changes no
+ * result); a point with a prepare hook gets a workload of its own.
+ * Every output is byte-identical at any --host-par because it is
+ * recorded in point order. A point's --stats-json entry is
+ * appended, and its spool file (StatsJsonLog) deleted, by the
+ * farm's in-order callback: as
  * soon as it and every earlier point have finished, serially right
  * after its run. So a spool exists only for a point that is running
  * or, farmed, waits on an earlier one. Verification warnings and
@@ -511,7 +526,8 @@ runPoints(const BenchArgs &a, std::vector<Point> points)
     std::vector<harness::ExperimentResult> results(points.size());
     std::vector<char> ran(points.size(), 0);
     // Serially, a point reuses the previous point's workload when
-    // both are of one workload and neither has a prepare hook.
+    // both are of one workload, scale and seed, and neither has a
+    // prepare hook.
     std::unique_ptr<harness::Workload> serialWorkload;
     auto run = [&](std::size_t i) {
         const Point &p = points[i];
@@ -520,10 +536,13 @@ runPoints(const BenchArgs &a, std::vector<Point> points)
             farmed ? own : serialWorkload;
         if (!gStopRequested &&
             (!w || p.prepare || points[i - 1].prepare ||
-             points[i - 1].workload != p.workload)) {
+             points[i - 1].workload != p.workload ||
+             points[i - 1].scale != p.scale ||
+             points[i - 1].seed != p.seed)) {
             w.reset(); // one workload in memory at a time.
             // Built in place: the app points into this object's graph.
-            w.reset(new harness::Workload(makeWorkload(p.workload, a)));
+            w.reset(new harness::Workload(
+                harness::makeWorkload(p.workload, p.scale, p.seed)));
             if (p.prepare)
                 p.prepare(*w);
         }

@@ -2,7 +2,8 @@
  * @file
  * Shared prefetch-credit sweep used by Figs. 18 (L2 MPKI), 19
  * (speedup) and 20 (prefetch efficiency). One sweep produces all
- * three metrics; each bench binary prints its own figure.
+ * three metrics; each figure declares it and prints its own metric,
+ * and eval simulates the sweep once for all three.
  */
 
 #ifndef MINNOW_BENCH_CREDIT_SWEEP_HH
@@ -13,7 +14,7 @@
 #include <vector>
 
 #include "base/logging.hh"
-#include "bench_common.hh"
+#include "figure.hh"
 
 namespace minnow::bench
 {
@@ -34,46 +35,43 @@ struct CreditSweep
     std::string workload;
     double baseMpki = 0;
     std::vector<CreditPoint> points;
-    /** Results of the bench's extra points, in declaration order. */
+    /** Results of the figure's extra points, in declaration order. */
     std::vector<harness::ExperimentResult> extra;
 };
 
 /**
  * Swept credit counts: --credits-list=a,b,c overrides the default
- * nine-point sweep (CI runs a single point to stay fast).
+ * nine-point sweep (CI runs a single point to stay fast). Each count
+ * is read as a 32-bit option value: junk, a sign or a value past
+ * 2^32-1 is fatal.
  */
 inline std::vector<std::uint32_t>
 creditsFromOpts(const Options &opts)
 {
-    std::vector<std::uint32_t> out;
-    for (const std::string &tok :
-         opts.getList("credits-list", "1,2,4,8,16,32,64,128,256"))
-        out.push_back(std::uint32_t(std::stoul(tok)));
+    std::vector<std::uint32_t> out =
+        opts.getU32List("credits-list", "1,2,4,8,16,32,64,128,256");
     fatal_if(out.empty(), "--credits-list parsed to nothing");
     return out;
 }
 
 /**
- * Sweep every --workloads entry: Minnow with prefetching off (the
- * baseline), then MinnowPf at each credit count, then the points
- * @p extra declares for that workload. All workloads' points run in
- * one runPoints() call.
+ * Declare the sweep of every --workloads entry: Minnow with
+ * prefetching off (the baseline), then MinnowPf at each credit
+ * count, then the points @p extra declares for that workload.
  */
-inline std::vector<CreditSweep>
-sweepCredits(const BenchArgs &args,
-             const std::vector<std::uint32_t> &credits,
-             const std::function<std::vector<Point>(
-                 const std::string &)> &extra = {})
+inline std::vector<Point>
+creditSweepPoints(const BenchArgs &args,
+                  const std::vector<std::uint32_t> &credits,
+                  const std::function<std::vector<Point>(
+                      const std::string &)> &extra = {})
 {
     std::vector<Point> points;
-    std::vector<std::size_t> firsts;
     for (const std::string &name : args.workloads) {
-        firsts.push_back(points.size());
-        points.push_back({name, harness::Config::Minnow, args.threads,
-                          args.machine});
+        points.push_back({args, name, harness::Config::Minnow,
+                          args.threads});
         for (std::uint32_t c : credits) {
-            Point p{name, harness::Config::MinnowPf, args.threads,
-                    args.machine};
+            Point p{args, name, harness::Config::MinnowPf,
+                    args.threads};
             p.machine.minnow.prefetchCredits = c;
             points.push_back(p);
         }
@@ -82,13 +80,22 @@ sweepCredits(const BenchArgs &args,
                 points.push_back(std::move(p));
         }
     }
-    firsts.push_back(points.size());
-    std::vector<harness::ExperimentResult> results =
-        runPoints(args, points);
+    return points;
+}
 
+/**
+ * Read the sweeps from the @p results of creditSweepPoints' points,
+ * each workload's @p extras extra points after its credit points.
+ */
+inline std::vector<CreditSweep>
+creditSweeps(const BenchArgs &args,
+             const std::vector<std::uint32_t> &credits,
+             const Results &results, std::size_t extras = 0)
+{
+    const std::size_t stride = 1 + credits.size() + extras;
     std::vector<CreditSweep> sweeps;
     for (std::size_t k = 0; k < args.workloads.size(); ++k) {
-        const harness::ExperimentResult *r = &results[firsts[k]];
+        const harness::ExperimentResult *r = &results[k * stride];
         const harness::ExperimentResult &base = r[0];
         CreditSweep s;
         s.workload = args.workloads[k];
@@ -110,11 +117,7 @@ sweepCredits(const BenchArgs &args,
             }
             s.points.push_back(p);
         }
-        auto from = results.begin() +
-                    std::ptrdiff_t(firsts[k] + 1 + credits.size());
-        auto to = results.begin() + std::ptrdiff_t(firsts[k + 1]);
-        s.extra.assign(std::make_move_iterator(from),
-                       std::make_move_iterator(to));
+        s.extra.assign(r + 1 + credits.size(), r + stride);
         sweeps.push_back(std::move(s));
     }
     return sweeps;

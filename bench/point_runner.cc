@@ -49,7 +49,7 @@ main(int argc, char **argv)
     fatal_if(workload.empty(), "point_runner needs --workload=");
     harness::Config config = harness::parseConfig(configName);
 
-    Point p{workload, config, args.threads, args.machine};
+    Point p{args, workload, config, args.threads};
     harness::RunSpec spec = specOf(p, args, 0);
     spec.checkpointOut = ckptOut;
     spec.checkpointAfter = ckptAfter;

@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
-"""Regenerate the evaluation: run every bench, write EXPERIMENTS.md.
+"""Regenerate the evaluation: one eval run, spliced into EXPERIMENTS.md.
 
-Each paper table/figure gets: the analysis prose below (what the
-paper reports, what we measure, which shapes hold, known gaps) plus
-the measured rows pasted verbatim from the bench run, so the document
-always matches the bench output.
+EXPERIMENTS.md is its own template. Each figure's measured output is
+the fenced block after its "Measured (`bench/<name>`):" line; the
+splice rewrites those blocks and nothing else, so the prose around
+them is edited in EXPERIMENTS.md itself.
 
 Usage:
   make_experiments_md.py --build-dir build [--host-par N]
                          [--record BENCH_eval_suite.json]
-      runs every bench in ORDER at its defaults from DIR/bench
-      (forwarding --host-par to the benches that take it), writes
-      bench_output.txt, then EXPERIMENTS.md. --record appends the
-      per-bench wall times to a JSON history file.
+      runs DIR/bench/eval (every figure at its defaults, each
+      distinct point simulated once, farmed over N host threads),
+      writes its stdout to bench_output.txt, then splices
+      EXPERIMENTS.md. --record appends the wall time and eval's
+      point counts to a JSON history file.
   make_experiments_md.py
-      re-assembles EXPERIMENTS.md from an existing bench_output.txt
-      (after editing the prose).
+      re-splices EXPERIMENTS.md from an existing bench_output.txt.
 """
 
 import argparse
@@ -28,407 +28,66 @@ import subprocess
 import sys
 import time
 
-PROSE = {}
-
-PROSE["table3_machine_config"] = """\
-## Table 3 — machine configuration
-
-Paper: 64 Skylake-like cores, 224-entry ROB, 72/56 LQ/SQ, 32 KB L1,
-256 KB L2, 64 MB L3, 8x8 mesh, 12-channel DDR4-2400, Minnow engines
-with 64-entry local queue / 32-entry load buffer.
-
-We print both the paper-exact configuration and the cache-scaled
-preset the benches run on (L1 16 KB, L2 64 KB, L3 32 KB/bank; see
-DESIGN.md §6 for why the caches shrink with the inputs). All core,
-NoC, DRAM and Minnow parameters match Table 3. Note the paper's own
-Table 3 lists "64 MB L3, 2 MB bank/core" for 64 cores; we render the
-arithmetic consistently as 2 MB x 64 banks.
-"""
-
-PROSE["table1_graph_inputs"] = """\
-## Table 1 — graph inputs
-
-Paper inputs are 150 MB-1 GB real datasets. Ours are deterministic
-generator stand-ins of the same classes at simulation scale
-(DESIGN.md §2): high-diameter weighted grid (road), random
-avg-degree-4 graph, hub-dominated RMAT, skewed power-law digraphs,
-triangle-rich small world (sized to fit the scaled LLC, like
-com-dblp in the paper's 64 MB LLC), and a skewed bipartite graph.
-Shape properties to check: grid diameter >> others, RMAT max-degree
-a large multiple of its average, TC input smallest.
-"""
-
-PROSE["table2_benchmarks"] = """\
-## Table 2 — benchmark configuration
-
-Paper: seven Galois workloads, single-threaded runs of 1.7-10.7 B
-cycles on the full inputs. Ours run the same algorithms (delta-
-stepping SSSP, push BFS x2, min-label CC, push data-driven PR,
-node-iterator-hashed TC, propagation BC) on ~100x smaller inputs;
-serial baselines land in the 2-80 M cycle range — the same 1-2
-order-of-magnitude spread across workloads (PR longest, TC shortest)
-— and every run verifies against its serial reference.
-"""
-
-PROSE["fig02_priority_speedup"] = """\
-## Fig. 2 — the benefits of priority ordering
-
-Paper: at 10 threads, Galois-OBIM beats unordered GraphMat by 576x on
-SSSP (ordering changes the effective complexity); GMat* (bucketed
-GraphMat) recovers only ~2x over plain GraphMat; BFS/G500/CC are less
-sensitive, and GraphMat actually wins on G500/PR thanks to its lean
-bulk-synchronous execution.
-
-Measured shapes that hold: OBIM > GraphMat on SSSP with GMat*
-in between; GraphMat competitive-or-better on PR; FIFO clearly worse
-than OBIM on SSSP. The *magnitude* of the SSSP gap is far smaller
-than 576x: the ordering advantage grows with diameter x weight-range
-x size, and our grid is ~270x smaller than USA-road-d.W (the paper
-itself notes the gap grows with input size: 927x on the full USA
-graph).
-"""
-
-PROSE["fig03_scheduler_zoo"] = """\
-## Fig. 3 — scheduler choice
-
-Paper: improper policies time out on ordering-sensitive workloads;
-Carbon's LIFO times out on SSSP/BFS/CC/PR; several OBIM deltas also
-fail; a conservative (coarse) delta degrades gracefully.
-
-Measured: LIFO is the worst policy on sssp/bfs/cc/pr by large
-factors (our scaled runs finish rather than time out — the event
-budget corresponds to far more slack than the paper's wall-clock
-timeout — but the ordering of policies matches), tuned OBIM is best
-on sssp, and coarse OBIM degrades mildly, exactly the paper's
-guidance.
-"""
-
-PROSE["fig04_rob_sweep"] = """\
-## Fig. 4 — ROB size is not the limiter
-
-Paper: with realistic branch prediction and x86-TSO fenced atomics,
-growing the ROB past 256 entries yields minimal speedup; removing
-those serializing events makes ROB scaling work again (PR up to 5x
-once fences go).
-
-Measured: the realistic curve is nearly flat past 256 entries for
-every workload while the ideal (perfect branches, no fences) curve
-keeps climbing to 3-5x at 1024 entries — the paper's argument
-reproduces directly, because our core model implements exactly the
-two serializers the paper blames (mispredict issue-gating and fence
-drains).
-"""
-
-PROSE["fig05_overhead_breakdown"] = """\
-## Fig. 5 — Galois overhead breakdown
-
-Paper: at 64 threads only 28% of cycles are useful work on average;
-CC is worklist-dominated (92%); memory stalls take most of the rest.
-
-Measured: the software baseline spends the large majority of its
-cycles outside useful work everywhere, with double-digit worklist
-shares on the scheduler-heavy workloads and memory stall dominating
-the rest — the motivation stands. Two divergences to note honestly:
-our "useful" metric is a stricter bound (retired app uops at full
-dispatch width) so it reads lower than the paper's attribution, and
-our most worklist-bound workload is SSSP rather than CC — our
-leaner-than-Galois-2.2.1 OBIM never collapses to CC's 92%
-pathology.
-"""
-
-PROSE["fig06_delinquent_density"] = """\
-## Fig. 6 — delinquent load density
-
-Paper: only ~10% of all loads are delinquent (first accesses to graph
-data); on a 72-entry Skylake LQ that is ~7 delinquent loads in
-flight — the §3.4 argument for engines whose small load buffers hold
-only delinquent loads.
-
-Measured: densities land near the paper's (9-19% for the seven
-workloads except TC, whose binary-search probes are nearly all first
-touches), i.e. ~7-13 of 72 LQ entries — same conclusion: an OOO
-window is a wasteful way to buy delinquent-load MLP.
-"""
-
-PROSE["fig11_worklist_interval"] = """\
-## Fig. 11 — worklist operation interval
-
-Paper: cores perform a worklist enqueue/dequeue only once every few
-hundred cycles, so the engine front-end need not be aggressive.
-
-Measured: 200-1000 cycles per accelerator call across the seven
-workloads — squarely the paper's "every few hundreds of cycles".
-"""
-
-PROSE["fig15_scalability"] = """\
-## Fig. 15 — scalability
-
-Paper: optimized Galois scales well to ~32 threads then hits
-worklist bottlenecks; CC slows beyond 16 threads; Minnow improves
-scalability everywhere and lets CC scale past 16.
-
-Measured (speedup vs the atomics-removed serial baseline): both
-systems scale; Minnow is above Galois at nearly every point of every
-workload except g500 (see Fig. 16 note), with the gap widening at
-64 threads where software scheduling overheads and contention grow.
-Divergence: our software baseline keeps scaling further than Galois
-2.2.1 did (our CC does not slow beyond 16 threads), so Minnow's
-relative wins at 64 threads are smaller than the paper's.
-"""
-
-PROSE["fig16_overall_speedup"] = """\
-## Fig. 16 — overall speedup (headline)
-
-Paper: 2.96x average with offload alone, 6.01x with worklist-directed
-prefetching, at 64 threads; TC least (1.53x with prefetching) since
-it is neither worklist-bound nor (with its in-LLC input) very
-memory-bound.
-
-Measured shapes that hold: every workload benefits; prefetching
-roughly doubles the offload-only gain on the memory-bound workloads
-(bfs/pr/bc/cc); TC gains least, exactly as the paper explains; SSSP
-gains least *from prefetching* relative to its offload gain (the
-paper's own §6.3.2 caveat — its prefetcher cannot run far enough
-ahead; our run shows 25% of prefetch hits arriving late).
-
-Magnitudes are ~2-3x smaller than the paper's across the board, and
-g500 only reaches parity. Root cause, analysed in DESIGN.md §5b: our
-software baseline is leaner than Galois 2.2.1 (no per-socket
-scheduler pathology, no 92% CC collapse), and at our input scale the
-Minnow local queues hold a visible fraction of the whole frontier
-(the paper's frontiers are ~100x larger than aggregate local-queue
-capacity), which costs Minnow work-distribution efficiency on the
-burst-synchronous g500.
-"""
-
-PROSE["fig17_imp_comparison"] = """\
-## Fig. 17 — vs stride and IMP
-
-Paper (16 threads, all on the Minnow-offload system, normalized to
-prefetch-off): IMP performs like a basic stride prefetcher except on
-G500/PR/TC (dense indirect streams); both are useless on the
-low-degree mesh inputs because the prefetch distance (4) exceeds node
-degree; worklist-directed prefetching wins everywhere.
-
-Measured: stride ~ IMP on the low-degree inputs (sssp/bfs), IMP
-pulls ahead of stride on g500/cc/tc/bc, and Minnow prefetching beats
-both on sssp/bfs/cc/pr/bc. Exceptions: g500 (our scale artifact
-caps Minnow; see Fig. 16) and tc, where IMP's reactive streams fit
-the binary-search-heavy pattern better than our capped custom
-program at 16 threads. The mechanism-level explanation carries: our
-IMP issues nothing useful on degree<=4 adjacency runs, exactly the
-paper's analysis.
-"""
-
-PROSE["fig18_mpki_credits"] = """\
-## Fig. 18 — L2 MPKI vs credits
-
-Paper: without prefetching all workloads except TC sit above 20 MPKI
-(29 average); MPKI falls as credits grow, is minimized between 32 and
-128 credits, and over-aggressive prefetching raises it again (cache
-thrash); SSSP cannot hide everything.
-
-Measured: the no-prefetch column sits at 50-81 MPKI for every
-workload (including TC: with our scaled 64 KB L2 even the
-LLC-resident TC input misses the L2 constantly, unlike the paper's
-256 KB L2), MPKI falls monotonically to a knee in the 32-128
-region, bfs/pr/bc show the post-knee rise, and SSSP retains a
-residual floor — the qualitative features hold. Divergence: our
-floor is ~11-47 MPKI rather than ~1: residual misses are dominated
-by coherence traffic (atomic-invalidated lines that prefetching
-cannot help) and superseded-task cutoffs, both relatively larger at
-our scale.
-"""
-
-PROSE["fig19_speedup_credits"] = """\
-## Fig. 19 — speedup vs credits
-
-Paper: every workload speeds up (1.39x TC .. 2.47x BC); diminishing
-returns around 32-64 credits; G500 degrades past its optimum.
-
-Measured: gains rise with credits and flatten at 32-64, with
-magnitudes (~1.3x-3x) bracketing the paper's range; TC is among the
-smallest gains at 32 credits as in the paper.
-"""
-
-PROSE["fig20_prefetch_efficiency"] = """\
-## Fig. 20 — prefetch efficiency
-
-Paper: >99% of prefetched lines are used before eviction at 32
-credits for all workloads; efficiency degrades for G500/CC/PR/BC as
-credits grow; IMP is far less efficient.
-
-Measured: the credit-throttled worklist-directed prefetcher holds
-97-99% efficiency at 32 credits on sssp/bfs/cc/bc, degrading at
-128-256 credits (cc 99->89, bc 98->81 — the paper's contention
-curve), and IMP's efficiency is far lower on those workloads. Two
-honest gaps: pr and tc hold only ~50-70% efficiency (their
-superseded-task and pair-enumeration access patterns defeat our
-staleness predicate more often), and on g500 IMP is *more*
-efficient than worklist direction (it only triggers on the hub's
-long streams, which are always useful).
-
-The last three columns re-run the 32-credit point with
-`--attribution` (DESIGN.md §5k) and decompose *why* efficiency is
-what it is: `acc%@32` is the provenance tracker's
-used-before-evict share (it independently reproduces the `32`
-column — same quantity, measured per line instead of per counter);
-`timely%@32` splits the used fills into timely vs late (sssp's low
-timely share is the paper's §6.3.2 caveat — its prefetcher cannot
-run far enough ahead, so a large minority of useful prefetches
-arrive while the demand is already stalled); `pollut%@32` shows
-displaced-victim re-misses are negligible at the paper's credit
-point — the throttle, not luck, keeps pollution near zero.
-"""
-
-PROSE["fig21_membw_sweep"] = """\
-## Fig. 21 — memory channels
-
-Paper: without prefetching, workloads are latency-bound — only
-dropping below ~4 channels hurts; with prefetching Minnow converts
-BFS/G500/BC into bandwidth-bound workloads (sensitive across the
-sweep); TC (in-LLC input) is insensitive throughout.
-
-Measured: bfs/g500/cc/bc show the without-prefetch curves flat from
-12 down to ~4-8 channels then dropping, and the with-prefetch curves
-strictly more channel-sensitive (prefetching turns latency into
-bandwidth demand); TC is flat everywhere. SSSP is nearly flat in both
-modes at our scale (its scaled working set gets too much help from
-the cache hierarchy to pressure DRAM).
-"""
-
-PROSE["sec54_area_model"] = """\
-## §5.4 — area
-
-Paper: engine SRAM ~0.03 mm^2 @28 nm (0.008 @14 nm), Quark-like
-control unit 0.1 mm^2 @14 nm, total <1% of a 12.1 mm^2 Skylake
-slice.
-
-Measured: the calibrated model lands on 0.0300/0.0080/0.1000 mm^2
-and 0.90% per slice, and the structure sweep shows the overhead
-stays below 1% even with 4x larger queues — the paper's headline is
-insensitive to the engine sizing, as claimed.
-"""
-
-PROSE["abl_minnow_structures"] = """\
-## Ablation — Minnow structure sizing (beyond the paper)
-
-Local-queue depth: smaller queues (8-16) slightly beat the paper's
-64 at our scale — less staleness in the FIFO — at the cost of more
-dequeue blocks; 64 is the right choice when frontiers are huge.
-Load buffer: performance saturates by 16-32 entries (the paper's 32
-is on the knee; 4-8 starve the prefetcher). Offloaded OBIM delta:
-the usual U-curve — too fine wastes engine time on bucket churn, too
-coarse wastes work.
-"""
-
-PROSE["abl_task_split"] = """\
-## Ablation — task splitting (§6.2.1)
-
-Paper: without splitting, rmat16-2e22's hub (27% of all edges) caps
-speedup at 3.65x by Amdahl's Law.
-
-Measured on our scale-14 RMAT (hub ~1% of edges): splitting the hub
-into parallel subtasks speeds the Minnow run by up to ~7x vs
-splitting off, with the optimum at small thresholds — the same
-load-balance story at our hub share.
-"""
-
-PROSE["abl_engine_sharing"] = """\
-## Ablation — cores per engine (§4's sharing variant)
-
-The paper mentions engines could be shared between cores to save
-area but evaluates dedicated engines. Sharing 2-8 cores per engine
-saves proportional area but costs ~3x performance on BFS at 16
-threads (control-unit and local-queue contention, dequeue blocking)
-— quantified support for the paper's dedicated-engine choice.
-"""
-
-PROSE["ext_workloads"] = """\
-## Extension — other irregular workloads
-
-The paper's conclusion plans to extend Minnow to other classes of
-irregular workloads. We add two with schedule-independent, bit-exact
-verifiable results: greedy maximal independent set (dataflow
-formulation) and k-core peeling. Both run unmodified on the Minnow
-stack; MIS gains >2x from offload+prefetching, k-core ~2.8x from
-prefetching — evidence the mechanisms generalize beyond the seven
-paper workloads.
-"""
-
-
-# Static epilogue: workflow notes that are not tied to one bench's
-# output and must survive regeneration.
-EPILOGUE = """\
-## Regenerating this file
-
-One command runs every bench above at its defaults and rewrites
-`bench_output.txt` and this file:
-
-```sh
-python3 scripts/make_experiments_md.py --build-dir build --host-par=4
-```
-
-Every bench declares its figure points and runs them through one
-driver (`runPoints` in `bench/bench_common.hh`), which farms them
-over `--host-par` host threads and records results in declaration
-order, so the output is byte-identical at any `--host-par`
-(`check_host_par_ab` in ctest runs fig18, fig15, fig03 and fig04 at
-1 and 4 threads and compares stdout, `--stats-json`, `--timeline`
-and `--diag-json`). Per-bench wall times of full regenerations are kept
-in `BENCH_eval_suite.json`.
-"""
-
-# Benches in document order; the ones without common bench flags
-# do not take --host-par.
-ORDER = [
-    "table3_machine_config", "table1_graph_inputs",
-    "table2_benchmarks", "fig02_priority_speedup",
-    "fig03_scheduler_zoo", "fig04_rob_sweep",
-    "fig05_overhead_breakdown", "fig06_delinquent_density",
-    "fig11_worklist_interval", "fig15_scalability",
-    "fig16_overall_speedup", "fig17_imp_comparison",
-    "fig18_mpki_credits", "fig19_speedup_credits",
-    "fig20_prefetch_efficiency", "fig21_membw_sweep",
-    "sec54_area_model", "abl_minnow_structures",
-    "abl_task_split", "abl_engine_sharing", "ext_workloads",
-]
-NO_BENCH_FLAGS = {"table3_machine_config", "sec54_area_model"}
-
-
-def run_benches(build_dir, host_par):
-    """Run ORDER, write bench_output.txt; return {bench: seconds}."""
-    parts, seconds = [], {}
-    for name in ORDER:
-        cmd = [os.path.join(build_dir, "bench", name)]
-        if name not in NO_BENCH_FLAGS:
-            cmd.append(f"--host-par={host_par}")
-        t0 = time.monotonic()
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        seconds[name] = round(time.monotonic() - t0, 3)
-        if proc.returncode != 0:
-            sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n"
-                     f"{proc.stderr}")
-        print(f"{name}: {seconds[name]:.1f} s", flush=True)
-        parts.append(f"##### {name}\n{proc.stdout}")
+# One figure's measured block: the header line, the fence, the body.
+BLOCK = re.compile(r"^(Measured \(`bench/(\S+)`\):\n\n```\n)(.*?)(\n```)$",
+                   re.M | re.S)
+# One figure's section of eval's output (bench_output.txt).
+SECTION = re.compile(r"^##### (\S+)\n(.*?)(?=^##### |\Z)", re.M | re.S)
+COUNT = re.compile(r"^eval: (\d+) points declared, (\d+) simulated$",
+                   re.M)
+
+
+def sections(bench_output):
+    """{figure: its stdout, stripped} of eval's output."""
+    return {m[1]: m[2].strip() for m in SECTION.finditer(bench_output)}
+
+
+def splice(md, bench_output):
+    """@md with each Measured block replaced by its figure's output."""
+    found = sections(bench_output)
+    blocks = [m[2] for m in BLOCK.finditer(md)]
+    if sorted(blocks) != sorted(found):
+        sys.exit(f"EXPERIMENTS.md has Measured blocks for {blocks};"
+                 f" the eval output has sections {sorted(found)}")
+    return BLOCK.sub(lambda m: m[1] + found[m[2]] + m[4], md)
+
+
+def extract(md):
+    """The Measured blocks of @md, as eval prints them."""
+    return "\n".join(f"##### {m[2]}\n{m[3]}\n" for m in BLOCK.finditer(md))
+
+
+def run_eval(build_dir, host_par):
+    """Run eval into bench_output.txt; return (seconds, declared,
+    simulated)."""
+    cmd = [os.path.join(build_dir, "bench", "eval"),
+           f"--host-par={host_par}"]
+    t0 = time.monotonic()
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    seconds = round(time.monotonic() - t0, 3)
+    sys.stderr.write(proc.stderr)
+    if proc.returncode != 0:
+        sys.exit(f"{' '.join(cmd)} exited {proc.returncode}")
     with open("bench_output.txt", "w") as f:
-        f.write("\n".join(parts))
-    return seconds
+        f.write(proc.stdout)
+    print(f"eval: {seconds:.1f} s", flush=True)
+    m = COUNT.search(proc.stderr)
+    return seconds, int(m[1]), int(m[2])
 
 
-def record(path, build_dir, host_par, seconds):
-    """Append one regeneration's wall times to a JSON history."""
-    doc = {"schema": "minnow-eval-suite-1", "runs": []}
+def record(path, build_dir, host_par, seconds, declared, simulated):
+    """Append one regeneration's wall time to a JSON history."""
+    doc = {"runs": []}
     if os.path.exists(path):
         with open(path) as f:
             doc = json.load(f)
-    build_type = ""
+    doc["schema"] = "minnow-eval-suite-2"
     with open(os.path.join(build_dir, "CMakeCache.txt")) as f:
         m = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", f.read(), re.M)
-        build_type = m.group(1) if m else ""
     commit = subprocess.run(["git", "describe", "--always", "--dirty"],
                             capture_output=True, text=True)
     doc["runs"].append({
+        "schema": "minnow-eval-suite-2",
         "date": datetime.datetime.now(datetime.timezone.utc)
                 .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "commit": commit.stdout.strip() or None,
@@ -436,9 +95,10 @@ def record(path, build_dir, host_par, seconds):
         "host": {"cpus": os.cpu_count(),
                  "machine": platform.machine(),
                  "platform": platform.platform()},
-        "buildType": build_type,
-        "totalSeconds": round(sum(seconds.values()), 3),
-        "seconds": seconds,
+        "buildType": m[1] if m else "",
+        "totalSeconds": seconds,
+        "pointsDeclared": declared,
+        "pointsSimulated": simulated,
     })
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
@@ -447,78 +107,25 @@ def record(path, build_dir, host_par, seconds):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--build-dir",
-                    help="run the benches from DIR/bench first")
+    ap.add_argument("--build-dir", help="run DIR/bench/eval first")
     ap.add_argument("--host-par", type=int, default=1)
     ap.add_argument("--record", metavar="JSON",
-                    help="append per-bench wall times here")
+                    help="append the wall time and point counts here")
     args = ap.parse_args()
     if args.build_dir:
-        seconds = run_benches(args.build_dir, args.host_par)
+        run = run_eval(args.build_dir, args.host_par)
         if args.record:
-            record(args.record, args.build_dir, args.host_par,
-                   seconds)
+            record(args.record, args.build_dir, args.host_par, *run)
     elif args.record:
         sys.exit("--record needs --build-dir")
 
-    bench = open("bench_output.txt").read()
-    sections = {}
-    for m in re.finditer(r"^##### (\S+)\n(.*?)(?=^##### |\Z)", bench,
-                         re.M | re.S):
-        sections[m.group(1)] = m.group(2).strip()
-
-    out = []
-    out.append("""# Experiments: paper vs. measured
-
-Every table and figure of the paper's evaluation, regenerated by one
-bench binary each (`build/bench/...`), with the full measured output
-inlined below (this file is written by
-`scripts/make_experiments_md.py`, which runs the benches; see
-"Regenerating this file" at the end). The reproduction contract is
-*shape*, not absolute numbers: inputs are deterministic scaled
-stand-ins and the machine is cache-scaled to match (DESIGN.md §2,
-§6).
-
-Regeneration goes faster on multi-core hosts without changing a
-byte of any figure: every bench takes `--host-par=N`, which farms
-its independent figure points over N host threads and records their
-results in point order (DESIGN.md §5j). The output is
-byte-identical to a serial run (`check_host_par_ab` in ctest proves
-it per commit).
-
-## Summary of shape fidelity
-
-| Experiment | Qualitative claims | Status |
-|---|---|---|
-| Fig. 2 | ordering >> unordered on SSSP; GMat* in between; GraphMat wins PR | reproduced (magnitudes smaller; scale-dependent) |
-| Fig. 3 | LIFO pathological; tuned OBIM best; coarse degrades gracefully | reproduced (slowdowns instead of timeouts) |
-| Fig. 4 | realistic ROB curve flat >=256; ideal keeps scaling | reproduced |
-| Fig. 5 | useful work a small minority; scheduler share large | reproduced in direction (CC-92% pathology absent; see note) |
-| Fig. 6 | ~10% delinquent density, ~7 of 72 LQ entries | reproduced (9-19% across non-TC workloads) |
-| Fig. 11 | worklist op every few hundred cycles | reproduced (200-1000) |
-| Fig. 15 | Minnow scales better everywhere | reproduced except g500 (scale artifact) |
-| Fig. 16 | all gain; prefetch ~doubles offload; TC least | reproduced; magnitudes ~2-3x smaller (see analysis) |
-| Fig. 17 | IMP ~ stride except g500/pr/tc; Minnow best | reproduced |
-| Fig. 18 | MPKI knee at 32-128 credits; thrash beyond; SSSP floor | reproduced (higher floor; see analysis) |
-| Fig. 19 | gains 1.4-2.5x, diminishing past 32-64 | reproduced |
-| Fig. 20 | >99% efficiency @32 credits; IMP far lower | reproduced |
-| Fig. 21 | latency-bound w/o pf; bandwidth-bound with; TC flat | reproduced (sssp also flat at our scale) |
-| §5.4 | <1% area per slice | reproduced (0.90%) |
-""")
-
-    for name in ORDER:
-        prose = PROSE.get(name, "## " + name + "\n")
-        out.append(prose.rstrip())
-        body = sections.get(name, "(missing from bench_output.txt)")
-        out.append("\nMeasured (`bench/" + name + "`):\n")
-        out.append("```")
-        out.append(body)
-        out.append("```\n")
-
-    out.append(EPILOGUE.rstrip())
-
-    open("EXPERIMENTS.md", "w").write("\n".join(out) + "\n")
-    print("wrote EXPERIMENTS.md,", len(sections), "sections")
+    with open("bench_output.txt") as f:
+        bench = f.read()
+    with open("EXPERIMENTS.md") as f:
+        md = f.read()
+    with open("EXPERIMENTS.md", "w") as f:
+        f.write(splice(md, bench))
+    print("wrote EXPERIMENTS.md,", len(sections(bench)), "sections")
 
 
 if __name__ == "__main__":

@@ -73,14 +73,17 @@ Options::getInt(const std::string &key, std::int64_t dflt) const
     return v;
 }
 
-std::uint64_t
-Options::getUint(const std::string &key, std::uint64_t dflt) const
+namespace
 {
-    auto it = values_.find(key);
-    if (it == values_.end())
-        return dflt;
-    used_.insert(key);
-    const char *text = it->second.c_str();
+
+/**
+ * @p text as an unsigned integer (decimal, 0x hex or 0 octal) for
+ * option --@p key: a sign, trailing junk, or a value past 2^64-1 is
+ * fatal rather than wrapped or saturated.
+ */
+std::uint64_t
+parseUint(const std::string &key, const char *text)
+{
     // strtoull accepts a sign (and wraps a negative value) and
     // saturates on overflow; neither is a valid unsigned option.
     char sign = text[std::strspn(text, " \t\n\v\f\r")];
@@ -98,15 +101,33 @@ Options::getUint(const std::string &key, std::uint64_t dflt) const
     return v;
 }
 
+/** @p v of option --@p key narrowed to 32 bits; fatal past 2^32-1. */
 std::uint32_t
-Options::getU32(const std::string &key, std::uint32_t dflt) const
+narrowU32(const std::string &key, std::uint64_t v)
 {
-    std::uint64_t v = getUint(key, dflt);
     fatal_if(v > std::numeric_limits<std::uint32_t>::max(),
              "option --%s=%llu is out of range (at most %u)",
              key.c_str(), (unsigned long long)v,
              std::numeric_limits<std::uint32_t>::max());
     return std::uint32_t(v);
+}
+
+} // anonymous namespace
+
+std::uint64_t
+Options::getUint(const std::string &key, std::uint64_t dflt) const
+{
+    auto it = values_.find(key);
+    if (it == values_.end())
+        return dflt;
+    used_.insert(key);
+    return parseUint(key, it->second.c_str());
+}
+
+std::uint32_t
+Options::getU32(const std::string &key, std::uint32_t dflt) const
+{
+    return narrowU32(key, getUint(key, dflt));
 }
 
 double
@@ -138,6 +159,15 @@ Options::getList(const std::string &key, const std::string &dflt) const
             out.push_back(csv.substr(pos, comma - pos));
         pos = comma + 1;
     }
+    return out;
+}
+
+std::vector<std::uint32_t>
+Options::getU32List(const std::string &key, const std::string &dflt) const
+{
+    std::vector<std::uint32_t> out;
+    for (const std::string &item : getList(key, dflt))
+        out.push_back(narrowU32(key, parseUint(key, item.c_str())));
     return out;
 }
 

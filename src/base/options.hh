@@ -54,6 +54,10 @@ class Options
     std::vector<std::string> getList(const std::string &key,
                                      const std::string &dflt) const;
 
+    /** getList whose every item is read as getU32 reads a value. */
+    std::vector<std::uint32_t> getU32List(const std::string &key,
+                                          const std::string &dflt) const;
+
     const std::vector<std::string> &positional() const
     {
         return positional_;

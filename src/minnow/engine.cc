@@ -954,7 +954,11 @@ MinnowEngine::dequeueFallback(SimContext &ctx)
         if (!faulted()) {
             // The engine recovered while we were on the software
             // path: go back through the accelerator interface (it
-            // may hold freshly filled tasks for us).
+            // may hold freshly filled tasks for us). A wakeup that
+            // brought us here for stealable work is handed on, as
+            // the fill daemon does, or no worker takes that work.
+            if (mon.stealable() > 0)
+                mon.rewake(1);
             co_return co_await dequeue(ctx);
         }
         if (global_->size() > 0) {

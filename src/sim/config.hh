@@ -48,6 +48,8 @@ struct CoreParams
 
     /** Model x86-TSO fences around atomics (Fig. 4 realistic mode). */
     bool atomicFences = true;
+
+    bool operator==(const CoreParams &) const = default;
 };
 
 /** One cache level. */
@@ -61,6 +63,8 @@ struct CacheParams
     {
         return std::uint32_t(sizeBytes / (assoc * kLineBytes));
     }
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Mesh network-on-chip parameters (Table 3: 8x8, X-Y routing). */
@@ -69,6 +73,8 @@ struct NocParams
     std::uint32_t meshWidth = 8;     //!< tiles per row/column.
     std::uint32_t cyclesPerHop = 3;
     std::uint32_t linkBits = 512;    //!< payload bits per cycle per link.
+
+    bool operator==(const NocParams &) const = default;
 };
 
 /** DRAM channel model (Table 3: 12-channel DDR4-2400 CL17). */
@@ -89,6 +95,8 @@ struct DramParams
      * core cycle, i.e. 64 B occupies the channel ~8.33 cycles -> 1067.
      */
     std::uint32_t serviceFp128 = 1067;
+
+    bool operator==(const DramParams &) const = default;
 };
 
 /** Minnow engine parameters (Table 3 bottom block + Section 5). */
@@ -115,6 +123,8 @@ struct MinnowParams
      * so control-unit and local-queue contention emerge naturally.
      */
     std::uint32_t coresPerEngine = 1;
+
+    bool operator==(const MinnowParams &) const = default;
 };
 
 /** Which (if any) hardware L2 prefetcher the baseline cores use. */
@@ -246,6 +256,9 @@ struct MachineConfig
 
     /** Human-readable multi-line description (Table 3 bench). */
     std::string describe() const;
+
+    /** Every field equal: two machines that run alike. */
+    bool operator==(const MachineConfig &) const = default;
 };
 
 /** Exact Table 3 machine. */

@@ -8,7 +8,9 @@
  * is appended before the next point starts, and none is left after a
  * normal exit, an interrupted one or a panic, and a panic in one
  * farmed point leaves a valid log, even while another point's entry
- * is being appended. A spool that cannot be written is fatal.
+ * is being appended. A spool that cannot be written is fatal. Also:
+ * each bad --credits-list item is a named fatal, and two points share
+ * a run (sameRun) only when every field agrees.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +29,7 @@
 
 #include <unistd.h>
 
-#include "bench_common.hh"
+#include "credit_sweep.hh"
 
 namespace minnow
 {
@@ -190,11 +192,10 @@ smallPoints(const bench::BenchArgs &a)
 {
     std::vector<bench::Point> points;
     for (std::uint32_t credits : {4u, 16u}) {
-        MachineConfig mc = a.machine;
-        mc.minnow.prefetchCredits = credits;
-        points.emplace_back("sssp", harness::Config::MinnowPf, 4, mc);
+        points.emplace_back(a, "sssp", harness::Config::MinnowPf, 4);
+        points.back().machine.minnow.prefetchCredits = credits;
     }
-    points.emplace_back("bfs", harness::Config::Obim, 4, a.machine);
+    points.emplace_back(a, "bfs", harness::Config::Obim, 4);
     return points;
 }
 
@@ -218,6 +219,53 @@ TEST(ParseArgsDeath, NonPositiveOrNanScaleIsFatal)
                         " must be a finite number above 0")
             << value;
     }
+}
+
+// --credits-list is read as a list of 32-bit option values: each bad
+// item is a named fatal, not an uncaught exception or a wrapped count.
+TEST(CreditsListDeathTest, JunkIsFatal)
+{
+    EXPECT_EXIT(bench::creditsFromOpts(Options({"--credits-list=x"})),
+                testing::ExitedWithCode(1),
+                "option --credits-list=x is not an unsigned integer");
+}
+
+TEST(CreditsListDeathTest, NegativeIsFatal)
+{
+    EXPECT_EXIT(bench::creditsFromOpts(Options({"--credits-list=8,-1"})),
+                testing::ExitedWithCode(1),
+                "option --credits-list=-1 is not an unsigned integer");
+}
+
+TEST(CreditsListDeathTest, PastU32IsFatal)
+{
+    EXPECT_EXIT(
+        bench::creditsFromOpts(Options({"--credits-list=4294967297"})),
+        testing::ExitedWithCode(1),
+        "option --credits-list=4294967297 is out of range");
+}
+
+TEST(SameRun, EveryFieldOfThePointCounts)
+{
+    const bench::BenchArgs a = bench::parseArgs(Options({"--scale=0.1"}));
+    const bench::Point p{a, "sssp", harness::Config::MinnowPf, 8};
+    EXPECT_TRUE(bench::sameRun(p, p));
+    std::vector<bench::Point> others(8, p);
+    others[0].threads = 4;
+    others[1].scale = 0.2;
+    others[2].seed = 2;
+    others[3].maxEvents = 1000;
+    others[4].config = harness::Config::Minnow;
+    others[5].workload = "bfs";
+    // Fields that MachineConfig::describe() leaves out.
+    others[6].machine.core.mispredictPenalty += 1;
+    others[7].machine.prefetcher = PrefetcherKind::Imp;
+    for (const bench::Point &q : others)
+        EXPECT_FALSE(bench::sameRun(p, q));
+    // A point with a prepare hook always runs on its own.
+    bench::Point hooked = p;
+    hooked.prepare = [](harness::Workload &) {};
+    EXPECT_FALSE(bench::sameRun(hooked, hooked));
 }
 
 TEST(StatsJsonLog, FarmedAndSerialPointsWriteTheSameBytes)

@@ -163,7 +163,8 @@ TEST(FaultSpec, WindowsAndTargets)
 RunResult
 runSsspWithFaults(std::uint32_t threads, bool prefetch,
                   const std::string &spec, EngineStats *es = nullptr,
-                  std::unique_ptr<Machine> *keepAlive = nullptr)
+                  std::unique_ptr<Machine> *keepAlive = nullptr,
+                  std::uint64_t maxEvents = RunConfig().maxEvents)
 {
     graph::CsrGraph g = graph::gridGraph(24, 24, 100, 1);
     apps::SsspApp app(&g, 0, false, 1u << 30, "sssp");
@@ -174,6 +175,7 @@ runSsspWithFaults(std::uint32_t threads, bool prefetch,
     app.reset();
     RunConfig rc;
     rc.threads = threads;
+    rc.maxEvents = maxEvents;
     RunResult r = runMinnow(*m, app, 3, rc, es);
     if (keepAlive)
         *keepAlive = std::move(m);
@@ -230,6 +232,24 @@ TEST(FaultRun, EngineStallDegradesThenRecovers)
     EXPECT_EQ(m->monitor.pending(), 0u);
     EXPECT_EQ(es.faultStalls, 2u);
     EXPECT_EQ(es.faultKills, 0u);
+    EXPECT_GT(es.fallbackPops, 0u);
+}
+
+TEST(FaultRun, RecoveredFallbackHandsItsWakeupOn)
+{
+    // A long stall of core 0's engine: its worker waits for work on
+    // the software path until a task the recovery rescues wakes it.
+    // Seeing the engine back, it re-enters dequeue; unless it hands
+    // that wakeup on, every other worker stays parked with the task
+    // pending and the run ends unverified at the event budget.
+    EngineStats es;
+    std::unique_ptr<Machine> m;
+    RunResult r = runSsspWithFaults(
+        8, true, "engine_stall:core=0,at=3000,dur=100000", &es, &m,
+        5'000'000);
+    EXPECT_FALSE(r.timedOut);
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(m->monitor.pending(), 0u);
     EXPECT_GT(es.fallbackPops, 0u);
 }
 
