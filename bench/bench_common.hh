@@ -59,12 +59,9 @@
  *                        percentiles are always in "tasks").
  *   --timeline-buffer=<n>  ring-buffer capacity in events (default
  *                        262144); on overflow the oldest events are
- *                        dropped and counted.
- *   --timeline-tracks=a,b  category filter, from task, engine,
- *                        threadlet, credit, worklist, mem, sim
- *                        (default all).
- *   --timeline-interval=<n>  counter-track sampling period in cycles
- *                        (default 1024; 0 disables sampling).
+ *                        dropped and counted. Every category is
+ *                        recorded; counters are sampled every 1024
+ *                        cycles.
  *
  * Driver shape: a figure (figure.hh) declares its points (workload,
  * config, threads, machine, scale, seed, budget) as a

@@ -1031,10 +1031,10 @@ render(const BenchArgs &args, const Options &opts, const Results &results)
                                        double(fills),
                                    1)
                   : "-");
-        const StatsReport &ar = s.extra[1].run.report;
-        double afills = ar.get("attribution.fills");
-        double timely = ar.get("attribution.timely");
-        double used = timely + ar.get("attribution.late");
+        const galois::RunResult &ar = s.extra[1].run;
+        double afills = ar.attrFills;
+        double timely = ar.attrTimely;
+        double used = timely + ar.attrLate;
         row.push_back(
             afills ? TextTable::num(100.0 * used / afills, 1)
                    : "-");
@@ -1042,9 +1042,7 @@ render(const BenchArgs &args, const Options &opts, const Results &results)
             used > 0 ? TextTable::num(100.0 * timely / used, 1)
                      : "-");
         row.push_back(
-            afills ? TextTable::num(ar.get("attribution.pollutionPct"),
-                                    2)
-                   : "-");
+            afills ? TextTable::num(ar.attrPollutionPct, 2) : "-");
         table.row(row);
     }
     table.print();

@@ -6,13 +6,13 @@
  * the stats sampler and JSON export, and input graph set-up (the
  * CSR builder and the Zipf sampler). These bound the simulator's
  * host-side performance (how many simulated memory ops per
- * wall-second the experiment harness can drive).
+ * wall-second the experiment harness can drive). perfbench reads the
+ * event-queue, cache, memory-system and core benchmarks as its
+ * per-layer metrics; no test times them.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <coroutine>
-#include <queue>
 #include <vector>
 
 #include "base/rng.hh"
@@ -50,84 +50,6 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
-
-/**
- * The pre-timing-wheel EventQueue (a binary heap of 40-byte events),
- * kept here verbatim as an in-binary baseline so
- * scripts/bench_simspeed.py can report the wheel-vs-heap speedup
- * from a single process on the same host.
- */
-class BaselineHeapEventQueue
-{
-  public:
-    using Callback = void (*)(void *);
-
-    Cycle now() const { return now_; }
-
-    void
-    schedule(Cycle when, Callback fn, void *arg)
-    {
-        heap_.push(Event{when, seq_++, nullptr, fn, arg});
-    }
-
-    void
-    run()
-    {
-        while (!heap_.empty()) {
-            Event ev = heap_.top();
-            heap_.pop();
-            now_ = ev.when;
-            if (ev.coro)
-                ev.coro.resume();
-            else
-                ev.fn(ev.arg);
-        }
-    }
-
-  private:
-    struct Event
-    {
-        Cycle when;
-        std::uint64_t seq;
-        std::coroutine_handle<> coro;
-        Callback fn;
-        void *arg;
-
-        bool
-        operator>(const Event &o) const
-        {
-            if (when != o.when)
-                return when > o.when;
-            return seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, std::greater<>>
-        heap_;
-    Cycle now_ = 0;
-    std::uint64_t seq_ = 0;
-};
-
-/** Identical workload to BM_EventQueueScheduleRun, heap engine. */
-void
-BM_EventQueueBaselineHeap(benchmark::State &state)
-{
-    BaselineHeapEventQueue eq;
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i) {
-            eq.schedule(eq.now() + std::uint64_t(i % 7),
-                        [](void *p) {
-                            ++*static_cast<std::uint64_t *>(p);
-                        },
-                        &sink);
-        }
-        eq.run();
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations() * 64);
-}
-BENCHMARK(BM_EventQueueBaselineHeap);
 
 /**
  * Mixed near/far schedule: mostly short latencies with a trickle of

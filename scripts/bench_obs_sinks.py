@@ -22,6 +22,12 @@ that of this script. It still counts child.py's own Python process up
 to the exec, so the run also records "rss_floor_mb", the peak RSS of
 /bin/true started the same way: a sink set whose RSS reads at that
 floor uses no more than it.
+
+The run fails (exit 1, after the record is written) when a timed
+build's --attribution costs more than its ceiling: the median wall
+time with --attribution over the median with no sinks must not exceed
+1.15x, or 1 + 2 * IQR/median of the no-sink samples on a host noisier
+than that.
 """
 
 import argparse
@@ -47,6 +53,9 @@ SINK_SETS = {
             "--stats-interval=2000"],
 }
 
+# --attribution's wall-time ceiling over no sinks on a quiet host.
+ATTRIBUTION_CEILING = 1.15
+
 
 def run_once(cmd, tmp):
     """Wall seconds and peak RSS (MiB) of one process."""
@@ -64,11 +73,40 @@ def run_once(cmd, tmp):
     return r["wall_s"], r["maxrss_kb"] / 1024.0
 
 
-def summary(xs):
+def median_iqr(xs):
     q = statistics.quantiles(xs, n=4) if len(xs) > 1 else [xs[0]] * 3
-    return {"median": round(statistics.median(xs), 4),
-            "iqr": round(q[2] - q[0], 4),
+    return statistics.median(xs), q[2] - q[0]
+
+
+def summary(xs):
+    median, iqr = median_iqr(xs)
+    return {"median": round(median, 4), "iqr": round(iqr, 4),
             "samples": [round(x, 4) for x in xs]}
+
+
+def attribution_ceiling(walls):
+    """(ratio, ceiling) of one build's --attribution wall times.
+
+    @p walls maps each sink set to its wall-time samples. The ratio is
+    the median with --attribution over the median with no sinks; the
+    ceiling is 1.15x, widened to 1 + 2 * IQR/median of the no-sink
+    samples when the host is noisier than that.
+    """
+    none, iqr = median_iqr(walls["none"])
+    ratio = statistics.median(walls["attribution"]) / none
+    return ratio, max(ATTRIBUTION_CEILING, 1.0 + 2.0 * iqr / none)
+
+
+def ceiling_failures(walls):
+    """One message per build whose --attribution is over its ceiling."""
+    failures = []
+    for build, sinks in walls.items():
+        ratio, ceiling = attribution_ceiling(sinks)
+        if ratio > ceiling:
+            failures.append(
+                f"{build} build: attribution costs {ratio:.2f}x the"
+                f" wall time of none, over its {ceiling:.2f}x ceiling")
+    return failures
 
 
 def main():
@@ -118,6 +156,10 @@ def main():
                   f" (iqr {e['wall_s']['iqr']:.3f})"
                   f"  rss {e['peak_rss_mb']['median']:.1f} MiB")
     print(f"rss floor {floor:.1f} MiB")
+    for b in builds:
+        ratio, ceiling = attribution_ceiling(walls[b])
+        print(f"{b:8s} attribution {ratio:.2f}x of none"
+              f" (ceiling {ceiling:.2f}x)")
     if opts.out:
         doc = {"history": []}
         if os.path.exists(opts.out):
@@ -127,6 +169,11 @@ def main():
         with open(opts.out, "w") as f:
             json.dump(doc, f, indent=1)
             f.write("\n")
+    failures = ceiling_failures(walls)
+    for msg in failures:
+        print(f"bench_obs_sinks: FAIL: {msg}", file=sys.stderr)
+    if failures:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -71,12 +71,20 @@ collectResult(runtime::Machine &machine, apps::App &app,
                    (double(r.instructions) / 1000.0);
     }
 
+    if (const StatsGroup *g = machine.stats.find("attribution")) {
+        auto get = [g](const char *name) {
+            return g->find(name)->value();
+        };
+        r.attrFills = get("fills");
+        r.attrTimely = get("timely");
+        r.attrLate = get("late");
+        r.attrPollutionPct = get("pollutionPct");
+    }
+
     // Write the trace before the stats document, so the export's
-    // buffers are freed before the hook formats the registry.
+    // buffers are freed before the hook formats the registry. The
+    // hook runs while every component is still alive.
     machine.writeTimeline();
-    // Flatten the registry into the dotted-key view and hand it to
-    // the hook while every component is still alive.
-    machine.stats.flatten(r.report);
     if (cfg.statsHook)
         cfg.statsHook(machine.stats);
     return r;

@@ -101,10 +101,13 @@ struct RunResult
 
     apps::AppCounters workload;
 
-    /** The StatsRegistry flattened to "group.stat" keys at collect
-     *  time (see StatsRegistry::flatten); the JSON form goes to
-     *  RunConfig::statsHook. */
-    StatsReport report;
+    /** Prefetch attribution totals ("attribution" group; DESIGN.md
+     *  5k), 0 when --attribution is off. Every other stat reaches
+     *  a caller through RunConfig::statsHook. */
+    double attrFills = 0;
+    double attrTimely = 0;
+    double attrLate = 0;
+    double attrPollutionPct = 0;
 };
 
 /**

@@ -3,34 +3,30 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "base/logging.hh"
-
 namespace minnow::mem
 {
 
 Attribution::Attribution(StatsRegistry &reg, timeline::Timeline *tl,
-                         std::uint32_t numCores, std::uint32_t window)
-    : tl_(tl), numCores_(numCores), window_(window),
-      cur_(numCores), perCore_(numCores)
+                         std::uint32_t numCores)
+    : tl_(tl), numCores_(numCores), cur_(numCores), perCore_(numCores)
 {
-    fatal_if(window == 0, "attribution window must be nonzero");
     registerStats(reg);
 }
 
 // ---- sliding windows ----
 
 void
-Attribution::Window::insert(const Key &k, Cycle c, Cycle window)
+Attribution::Window::insert(const Key &k, Cycle c)
 {
-    expire(c, window);
+    expire(c);
     at.put(k, c);
     fifo.push_back({c, k});
 }
 
 void
-Attribution::Window::expire(Cycle c, Cycle window)
+Attribution::Window::expire(Cycle c)
 {
-    while (!fifo.empty() && fifo.front().first + window < c) {
+    while (!fifo.empty() && fifo.front().first + kAttributionWindow < c) {
         const Cycle *it = at.find(fifo.front().second);
         // Only retire the map entry if this FIFO slot is its latest
         // insertion; a re-inserted key has a younger slot behind us.
@@ -41,9 +37,9 @@ Attribution::Window::expire(Cycle c, Cycle window)
 }
 
 bool
-Attribution::Window::take(const Key &k, Cycle c, Cycle window)
+Attribution::Window::take(const Key &k, Cycle c)
 {
-    expire(c, window);
+    expire(c);
     if (!at.find(k))
         return false;
     at.erase(k); // charge at most once per insertion.
@@ -111,7 +107,7 @@ Attribution::prefetchFilled(CoreId core, Addr lnum, Cycle issue,
 void
 Attribution::fillVictim(CoreId core, Addr victim, Cycle at)
 {
-    victims_.insert(Key{core, victim}, at, window_);
+    victims_.insert(Key{core, victim}, at);
 }
 
 void
@@ -128,7 +124,7 @@ Attribution::prefetchEvicted(CoreId core, Addr lnum)
         return;
     tracked_.erase(k);
     charge(core, &AttrClassCounts::earlyEvicted);
-    evicted_.insert(k, now(), window_);
+    evicted_.insert(k, now());
 }
 
 void
@@ -166,12 +162,12 @@ Attribution::demandMiss(CoreId core, Addr lnum, Cycle at)
 {
     demandMisses_ += 1;
     Key k{core, lnum};
-    if (victims_.take(k, at, window_)) {
+    if (victims_.take(k, at)) {
         // The line a prefetch displaced is wanted again: that
         // prefetch polluted the cache.
         charge(core, &AttrClassCounts::polluting);
     }
-    if (evicted_.take(k, at, window_))
+    if (evicted_.take(k, at))
         missAfterEvict_ += 1;
 
     CurTask &c = cur_[core];
@@ -382,7 +378,7 @@ Attribution::checkpoint(ckpt::Ckpt &ck) const
     ck.io(demandMisses_);
     ck.io(lineageAssigned_);
     ck.io(lineageDequeued_);
-    ck.transient("now_ tl_ numCores_ window_ issueToFill_ fillToUse_"
+    ck.transient("now_ tl_ numCores_ issueToFill_ fillToUse_"
                  " issueToUse_ pushToEnqueue_ enqueueToDequeue_"
                  " dequeueToFirstMiss_ statsClaim_");
 }

@@ -11,7 +11,7 @@
  *    timely / late (demand arrived between issue and fill, with
  *    stall-cycles-covered accounting) / early-evicted / redundant
  *    (line already present or in flight) / polluting (the fill's
- *    victim demand-misses again within --attribution-window).
+ *    victim demand-misses again within kAttributionWindow cycles).
  *
  *  - Task lineage: a compact id assigned at push time rides the
  *    WorkItem through worklist push -> engine fill/spill ->
@@ -49,6 +49,7 @@
 #include "base/ring_queue.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
+#include "sim/config.hh"
 #include "sim/timeline.hh"
 
 namespace minnow::mem
@@ -82,10 +83,9 @@ class Attribution
      * @param reg      registry receiving the "attribution" group.
      * @param tl       timeline for flow arrows (null: stats only).
      * @param numCores core count (per-core counters, track lookup).
-     * @param window   pollution / re-miss window in cycles (> 0).
      */
     Attribution(StatsRegistry &reg, timeline::Timeline *tl,
-                std::uint32_t numCores, std::uint32_t window);
+                std::uint32_t numCores);
 
     Attribution(const Attribution &) = delete;
     Attribution &operator=(const Attribution &) = delete;
@@ -226,17 +226,18 @@ class Attribution
         }
     };
 
-    /** A keyed cycle map + FIFO implementing a sliding window. */
+    /** A keyed cycle map + FIFO implementing a sliding window of
+     *  kAttributionWindow cycles. */
     struct Window
     {
         FlatTable<Key, Cycle> at;
         RingQueue<std::pair<Cycle, Key>> fifo;
 
-        void insert(const Key &k, Cycle c, Cycle window);
-        /** Expire entries older than @p window before @p c. */
-        void expire(Cycle c, Cycle window);
+        void insert(const Key &k, Cycle c);
+        /** Expire entries older than the window before @p c. */
+        void expire(Cycle c);
         /** Remove and report a live entry for @p k at cycle @p c. */
-        bool take(const Key &k, Cycle c, Cycle window);
+        bool take(const Key &k, Cycle c);
 
         void checkpoint(ckpt::Ckpt &ck) const;
     };
@@ -250,7 +251,6 @@ class Attribution
     const Cycle *now_ = nullptr;
     timeline::Timeline *tl_ = nullptr;
     std::uint32_t numCores_;
-    std::uint32_t window_;
 
     FlatTable<Key, Tracked> tracked_;
     Window victims_; //!< lines displaced by prefetch fills.

@@ -180,8 +180,7 @@ MinnowEngine::~MinnowEngine()
 MinnowEngine::TlSpan::TlSpan(MinnowEngine *eng, timeline::Name name)
     : eng_(eng), name_(name)
 {
-    auto *tl = eng->machine_->timeline.get();
-    if (!tl || !tl->wants(timeline::Cat::Threadlet))
+    if (!eng->machine_->timeline)
         return;
     active_ = true;
     begin_ = eng->eq_.now();

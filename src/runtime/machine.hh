@@ -52,8 +52,7 @@ class Machine
         trace::setCycleSource(&eq.nowRef());
         if (!cfg.timelinePath.empty()) {
             timeline = std::make_unique<::minnow::timeline::Timeline>(
-                cfg.timelineBufferCap,
-                ::minnow::timeline::parseTracks(cfg.timelineTracks));
+                cfg.timelineBufferCap);
             timeline->bindClock(&eq.nowRef());
             timeline->registerCoreTracks(cfg.numCores);
         }
@@ -65,8 +64,7 @@ class Machine
         registerStats();
         if (cfg.attribution) {
             attribution = std::make_unique<mem::Attribution>(
-                stats, timeline.get(), cfg.numCores,
-                cfg.attributionWindow);
+                stats, timeline.get(), cfg.numCores);
             attribution->bindClock(&eq.nowRef());
             memory.setAttribution(attribution.get());
         }
@@ -106,8 +104,7 @@ class Machine
                 Cat::Mem, "mem.prefetchLinesTracked", this, [this] {
                     return double(memory.prefetchLinesTracked());
                 });
-            if (cfg.timelineInterval)
-                timeline->startSampling(eq, cfg.timelineInterval);
+            timeline->startSampling(eq);
         }
         if (cfg.statsSampleInterval)
             stats.startSampling(eq, cfg.statsSampleInterval);

@@ -49,8 +49,6 @@ MachineConfig::validate() const
              "watchdog needs at least one stale check to trip");
     fatal_if(!timelinePath.empty() && timelineBufferCap == 0,
              "--timeline needs a nonzero --timeline-buffer");
-    fatal_if(attribution && attributionWindow == 0,
-             "--attribution needs a nonzero --attribution-window");
 }
 
 void
@@ -78,16 +76,11 @@ MachineConfig::applyOptions(const Options &opts)
     // tracker serializes into checkpoints), so it enters
     // describe()/configFingerprint().
     attribution = opts.getBool("attribution", attribution);
-    attributionWindow =
-        opts.getU32("attribution-window", attributionWindow);
 
     // Simulated-time timeline tracing (sim/timeline.hh).
     timelinePath = opts.getString("timeline", timelinePath);
     timelineBufferCap =
         opts.getU32("timeline-buffer", timelineBufferCap);
-    timelineTracks = opts.getString("timeline-tracks", timelineTracks);
-    timelineInterval =
-        opts.getU32("timeline-interval", timelineInterval);
 
     // Robustness knobs: fault injection and the hang watchdog. The
     // injector reuses the benches' --seed so a fault run replays
@@ -175,7 +168,7 @@ MachineConfig::describe() const
         minnow.loadBufferEntries, minnow.loadBufferWakeup,
         minnow.prefetchEnabled ? "worklist-directed" : "off",
         minnow.prefetchCredits,
-        attribution ? "enabled" : "disabled", attributionWindow);
+        attribution ? "enabled" : "disabled", kAttributionWindow);
     return buf;
 }
 

@@ -135,6 +135,13 @@ enum class PrefetcherKind
     Imp,
 };
 
+/**
+ * Causal attribution's pollution / re-miss window in cycles: a line
+ * evicted by a prefetch fill counts as polluting only if it
+ * demand-misses again within this many cycles (DESIGN.md 5k).
+ */
+constexpr std::uint32_t kAttributionWindow = 4096;
+
 /** Complete simulated machine. */
 struct MachineConfig
 {
@@ -215,16 +222,6 @@ struct MachineConfig
     std::uint32_t timelineBufferCap = 1u << 18;
 
     /**
-     * Category selection (--timeline-tracks=task,engine,credit,...);
-     * empty or "all" records everything.
-     */
-    std::string timelineTracks;
-
-    /** Counter-provider sampling period (--timeline-interval=N;
-     *  0 disables the sampled counter tracks). */
-    std::uint32_t timelineInterval = 1024;
-
-    /**
      * Causal attribution layer (--attribution; DESIGN.md section
      * 5k): per-prefetch lifecycle provenance (timely / late /
      * early-evicted / redundant / polluting classification with
@@ -235,13 +232,6 @@ struct MachineConfig
      * knob and enters the config fingerprint.
      */
     bool attribution = false;
-
-    /**
-     * Pollution / re-miss window in cycles (--attribution-window=N):
-     * a line evicted by a prefetch fill counts as polluting only if
-     * it demand-misses again within this many cycles.
-     */
-    std::uint32_t attributionWindow = 4096;
 
     std::uint64_t totalL3Bytes() const
     {

@@ -125,7 +125,7 @@ EventQueue::pollTriggers()
         return true;
     }
     // Poll the signal flag only every 1024 events: a flag read per
-    // event would be measurable on the simspeed microbenchmark.
+    // event would be measurable on the event-queue microbenchmark.
     if (interruptSource_ && (executed_ & 1023) == 0 &&
         interruptSource_->load(std::memory_order_relaxed) != 0) {
         interrupted_ = true;

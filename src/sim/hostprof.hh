@@ -14,7 +14,7 @@
  *
  * Everything is exported through the existing StatsRegistry JSON
  * path as the "hostprof" group, so `--stats-json` dumps carry it and
- * scripts/bench_simspeed.py can harvest it.
+ * perfbench's traced run (`perfbench/run.py --trace 1`) harvests it.
  *
  * Attribution is exclusive: while a nested scope (e.g. the memory
  * system called from a core) is open, the outer class's clock is

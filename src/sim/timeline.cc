@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "base/json.hh"
-#include "base/logging.hh"
 #include "sim/event_queue.hh"
 
 namespace minnow::timeline
@@ -75,54 +73,8 @@ nameString(Name n)
     return kNameStrings[std::size_t(n)];
 }
 
-std::uint32_t
-allCats()
-{
-    return (1u << std::uint32_t(Cat::kNum)) - 1;
-}
-
-std::uint32_t
-parseTracks(const std::string &csv)
-{
-    if (csv.empty())
-        return allCats();
-    std::uint32_t mask = 0;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        std::size_t comma = csv.find(',', pos);
-        if (comma == std::string::npos)
-            comma = csv.size();
-        std::string tok = csv.substr(pos, comma - pos);
-        pos = comma + 1;
-        // Trim surrounding whitespace (mirrors trace::enableList).
-        while (!tok.empty() &&
-               std::isspace(static_cast<unsigned char>(tok.front())))
-            tok.erase(tok.begin());
-        while (!tok.empty() &&
-               std::isspace(static_cast<unsigned char>(tok.back())))
-            tok.pop_back();
-        if (tok.empty())
-            continue;
-        if (tok == "all")
-            return allCats();
-        bool found = false;
-        for (std::size_t c = 0; c < std::size_t(Cat::kNum); ++c) {
-            if (tok == kCatNames[c]) {
-                mask |= 1u << c;
-                found = true;
-                break;
-            }
-        }
-        fatal_if(!found,
-                 "unknown --timeline-tracks category '%s' (valid: "
-                 "task,engine,threadlet,credit,worklist,mem,sim,all)",
-                 tok.c_str());
-    }
-    return mask ? mask : allCats();
-}
-
-Timeline::Timeline(std::uint32_t bufferCap, std::uint32_t catMask)
-    : catMask_(catMask), cap_(bufferCap ? bufferCap : 1)
+Timeline::Timeline(std::uint32_t bufferCap)
+    : cap_(bufferCap ? bufferCap : 1)
 {
     // Reserved, not filled: pages are touched as records arrive.
     ring_.reserve(cap_);
@@ -133,8 +85,6 @@ TrackId
 Timeline::addTrack(Cat cat, Pid pid, std::uint32_t tid,
                    std::string name)
 {
-    if (!wants(cat))
-        return kNoTrack;
     tracks_.push_back(Track{cat, std::uint32_t(pid), tid,
                             std::move(name)});
     return TrackId(tracks_.size() - 1);
@@ -143,8 +93,6 @@ Timeline::addTrack(Cat cat, Pid pid, std::uint32_t tid,
 TrackId
 Timeline::addCounterTrack(Cat cat, std::string name)
 {
-    if (!wants(cat))
-        return kNoTrack;
     return addTrack(cat, Pid::Counters, counterTid_++,
                     std::move(name));
 }
@@ -262,11 +210,8 @@ Timeline::addCounterProvider(Cat cat, const std::string &name,
                              const void *owner,
                              std::function<double()> fn)
 {
-    TrackId t = addCounterTrack(cat, name);
-    if (t == kNoTrack)
-        return;
     Provider p;
-    p.track = t;
+    p.track = addCounterTrack(cat, name);
     p.owner = owner;
     p.fn = std::move(fn);
     providers_.push_back(std::move(p));
@@ -281,17 +226,15 @@ Timeline::removeProviders(const void *owner)
 }
 
 void
-Timeline::startSampling(EventQueue &eq, Cycle interval)
+Timeline::startSampling(EventQueue &eq)
 {
-    fatal_if(interval == 0, "timeline sampling interval must be > 0");
     if (sampler_)
         return; // already armed.
     sampler_ = std::make_unique<Sampler>();
     sampler_->tl = this;
     sampler_->eq = &eq;
-    sampler_->interval = interval;
     eq.daemonScheduled();
-    eq.schedule(eq.now() + interval, &Timeline::sampleEvent,
+    eq.schedule(eq.now() + kSampleInterval, &Timeline::sampleEvent,
                 sampler_.get());
 }
 
@@ -306,7 +249,7 @@ Timeline::sampleEvent(void *arg)
     // sampler, watchdog) would keep each other alive forever.
     if (!s->eq->quiescent()) {
         s->eq->daemonScheduled();
-        s->eq->schedule(s->eq->now() + s->interval,
+        s->eq->schedule(s->eq->now() + kSampleInterval,
                         &Timeline::sampleEvent, s);
     }
 }

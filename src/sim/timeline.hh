@@ -13,7 +13,7 @@
  *  - counter tracks: per-engine prefetch credits (event-driven) plus
  *    sampled providers (global/local worklist depth, windowed L2
  *    MPKI, tracked prefetch lines, OBIM minimum bucket) polled every
- *    --timeline-interval cycles off the EventQueue.
+ *    1024 cycles off the EventQueue.
  *
  * Every record is stamped with the EventQueue cycle and a stable
  * track id (see DESIGN.md 5f for the pid/tid scheme). The whole
@@ -77,7 +77,7 @@ class EventQueue;
 namespace minnow::timeline
 {
 
-/** Event categories, selectable via --timeline-tracks=task,credit. */
+/** Event categories (each track's "cat" in the export). */
 enum class Cat : std::uint8_t
 {
     Task = 0,  //!< core-side task/pop/push spans + phase residency.
@@ -89,16 +89,6 @@ enum class Cat : std::uint8_t
     Sim,       //!< watchdog trips, injected faults, diagnostics.
     kNum,
 };
-
-/** All categories enabled. */
-std::uint32_t allCats();
-
-/**
- * Parse a --timeline-tracks list ("task,engine,credit") into a
- * category bitmask; empty or "all" enables everything, an unknown
- * token is fatal().
- */
-std::uint32_t parseTracks(const std::string &csv);
 
 /** Trace processes grouping related tracks in the Perfetto UI. */
 enum class Pid : std::uint32_t
@@ -145,8 +135,8 @@ const char *nameString(Name n);
 
 using TrackId = std::uint32_t;
 
-/** Returned for tracks whose category is filtered out: emitting to
- *  it is a cheap no-op, so emit sites need no mask checks. */
+/** The track of a component that has none (no timeline, or a core
+ *  past the registered ones): emitting to it is a cheap no-op. */
 constexpr TrackId kNoTrack = 0xffffffffu;
 
 /** One simulated-time trace sink (owned by the Machine). */
@@ -156,9 +146,8 @@ class Timeline
     /**
      * @param bufferCap ring capacity in records (>= 1); 32 bits, as
      *                  the export indexes the ring with 4-byte slots.
-     * @param catMask   bitmask over Cat (see parseTracks()).
      */
-    Timeline(std::uint32_t bufferCap, std::uint32_t catMask);
+    explicit Timeline(std::uint32_t bufferCap);
 
     Timeline(const Timeline &) = delete;
     Timeline &operator=(const Timeline &) = delete;
@@ -168,17 +157,11 @@ class Timeline
 
     Cycle now() const { return now_ ? *now_ : 0; }
 
-    bool
-    wants(Cat c) const
-    {
-        return catMask_ & (1u << std::uint32_t(c));
-    }
-
     // ---- track registry ----
 
     /**
-     * Register a track; returns kNoTrack when the category is
-     * disabled. @p tid must be unique within @p pid for span tracks
+     * Register a track. @p tid must be unique within @p pid for span
+     * tracks
      * (spans on one (pid,tid) must nest); counter tracks are keyed
      * by name and get their tid assigned by the caller for display
      * ordering only.
@@ -240,7 +223,7 @@ class Timeline
      * Register a counter polled by the sampler; @p owner tags the
      * provider for removeProviders() (components whose lifetime ends
      * before the Timeline's must deregister). Values are emitted
-     * only when they change. No-op when @p cat is disabled.
+     * only when they change.
      */
     void addCounterProvider(Cat cat, const std::string &name,
                             const void *owner,
@@ -249,13 +232,16 @@ class Timeline
     /** Drop every provider registered with @p owner. */
     void removeProviders(const void *owner);
 
+    /** Cycles between two polls of the counter providers. */
+    static constexpr Cycle kSampleInterval = 1024;
+
     /**
-     * Poll the providers every @p interval cycles, driven by events
-     * on @p eq. Like stats sampling, the sampler re-arms only while
-     * other events remain pending, so it never keeps a drained
+     * Poll the providers every kSampleInterval cycles, driven by
+     * events on @p eq. Like stats sampling, the sampler re-arms only
+     * while other events remain pending, so it never keeps a drained
      * simulation alive.
      */
-    void startSampling(EventQueue &eq, Cycle interval);
+    void startSampling(EventQueue &eq);
 
     /** Register the "timeline" stats group (record counters). */
     void registerStats(StatsRegistry &reg);
@@ -333,7 +319,6 @@ class Timeline
     {
         Timeline *tl = nullptr;
         EventQueue *eq = nullptr;
-        Cycle interval = 0;
     };
 
     /** Format the export into @p sink (see the file comment). */
@@ -346,7 +331,6 @@ class Timeline
                  RecKind kind);
 
     const Cycle *now_ = nullptr;
-    std::uint32_t catMask_;
 
     /** Grows to cap_ records, then wraps; the export only reads it
      *  (~Machine may export it a second time). */

@@ -62,7 +62,7 @@ statValue(const std::string &json, const std::string &key)
 TEST(AttributionPrefetch, LateUseCoversStallCycles)
 {
     StatsRegistry reg;
-    Attribution at(reg, nullptr, 2, 1000);
+    Attribution at(reg, nullptr, 2);
 
     // Issued at 100, fills at 300, demanded at 200: the demand hit
     // under the fill, so the class is late and the prefetch covered
@@ -80,7 +80,7 @@ TEST(AttributionPrefetch, LateUseCoversStallCycles)
 TEST(AttributionPrefetch, TimelyUseAfterFill)
 {
     StatsRegistry reg;
-    Attribution at(reg, nullptr, 2, 1000);
+    Attribution at(reg, nullptr, 2);
 
     at.prefetchFilled(1, 6, 100, 150, 0, false);
     at.prefetchDemandUse(1, 6, 400, false);
@@ -92,7 +92,7 @@ TEST(AttributionPrefetch, TimelyUseAfterFill)
 TEST(AttributionPrefetch, EarlyEvictedAndPollutingBothCharged)
 {
     StatsRegistry reg;
-    Attribution at(reg, nullptr, 2, 1000);
+    Attribution at(reg, nullptr, 2);
 
     // A prefetch fill displaces victim line 99, then is itself
     // evicted before use: the fill is charged early-evicted, and
@@ -116,20 +116,20 @@ TEST(AttributionPrefetch, EarlyEvictedAndPollutingBothCharged)
 TEST(AttributionPrefetch, PollutionWindowExpires)
 {
     StatsRegistry reg;
-    Attribution at(reg, nullptr, 2, 100);
+    Attribution at(reg, nullptr, 2);
 
     at.prefetchFilled(0, 8, 5, 10, 0, false);
     at.fillVictim(0, 42, 10);
-    // 10 + 100 < 200: the victim entry expired before the re-miss,
-    // so nothing is charged.
-    at.demandMiss(0, 42, 200);
+    // 10 + kAttributionWindow < the re-miss: the victim entry
+    // expired before it, so nothing is charged.
+    at.demandMiss(0, 42, 10 + kAttributionWindow + 1);
     EXPECT_EQ(at.counts().polluting, 0u);
 }
 
 TEST(AttributionPrefetch, RedundantIssuesCounted)
 {
     StatsRegistry reg;
-    Attribution at(reg, nullptr, 4, 1000);
+    Attribution at(reg, nullptr, 4);
 
     at.prefetchRedundant(0);
     at.prefetchRedundant(0);
@@ -144,7 +144,7 @@ TEST(AttributionPrefetch, RedundantIssuesCounted)
 TEST(AttributionLineage, PushEnqueueDequeueDrains)
 {
     StatsRegistry reg;
-    Attribution at(reg, nullptr, 2, 1000);
+    Attribution at(reg, nullptr, 2);
 
     std::uint64_t a = at.pushTask(0, 10);
     std::uint64_t b = at.pushTask(1, 12);

@@ -45,13 +45,17 @@ TEST(Bsp, BfsConvergesAndVerifies)
     apps::SsspApp app(&g, 0, true, 1u << 30, "bfs");
     galois::RunConfig bc;
     bc.threads = 4;
+    StatsReport report;
+    bc.statsHook = [&report](const StatsRegistry &s) {
+        s.flatten(report);
+    };
     auto r = runBsp(m, app, bc);
     EXPECT_FALSE(r.timedOut);
     EXPECT_TRUE(r.verified);
     // BFS supersteps track hop levels: close to the BFS depth.
     graph::GraphStats gs = graph::analyzeGraph(g);
-    EXPECT_GE(r.report.get("bsp.supersteps"), gs.estDiameter / 2);
-    EXPECT_GT(r.report.get("bsp.vertexOps"), 0);
+    EXPECT_GE(report.get("bsp.supersteps"), gs.estDiameter / 2);
+    EXPECT_GT(report.get("bsp.vertexOps"), 0);
 }
 
 TEST(Bsp, SsspUnorderedDoesMoreWorkThanObim)

@@ -70,7 +70,7 @@ readFile(const std::string &path)
 
 TEST(TimelineRing, WrapDropsOldestAndCounts)
 {
-    Timeline tl(8, timeline::allCats());
+    Timeline tl(8);
     TrackId t = tl.addTrack(Cat::Task, Pid::Cores, 0, "core0");
     ASSERT_NE(t, timeline::kNoTrack);
 
@@ -93,7 +93,7 @@ TEST(TimelineRing, WrapDropsOldestAndCounts)
 TEST(TimelineRing, NoWrapWithinCapacity)
 {
     StatsRegistry reg; // outlives the timeline, as a Machine's does.
-    Timeline tl(16, timeline::allCats());
+    Timeline tl(16);
     TrackId t = tl.addTrack(Cat::Task, Pid::Cores, 0, "core0");
     for (Cycle i = 0; i < 10; ++i)
         tl.span(t, Name::Task, i, i + 1);
@@ -112,36 +112,23 @@ TEST(TimelineRing, RegistryDeclaredAfterTimelineDiesFirst)
 {
     // The registry is destroyed before the timeline that registered
     // into it; the timeline must then leave the dead registry alone.
-    Timeline tl(16, timeline::allCats());
+    Timeline tl(16);
     StatsRegistry reg;
     tl.registerStats(reg);
     EXPECT_NE(reg.find("timeline"), nullptr);
 }
 
 // ---------------------------------------------------------------
-// Category filtering.
+// The missing track.
 // ---------------------------------------------------------------
 
-TEST(TimelineTracks, ParseTracksFilters)
+TEST(TimelineTracks, NoTrackIsNoop)
 {
-    std::uint32_t mask = timeline::parseTracks("task,credit");
-    Timeline tl(4, mask);
-    EXPECT_TRUE(tl.wants(Cat::Task));
-    EXPECT_TRUE(tl.wants(Cat::Credit));
-    EXPECT_FALSE(tl.wants(Cat::Threadlet));
-    EXPECT_FALSE(tl.wants(Cat::Engine));
-
-    EXPECT_EQ(timeline::parseTracks(""), timeline::allCats());
-    EXPECT_EQ(timeline::parseTracks("all"), timeline::allCats());
-    EXPECT_EQ(timeline::parseTracks(" task , sim "),
-              timeline::parseTracks("task,sim"));
-}
-
-TEST(TimelineTracks, DisabledCategoryIsNoTrackNoop)
-{
-    Timeline tl(16, timeline::parseTracks("task"));
-    TrackId t =
-        tl.addTrack(Cat::Threadlet, Pid::Threadlets, 0, "lane0");
+    // A core past the registered ones has no track (kNoTrack, also
+    // the track of every component while tracing is off): emitting
+    // to it records nothing.
+    Timeline tl(16);
+    TrackId t = tl.coreTaskTrack(0);
     EXPECT_EQ(t, timeline::kNoTrack);
     tl.span(t, Name::PrefetchTask, 0, 10); // must be a cheap no-op.
     tl.instant(t, Name::EngineKill, 5);
@@ -157,7 +144,7 @@ TEST(TimelineTracks, DisabledCategoryIsNoTrackNoop)
 
 TEST(TimelineJson, NestedEqualBeginSpansStayBalanced)
 {
-    Timeline tl(16, timeline::allCats());
+    Timeline tl(16);
     TrackId t = tl.addTrack(Cat::Task, Pid::Cores, 0, "core0");
     // Inner completes (and is recorded) first; both begin at 100.
     tl.span(t, Name::Dequeue, 100, 150);
@@ -179,7 +166,7 @@ TEST(TimelineJson, NestedEqualBeginSpansStayBalanced)
 
 TEST(TimelineJson, CountersAndInstantsCarryValues)
 {
-    Timeline tl(16, timeline::allCats());
+    Timeline tl(16);
     TrackId c = tl.addCounterTrack(Cat::Credit, "minnow0.credits");
     tl.counter(c, 50, 32.0);
     tl.counter(c, 90, 7.5);
@@ -223,7 +210,7 @@ struct Recorder
     };
 
     explicit Recorder(std::size_t cap)
-        : tl(cap, timeline::allCats()), cap(cap)
+        : tl(cap), cap(cap)
     {
         // The constructor registered the sim track as id 0.
         tracks.push_back({std::uint32_t(Pid::Sim), 0, "sim"});
@@ -540,7 +527,7 @@ TEST(TimelineExport, RandomRecordsMatchReferenceOrder)
 TEST(TimelineExport, WriteFileIsToJsonPlusNewline)
 {
     // Large enough to span several output chunks.
-    Timeline tl(60000, timeline::allCats());
+    Timeline tl(60000);
     TrackId t = tl.addTrack(Cat::Task, Pid::Cores, 0, "core0");
     TrackId c = tl.addCounterTrack(Cat::Credit, "credits");
     for (Cycle i = 0; i < 40000; ++i) {

@@ -78,13 +78,15 @@ TEST(OptionsDeath, UnknownOptionRejected)
 TEST(OptionsDeath, RetiredFlagsRejected)
 {
     // Retired flags (host sharding, push/credit coalescing, dequeue
-    // bundling, the speculative task slot, work sharing off): the
-    // benches' parse path (MachineConfig::applyOptions, then
-    // rejectUnused) must refuse them rather than silently ignore
-    // them.
+    // bundling, the speculative task slot, work sharing off, the
+    // timeline category filter and sampling period, the attribution
+    // window): the benches' parse path (MachineConfig::applyOptions,
+    // then rejectUnused) must refuse them rather than silently
+    // ignore them.
     for (const char *flag :
          {"--shards=4", "--push-batch=4", "--dequeue-batch=4",
-          "--spec-slot", "--work-sharing=0"}) {
+          "--spec-slot", "--work-sharing=0", "--timeline-tracks=task",
+          "--timeline-interval=512", "--attribution-window=100"}) {
         Options opts({flag});
         MachineConfig cfg;
         cfg.applyOptions(opts);
