@@ -17,9 +17,12 @@
  *                   file in a writable directory: a spool that
  *                   cannot be written is fatal)
  * plus the machine overrides understood by
- * MachineConfig::applyOptions (--rob=, --credits=, --mem-channels=,
- * ...). The credit-sweep benches (18/19/20) additionally take
- * --credits-list=a,b to override the swept credit counts.
+ * MachineConfig::applyOptions: --cores=, --rob=, --credits= and
+ * --prefetcher=none|stride|imp (a hardware L2 prefetcher under any
+ * config). The other machine parameters are set in code by the
+ * figures that vary them. The credit-sweep benches (18/19/20)
+ * additionally take --credits-list=a,b to override the swept credit
+ * counts.
  *
  * Host parallelism (DESIGN.md section 5j):
  *   --host-par=<n>    run a bench's independent points on n host
@@ -40,8 +43,8 @@
  *                     Replays are reproduced by the same spec plus
  *                     the same --seed.
  *   --watchdog=<n>    check forward progress every n cycles; after
- *                     --watchdog-checks (default 4) stale checks the
- *                     run dumps a diagnostic and aborts.
+ *                     kWatchdogStaleChecks (4) stale checks in a row
+ *                     the run dumps a diagnostic and aborts.
  *   --diag-json=<path>   write the watchdog/budget diagnostic
  *                        (schema "minnow-diag-1") to a file too.
  *   --panic-stats=<path> best-effort stats snapshot on panic()

@@ -6,7 +6,8 @@
  * ways on a simulated 16-core machine — software Galois OBIM,
  * Minnow offload, and Minnow with worklist-directed prefetching —
  * verifies each against Dijkstra, and prints the cycle counts and
- * cache behaviour side by side.
+ * cache behaviour side by side. Exits 1 if any run is unverified or
+ * timed out.
  *
  *   ./examples/quickstart [--threads=16] [--side=100] [--seed=1]
  */
@@ -47,12 +48,15 @@ main(int argc, char **argv)
     table.header({"config", "cycles", "L2 MPKI", "tasks",
                   "verified"});
 
+    bool allVerified = true;
     auto report = [&](const char *label,
                       const galois::RunResult &r) {
+        bool ok = r.verified && !r.timedOut;
+        allVerified = allVerified && ok;
         table.row({label, TextTable::count(r.cycles),
                    TextTable::num(r.l2Mpki, 1),
                    TextTable::count(r.tasks),
-                   r.verified ? "yes" : "NO"});
+                   ok ? "yes" : "NO"});
     };
 
     // 2. Software baseline: Galois-style OBIM priority worklist.
@@ -110,5 +114,5 @@ main(int argc, char **argv)
 
     std::printf("\n");
     table.print();
-    return 0;
+    return allVerified ? 0 : 1;
 }

@@ -7,7 +7,10 @@ sinks, with each sink alone (--stats-interval, --timeline,
 --attribution) and with all of them, and reports wall time and peak
 RSS per sink set. With --baseline, a second point_runner build is
 timed in alternating order on the same host, so the two columns
-share the host's drift.
+share the host's drift. The script and every process it starts are
+pinned to one CPU (the highest-numbered one it may run on), as
+perfbench pins its workloads, so the samples do not spread with the
+scheduler's choice of CPU.
 
 Usage:
   bench_obs_sinks.py --runner build/bench/point_runner \
@@ -118,6 +121,9 @@ def main():
     ap.add_argument("--out")
     opts = ap.parse_args()
 
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})
+
     builds = {"change": opts.runner}
     if opts.baseline:
         builds["baseline"] = opts.baseline
@@ -140,7 +146,8 @@ def main():
     result = {
         "label": opts.label,
         "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "host": {"nproc": os.cpu_count(), "machine": platform.machine()},
+        "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
+                 "pinned_cpu": cpu},
         "point": POINT,
         "reps": opts.reps,
         "rss_floor_mb": round(floor, 4),

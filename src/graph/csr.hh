@@ -106,8 +106,6 @@ class CsrGraph
         return edgeBase_ + e * kEdgeBytes;
     }
 
-    Addr nodeBase() const { return nodeBase_; }
-    Addr edgeBase() const { return edgeBase_; }
     std::uint32_t nodeBytes() const { return nodeBytes_; }
 
     /** Simulated footprint in bytes (Table 1 "Size" column). */

@@ -145,10 +145,6 @@ parseConfig(const std::string &name)
         return Config::SerialRelaxed;
     if (name == "obim")
         return Config::Obim;
-    if (name == "obim-stride")
-        return Config::ObimStride;
-    if (name == "obim-imp")
-        return Config::ObimImp;
     if (name == "fifo")
         return Config::Fifo;
     if (name == "lifo")
@@ -173,8 +169,6 @@ configName(Config c)
     switch (c) {
       case Config::SerialRelaxed: return "serial";
       case Config::Obim: return "obim";
-      case Config::ObimStride: return "obim-stride";
-      case Config::ObimImp: return "obim-imp";
       case Config::Fifo: return "fifo";
       case Config::Lifo: return "lifo";
       case Config::Strict: return "strict";
@@ -195,10 +189,6 @@ runExperiment(Workload &w, const RunSpec &spec)
     mc.minnow.enabled = spec.config == Config::Minnow ||
                         spec.config == Config::MinnowPf;
     mc.minnow.prefetchEnabled = spec.config == Config::MinnowPf;
-    if (spec.config == Config::ObimStride)
-        mc.prefetcher = PrefetcherKind::Stride;
-    else if (spec.config == Config::ObimImp)
-        mc.prefetcher = PrefetcherKind::Imp;
 
     runtime::Machine machine(mc);
     if (spec.interruptFlag)
@@ -262,9 +252,7 @@ runExperiment(Workload &w, const RunSpec &spec)
         out.run = galois::runParallel(machine, *w.app, wl, rc);
         break;
       }
-      case Config::Obim:
-      case Config::ObimStride:
-      case Config::ObimImp: {
+      case Config::Obim: {
         worklist::ObimWorklist wl(&machine, w.lgDelta, 16, 8);
         out.run = galois::runParallel(machine, *w.app, wl, rc);
         break;

@@ -86,13 +86,15 @@ struct CkptMeta
 
 };
 
-/** Scheduler/hardware configurations runnable by the harness. */
+/**
+ * Scheduler/hardware configurations runnable by the harness. A
+ * hardware L2 prefetcher is a property of the memory system, picked
+ * by MachineConfig::prefetcher under any of them (Fig. 17).
+ */
 enum class Config
 {
     SerialRelaxed,  //!< 1 thread, atomics removed (Fig. 15 baseline).
     Obim,           //!< Galois software OBIM.
-    ObimStride,     //!< OBIM + L2 stride prefetcher.
-    ObimImp,        //!< OBIM + IMP prefetcher.
     Fifo,           //!< chunked FIFO.
     Lifo,           //!< chunked LIFO ("Carbon" policy, Fig. 3).
     Strict,         //!< centralized strict priority queue.

@@ -41,8 +41,6 @@ class BandwidthMeter
         slots_.fill(Slot{});
     }
 
-    void setCapacity(std::uint32_t c) { capacity_ = c; }
-
     static constexpr Cycle kWindow = Cycle(1) << WindowBits;
 
     /**

@@ -234,10 +234,6 @@ class MinnowEngine
     {
         return prefetchSlotsFree_;
     }
-    std::size_t pendingPrefetchSize() const
-    {
-        return pendingPrefetch_.size();
-    }
     std::size_t creditWaitersNow() const
     {
         return creditWaiters_.size();
@@ -258,7 +254,6 @@ class MinnowEngine
                                            bool atomic);
 
     runtime::Machine &machine() { return *machine_; }
-    CoreId coreId() const { return core_; }
     MinnowGlobalQueue &globalQueue() { return *global_; }
 
     /**

@@ -118,7 +118,7 @@ class Machine
         }
         if (cfg.watchdogInterval) {
             watchdog = std::make_unique<Watchdog>(
-                this, cfg.watchdogInterval, cfg.watchdogChecks);
+                this, cfg.watchdogInterval, kWatchdogStaleChecks);
             watchdog->arm();
         }
         if (cfg.hostProfile) {

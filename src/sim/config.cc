@@ -17,36 +17,31 @@ MachineConfig::validate() const
     fatal_if(numCores > noc.meshWidth * noc.meshWidth,
              "%u cores do not fit on a %ux%u mesh", numCores,
              noc.meshWidth, noc.meshWidth);
-    for (auto [c, flag] : {std::pair{&l1d, "l1d-bytes"},
-                           std::pair{&l2, "l2-bytes"},
-                           std::pair{&l3Bank, "l3-bank-bytes"}}) {
+    for (auto [c, name] : {std::pair{&l1d, "l1d"}, std::pair{&l2, "l2"},
+                           std::pair{&l3Bank, "l3Bank"}}) {
         unsigned long long bytes = c->sizeBytes;
-        fatal_if(bytes == 0, "cache size must be nonzero (--%s=0)",
-                 flag);
+        fatal_if(bytes == 0, "%s cache size must be nonzero", name);
         fatal_if(bytes % (c->assoc * kLineBytes) != 0,
-                 "cache size --%s=%llu is not a multiple of"
-                 " assoc*line (%u B)", flag, bytes,
+                 "%s cache size %llu B is not a multiple of"
+                 " assoc*line (%u B)", name, bytes,
                  c->assoc * kLineBytes);
         fatal_if(!isPow2(c->sets()),
-                 "cache size --%s=%llu gives %u sets, not a power"
-                 " of two", flag, bytes, c->sets());
+                 "%s cache size %llu B gives %u sets, not a power"
+                 " of two", name, bytes, c->sets());
     }
     fatal_if(core.robEntries == 0 || core.lqEntries == 0 ||
              core.sqEntries == 0,
-             "core windows must be nonzero (--rob=%u --lq=%u --sq=%u)",
+             "core windows must be nonzero (rob=%u lq=%u sq=%u)",
              core.robEntries, core.lqEntries, core.sqEntries);
-    fatal_if(dram.channels == 0,
-             "need at least one DRAM channel (--mem-channels=0)");
+    fatal_if(dram.channels == 0, "need at least one DRAM channel");
     fatal_if(minnow.enabled && minnow.localQueueEntries == 0,
-             "Minnow local queue must be nonzero (--localq=0)");
+             "Minnow local queue must be nonzero");
     fatal_if(minnow.enabled && minnow.loadBufferEntries == 0,
-             "Minnow load buffer must be nonzero (--loadbuf=0)");
+             "Minnow load buffer must be nonzero");
     fatal_if(minnow.prefetchEnabled && !minnow.enabled,
              "prefetching requires Minnow engines");
     fatal_if(minnow.prefetchEnabled && minnow.prefetchCredits == 0,
              "prefetching requires at least one credit");
-    fatal_if(watchdogInterval != 0 && watchdogChecks == 0,
-             "watchdog needs at least one stale check to trip");
     fatal_if(!timelinePath.empty() && timelineBufferCap == 0,
              "--timeline needs a nonzero --timeline-buffer");
 }
@@ -56,17 +51,6 @@ MachineConfig::applyOptions(const Options &opts)
 {
     numCores = opts.getU32("cores", numCores);
     core.robEntries = opts.getU32("rob", core.robEntries);
-    core.rsEntries = opts.getU32("rs", core.rsEntries);
-    core.lqEntries = opts.getU32("lq", core.lqEntries);
-    core.sqEntries = opts.getU32("sq", core.sqEntries);
-    core.perfectBranches =
-        opts.getBool("perfect-branches", core.perfectBranches);
-    core.atomicFences = opts.getBool("fences", core.atomicFences);
-
-    l1d.sizeBytes = opts.getUint("l1d-bytes", l1d.sizeBytes);
-    l2.sizeBytes = opts.getUint("l2-bytes", l2.sizeBytes);
-    l3Bank.sizeBytes = opts.getUint("l3-bank-bytes", l3Bank.sizeBytes);
-    dram.channels = opts.getU32("mem-channels", dram.channels);
 
     statsSampleInterval =
         opts.getU32("stats-interval", statsSampleInterval);
@@ -88,21 +72,13 @@ MachineConfig::applyOptions(const Options &opts)
     faultSpec = opts.getString("faults", faultSpec);
     faultSeed = opts.getUint("seed", faultSeed);
     watchdogInterval = opts.getU32("watchdog", watchdogInterval);
-    watchdogChecks = opts.getU32("watchdog-checks", watchdogChecks);
     diagnosticPath = opts.getString("diag-json", diagnosticPath);
     panicStatsPath = opts.getString("panic-stats", panicStatsPath);
 
-    minnow.enabled = opts.getBool("minnow", minnow.enabled);
-    minnow.prefetchEnabled =
-        opts.getBool("minnow-prefetch", minnow.prefetchEnabled);
+    // Whether engines attach and prefetch is the run's --config
+    // (harness::runExperiment); only the credit budget is a flag.
     minnow.prefetchCredits =
         opts.getU32("credits", minnow.prefetchCredits);
-    minnow.localQueueEntries =
-        opts.getU32("localq", minnow.localQueueEntries);
-    minnow.loadBufferEntries =
-        opts.getU32("loadbuf", minnow.loadBufferEntries);
-    minnow.coresPerEngine =
-        opts.getU32("cores-per-engine", minnow.coresPerEngine);
 
     std::string pf = opts.getString("prefetcher", "");
     if (pf == "stride") {

@@ -183,13 +183,10 @@ struct MachineConfig
     /**
      * Watchdog check interval in cycles (--watchdog=). When nonzero
      * the machine arms a sim/watchdog.hh Watchdog that panics with a
-     * structured diagnostic after `watchdogChecks` consecutive
+     * structured diagnostic after kWatchdogStaleChecks consecutive
      * checks without forward progress.
      */
     std::uint32_t watchdogInterval = 0;
-
-    /** Consecutive stale checks before the watchdog trips. */
-    std::uint32_t watchdogChecks = 4;
 
     /**
      * When nonempty, watchdog trips and event-budget timeouts write

@@ -45,6 +45,9 @@ class Machine;
 void dumpDiagnostic(runtime::Machine &machine,
                     const std::string &reason);
 
+/** Consecutive stale checks before the machine's watchdog trips. */
+constexpr std::uint32_t kWatchdogStaleChecks = 4;
+
 /** Periodic no-progress detector on the machine's event queue. */
 class Watchdog
 {

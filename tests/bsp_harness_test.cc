@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "apps/cc.hh"
 #include "apps/pr.hh"
 #include "apps/sssp.hh"
@@ -140,30 +142,53 @@ TEST(Harness, AllWorkloadsConstructAtTinyScale)
 
 TEST(Harness, ConfigNamesRoundTrip)
 {
-    for (Config c : {Config::SerialRelaxed, Config::Obim,
-                     Config::ObimStride, Config::ObimImp,
-                     Config::Fifo, Config::Lifo, Config::Strict,
-                     Config::Minnow, Config::MinnowPf, Config::Bsp,
+    for (Config c : {Config::SerialRelaxed, Config::Obim, Config::Fifo,
+                     Config::Lifo, Config::Strict, Config::Minnow,
+                     Config::MinnowPf, Config::Bsp,
                      Config::BspBucketed}) {
         EXPECT_EQ(harness::parseConfig(harness::configName(c)), c);
     }
 }
 
+TEST(HarnessDeath, RetiredConfigNamesAreFatal)
+{
+    // A hardware prefetcher is MachineConfig::prefetcher, not a config.
+    for (const char *name : {"obim-stride", "obim-imp"}) {
+        EXPECT_EXIT(harness::parseConfig(name),
+                    testing::ExitedWithCode(1),
+                    std::string("unknown config '") + name + "'")
+            << name;
+    }
+}
+
 TEST(Harness, RunsEveryConfigOnBfs)
 {
-    for (Config c : {Config::SerialRelaxed, Config::Obim,
-                     Config::ObimStride, Config::ObimImp,
-                     Config::Fifo, Config::Minnow, Config::MinnowPf,
-                     Config::Bsp}) {
+    struct Run
+    {
+        Config config;
+        PrefetcherKind prefetcher;
+    };
+    for (Run run : {Run{Config::SerialRelaxed, PrefetcherKind::None},
+                    Run{Config::Obim, PrefetcherKind::None},
+                    Run{Config::Obim, PrefetcherKind::Stride},
+                    Run{Config::Obim, PrefetcherKind::Imp},
+                    Run{Config::Fifo, PrefetcherKind::None},
+                    Run{Config::Minnow, PrefetcherKind::None},
+                    Run{Config::MinnowPf, PrefetcherKind::None},
+                    Run{Config::Bsp, PrefetcherKind::None}}) {
         Workload w = makeWorkload("bfs", 0.05, 7);
         RunSpec spec;
-        spec.config = c;
-        spec.threads = c == Config::SerialRelaxed ? 1 : 4;
+        spec.config = run.config;
+        spec.threads = run.config == Config::SerialRelaxed ? 1 : 4;
         spec.machine = cfg(4);
+        spec.machine.prefetcher = run.prefetcher;
         auto r = runExperiment(w, spec);
-        EXPECT_FALSE(r.run.timedOut) << harness::configName(c);
-        EXPECT_TRUE(r.run.verified) << harness::configName(c);
-        EXPECT_GT(r.run.cycles, 0u) << harness::configName(c);
+        std::string what = harness::configName(run.config) +
+                           " prefetcher=" +
+                           std::to_string(int(run.prefetcher));
+        EXPECT_FALSE(r.run.timedOut) << what;
+        EXPECT_TRUE(r.run.verified) << what;
+        EXPECT_GT(r.run.cycles, 0u) << what;
     }
 }
 
