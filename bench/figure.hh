@@ -46,9 +46,9 @@ struct Figure
     void (*render)(const BenchArgs &args, const Options &opts,
                    const Results &results);
     /**
-     * Takes the common bench flags. Table 3 and Section 5.4 do not:
-     * their render reads (and checks) what their binary accepts, and
-     * eval runs them without flags.
+     * Takes the common bench flags. Table 3 and Section 5.4 take no
+     * flags at all: their render rejects any, and eval runs them
+     * without flags.
      */
     bool benchFlags = true;
 };

@@ -40,18 +40,18 @@ inFigs2And3(const std::string &name)
 namespace table3
 {
 
-/** Takes only the machine overrides, applied to the scaled preset. */
+/** Takes no flags. */
 void
 render(const BenchArgs &, const Options &opts, const Results &)
 {
+    opts.rejectUnused();
+
     MachineConfig paper = paperMachine();
     paper.minnow.enabled = true;
     paper.minnow.prefetchEnabled = true;
     MachineConfig scaled = scaledMachine();
-    scaled.applyOptions(opts);
     scaled.minnow.enabled = true;
     scaled.minnow.prefetchEnabled = true;
-    opts.rejectUnused();
 
     std::printf("=== Table 3: baseline microarchitecture ===\n\n");
     std::printf("--- paper configuration (Table 3 exact) ---\n%s\n",
@@ -1407,65 +1407,6 @@ render(const BenchArgs &args, const Options &, const Results &results)
 
 } // namespace ablShare
 
-/**
- * Extension study (paper conclusion: "extending Minnow to
- * accelerate other classes of irregular workloads"): maximal
- * independent set and k-core decomposition under the same
- * configurations as Fig. 16.
- */
-namespace ext
-{
-
-const char *const kWorkloads[] = {"mis", "kcore"};
-
-std::vector<Point>
-points(const BenchArgs &args, const Options &)
-{
-    std::vector<Point> points;
-    for (const char *name : kWorkloads) {
-        for (harness::Config c :
-             {harness::Config::Obim, harness::Config::Minnow,
-              harness::Config::MinnowPf})
-            points.push_back({args, name, c, args.threads});
-    }
-    return points;
-}
-
-void
-head(const BenchArgs &args, const Options &)
-{
-    banner("Extension workloads under Minnow (" +
-               std::to_string(args.threads) + " threads)",
-           "beyond the paper: MIS (dataflow greedy) and k-core"
-           " peeling");
-}
-
-void
-render(const BenchArgs &, const Options &, const Results &results)
-{
-    TextTable table;
-    table.header({"workload", "galois(cyc)", "minnow(cyc)",
-                  "minnow+pf(cyc)", "speedup", "speedup+pf",
-                  "verified"});
-    for (std::size_t i = 0; i < results.size(); i += 3) {
-        const galois::RunResult &base = results[i].run;
-        const galois::RunResult &mn = results[i + 1].run;
-        const galois::RunResult &pf = results[i + 2].run;
-        bool ok = base.verified && mn.verified && pf.verified;
-        double s1 =
-            mn.timedOut ? 0 : double(base.cycles) / mn.cycles;
-        double s2 =
-            pf.timedOut ? 0 : double(base.cycles) / pf.cycles;
-        table.row({kWorkloads[i / 3], cyclesOrTimeout(base),
-                   cyclesOrTimeout(mn), cyclesOrTimeout(pf),
-                   TextTable::num(s1, 2) + "x",
-                   TextTable::num(s2, 2) + "x", ok ? "yes" : "NO"});
-    }
-    table.print();
-}
-
-} // namespace ext
-
 } // anonymous namespace
 
 const std::vector<Figure> &
@@ -1512,8 +1453,6 @@ figures()
          ablSplit::points, ablSplit::head, ablSplit::render},
         {"abl_engine_sharing", 1.0, 16,
          ablShare::points, ablShare::head, ablShare::render},
-        {"ext_workloads", 2.0, 64,
-         ext::points, ext::head, ext::render},
     };
     return table;
 }

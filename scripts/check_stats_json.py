@@ -21,6 +21,8 @@ counts), and "attribution" (the five prefetch lifecycle classes, the
 derived coverage and pollution rates, lineage conservation (every
 assigned lineage dequeued, none live at exit), and the six latency
 histograms with P50/P95/P99), all numeric and non-negative.
+scripts/attribution_report.py must then read that document and its
+trace, exit 0 and print its histogram table.
 
 Usage: check_stats_json.py <path-to-fig18-binary>
                            <path-to-point_runner-binary>
@@ -203,31 +205,44 @@ def check_observability_groups(groups, i):
         fail(f"runs[{i}]: timeline recorded no events")
 
 
-def run_point(cmd):
-    """Run a bench with --stats-json; return the stats doc."""
+def run_point(cmd, out):
+    """Run a bench with --stats-json=@out; return the stats doc."""
+    cmd = [*cmd, f"--stats-json={out}"]
+    proc = subprocess.run(
+        cmd, capture_output=True, text=True, timeout=600
+    )
+    if proc.returncode != 0:
+        fail(
+            f"bench exited {proc.returncode}:\n{proc.stdout}"
+            f"\n{proc.stderr}"
+        )
+    try:
+        with open(out) as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as e:
+        fail(f"cannot parse {out}: {e}")
+
+
+def check_report(stats, trace):
+    """attribution_report.py reads the document and its trace."""
+    report = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "attribution_report.py")
+    proc = subprocess.run([sys.executable, report, stats, trace],
+                          capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        fail(f"attribution_report.py exited {proc.returncode}:"
+             f"\n{proc.stderr}")
+    if not any(line.startswith("histogram")
+               for line in proc.stdout.splitlines()):
+        fail("attribution_report.py printed no histogram table")
+
+
+def check_fig18(bench):
+    """Run, validate and report the fig18 point; return its run count."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "stats.json")
-        cmd = [*cmd, f"--stats-json={out}"]
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=600
-        )
-        if proc.returncode != 0:
-            fail(
-                f"bench exited {proc.returncode}:\n{proc.stdout}"
-                f"\n{proc.stderr}"
-            )
-        try:
-            with open(out) as f:
-                return json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            fail(f"cannot parse {out}: {e}")
-
-
-def run_fig18(bench):
-    """Run the fig18 point; return the stats doc."""
-    with tempfile.TemporaryDirectory() as tmp:
         trace = os.path.join(tmp, "trace.json")
-        return run_point([
+        doc = run_point([
             bench,
             "--workloads=sssp",
             "--scale=0.05",
@@ -237,14 +252,20 @@ def run_fig18(bench):
             "--host-profile=true",
             "--attribution",
             f"--timeline={trace}",
-        ])
+        ], out)
+        nruns = check_doc(doc)
+        check_report(out, trace)
+        return nruns
 
 
 def check_executors(runner):
     """The tasks group of a Galois (obim) and a BSP point."""
     for config in ("obim", "bsp"):
-        doc = run_point([runner, "--workload=sssp", f"--config={config}",
-                         "--scale=0.05", "--threads=4", "--cores=4"])
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = run_point(
+                [runner, "--workload=sssp", f"--config={config}",
+                 "--scale=0.05", "--threads=4", "--cores=4"],
+                os.path.join(tmp, "stats.json"))
         runs = doc.get("runs")
         if not runs:
             fail(f"point_runner --config={config}: no runs")
@@ -278,7 +299,7 @@ def main():
     if len(sys.argv) != 3:
         fail("usage: check_stats_json.py <fig18-binary>"
              " <point_runner-binary>")
-    nruns = check_doc(run_fig18(sys.argv[1]))
+    nruns = check_fig18(sys.argv[1])
     check_executors(sys.argv[2])
     print(f"check_stats_json: OK ({nruns} runs validated)")
 

@@ -21,7 +21,9 @@ emitted Chrome trace_event JSON ("minnow-timeline-1"):
     timestamps are monotonically non-decreasing — no dangling
     starts, no orphan steps;
   * a third run with --attribution contains both prefetch and
-    lineage flow arrows (the causal-attribution layer);
+    lineage flow arrows (the causal-attribution layer), and
+    scripts/trace_summary.py reads it, exits 0 and prints its flow
+    table;
   * two runs with the same seed produce byte-identical files
     (determinism contract).
 
@@ -59,6 +61,20 @@ def run_bench(bench, trace_path, extra=()):
             f"bench exited {proc.returncode}:\n{proc.stdout}"
             f"\n{proc.stderr}"
         )
+
+
+def check_summary(trace):
+    """trace_summary.py reads the --attribution trace."""
+    summary = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "trace_summary.py")
+    proc = subprocess.run([sys.executable, summary, trace],
+                          capture_output=True, text=True, timeout=600)
+    if proc.returncode != 0:
+        fail(f"trace_summary.py exited {proc.returncode}:"
+             f"\n{proc.stderr}")
+    if "flows (causal arrows, --attribution):" not in \
+            proc.stdout.splitlines():
+        fail("trace_summary.py printed no flow table")
 
 
 def load(path):
@@ -199,6 +215,7 @@ def main():
                     f"--attribution trace has no '{name}' flow "
                     f"arrows (saw {sorted(flow_names)})"
                 )
+        check_summary(attr)
 
     print(
         f"check_trace_json: OK ({len(events)} events, "

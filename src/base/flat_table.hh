@@ -170,15 +170,6 @@ class FlatTable
         return true;
     }
 
-    /** Drop every entry (the next insert re-creates the slots). */
-    void
-    clear()
-    {
-        slots_.clear();
-        mask_ = 0;
-        count_ = 0;
-    }
-
     /** Visit every live entry (layout order — sort before use). */
     template <typename Fn>
     void

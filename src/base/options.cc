@@ -31,11 +31,9 @@ Options::addArg(const std::string &arg)
     }
     std::string body = arg.substr(2);
     auto eq = body.find('=');
-    if (eq == std::string::npos) {
-        values_[body] = "true";
-    } else {
-        values_[body.substr(0, eq)] = body.substr(eq + 1);
-    }
+    std::string key = body.substr(0, eq);
+    values_[key] = eq == std::string::npos ? "true" : body.substr(eq + 1);
+    typed_[key] = arg;
 }
 
 bool
@@ -190,10 +188,8 @@ Options::getBool(const std::string &key, bool dflt) const
 void
 Options::rejectUnused() const
 {
-    for (const auto &[key, value] : values_) {
-        fatal_if(!used_.count(key), "unknown option --%s=%s",
-                 key.c_str(), value.c_str());
-    }
+    for (const auto &[key, arg] : typed_)
+        fatal_if(!used_.count(key), "unknown option %s", arg.c_str());
 }
 
 } // namespace minnow

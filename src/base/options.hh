@@ -64,8 +64,9 @@ class Options
     }
 
     /**
-     * fatal() if any provided --key was never read by a getter; call
-     * after all options are consumed to catch typos.
+     * fatal() if any provided --key was never read by a getter, naming
+     * it as typed (--flag or --key=value); call after all options are
+     * consumed to catch typos.
      */
     void rejectUnused() const;
 
@@ -73,6 +74,8 @@ class Options
     void addArg(const std::string &arg);
 
     std::map<std::string, std::string> values_;
+    /** Each key's last argument, as typed. */
+    std::map<std::string, std::string> typed_;
     std::vector<std::string> positional_;
     mutable std::set<std::string> used_;
 };

@@ -52,19 +52,15 @@ class SimAlloc
     Addr
     alloc(const std::string &name, std::uint64_t bytes)
     {
-        Addr base = cursor_;
-        std::uint64_t rounded = (bytes + kLineBytes - 1)
-                              & ~std::uint64_t(kLineBytes - 1);
-        if (rounded == 0)
-            rounded = kLineBytes;
-        cursor_ += rounded;
-        regions_.push_back({name, base, rounded});
+        Addr base = allocAnon(bytes);
+        regions_.push_back({name, base, cursor_ - base});
         return base;
     }
 
     /**
-     * Reserve an unnamed range; cheaper bookkeeping for per-chunk
-     * allocations that would flood the memory map.
+     * Reserve an unnamed range, rounded up to a whole line (one line
+     * for zero bytes); cheaper bookkeeping for per-chunk allocations
+     * that would flood the memory map.
      */
     Addr
     allocAnon(std::uint64_t bytes)

@@ -144,24 +144,6 @@ StatsRegistry::groups() const
     return out;
 }
 
-void
-StatsRegistry::flatten(StatsReport &out) const
-{
-    for (const auto &[gname, g] : groups_) {
-        for (const auto &s : g->stats()) {
-            std::string key = gname + "." + s->name();
-            if (s->kind() == StatKind::Histogram) {
-                const auto &h =
-                    static_cast<const HistogramStat &>(*s);
-                out.add(key + ".mean", h.mean());
-                out.add(key + ".total", double(h.total()));
-            } else {
-                out.add(key, s->value());
-            }
-        }
-    }
-}
-
 namespace
 {
 

@@ -7,10 +7,8 @@
  * "l2_3", "minnow0", "worklist") of typed stats — scalars, counters,
  * formulas evaluated lazily at dump time (MPKI, prefetch accuracy),
  * and fixed-bucket histograms — with JSON export and an optional
- * per-interval sampling hook driven off the EventQueue. The flat
- * StatsReport is only a read view of it: StatsRegistry::flatten
- * fills it with "group.stat" keys. StatHistogram is a raw aggregate
- * for host-side profiling.
+ * per-interval sampling hook driven off the EventQueue. StatHistogram
+ * is a raw aggregate for host-side profiling.
  *
  * Components register their stats into a group once at construction;
  * formulas capture references to the component's own counters, so
@@ -104,35 +102,6 @@ class StatHistogram
     std::uint64_t buckets_[kBuckets] = {};
     std::uint64_t total_ = 0;
     std::uint64_t sum_ = 0;
-};
-
-/**
- * Flat name -> value view of a StatsRegistry (see
- * StatsRegistry::flatten). Keys use dotted paths, e.g.
- * "attribution.fills".
- */
-class StatsReport
-{
-  public:
-    void
-    add(const std::string &key, double value)
-    {
-        values_[key] = value;
-    }
-
-    double
-    get(const std::string &key, double dflt = 0.0) const
-    {
-        auto it = values_.find(key);
-        return it == values_.end() ? dflt : it->second;
-    }
-
-    bool has(const std::string &key) const { return values_.count(key); }
-
-    const std::map<std::string, double> &values() const { return values_; }
-
-  private:
-    std::map<std::string, double> values_;
 };
 
 //
@@ -466,9 +435,6 @@ class StatsRegistry
 
     /** Groups in name order. */
     std::vector<const StatsGroup *> groups() const;
-
-    /** Flatten every stat into "group.stat" keys of a report. */
-    void flatten(StatsReport &out) const;
 
     /**
      * Serialize groups (+ interval samples) as a JSON document

@@ -233,7 +233,6 @@ class OooCore
 
     CoreId id() const { return id_; }
     const CoreStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CoreStats{}; }
 
     /**
      * Register this core's counters into @p g as dump-time formulas

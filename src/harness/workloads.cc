@@ -4,8 +4,6 @@
 
 #include "apps/bc.hh"
 #include "apps/cc.hh"
-#include "apps/kcore.hh"
-#include "apps/mis.hh"
 #include "apps/pr.hh"
 #include "apps/sssp.hh"
 #include "apps/tc.hh"
@@ -113,25 +111,6 @@ makeWorkload(const std::string &name, double scale,
         w.graph = graph::bipartiteGraph(left, right, 4.0, 0.8, seed);
         w.usesPriority = false;
         w.app = std::make_unique<apps::BcApp>(&w.graph, 256);
-    } else if (name == "mis") {
-        // Extension workload (paper conclusion: "other classes of
-        // irregular workloads"): greedy maximal independent set.
-        NodeId n = scaled(25000, scale);
-        w.inputDesc = "powerlaw-sym n=" + std::to_string(n) +
-                      " d=6";
-        w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
-        w.lgDelta = 6; // ascending node-id order helps releases.
-        w.usesPriority = true;
-        w.app = std::make_unique<apps::MisApp>(&w.graph, 256);
-    } else if (name == "kcore") {
-        // Extension workload: k-core peeling (k = 5) on a skewed
-        // graph whose degree spread drives long peeling cascades.
-        NodeId n = scaled(25000, scale);
-        w.inputDesc = "powerlaw-sym n=" + std::to_string(n) +
-                      " d=6, k=5";
-        w.graph = graph::powerLawGraph(n, 6.0, 0.9, seed, true);
-        w.usesPriority = false;
-        w.app = std::make_unique<apps::KcoreApp>(&w.graph, 5, 256);
     } else {
         fatal("unknown workload '%s'", name.c_str());
     }

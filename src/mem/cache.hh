@@ -121,14 +121,6 @@ class CacheArray
     /** Drop the line held by frame @p f. */
     void invalidate(Frame f) { frames_[f.index()] &= ~kValid; }
 
-    /** Invalidate everything (context-switch / between-run reset). */
-    void
-    flushAll()
-    {
-        for (std::uint64_t &word : frames_)
-            word &= ~kValid;
-    }
-
     /** Count of currently valid lines (tests and occupancy stats). */
     std::uint64_t
     validLines() const

@@ -68,13 +68,6 @@ class Dram
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t queueCycles() const { return queueCycles_; }
 
-    void
-    resetStats()
-    {
-        accesses_ = 0;
-        queueCycles_ = 0;
-    }
-
     /**
      * Serialize counters and per-channel meter occupancy in bulk.
      * params_/serviceCycles_/channelMod_ are construction-time config,

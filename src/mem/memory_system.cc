@@ -442,33 +442,6 @@ MemorySystem::runHwPrefetcher(const MemAccess &req, Cycle when)
     inPrefetchIssue_ = false;
 }
 
-void
-MemorySystem::flushAll()
-{
-    for (auto &c : l1_)
-        c.flushAll();
-    for (auto &c : l2_)
-        c.flushAll();
-    for (auto &c : l3_)
-        c.flushAll();
-    directory_.clear();
-    atomicBusy_.clear();
-    pfLinesTracked_ = 0;
-    for (auto &pf : hwPrefetchers_) {
-        if (pf)
-            pf->reset();
-    }
-}
-
-void
-MemorySystem::resetStats()
-{
-    for (auto &s : stats_)
-        s = MemStats{};
-    noc_.resetStats();
-    dram_.resetStats();
-}
-
 MemStats
 MemorySystem::totals() const
 {

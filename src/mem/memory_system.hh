@@ -168,12 +168,6 @@ class MemorySystem
      */
     void setValueOracle(ValueOracle oracle);
 
-    /** Drop all cached state (between benchmark phases). */
-    void flushAll();
-
-    /** Zero all statistics (after warmup). */
-    void resetStats();
-
     const MemStats &stats(CoreId core) const { return stats_[core]; }
     MemStats totals() const;
 

@@ -44,14 +44,6 @@ class Noc
     std::uint64_t totalHops() const { return totalHops_; }
     std::uint64_t contentionCycles() const { return contention_; }
 
-    void
-    resetStats()
-    {
-        messages_ = 0;
-        totalHops_ = 0;
-        contention_ = 0;
-    }
-
     /**
      * Serialize counters and per-link meter occupancy (BandwidthMeter
      * is trivially copyable, so the link vector transfers in bulk).

@@ -54,13 +54,6 @@ StridePrefetcher::observe(const LoadObservation &obs,
     }
 }
 
-void
-StridePrefetcher::reset()
-{
-    for (auto &e : table_)
-        e = Entry{};
-}
-
 //
 // ImpPrefetcher
 //
@@ -191,17 +184,6 @@ ImpPrefetcher::observe(const LoadObservation &obs,
         lastIndexValue_ = obs.value;
         haveLastIndex_ = true;
     }
-}
-
-void
-ImpPrefetcher::reset()
-{
-    for (auto &s : streams_)
-        s = StreamEntry{};
-    for (auto &i : indirects_)
-        i = IndirectEntry{};
-    haveLastIndex_ = false;
-    patterns_ = 0;
 }
 
 } // namespace minnow::mem

@@ -57,9 +57,6 @@ class Prefetcher
      */
     virtual void observe(const LoadObservation &obs,
                          std::vector<Addr> &out) = 0;
-
-    /** Drop learned state (between benchmark runs). */
-    virtual void reset() = 0;
 };
 
 /** Classic per-site stride prefetcher with confidence counters. */
@@ -75,7 +72,6 @@ class StridePrefetcher : public Prefetcher
 
     void observe(const LoadObservation &obs,
                  std::vector<Addr> &out) override;
-    void reset() override;
 
   private:
     struct Entry
@@ -109,7 +105,6 @@ class ImpPrefetcher : public Prefetcher
 
     void observe(const LoadObservation &obs,
                  std::vector<Addr> &out) override;
-    void reset() override;
 
     /** Learned-pattern count (tests / debugging). */
     std::uint32_t patternsLearned() const { return patterns_; }

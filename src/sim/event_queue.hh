@@ -153,7 +153,7 @@ class EventQueue
     /** True if stop() ended the last run() call. */
     bool stopped() const { return stopped_; }
 
-    /** Events fully executed since construction (or reset()). */
+    /** Events fully executed since construction. */
     std::uint64_t executed() const { return executed_; }
 
     /**
@@ -200,30 +200,6 @@ class EventQueue
 
     /** True if the interrupt source ended the last run() call. */
     bool interrupted() const { return interrupted_; }
-
-    /**
-     * Reset to a freshly-constructed state: time zero, stop flag and
-     * diagnostic hook cleared. The queue must be empty and must not
-     * be executing. Bucket storage keeps its capacity (recycling).
-     */
-    void
-    reset()
-    {
-        panic_if(size_ != 0, "resetting a non-empty event queue");
-        panic_if(running_, "resetting the event queue from inside"
-                 " run()");
-        now_ = 0;
-        daemons_ = 0;
-        farSeq_ = 0;
-        cursor_ = 0;
-        stopped_ = false;
-        diagHook_ = nullptr;
-        executed_ = 0;
-        interrupted_ = false;
-        stopTriggerArmed_ = false;
-        stopTriggerFired_ = false;
-        triggersArmed_ = interruptSource_ != nullptr;
-    }
 
     /**
      * Serialize the deterministic scheduling coordinates: the

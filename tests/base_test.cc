@@ -189,9 +189,6 @@ TEST(FlatTable, GrowsAtThreeQuartersLoad)
         ASSERT_NE(t.find(k * 64), nullptr);
         ASSERT_EQ(*t.find(k * 64), k);
     }
-    t.clear();
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.find(64), nullptr);
 }
 
 TEST(FlatTable, CheckpointIsSortedAndLayoutIndependent)
@@ -304,7 +301,13 @@ TEST(SimAlloc, ZeroSizeStillDistinct)
     SimAlloc alloc;
     Addr a = alloc.allocAnon(0);
     Addr b = alloc.allocAnon(0);
+    Addr z = alloc.alloc("z", 0);
     EXPECT_NE(a, b);
+    EXPECT_NE(b, z);
+    EXPECT_EQ(alloc.bytesAllocated(), 3 * kLineBytes);
+    ASSERT_EQ(alloc.regions().size(), 1u);
+    EXPECT_EQ(alloc.regions()[0].base, z);
+    EXPECT_EQ(alloc.regions()[0].bytes, kLineBytes);
 }
 
 TEST(Stats, Histogram)
@@ -327,16 +330,6 @@ TEST(Stats, HistogramPercentile)
         h.sample(1000);
     EXPECT_LE(h.percentile(0.5), 1u);
     EXPECT_GE(h.percentile(0.99), 512u);
-}
-
-TEST(Stats, Report)
-{
-    StatsReport r;
-    r.add("a.b", 1.5);
-    EXPECT_TRUE(r.has("a.b"));
-    EXPECT_FALSE(r.has("a.c"));
-    EXPECT_DOUBLE_EQ(r.get("a.b"), 1.5);
-    EXPECT_DOUBLE_EQ(r.get("a.c", -1), -1.0);
 }
 
 TEST(Options, Parsing)

@@ -154,50 +154,6 @@ TEST(EventQueue, PendingExcludesExecutingEvent)
     EXPECT_TRUE(ctx.sawEmpty);
 }
 
-TEST(EventQueue, ResetClearsStateAndDiagnosticHook)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [](void *p) { (*static_cast<int *>(p))++; },
-                &fired);
-    int diags = 0;
-    eq.setDiagnosticHook(
-        [&diags](const char *) { ++diags; });
-    eq.run();
-    ASSERT_EQ(fired, 1);
-
-    eq.reset();
-    EXPECT_EQ(eq.now(), 0u);
-    EXPECT_TRUE(eq.empty());
-    EXPECT_FALSE(eq.stopped());
-    EXPECT_EQ(eq.headTime(), 0u);
-
-    // The hook was cleared by reset(): a budget-exhausted run after
-    // reset must not fire the stale hook.
-    for (Cycle t = 1; t <= 3; ++t)
-        eq.schedule(t, [](void *p) { (*static_cast<int *>(p))++; },
-                    &fired);
-    clearWarnings();
-    EXPECT_EQ(eq.run(2), 2u);
-    EXPECT_TRUE(warningsSeen()); // the budget warn itself remains
-    clearWarnings();
-    EXPECT_EQ(diags, 0);
-
-    eq.run(); // drain the leftover event so the queue ends empty
-    EXPECT_EQ(fired, 4);
-}
-
-TEST(EventQueueDeathTest, ResetWithPendingEventsPanics)
-{
-    EXPECT_EXIT(
-        {
-            EventQueue eq;
-            eq.schedule(1, [](void *) {}, nullptr);
-            eq.reset();
-        },
-        testing::KilledBySignal(SIGABRT), "non-empty event queue");
-}
-
 TEST(EventQueueDeathTest, RunReentrancyPanics)
 {
     EXPECT_EXIT(

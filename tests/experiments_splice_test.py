@@ -29,8 +29,8 @@ def main():
     md = (ROOT / "EXPERIMENTS.md").read_text()
     bench_output = mx.extract(md)
     found = mx.sections(bench_output)
-    if len(found) != 21:
-        print(f"FAIL: {len(found)} Measured blocks, want 21")
+    if len(found) != 20:
+        print(f"FAIL: {len(found)} Measured blocks, want 20")
         return 1
     again = mx.splice(md, bench_output)
     if again != md:

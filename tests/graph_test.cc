@@ -549,12 +549,6 @@ TEST(Generators, GoldenCsrDigests)
         {"bc", 1, 0x63824a4d4fff3faaull, 0x20a635f0f999c985ull},
         {"bc", 2, 0x8c422ae420bda60dull, 0x776d4274fbd30eb5ull},
         {"bc", 3, 0x98070c3ff3b64d76ull, 0x776d4274fbd30eb5ull},
-        {"mis", 1, 0x386ae1ad7bc0a46cull, 0x785cf80625e3aea5ull},
-        {"mis", 2, 0x62521ea31a8f3a1full, 0x96a91ecbfd40cd85ull},
-        {"mis", 3, 0x338d298fd5517887ull, 0x25e3783e16acabf5ull},
-        {"kcore", 1, 0x386ae1ad7bc0a46cull, 0x785cf80625e3aea5ull},
-        {"kcore", 2, 0x62521ea31a8f3a1full, 0x96a91ecbfd40cd85ull},
-        {"kcore", 3, 0x338d298fd5517887ull, 0x25e3783e16acabf5ull},
     };
     for (const Golden &want : golden) {
         harness::Workload w =

@@ -78,8 +78,6 @@ TEST(CacheArray, InvalidateAndFlush)
     c.fill(6, false, ev);
     c.fill(7, false, ev);
     EXPECT_EQ(c.validLines(), 2u);
-    c.flushAll();
-    EXPECT_EQ(c.validLines(), 0u);
 }
 
 /**
@@ -157,13 +155,6 @@ class RefCache
         if (i >= 0)
             lines_[std::size_t(i)].valid = false;
         return i >= 0;
-    }
-
-    void
-    flushAll()
-    {
-        for (Line &l : lines_)
-            l.valid = false;
     }
 
     Line &at(int i) { return lines_[std::size_t(i)]; }
@@ -265,11 +256,8 @@ TEST(CacheArray, MatchesStampLruReference)
                 ASSERT_EQ(ev.prefetchHw, rev.prefetchHw);
                 ASSERT_EQ(c.prefetch(f), pf);
                 ASSERT_EQ(c.readyAt(f), 0u);
-            } else if (op < 99) {
-                ASSERT_EQ(c.invalidate(lnum), ref.invalidate(lnum));
             } else {
-                c.flushAll();
-                ref.flushAll();
+                ASSERT_EQ(c.invalidate(lnum), ref.invalidate(lnum));
             }
             ASSERT_EQ(c.validLines(), ref.validLines());
         }
@@ -582,21 +570,6 @@ TEST(MemorySystem, DemandMissCountsOnlyDemand)
     demand.addr = 0x300000;
     ms.access(demand);
     EXPECT_EQ(ms.stats(0).l2DemandMisses, 1u);
-}
-
-TEST(MemorySystem, FlushDropsEverything)
-{
-    MachineConfig cfg = tinyMachine();
-    MemorySystem ms(cfg);
-    MemAccess a;
-    a.core = 0;
-    a.addr = 0x400000;
-    ms.access(a);
-    EXPECT_TRUE(ms.inL2(0, a.addr));
-    ms.flushAll();
-    EXPECT_FALSE(ms.inL1(0, a.addr));
-    EXPECT_FALSE(ms.inL2(0, a.addr));
-    EXPECT_FALSE(ms.inL3(a.addr));
 }
 
 TEST(MemorySystem, SharedWriteLeavesStaleDuplicateFrame)

@@ -402,25 +402,6 @@ TEST(StatsRegistry, HistogramDegenerateParamsClamp)
 }
 
 //
-// Flatten.
-//
-
-TEST(StatsRegistry, FlattenUsesDottedKeys)
-{
-    StatsRegistry reg;
-    StatsGroup &g = reg.group("minnow0");
-    g.counter("creditStalls") += 7;
-    HistogramStat &h = g.histogram("occ", "", 1, 4);
-    h.sample(2);
-
-    StatsReport rep;
-    reg.flatten(rep);
-    EXPECT_DOUBLE_EQ(rep.get("minnow0.creditStalls"), 7.0);
-    EXPECT_DOUBLE_EQ(rep.get("minnow0.occ.mean"), 2.0);
-    EXPECT_DOUBLE_EQ(rep.get("minnow0.occ.total"), 1.0);
-}
-
-//
 // JSON round-trip.
 //
 

@@ -85,7 +85,8 @@ TEST(OptionsDeath, RetiredFlagsRejected)
     // window, the Minnow switches --config owns, and the machine
     // parameters only figures set, in code): the benches' parse path
     // (MachineConfig::applyOptions, then rejectUnused) must refuse
-    // them rather than silently ignore them.
+    // them rather than silently ignore them, naming each as typed
+    // (a bare flag without the "=true" the parser stores for it).
     for (const char *flag :
          {"--shards=4", "--push-batch=4", "--dequeue-batch=4",
           "--spec-slot", "--work-sharing=0", "--timeline-tracks=task",
@@ -100,7 +101,7 @@ TEST(OptionsDeath, RetiredFlagsRejected)
         MachineConfig cfg;
         cfg.applyOptions(opts);
         EXPECT_EXIT(opts.rejectUnused(), testing::ExitedWithCode(1),
-                    std::string("unknown option ") + flag);
+                    std::string("unknown option ") + flag + "\n");
     }
 }
 
